@@ -1,6 +1,10 @@
 // Tests for the event-driven WAN controller simulation.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "controller/controller.h"
 #include "topo/builders.h"
 
@@ -155,6 +159,35 @@ TEST_F(ControllerFixture, TransientLossIsPartOfTotalLoss) {
   EXPECT_NEAR(r.offered_gbps_seconds,
               r.delivered_gbps_seconds + r.lost_gbps_seconds,
               1e-6 * r.offered_gbps_seconds);
+}
+
+// run_report.to_json() pinned byte for byte for every scheme the controller
+// runs, on a two-hour trace whose cuts overlap. A change to the run core
+// must leave these files untouched; on a mismatch the actual JSON is written
+// to the working directory for diffing.
+TEST_F(ControllerFixture, RunReportMatchesGoldenForEveryScheme) {
+  util::Rng trace_rng(27);
+  const auto trace =
+      sample_failure_trace(net_, config_.horizon_s, 48.0, trace_rng);
+  for (Scheme s : {Scheme::kArrow, Scheme::kArrowNaive, Scheme::kFfc1,
+                   Scheme::kTeaVar, Scheme::kEcmp, Scheme::kReWeave}) {
+    config_.scheme = s;
+    util::Rng rng(22);
+    const auto report = run_controller(net_, tms_, trace, config_, rng);
+    ASSERT_GT(report.overlapping_cuts, 0) << to_string(s);
+    const std::string name =
+        std::string("controller_") + to_string(s) + ".json";
+    std::ifstream in(std::string(ARROW_GOLDEN_DIR) + "/" + name);
+    ASSERT_TRUE(in) << "missing golden file " << name;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    const std::string actual = report.run_report.to_json();
+    if (actual != golden.str()) {
+      std::ofstream(name + ".actual") << actual;
+      ADD_FAILURE() << name << " differs; actual written to " << name
+                    << ".actual";
+    }
+  }
 }
 
 TEST(FailureTrace, RespectsHorizonAndRates) {
