@@ -64,7 +64,7 @@ ctrl::ControllerReport run_workload(const std::string& basis_dir,
   const auto tms = traffic::generate_traffic(net, tp, trng);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kFfc1;
+  config.scheme = "FFC-1";
   config.horizon_s = fast_mode ? 1800.0 : 7200.0;
   config.te_interval_s = fast_mode ? 600.0 : 300.0;
   config.tunnels.tunnels_per_flow = fast_mode ? 4 : 6;

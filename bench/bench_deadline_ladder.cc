@@ -62,7 +62,7 @@ int main() {
   const auto tms = traffic::generate_traffic(net, tp, trng);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kArrow;
+  config.scheme = "ARROW";
   config.horizon_s = 2.0 * 3600.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;
@@ -115,8 +115,8 @@ int main() {
     for (int i = 0; i < ctrl::kNumRungs; ++i) {
       rung_counts[static_cast<std::size_t>(i)] += report.fallback_counts[i];
     }
-    timeouts += report.solver_timeouts;
-    backoff_retries += report.backoff_retries;
+    timeouts += report.solve_stats.timeouts;
+    backoff_retries += report.solve_stats.backoff_retries;
     degraded += report.degraded_periods;
   }
 

@@ -157,10 +157,8 @@ int main() {
   sim::SweepParams sweep;
   sweep.scales = {0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
   if (fast_mode) sweep.scales = {0.5, 0.7};
-  sweep.run_arrow = false;  // the offline stage was measured above
-  sweep.run_arrow_naive = false;
-  sweep.run_teavar = false;
-  sweep.run_ffc2 = false;
+  // The offline stage was measured above.
+  sweep.schemes = {"FFC-1", "ECMP"};
   sweep.tunnels = tun;
 
   sweep.warm_start = false;

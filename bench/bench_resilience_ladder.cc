@@ -41,7 +41,7 @@ void BM_LadderUnderFaults(benchmark::State& state) {
   const auto tms = traffic::generate_traffic(net, tp, rng);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kArrow;
+  config.scheme = "ARROW";
   config.horizon_s = 2.0 * 3600.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;

@@ -302,7 +302,6 @@ int cmd_run(int argc, char** argv) {
   const auto tm = topo::load_traffic_file(argv[3]);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kArrow;
   config.horizon_s = 2.0 * 3600.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;
@@ -361,7 +360,8 @@ int cmd_run(int argc, char** argv) {
   table.add_row({"availability", util::Table::pct(report.availability(), 4)});
   table.add_row({"TE runs", std::to_string(report.te_runs)});
   table.add_row({"degraded periods", std::to_string(report.degraded_periods)});
-  table.add_row({"solver timeouts", std::to_string(report.solver_timeouts)});
+  table.add_row(
+      {"solver timeouts", std::to_string(report.solve_stats.timeouts)});
   table.add_row({"cuts handled", std::to_string(report.cuts_handled)});
   table.add_row({"journal recovered",
                  report.journal_recovered ? "yes" : "no"});
@@ -403,8 +403,11 @@ int cmd_serve(int argc, char** argv) {
       topo_path = argv[++i];
     } else if (std::strcmp(argv[i], "--scheme") == 0) {
       if (!want_value("--scheme")) return usage();
-      if (!serve::scheme_from_string(argv[++i], &config.ctrl.scheme)) {
-        std::fprintf(stderr, "arrowctl serve: unknown scheme %s\n", argv[i]);
+      config.ctrl.scheme = argv[++i];
+      const auto& registry = schemes::Registry::global();
+      if (!registry.contains(config.ctrl.scheme)) {
+        std::fprintf(stderr, "arrowctl serve: %s\n",
+                     registry.unknown_message(config.ctrl.scheme).c_str());
         return usage();
       }
     } else if (std::strcmp(argv[i], "--budget") == 0) {
@@ -428,10 +431,10 @@ int cmd_serve(int argc, char** argv) {
   if (socket_path.empty() && port < 0) return usage();
 
   // Startup capability log: which cut fast path this daemon will take.
-  const auto caps = schemes::Registry::global().capabilities(
-      ctrl::to_string(config.ctrl.scheme));
+  const auto caps =
+      schemes::Registry::global().capabilities(config.ctrl.scheme);
   std::printf("scheme %s: optical restoration %s, local repair %s\n",
-              ctrl::to_string(config.ctrl.scheme),
+              config.ctrl.scheme.c_str(),
               caps.restores_optically ? "on" : "off",
               caps.supports_local_repair ? "on (cut fast path active)"
                                          : "off");

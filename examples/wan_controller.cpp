@@ -1,6 +1,7 @@
-// A day in the life of a WAN: replay the same fiber-cut trace against five
-// TE disciplines and compare delivered traffic, downtime, and the transient
-// loss during restoration (ARROW with noise loading vs legacy amplifiers).
+// A day in the life of a WAN: replay the same fiber-cut trace against every
+// registered TE scheme and compare delivered traffic, downtime, and the
+// transient loss during restoration (ARROW with noise loading vs legacy
+// amplifiers).
 //
 //   $ ./build/examples/wan_controller [cuts_per_day] [journal_dir]
 //
@@ -14,7 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <string>
+
 #include "controller/controller.h"
+#include "schemes/scheme.h"
 #include "topo/builders.h"
 #include "util/table.h"
 
@@ -49,14 +53,14 @@ int main(int argc, char** argv) {
   util::Table table({"discipline", "availability", "lost (Tbps*s)",
                      "transient loss", "worst restoration", "cuts planned",
                      "journal"});
-  const auto run = [&](ctrl::Scheme scheme, bool noise_loading,
-                       const char* label, const char* run_id) {
+  const auto run = [&](const std::string& scheme, bool noise_loading,
+                       const std::string& label, const std::string& run_id) {
     ctrl::ControllerConfig cfg = base;
     cfg.scheme = scheme;
     cfg.latency.noise_loading = noise_loading;
     // Crash-consistency journal for the headline ARROW run only (the
     // disciplines would otherwise race for the same file).
-    if (scheme == ctrl::Scheme::kArrow && noise_loading) {
+    if (scheme == "ARROW" && noise_loading) {
       cfg.journal_dir = journal_dir;
     }
     // Per-run artifact names; files appear only when ARROW_OBS_DIR /
@@ -75,13 +79,14 @@ int main(int argc, char** argv) {
                                            : std::to_string(r.journal_writes) +
                                                " writes"});
   };
-  run(ctrl::Scheme::kArrow, true, "ARROW (noise loading)", "arrow");
-  run(ctrl::Scheme::kArrow, false, "ARROW (legacy amplifiers)",
-      "arrow_legacy");
-  run(ctrl::Scheme::kArrowNaive, true, "ARROW-Naive", "arrow_naive");
-  run(ctrl::Scheme::kFfc1, true, "FFC-1 (no restoration)", "ffc1");
-  run(ctrl::Scheme::kTeaVar, true, "TeaVaR (no restoration)", "teavar");
-  run(ctrl::Scheme::kEcmp, true, "ECMP", "ecmp");
+  for (const auto& name : schemes::Registry::global().names()) {
+    if (name == "ARROW") {
+      run(name, true, "ARROW (noise loading)", "arrow");
+      run(name, false, "ARROW (legacy amplifiers)", "arrow_legacy");
+    } else {
+      run(name, true, name, name);
+    }
+  }
   std::fputs(table.to_string().c_str(), stdout);
   std::printf(
       "\n'transient loss' is traffic lost while restorations were still "

@@ -1,43 +1,21 @@
 #include "controller/controller.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <set>
 
-#include "controller/journal.h"
-#include "controller/ladder.h"
+#include "controller/session.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optical/event_sim.h"
 #include "optical/rwa.h"
 #include "sim/availability.h"
-#include "solver/basis_store.h"
-#include "solver/lp.h"
-#include "te/basic.h"
 #include "topo/network.h"
 #include "ticket/ticket.h"
 #include "util/check.h"
-#include "util/clock.h"
-#include "util/deadline.h"
-#include "util/parallel.h"
-#include "util/stats.h"
 
 namespace arrow::ctrl {
-
-const char* to_string(Scheme s) {
-  switch (s) {
-    case Scheme::kArrow: return "ARROW";
-    case Scheme::kArrowNaive: return "ARROW-Naive";
-    case Scheme::kFfc1: return "FFC-1";
-    case Scheme::kTeaVar: return "TeaVaR";
-    case Scheme::kEcmp: return "ECMP";
-    case Scheme::kReWeave: return "ReWeave-Local";
-  }
-  return "unknown";
-}
 
 const char* to_string(Rung r) {
   switch (r) {
@@ -70,24 +48,6 @@ std::vector<FailureEvent> sample_failure_trace(const topo::Network& net,
   return trace;
 }
 
-namespace {
-
-struct RuntimeState {
-  std::set<topo::FiberId> active_cuts;
-  // Currently-lit restored capacity per failed IP link (ramps up wavelength
-  // by wavelength during a restoration).
-  std::map<topo::IpLinkId, double> restored;
-  // Restored (link, gbps) contributions per active cut, reverted at repair
-  // time. Per-wave bookkeeping (not just link ids) so overlapping cuts that
-  // restore the same IP link revert only their own share.
-  std::map<topo::FiberId, std::vector<std::pair<topo::IpLinkId, double>>>
-      restored_by_cut;
-  // Open restoration windows (for transient-loss accounting).
-  int restorations_in_flight = 0;
-};
-
-}  // namespace
-
 ControllerReport run_controller(const topo::Network& net,
                                 const std::vector<traffic::TrafficMatrix>& tms,
                                 const std::vector<FailureEvent>& failures,
@@ -105,269 +65,31 @@ ControllerReport run_controller(const topo::Network& net,
   OBS_SPAN("controller_run");
 
   // --- offline: scenarios, tunnels, per-matrix TE solutions ---------------
-  std::vector<scenario::Scenario> raw = config.explicit_scenarios;
-  if (raw.empty()) {
-    raw = scenario::generate_scenarios(net, config.scenarios, rng).scenarios;
-  }
-  const auto scenarios = scenario::remove_disconnecting(net, std::move(raw));
-
-  // Persistent warm starts (opt-in): seed a scoped cache from the store's
-  // bases for this exact (topology, scenario set) before any solve, absorb
-  // the run's final bases back just before returning. The hashes key on
-  // structure, not demands, so runs over different traffic matrices share
-  // vertices as long as the network and scenario set match. A basis
-  // directory (config field, else ARROW_BASIS_DIR) extends the store across
-  // processes: load its file before seeding, save after absorbing. With no
-  // in-process store configured the disk file gets a run-local one.
-  std::string basis_dir = config.basis_dir;
-  if (basis_dir.empty()) {
-    if (const char* env = std::getenv("ARROW_BASIS_DIR")) basis_dir = env;
-  }
-  std::optional<solver::BasisStore> run_local_store;
-  solver::BasisStore* store = config.basis_store;
-  if (store == nullptr && !basis_dir.empty()) {
-    run_local_store.emplace();
-    store = &*run_local_store;
-  }
-  // Crash-consistency journal (opt-in, like the basis store): config field,
-  // else ARROW_JOURNAL_DIR.
-  std::string journal_dir = config.journal_dir;
-  if (journal_dir.empty()) {
-    if (const char* env = std::getenv("ARROW_JOURNAL_DIR")) journal_dir = env;
-  }
-
-  std::uint64_t topo_h = 0;
-  std::uint64_t scen_h = 0;
-  if (store != nullptr || !journal_dir.empty()) {
-    topo_h = topo::structure_hash(net);
-    scen_h = scenario::set_hash(scenarios);
-  }
-  std::optional<solver::ScopedWarmStartCache> warm;
-  if (store != nullptr) {
-    if (!basis_dir.empty()) {
-      store->load(solver::BasisStore::file_in(basis_dir));  // false = cold
-    }
-    warm.emplace();
-    report.basis_seeded = store->seed(topo_h, scen_h, *warm);
-  }
-
+  const auto scenarios = run_scenarios(net, config, rng);
+  Session session(config, net, scenarios, rng, &report);
   std::vector<te::TeInput> inputs;
   inputs.reserve(tms.size());
   for (const auto& tm : tms) {
     inputs.emplace_back(net, tm, scenarios, config.tunnels);
   }
+  session.prepare(inputs);
+  const bool restores = session.restores();
+  const te::ArrowPrepared& prepared = session.prepared();
 
-  // Journal recovery + write-ahead in-flight marker. A journaled plan is
-  // adopted as the ladder's initial last-good solution only when it was
-  // written for this exact network structure and scenario set AND its shape
-  // matches this run's flow/tunnel layout — anything else is a cold start.
-  // The marker write happens before any solve: a crash from here on leaves
-  // in_flight set, which the next process (and the chaos drills) can see.
-  std::optional<StateJournal> journal;
-  std::optional<te::TeSolution> recovered;
-  if (!journal_dir.empty()) {
-    journal.emplace(StateJournal::file_in(journal_dir));
-    JournalState prior = journal->load();
-    report.journal_prior_in_flight = prior.in_flight;
-    if (prior.has_plan && prior.topo_hash == topo_h &&
-        prior.scenario_hash == scen_h) {
-      const auto& tunnels = inputs.front().tunnels();
-      bool shape_ok =
-          prior.plan.alloc.size() == tunnels.size() &&
-          prior.plan.admitted.size() == tunnels.size();
-      for (std::size_t f = 0; shape_ok && f < tunnels.size(); ++f) {
-        shape_ok = prior.plan.alloc[f].size() == tunnels[f].size();
-      }
-      if (shape_ok) {
-        te::TeSolution sol;
-        sol.scheme = "Journal(" + prior.plan.scheme + ")";
-        sol.optimal = true;  // was a real plan for this exact structure
-        sol.admitted = prior.plan.admitted;
-        sol.alloc = prior.plan.alloc;
-        recovered = std::move(sol);
-        report.journal_recovered = true;
-        obs::Registry::global()
-            .counter("arrow_journal_recoveries_total")
-            .add();
-      }
-    }
-    if (!report.journal_recovered) {
-      // Do not carry a plan we did not adopt: begin_run stamps OUR hashes
-      // into the journal, and a stale foreign plan under them would be
-      // trusted (wrongly) by the next recovery.
-      prior.has_plan = false;
-      prior.plan = JournalPlan{};
-    }
-    journal->reset(std::move(prior));
-    journal->begin_run(obs_cfg.run_id, topo_h, scen_h);
-  }
-  // Calibration gets its own two-rung ladder: the LP, the LP under relaxed
-  // solver settings, then the closed-form ECMP bound (conservative but
-  // fault-immune). A faulted calibration must not take the controller down.
-  bool calib_ok = true;
-  double calibration = te::max_satisfiable_scale(inputs.front(), &calib_ok);
-  if (!calib_ok) {
-    solver::ScopedSimplexOverride relax(relaxed_simplex_options());
-    calibration = te::max_satisfiable_scale(inputs.front(), &calib_ok);
-  }
-  if (!calib_ok) {
-    calibration = te::ecmp_satisfiable_scale(inputs.front());
-    report.calibration_degraded = true;
-  }
-  for (auto& input : inputs) {
-    input.scale_demands(calibration * config.demand_scale);
-  }
-
-  const bool restores = config.scheme == Scheme::kArrow ||
-                        config.scheme == Scheme::kArrowNaive;
-  // The solver's ambient hooks are thread-local: work fanned onto pool
-  // workers would escape an active fault injector or options override. When
-  // either hook is live (a fault drill wrapping run_controller), the offline
-  // stage runs inline on this thread — slower, but every solve stays under
-  // the hook and the drill's injection schedule stays deterministic.
-  util::ThreadPool inline_pool(1);
-  util::ThreadPool& pool = (solver::ScopedSolveObserver::active() != nullptr ||
-                            solver::ScopedSimplexOverride::active() != nullptr)
-                               ? inline_pool
-                               : util::global_pool();
-  te::ArrowPrepared prepared;
-  if (restores) {
-    prepared = te::prepare_arrow(inputs.front(), config.arrow, rng, pool);
-    // A solver fault inside one scenario's RWA silently strips that
-    // scenario's restoration capacity (its tickets carry zero waves), so
-    // failed scenarios are re-solved individually — relaxed solver settings
-    // from the second attempt on — before the controller relies on them.
-    // The base for the retry streams is drawn whether or not anything
-    // failed, so the rng trajectory downstream does not depend on how many
-    // scenarios a fault happened to hit; attempt streams are counter-seeded
-    // per (scenario, attempt), so repairs of different scenarios can run on
-    // the pool concurrently and still reproduce bit-for-bit.
-    constexpr int kRwaRetries = 5;
-    const std::uint64_t repair_base = rng.next_u64();
-    // Backoff streams are per scenario (counter-seeded like the retry
-    // streams), drawn unconditionally for the same reason. Sleeps are real
-    // time on the worker running that scenario's repairs — concurrent
-    // repairs back off independently.
-    const std::uint64_t rwa_backoff_base = rng.next_u64();
-    std::atomic<int> rwa_backoff_retries{0};
-    std::vector<int> failed;
-    for (std::size_t q = 0; q < prepared.rwa.size(); ++q) {
-      if (!prepared.rwa[q].optimal) failed.push_back(static_cast<int>(q));
-    }
-    std::vector<char> repaired(failed.size(), 0);
-    pool.parallel_for(0, static_cast<int>(failed.size()), [&](int i) {
-      const int q = failed[static_cast<std::size_t>(i)];
-      auto* rwa = &prepared.rwa[static_cast<std::size_t>(q)];
-      auto* tickets = &prepared.tickets[static_cast<std::size_t>(q)];
-      util::Backoff backoff(
-          config.retry_backoff,
-          util::Rng::stream_seed(rwa_backoff_base,
-                                 static_cast<std::uint64_t>(q)));
-      for (int attempt = 0; attempt < kRwaRetries; ++attempt) {
-        if (attempt > 0 && backoff.sleep() > 0.0) {
-          rwa_backoff_retries.fetch_add(1, std::memory_order_relaxed);
-        }
-        util::Rng retry_rng(util::Rng::stream_seed(
-            repair_base,
-            static_cast<std::uint64_t>(q) * kRwaRetries +
-                static_cast<std::uint64_t>(attempt)));
-        if (attempt == 0) {
-          te::prepare_arrow_scenario(inputs.front(), q, config.arrow,
-                                     retry_rng, rwa, tickets);
-        } else {
-          solver::ScopedSimplexOverride relax(relaxed_simplex_options());
-          te::prepare_arrow_scenario(inputs.front(), q, config.arrow,
-                                     retry_rng, rwa, tickets);
-        }
-        if (rwa->optimal) {
-          repaired[static_cast<std::size_t>(i)] = 1;
-          break;
-        }
-      }
-    });
-    for (char r : repaired) {
-      if (r) ++report.rwa_repairs; else ++report.rwa_scenarios_lost;
-    }
-    report.backoff_retries += rwa_backoff_retries.load();
-  }
-  // Restorability flags are a function of (tunnels, tickets), both shared
-  // across the matrices (demands differ, topology does not), so one cache
-  // serves every matrix's ladder — including its retry rungs.
-  std::optional<te::RestorabilityCache> rcache;
-  if (restores) {
-    rcache.emplace(inputs.front(), prepared, pool);
-  }
   std::vector<te::TeSolution> solutions;
   solutions.reserve(inputs.size());
-  // Ladder backoff streams, one per matrix (counter-seeded, drawn whether or
-  // not any rung retries — the rng trajectory downstream must not depend on
-  // how many retries happened).
-  const std::uint64_t te_backoff_base = rng.next_u64();
-  int last_solved = -1;  // most recent matrix served by a real solve
-  for (std::size_t m = 0; m < inputs.size(); ++m) {
-    auto& input = inputs[m];
-    // The journal-recovered plan seeds carry-forward until a real solve
-    // supersedes it: a restarted controller whose first solves fault serves
-    // the dead process's last-good plan, not cold ECMP.
-    const te::TeSolution* last_good =
-        last_solved >= 0 ? &solutions[static_cast<std::size_t>(last_solved)]
-                         : (recovered ? &*recovered : nullptr);
+  for (const auto& input : inputs) {
     if (!report.canceled && config.cancel && config.cancel()) {
       report.canceled = true;
     }
-    LadderOutcome out;
-    if (report.canceled) {
-      // Graceful drain: no further LP work, the closed-form rungs only.
-      if (last_good != nullptr) {
-        out.sol = carry_forward(*last_good, input);
-        out.rung = Rung::kCarryForward;
-      } else {
-        out.sol = te::solve_ecmp(input);
-        out.rung = Rung::kEcmp;
-      }
-    } else {
-      const util::Deadline period_deadline =
-          config.te_budget_s > 0.0 ? util::Deadline::after(config.te_budget_s)
-                                   : util::Deadline();
-      util::Backoff backoff(
-          config.retry_backoff,
-          util::Rng::stream_seed(te_backoff_base,
-                                 static_cast<std::uint64_t>(m)));
-      out = solve_with_ladder(config, input, prepared, last_good,
-                              rcache ? &*rcache : nullptr, pool,
-                              period_deadline, &backoff);
-    }
-    report.solver_timeouts += out.timeouts;
-    report.backoff_retries += out.backoff_retries;
-    if (journal && out.rung <= Rung::kFfcFallback) {
-      JournalPlan plan;
-      plan.scheme = out.sol.scheme;
-      plan.admitted = out.sol.admitted;
-      plan.alloc = out.sol.alloc;
-      journal->record_plan(plan);
-    }
-    report.fallback_counts[static_cast<std::size_t>(out.rung)] += 1;
+    LadderOutcome out = session.solve(input, /*drain=*/report.canceled);
     report.rung_by_matrix.push_back(out.rung);
     report.solve_seconds_by_matrix.push_back(out.seconds);
-    report.simplex_iterations_by_matrix.push_back(out.iterations);
-    report.te_simplex_iterations += out.iterations;
-    report.te_presolve_rows_removed += out.presolve_rows;
-    report.te_presolve_cols_removed += out.presolve_cols;
-    report.te_pricing_candidates += out.pricing_candidates;
-    report.te_decomposition_rounds += out.decomposition_rounds;
-    report.te_decomposition_sub_solves += out.decomposition_sub_solves;
-    report.te_decomposition_cuts += out.decomposition_cuts;
+    report.simplex_iterations_by_matrix.push_back(out.stats.iterations);
     obs::Registry::global()
         .counter("arrow_ctrl_rung_" + rung_metric_name(out.rung) + "_total")
         .add();
-    if (config.te_budget_s > 0.0 && out.seconds > config.te_budget_s) {
-      ++report.deadline_overruns;
-    }
-    if (out.rung <= Rung::kFfcFallback) {
-      last_solved = static_cast<int>(solutions.size());
-    }
     solutions.push_back(std::move(out.sol));
-    ++report.te_runs;
   }
 
   // Attribute every TE period in the horizon to the rung that produced the
@@ -387,17 +109,16 @@ ControllerReport run_controller(const topo::Network& net,
   }
 
   // --- runtime event loop ---------------------------------------------------
-  RuntimeState state;
+  CutState state;
+  int restorations_in_flight = 0;  // open windows, for transient loss
   std::size_t active_tm = 0;
   double last_t = 0.0;
   double delivered_rate = 0.0;
   double offered_rate = 0.0;
 
   const auto recompute_rates = [&]() {
-    const std::vector<topo::FiberId> cuts(state.active_cuts.begin(),
-                                          state.active_cuts.end());
     const auto d = sim::state_delivery(inputs[active_tm],
-                                       solutions[active_tm], cuts,
+                                       solutions[active_tm], state.cuts(),
                                        state.restored);
     delivered_rate = d.delivered_gbps;
     offered_rate = d.offered_gbps;
@@ -412,7 +133,7 @@ ControllerReport run_controller(const topo::Network& net,
       report.delivered_gbps_seconds += delivered_rate * dt;
       const double lost = (offered_rate - delivered_rate) * dt;
       report.lost_gbps_seconds += lost;
-      if (state.restorations_in_flight > 0) {
+      if (restorations_in_flight > 0) {
         report.transient_loss_gbps_seconds += lost;
       }
       last_t = now;
@@ -433,19 +154,6 @@ ControllerReport run_controller(const topo::Network& net,
       mark(now);
     });
   }
-
-  // Ticket for scenario q under the currently active TE solution (winner if
-  // the solution carries one, naive RWA plan otherwise — fallback-rung
-  // solutions have no winners but restoration must still go out).
-  const auto ticket_for = [&](int q) -> ticket::LotteryTicket {
-    const auto& sol = solutions[active_tm];
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const int w =
-        sol.winner.empty() ? -1 : sol.winner[static_cast<std::size_t>(q)];
-    return (w >= 0 && w < static_cast<int>(tickets.tickets.size()))
-               ? tickets.tickets[static_cast<std::size_t>(w)]
-               : ticket::naive_ticket(prepared.rwa[static_cast<std::size_t>(q)]);
-  };
 
   // Shared tail of both restoration paths: run the drop/delay fault hooks,
   // replay the reconfiguration through the optical latency simulator, and
@@ -471,7 +179,7 @@ ControllerReport run_controller(const topo::Network& net,
     report.worst_restoration_s =
         std::max(report.worst_restoration_s, delay + latency.total_s);
     report.restoration_latency_s.push_back(delay + latency.total_s);
-    ++state.restorations_in_flight;
+    ++restorations_in_flight;
     // Replay each wavelength-up event; the restoration window closes at the
     // final one.
     const double final_t = now + delay + latency.total_s;
@@ -481,14 +189,13 @@ ControllerReport run_controller(const topo::Network& net,
       const double gbps = p.wave_gbps;
       queue.schedule(now + delay + p.t_s,
                      [&, link, gbps, owner](double when) {
-        if (!state.active_cuts.count(owner)) return;  // repaired first
-        state.restored[link] += gbps;
-        state.restored_by_cut[owner].emplace_back(link, gbps);
+        if (!state.active.count(owner)) return;  // repaired first
+        state.restore(owner, link, gbps);
         mark(when);
       });
     }
     queue.schedule(final_t, [&](double when) {
-      --state.restorations_in_flight;
+      --restorations_in_flight;
       mark(when);
     });
     return true;
@@ -524,10 +231,10 @@ ControllerReport run_controller(const topo::Network& net,
       }
     }
     if (best_q < 0) return;  // no scenario shares a failed link
-    const ticket::LotteryTicket ticket = ticket_for(best_q);
+    const ticket::LotteryTicket ticket =
+        session.ticket_for(best_q, solutions[active_tm]);
     const auto& rwa_links = prepared.rwa[static_cast<std::size_t>(best_q)].links;
-    const std::vector<topo::FiberId> active(state.active_cuts.begin(),
-                                            state.active_cuts.end());
+    const std::vector<topo::FiberId> active = state.cuts();
     // Keep only the entries for links this cut actually failed, and zero
     // out surrogate paths that cross any currently cut fiber — the donor
     // scenario did not plan around the cuts we actually have.
@@ -542,7 +249,7 @@ ControllerReport run_controller(const topo::Network& net,
       w.resize(lr.paths.size(), 0);
       for (std::size_t pi = 0; pi < lr.paths.size(); ++pi) {
         for (topo::FiberId f : lr.paths[pi].fibers) {
-          if (state.active_cuts.count(f)) {
+          if (state.active.count(f)) {
             w[pi] = 0;
             break;
           }
@@ -562,25 +269,18 @@ ControllerReport run_controller(const topo::Network& net,
   for (const FailureEvent& ev : failures) {
     if (ev.t_s >= config.horizon_s) continue;
     queue.schedule(ev.t_s, [&, ev](double now) {
-      if (state.active_cuts.count(ev.fiber)) return;  // already down
-      if (!state.active_cuts.empty()) ++report.overlapping_cuts;
-      state.active_cuts.insert(ev.fiber);
+      if (state.active.count(ev.fiber)) return;  // already down
+      if (!state.active.empty()) ++report.overlapping_cuts;
+      state.active.insert(ev.fiber);
       ++report.cuts_handled;
       mark(now);
 
       if (restores) {
-        // Look up the precomputed plan: exact match on this single cut.
-        int q_match = -1;
-        for (std::size_t q = 0; q < scenarios.size(); ++q) {
-          if (scenarios[q].cuts.size() == 1 &&
-              scenarios[q].cuts[0] == ev.fiber) {
-            q_match = static_cast<int>(q);
-            break;
-          }
-        }
+        const int q_match = session.plan_for_cut(ev.fiber);
         if (q_match >= 0) {
           ++report.cuts_with_plan;
-          const ticket::LotteryTicket ticket = ticket_for(q_match);
+          const ticket::LotteryTicket ticket =
+              session.ticket_for(q_match, solutions[active_tm]);
           auto links = prepared.rwa[static_cast<std::size_t>(q_match)].links;
           optical::assign_slots_first_fit(net, {ev.fiber}, links,
                                           ticket.path_waves);
@@ -599,17 +299,7 @@ ControllerReport run_controller(const topo::Network& net,
       // cut's own restored share is reverted; capacity lit on behalf of a
       // still-active overlapping cut stays up.
       queue.schedule(now + ev.repair_s, [&, ev](double when) {
-        state.active_cuts.erase(ev.fiber);
-        auto it = state.restored_by_cut.find(ev.fiber);
-        if (it != state.restored_by_cut.end()) {
-          for (const auto& [link, gbps] : it->second) {
-            auto rit = state.restored.find(link);
-            if (rit == state.restored.end()) continue;
-            rit->second -= gbps;
-            if (rit->second <= 1e-9) state.restored.erase(rit);
-          }
-          state.restored_by_cut.erase(it);
-        }
+        state.repair(ev.fiber);
         mark(when);
       });
     });
@@ -620,76 +310,17 @@ ControllerReport run_controller(const topo::Network& net,
   recompute_rates();
   report.timeline.emplace_back(0.0, delivered_rate);
   queue.run();
-  if (store != nullptr) {
-    report.warm_start_hits = warm->hits();
-    report.warm_start_stores = warm->stores();
-    report.basis_absorbed = store->absorb(topo_h, scen_h, *warm);
-    if (!basis_dir.empty() &&
-        !store->save(solver::BasisStore::file_in(basis_dir))) {
-      // Failed save: the previous on-disk store (if any) is still intact;
-      // the next run just warm-starts from slightly older bases.
-      ++report.basis_save_errors;
-    }
-    report.basis_evictions = store->evictions();
-  }
-  if (journal) {
-    journal->end_run();  // clears the in-flight marker
-    report.journal_writes = journal->writes();
-    report.journal_write_errors = journal->write_errors();
-  }
+  session.close();
 
   // RunReport: copied from this report's own accounting (never re-derived
   // from global metrics — see obs/report.h), then written out if enabled.
-  {
-    obs::RunReport& rr = report.run_report;
-    rr.run_id = obs_cfg.run_id;
-    rr.scheme = to_string(config.scheme);
-    rr.traffic_matrices = static_cast<int>(tms.size());
-    rr.scenarios = static_cast<int>(scenarios.size());
-    rr.te_runs = report.te_runs;
-    for (int r = 0; r < kNumRungs; ++r) {
-      rr.ladder.emplace_back(to_string(static_cast<Rung>(r)),
-                             report.fallback_counts[static_cast<std::size_t>(r)]);
-    }
-    rr.degraded_periods = report.degraded_periods;
-    rr.deadline_overruns = report.deadline_overruns;
-    rr.solver_timeouts = report.solver_timeouts;
-    rr.backoff_retries = report.backoff_retries;
-    rr.canceled = report.canceled;
-    rr.journal_recovered = report.journal_recovered;
-    rr.journal_prior_in_flight = report.journal_prior_in_flight;
-    rr.journal_writes = report.journal_writes;
-    rr.journal_write_errors = report.journal_write_errors;
-    rr.simplex_iterations = report.te_simplex_iterations;
-    rr.presolve_rows_removed = report.te_presolve_rows_removed;
-    rr.presolve_cols_removed = report.te_presolve_cols_removed;
-    rr.pricing_candidates = report.te_pricing_candidates;
-    rr.decomposition_rounds = report.te_decomposition_rounds;
-    rr.decomposition_sub_solves = report.te_decomposition_sub_solves;
-    rr.decomposition_cuts = report.te_decomposition_cuts;
-    rr.warm_start_hits = report.warm_start_hits;
-    rr.warm_start_stores = report.warm_start_stores;
-    rr.basis_seeded = report.basis_seeded;
-    rr.basis_absorbed = report.basis_absorbed;
-    rr.basis_evictions = report.basis_evictions;
-    rr.basis_save_errors = report.basis_save_errors;
-    rr.cuts_handled = report.cuts_handled;
-    rr.cuts_with_plan = report.cuts_with_plan;
-    rr.unplanned_cuts = report.unplanned_cuts;
-    rr.emergency_restorations = report.emergency_restorations;
-    rr.rwa_repairs = report.rwa_repairs;
-    rr.restorations = static_cast<int>(report.restoration_latency_s.size());
-    if (!report.restoration_latency_s.empty()) {
-      rr.restoration_p50_s = util::percentile(report.restoration_latency_s, 50);
-      rr.restoration_p90_s = util::percentile(report.restoration_latency_s, 90);
-      rr.restoration_p99_s = util::percentile(report.restoration_latency_s, 99);
-      rr.restoration_max_s = *std::max_element(
-          report.restoration_latency_s.begin(),
-          report.restoration_latency_s.end());
-    }
-    rr.availability = report.availability();
-    emit_run_artifacts(obs_cfg, rr);
-  }
+  obs::RunReport& rr = report.run_report;
+  session.fill_run_report(&rr);
+  rr.traffic_matrices = static_cast<int>(tms.size());
+  rr.canceled = report.canceled;
+  rr.emergency_restorations = report.emergency_restorations;
+  rr.availability = report.availability();
+  emit_run_artifacts(obs_cfg, rr);
   return report;
 }
 

@@ -36,17 +36,6 @@ class BasisStore;
 
 namespace arrow::ctrl {
 
-enum class Scheme {
-  kArrow,       // two-phase restoration-aware TE + optical restoration
-  kArrowNaive,  // optical-only restoration plan
-  kFfc1,        // failure-aware TE, no restoration
-  kTeaVar,
-  kEcmp,
-  kReWeave,     // max-throughput TE + localized IP-layer repair at cut time
-};
-
-const char* to_string(Scheme s);
-
 // Degradation ladder for TE solves (most- to least-capable). A production
 // controller must keep serving traffic through solver faults and deadline
 // overruns, so a failed solve walks down this ladder instead of aborting
@@ -71,7 +60,9 @@ struct FailureEvent {
 };
 
 struct ControllerConfig {
-  Scheme scheme = Scheme::kArrow;
+  // TE scheme by schemes::Registry name. An unknown name fails the run
+  // before any LP, with the registered names in the error.
+  std::string scheme = "ARROW";
   double te_interval_s = 300.0;   // the production 5-minute TE period
   double horizon_s = 24.0 * 3600.0;
   te::TunnelParams tunnels;
@@ -161,6 +152,29 @@ struct ControllerConfig {
   std::function<double()> restoration_delay_s;
 };
 
+// Solver work summed over LP attempts: every ladder attempt adds its
+// TeSolution's counters, so totals are exact by construction.
+struct SolveStats {
+  long long iterations = 0;  // simplex pivots
+  long long presolve_rows = 0;
+  long long presolve_cols = 0;
+  long long pricing_candidates = 0;  // columns examined by pricing
+  // Phase I decomposition totals (zero when the monolithic path — or a
+  // scheme without Phase I — ran).
+  long long decomposition_rounds = 0;
+  long long decomposition_sub_solves = 0;
+  long long decomposition_cuts = 0;
+  int timeouts = 0;         // LP solves that returned kTimedOut
+  int backoff_retries = 0;  // backoff sleeps taken before retries
+
+  // The counters one TE solve returned.
+  static SolveStats of(const te::TeSolution& sol);
+  SolveStats& operator+=(const SolveStats& o);
+};
+
+// One run's accounting. serve::TickEngine keeps its tally in this type too:
+// the fields mean the same there, with te_runs counting ticks and the
+// time-integrated fields left at zero.
 struct ControllerReport {
   double offered_gbps_seconds = 0.0;
   double delivered_gbps_seconds = 0.0;
@@ -180,26 +194,16 @@ struct ControllerReport {
   std::vector<Rung> rung_by_matrix;
   std::vector<double> solve_seconds_by_matrix;
   // Simplex pivots spent on each matrix's ladder (every attempt counts, not
-  // just the winning rung), and their sum — the controller's own accounting
-  // of what the solver returned, which the RunReport copies verbatim.
+  // just the winning rung) — the controller's own accounting of what the
+  // solver returned, which the RunReport copies verbatim.
   std::vector<long long> simplex_iterations_by_matrix;
-  long long te_simplex_iterations = 0;
-  // Solver-internals totals across every ladder attempt in the horizon:
-  // presolve reductions applied and columns examined by pricing.
-  long long te_presolve_rows_removed = 0;
-  long long te_presolve_cols_removed = 0;
-  long long te_pricing_candidates = 0;
-  // Phase I decomposition totals across every ladder attempt (zero when
-  // ArrowParams::decomposition is off or the scheme never runs Phase I).
-  long long te_decomposition_rounds = 0;
-  long long te_decomposition_sub_solves = 0;
-  long long te_decomposition_cuts = 0;
+  // Solver work across every ladder attempt in the horizon (plus the RWA
+  // repair backoffs of the offline stage).
+  SolveStats solve_stats;
   // TE periods in the horizon served by a rung below kPrimary or by a
   // solve that blew the te_budget_s deadline.
   int degraded_periods = 0;
   int deadline_overruns = 0;       // TE solves exceeding te_budget_s
-  int solver_timeouts = 0;         // LP solves that returned kTimedOut
-  int backoff_retries = 0;         // backoff sleeps before retries
   bool calibration_degraded = false;  // calibration LP fell back to ECMP bound
   bool canceled = false;           // config.cancel fired mid-run
 

@@ -2,7 +2,6 @@
 
 #include "te/basic.h"
 #include "te/ffc.h"
-#include "te/teavar.h"
 #include "util/clock.h"
 
 namespace arrow::ctrl {
@@ -14,42 +13,6 @@ solver::SimplexOptions relaxed_simplex_options() {
   opt.bland_threshold = 25;
   return opt;
 }
-
-namespace {
-
-// One attempt at the configured scheme — failure is the ladder's problem,
-// not the caller's. `cache` (nullable) carries this matrix's precomputed
-// restorability flags, shared across every ladder attempt — a primary
-// failure plus relaxed retry used to recompute all Q x Z flag sets from
-// scratch on each rung.
-te::TeSolution solve_primary(const ControllerConfig& config,
-                             const te::TeInput& input,
-                             const te::ArrowPrepared& prepared,
-                             const te::RestorabilityCache* cache,
-                             util::ThreadPool& pool) {
-  switch (config.scheme) {
-    case Scheme::kArrow:
-      return te::solve_arrow(input, prepared, config.arrow, pool, cache);
-    case Scheme::kArrowNaive:
-      return te::solve_arrow_naive(input, prepared, config.arrow, pool, cache);
-    case Scheme::kFfc1:
-      return te::solve_ffc(input, te::FfcParams{1, 0});
-    case Scheme::kTeaVar:
-      return te::solve_teavar(input, te::TeaVarParams{});
-    case Scheme::kEcmp:
-      return te::solve_ecmp(input);
-    case Scheme::kReWeave: {
-      // The installed plan carries no failure headroom; the repair happens
-      // at cut time (serve::TickEngine's localized fast path).
-      te::TeSolution sol = te::solve_max_throughput(input);
-      sol.scheme = "ReWeave-Local";
-      return sol;
-    }
-  }
-  return te::solve_ecmp(input);
-}
-
-}  // namespace
 
 te::TeSolution carry_forward(const te::TeSolution& last_good,
                              const te::TeInput& input) {
@@ -79,6 +42,31 @@ te::TeSolution carry_forward(const te::TeSolution& last_good,
   return sol;
 }
 
+SolveStats SolveStats::of(const te::TeSolution& sol) {
+  SolveStats s;
+  s.iterations = sol.simplex_iterations;
+  s.presolve_rows = sol.presolve_rows_removed;
+  s.presolve_cols = sol.presolve_cols_removed;
+  s.pricing_candidates = sol.pricing_candidates;
+  s.decomposition_rounds = sol.decomposition_rounds;
+  s.decomposition_sub_solves = sol.decomposition_sub_solves;
+  s.decomposition_cuts = sol.decomposition_cuts;
+  return s;
+}
+
+SolveStats& SolveStats::operator+=(const SolveStats& o) {
+  iterations += o.iterations;
+  presolve_rows += o.presolve_rows;
+  presolve_cols += o.presolve_cols;
+  pricing_candidates += o.pricing_candidates;
+  decomposition_rounds += o.decomposition_rounds;
+  decomposition_sub_solves += o.decomposition_sub_solves;
+  decomposition_cuts += o.decomposition_cuts;
+  timeouts += o.timeouts;
+  backoff_retries += o.backoff_retries;
+  return *this;
+}
+
 std::string rung_metric_name(Rung r) {
   std::string name = to_string(r);
   for (char& c : name) {
@@ -87,7 +75,7 @@ std::string rung_metric_name(Rung r) {
   return name;
 }
 
-LadderOutcome solve_with_ladder(const ControllerConfig& config,
+LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
                                 const te::TeInput& input,
                                 const te::ArrowPrepared& prepared,
                                 const te::TeSolution* last_good,
@@ -100,89 +88,69 @@ LadderOutcome solve_with_ladder(const ControllerConfig& config,
   const bool budgeted = deadline.is_set();
   const double t0 = budgeted ? util::mono_now_s() : 0.0;
   const double budget = deadline.remaining_s();  // +inf when unset
-  // Wall clock (not the sum of per-solve timings): backoff sleeps and
-  // model-build time count against the period too. Falls back to the solver
-  // timings when unbudgeted, avoiding clock reads on the default path.
-  const auto elapsed = [&](double lp_seconds) {
-    return budgeted ? util::mono_now_s() - t0 : lp_seconds;
+  // A rung's share of the period budget (unset when unbudgeted).
+  const auto share = [&](double fraction) {
+    return budgeted ? util::Deadline::after(budget * fraction)
+                    : util::Deadline();
   };
   double lp_seconds = 0.0;
   const auto account = [&]() {
     lp_seconds += out.sol.solve_seconds;
-    out.iterations += out.sol.simplex_iterations;
-    out.presolve_rows += out.sol.presolve_rows_removed;
-    out.presolve_cols += out.sol.presolve_cols_removed;
-    out.pricing_candidates += out.sol.pricing_candidates;
-    out.decomposition_rounds += out.sol.decomposition_rounds;
-    out.decomposition_sub_solves += out.sol.decomposition_sub_solves;
-    out.decomposition_cuts += out.sol.decomposition_cuts;
+    out.stats += SolveStats::of(out.sol);
+  };
+  const auto back_off = [&]() {
+    if (backoff != nullptr && backoff->sleep(deadline) > 0.0) {
+      ++out.stats.backoff_retries;
+    }
+  };
+  // Wall clock (not the sum of per-solve timings): backoff sleeps and
+  // model-build time count against the period too. Falls back to the solver
+  // timings when unbudgeted, avoiding clock reads on the default path.
+  const auto done = [&]() {
+    out.seconds = budgeted ? util::mono_now_s() - t0 : lp_seconds;
+    out.stats.timeouts = run_guard.timeouts();
+    return std::move(out);
   };
 
   if (!deadline.expired()) {
-    util::Deadline rung_deadline;
-    if (budgeted) {
-      rung_deadline = util::Deadline::after(budget * kPrimaryBudgetShare);
-    }
-    solver::ScopedSolveDeadline guard(rung_deadline);
-    out.sol = solve_primary(config, input, prepared, cache, pool);
+    solver::ScopedSolveDeadline guard(share(kPrimaryBudgetShare));
+    out.sol = scheme.solve(input, prepared, pool, cache);
     account();
-    if (out.sol.optimal) {
-      out.seconds = elapsed(lp_seconds);
-      out.timeouts = run_guard.timeouts();
-      return out;
-    }
+    if (out.sol.optimal) return done();
   }
 
   out.rung = Rung::kRelaxedRetry;
   if (!deadline.expired()) {
-    if (backoff != nullptr && backoff->sleep(deadline) > 0.0) {
-      ++out.backoff_retries;
-    }
-    util::Deadline rung_deadline;
-    if (budgeted) {
-      rung_deadline = util::Deadline::after(budget * kRelaxedBudgetShare);
-    }
-    solver::ScopedSolveDeadline guard(rung_deadline);
+    back_off();
+    solver::ScopedSolveDeadline guard(share(kRelaxedBudgetShare));
     solver::ScopedSimplexOverride relax(relaxed_simplex_options());
     // The override is thread-local: the retry must not fan model builds
     // onto pool workers that would escape it.
     util::ThreadPool inline_pool(1);
-    out.sol = solve_primary(config, input, prepared, cache, inline_pool);
+    out.sol = scheme.solve(input, prepared, inline_pool, cache);
     account();
-    if (out.sol.optimal) {
-      out.seconds = elapsed(lp_seconds);
-      out.timeouts = run_guard.timeouts();
-      return out;
-    }
+    if (out.sol.optimal) return done();
   }
 
   // FFC runs under the remainder of the period budget (run_guard alone).
-  if (config.scheme != Scheme::kFfc1 &&  // pointless to retry the same LP
+  if (scheme.name() != "FFC-1" &&  // pointless to retry the same LP
       !deadline.expired()) {
-    if (backoff != nullptr && backoff->sleep(deadline) > 0.0) {
-      ++out.backoff_retries;
-    }
+    back_off();
     out.sol = te::solve_ffc(input, te::FfcParams{1, 0});
     account();
     out.rung = Rung::kFfcFallback;
-    if (out.sol.optimal) {
-      out.seconds = elapsed(lp_seconds);
-      out.timeouts = run_guard.timeouts();
-      return out;
-    }
+    if (out.sol.optimal) return done();
   }
 
-  out.timeouts = run_guard.timeouts();
+  // Closed-form bottom rungs: no LP, so they cannot fail.
   if (last_good != nullptr) {
     out.sol = carry_forward(*last_good, input);
     out.rung = Rung::kCarryForward;
-    out.seconds = elapsed(lp_seconds);
-    return out;
+  } else {
+    out.sol = te::solve_ecmp(input);
+    out.rung = Rung::kEcmp;
   }
-  out.sol = te::solve_ecmp(input);
-  out.rung = Rung::kEcmp;
-  out.seconds = elapsed(lp_seconds);
-  return out;
+  return done();
 }
 
 }  // namespace arrow::ctrl

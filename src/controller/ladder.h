@@ -1,17 +1,17 @@
 // The degradation ladder as a reusable unit.
 //
-// run_controller (controller.cc) and the resident daemon's TickEngine
-// (serve/engine.h) both need the same property: a TE period must land on
-// *some* plan inside its wall-clock budget no matter what the solver, a
-// fault injector, or the deadline does. This header is that guarantee,
-// factored out of run_controller's internals: one call walks the Rung
-// ladder (see controller.h) from the configured scheme down to closed-form
-// ECMP, enforcing per-rung deadline shares and backoff, and reports which
-// rung served the period plus the solver-internals accounting every caller
-// copies into its RunReport.
+// A TE period must land on *some* plan inside its wall-clock budget no
+// matter what the solver, a fault injector, or the deadline does. This
+// header is that guarantee: one call walks the Rung ladder (see
+// controller.h) from the configured scheme down to closed-form ECMP,
+// enforcing per-rung deadline shares and backoff, and reports which rung
+// served the period plus the solver work it cost. ctrl::Session
+// (session.h) calls it once per period for both the batch controller and
+// the daemon.
 #pragma once
 
 #include "controller/controller.h"
+#include "schemes/scheme.h"
 #include "solver/lp.h"
 #include "te/input.h"
 #include "util/deadline.h"
@@ -27,9 +27,10 @@ inline constexpr double kPrimaryBudgetShare = 0.5;
 inline constexpr double kRelaxedBudgetShare = 0.3;
 
 // Solver settings for the ladder's second rung: Dantzig pricing takes a
-// different pivot trajectory than the default Devex (sidesteps cycling /
-// stalling failures), the raised iteration cap outlasts kIterationLimit
-// faults, and the low Bland threshold engages the anti-cycling rule early.
+// different pivot trajectory than the default incremental pricing
+// (sidesteps cycling / stalling failures), the raised iteration cap
+// outlasts kIterationLimit faults, and the low Bland threshold engages the
+// anti-cycling rule early.
 solver::SimplexOptions relaxed_simplex_options();
 
 // Projects the last successfully solved TeSolution onto the current traffic
@@ -42,20 +43,9 @@ te::TeSolution carry_forward(const te::TeSolution& last_good,
 struct LadderOutcome {
   te::TeSolution sol;
   Rung rung = Rung::kPrimary;
-  double seconds = 0.0;      // wall clock across all attempts this period
-  long long iterations = 0;  // simplex pivots across all attempts
-  // Solver-internals totals across all attempts (presolve reductions and
-  // columns priced), same accounting discipline as `iterations`.
-  long long presolve_rows = 0;
-  long long presolve_cols = 0;
-  long long pricing_candidates = 0;
-  // Phase I decomposition totals across all attempts (zero when the
-  // monolithic path — or a non-ARROW scheme — ran).
-  long long decomposition_rounds = 0;
-  long long decomposition_sub_solves = 0;
-  long long decomposition_cuts = 0;
-  int timeouts = 0;          // LP solves that returned kTimedOut
-  int backoff_retries = 0;   // backoff sleeps taken between rungs
+  double seconds = 0.0;  // wall clock across all attempts this period
+  SolveStats stats;      // solver work across all attempts
+  bool deadline_overrun = false;  // seconds > te_budget_s (set by Session)
 };
 
 // Rung name with the metric-safe spelling (dashes are not legal in
@@ -63,6 +53,9 @@ struct LadderOutcome {
 std::string rung_metric_name(Rung r);
 
 // Walks the degradation ladder until some rung yields a usable solution.
+// The primary and relaxed rungs run `scheme` (one instance per run, so
+// instance state such as PXT's trail plan is computed once); the FFC rung
+// is skipped when the scheme already is FFC-1.
 // kEcmp is closed-form (no LP anywhere in solve_ecmp), so the ladder cannot
 // come back empty no matter what the solver or a fault injector does.
 //
@@ -73,7 +66,7 @@ std::string rung_metric_name(Rung r);
 // (nullable) seeds the carry-forward rung; without it the ladder bottoms
 // out at ECMP. `backoff` (nullable) spaces the retry rungs with capped
 // jittered delays, never sleeping past the deadline.
-LadderOutcome solve_with_ladder(const ControllerConfig& config,
+LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
                                 const te::TeInput& input,
                                 const te::ArrowPrepared& prepared,
                                 const te::TeSolution* last_good,

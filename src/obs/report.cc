@@ -98,6 +98,10 @@ std::string RunReport::to_json() const {
   out += "  \"emergency_restorations\": " +
          std::to_string(emergency_restorations) + ",\n";
   out += "  \"rwa_repairs\": " + std::to_string(rwa_repairs) + ",\n";
+  out += "  \"rwa_scenarios_lost\": " + std::to_string(rwa_scenarios_lost) +
+         ",\n";
+  out += std::string("  \"calibration_degraded\": ") +
+         (calibration_degraded ? "true" : "false") + ",\n";
   out += "  \"local_repairs\": " + std::to_string(local_repairs) + ",\n";
   out += "  \"local_repair_fallbacks\": " +
          std::to_string(local_repair_fallbacks) + ",\n";
@@ -180,6 +184,10 @@ bool RunReport::from_json(const std::string& text, RunReport* out) {
   r.emergency_restorations =
       static_cast<int>(root.num("emergency_restorations"));
   r.rwa_repairs = static_cast<int>(root.num("rwa_repairs"));
+  r.rwa_scenarios_lost = static_cast<int>(root.num("rwa_scenarios_lost"));
+  if (const JsonValue* v = root.find("calibration_degraded")) {
+    r.calibration_degraded = v->boolean;
+  }
   r.local_repairs = static_cast<int>(root.num("local_repairs"));
   r.local_repair_fallbacks =
       static_cast<int>(root.num("local_repair_fallbacks"));

@@ -1,15 +1,15 @@
 // Per-run observability: the RunReport the controller emits, and the
 // ObsConfig knob set that decides what gets written where.
 //
-// RunReport is the machine-readable summary of one controller run —
-// scenario counts, the rung that served each ladder outcome, the solver's
-// returned pivot/warm-start totals, BasisStore traffic, restoration latency
-// percentiles — serialized as versioned JSON (`"version": 2`) so downstream
-// tooling can evolve with the format. The numbers are copied from the
-// controller's own accounting (which in turn records what the solver
-// returned), never re-derived from global metrics, so a report's counts
-// match the solver's stats exactly even when concurrent runs share the
-// process-wide Registry.
+// RunReport is the machine-readable summary of one controller or daemon
+// run — scenario counts, the rung that served each ladder outcome, the
+// solver's returned pivot/warm-start totals, BasisStore traffic,
+// restoration latency percentiles — serialized as versioned JSON (a
+// `"version"` field holding RunReport::kVersion) so downstream tooling can
+// evolve with the format. The numbers are copied from the run's own
+// accounting (which in turn records what the solver returned), never
+// re-derived from global metrics, so a report's counts match the solver's
+// stats exactly even when concurrent runs share the process-wide Registry.
 #pragma once
 
 #include <string>
@@ -58,7 +58,9 @@ struct RunReport {
   // lazily generated rows).
   // v5: adds localized-repair counters (ReWeave-style cut-time repairs:
   // counts, global fallbacks, pivots, solve seconds).
-  static constexpr int kVersion = 5;
+  // v6: adds the offline stage's lost RWA scenarios and the calibration
+  // fallback flag.
+  static constexpr int kVersion = 6;
 
   std::string run_id;
   std::string scheme;
@@ -113,6 +115,10 @@ struct RunReport {
   int unplanned_cuts = 0;
   int emergency_restorations = 0;
   int rwa_repairs = 0;
+  // Offline stage (v6): scenario RWA plans lost even after every repair
+  // attempt, and whether calibration fell back to the ECMP bound.
+  int rwa_scenarios_lost = 0;
+  bool calibration_degraded = false;
   // Localized cut-time repairs (v5; schemes with supports_local_repair —
   // zero for the optical-restoration schemes, whose cuts land above).
   int local_repairs = 0;

@@ -1,10 +1,7 @@
 #include "serve/engine.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <optional>
+#include <stdexcept>
 
-#include "controller/ladder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optical/latency.h"
@@ -12,58 +9,13 @@
 #include "schemes/reweave.h"
 #include "schemes/scheme.h"
 #include "sim/availability.h"
-#include "te/basic.h"
 #include "ticket/ticket.h"
 #include "util/stats.h"
 
 namespace arrow::serve {
 
-namespace {
-
-std::string env_or(const std::string& configured, const char* env_name) {
-  if (!configured.empty()) return configured;
-  if (const char* env = std::getenv(env_name)) return env;
-  return {};
-}
-
-}  // namespace
-
-// Offline stage + per-run persistent state, built lazily at the first tick
-// (the TeInput constructor needs a traffic matrix, and everything else —
-// calibration, journal shape check, restoration plans — needs the TeInput).
-struct TickEngine::Prepared {
-  te::TeInput input;
-  double calibration = 1.0;
-  bool restores = false;
-  bool local_repair = false;  // scheme weaves IP-layer repairs at cut time
-  te::ArrowPrepared arrow;
-  std::optional<te::RestorabilityCache> rcache;
-
-  std::optional<te::TeSolution> last_good;  // seeds carry-forward
-  std::optional<te::TeSolution> current;    // plan serving traffic now
-
-  std::optional<ctrl::StateJournal> journal;
-  std::optional<solver::BasisStore> local_store;
-  solver::BasisStore* store = nullptr;
-  std::string basis_file;
-  // Lives for the whole run: tick N+1's solves start from tick N's optimal
-  // vertex. (Scoped => active for the engine thread; the server's single
-  // poll loop is that thread.)
-  std::optional<solver::ScopedWarmStartCache> warm;
-
-  std::uint64_t topo_h = 0;
-  std::uint64_t scen_h = 0;
-  std::uint64_t backoff_base = 0;
-  obs::ObsConfig obs;
-
-  Prepared(const topo::Network& net, const traffic::TrafficMatrix& tm,
-           const std::vector<scenario::Scenario>& scenarios,
-           const te::TunnelParams& params)
-      : input(net, tm, scenarios, params) {}
-};
-
 TickEngine::TickEngine(EngineConfig config)
-    : config_(std::move(config)), rng_(config_.seed), inline_pool_(1) {}
+    : config_(std::move(config)), rng_(config_.seed) {}
 
 TickEngine::~TickEngine() { drain(); }
 
@@ -75,155 +27,32 @@ TickEngine::TopologyResult TickEngine::set_topology(topo::Network net) {
   }
   // Replacing a live topology ends the previous run cleanly first; the
   // daemon then behaves like a fresh start on the new network.
-  if (prep_ != nullptr) {
+  if (session_ != nullptr) {
     drain();
-    prep_.reset();
+    // Gone before the next session opens its (thread-local, scoped)
+    // warm-start cache.
+    session_.reset();
+    current_.reset();
+    input_.reset();
     drained_ = false;
   }
+  have_topo_ = false;
   net_ = std::move(net);
-  std::vector<scenario::Scenario> raw = config_.ctrl.explicit_scenarios;
-  if (raw.empty()) {
-    raw = scenario::generate_scenarios(net_, config_.ctrl.scenarios, rng_)
-              .scenarios;
+  scenarios_ = ctrl::run_scenarios(net_, config_.ctrl, rng_);
+  cuts_ = ctrl::CutState{};
+  try {
+    session_ = std::make_unique<ctrl::Session>(config_.ctrl, net_, scenarios_,
+                                               rng_, &tally_);
+  } catch (const std::logic_error& e) {  // unknown scheme name
+    out.error = e.what();
+    return out;
   }
-  scenarios_ = scenario::remove_disconnecting(net_, std::move(raw));
-  active_cuts_.clear();
-  restored_.clear();
-  restored_by_cut_.clear();
   have_topo_ = true;
   out.ok = true;
   out.sites = net_.num_sites;
   out.fibers = static_cast<int>(net_.optical.fibers.size());
   out.scenarios = static_cast<int>(scenarios_.size());
   return out;
-}
-
-bool TickEngine::ensure_prepared(const traffic::TrafficMatrix& tm,
-                                 std::string* error) {
-  if (!have_topo_) {
-    *error = "no topology installed (send a topology op first)";
-    return false;
-  }
-  if (prep_ != nullptr) return true;
-  OBS_SPAN("serve_prepare");
-  prep_ = std::make_unique<Prepared>(net_, tm, scenarios_,
-                                     config_.ctrl.tunnels);
-  Prepared& p = *prep_;
-  p.obs = config_.ctrl.obs.resolved();
-
-  // Calibration ladder (same discipline as run_controller): the LP, the LP
-  // relaxed, then the closed-form ECMP bound — a faulted calibration must
-  // not take the daemon down.
-  bool calib_ok = true;
-  p.calibration = te::max_satisfiable_scale(p.input, &calib_ok);
-  if (!calib_ok) {
-    solver::ScopedSimplexOverride relax(ctrl::relaxed_simplex_options());
-    p.calibration = te::max_satisfiable_scale(p.input, &calib_ok);
-  }
-  if (!calib_ok) {
-    p.calibration = te::ecmp_satisfiable_scale(p.input);
-    calibration_degraded_ = true;
-  }
-  p.input.scale_demands(p.calibration * config_.ctrl.demand_scale);
-
-  // Persistent warm starts: load the shared file, seed a cache that lives
-  // across ticks. Writes go back via save_shared at drain.
-  const std::string basis_dir =
-      env_or(config_.ctrl.basis_dir, "ARROW_BASIS_DIR");
-  p.store = config_.ctrl.basis_store;
-  if (p.store == nullptr && !basis_dir.empty()) {
-    p.local_store.emplace();
-    p.store = &*p.local_store;
-  }
-  const std::string journal_dir =
-      env_or(config_.ctrl.journal_dir, "ARROW_JOURNAL_DIR");
-  if (p.store != nullptr || !journal_dir.empty()) {
-    p.topo_h = topo::structure_hash(net_);
-    p.scen_h = scenario::set_hash(scenarios_);
-  }
-  if (p.store != nullptr) {
-    if (!basis_dir.empty()) {
-      p.basis_file = solver::BasisStore::file_in(basis_dir);
-      p.store->load(p.basis_file);  // false = cold start
-    }
-    p.warm.emplace();
-    basis_seeded_ = p.store->seed(p.topo_h, p.scen_h, *p.warm);
-  }
-
-  // Journal recovery + begin_run: a valid prior plan for this exact network
-  // structure, scenario set, and tunnel shape seeds the carry-forward rung,
-  // so a restarted daemon whose first solves fault serves the dead
-  // process's last-good plan instead of cold ECMP.
-  if (!journal_dir.empty()) {
-    p.journal.emplace(ctrl::StateJournal::file_in(journal_dir));
-    ctrl::JournalState prior = p.journal->load();
-    journal_prior_in_flight_ = prior.in_flight;
-    if (prior.has_plan && prior.topo_hash == p.topo_h &&
-        prior.scenario_hash == p.scen_h) {
-      const auto& tunnels = p.input.tunnels();
-      bool shape_ok = prior.plan.alloc.size() == tunnels.size() &&
-                      prior.plan.admitted.size() == tunnels.size();
-      for (std::size_t f = 0; shape_ok && f < tunnels.size(); ++f) {
-        shape_ok = prior.plan.alloc[f].size() == tunnels[f].size();
-      }
-      if (shape_ok) {
-        te::TeSolution sol;
-        sol.scheme = "Journal(" + prior.plan.scheme + ")";
-        sol.optimal = true;  // was a real plan for this exact structure
-        sol.admitted = prior.plan.admitted;
-        sol.alloc = prior.plan.alloc;
-        p.last_good = std::move(sol);
-        journal_recovered_ = true;
-        obs::Registry::global()
-            .counter("arrow_journal_recoveries_total")
-            .add();
-      }
-    }
-    if (!journal_recovered_) {
-      // Do not carry a plan we did not adopt: begin_run stamps OUR hashes,
-      // and a stale foreign plan under them would be trusted (wrongly) by
-      // the next recovery.
-      prior.has_plan = false;
-      prior.plan = ctrl::JournalPlan{};
-    }
-    p.journal->reset(std::move(prior));
-    p.journal->begin_run(p.obs.run_id, p.topo_h, p.scen_h);
-  }
-
-  p.restores = config_.ctrl.scheme == ctrl::Scheme::kArrow ||
-               config_.ctrl.scheme == ctrl::Scheme::kArrowNaive;
-  p.local_repair = schemes::Registry::global()
-                       .capabilities(ctrl::to_string(config_.ctrl.scheme))
-                       .supports_local_repair;
-  // Ambient solver hooks are thread-local — under a fault drill the offline
-  // stage must stay on this thread (same rule as run_controller).
-  util::ThreadPool& pool =
-      (solver::ScopedSolveObserver::active() != nullptr ||
-       solver::ScopedSimplexOverride::active() != nullptr)
-          ? inline_pool_
-          : util::global_pool();
-  if (p.restores) {
-    p.arrow = te::prepare_arrow(p.input, config_.ctrl.arrow, rng_, pool);
-    // Re-solve scenarios whose RWA a solver fault stripped (serial here —
-    // first-tick latency is not the daemon's SLO; ticks are).
-    constexpr int kRwaRetries = 5;
-    const std::uint64_t repair_base = rng_.next_u64();
-    for (std::size_t q = 0; q < p.arrow.rwa.size(); ++q) {
-      for (int attempt = 1;
-           !p.arrow.rwa[q].optimal && attempt < kRwaRetries; ++attempt) {
-        util::Rng retry_rng(util::Rng::stream_seed(
-            repair_base, q * kRwaRetries + static_cast<std::uint64_t>(attempt)));
-        solver::ScopedSimplexOverride relax(ctrl::relaxed_simplex_options());
-        te::prepare_arrow_scenario(p.input, static_cast<int>(q),
-                                   config_.ctrl.arrow, retry_rng,
-                                   &p.arrow.rwa[q], &p.arrow.tickets[q]);
-        if (p.arrow.rwa[q].optimal) ++rwa_repairs_;
-      }
-    }
-    p.rcache.emplace(p.input, p.arrow, pool);
-  }
-  p.backoff_base = rng_.next_u64();
-  return true;
 }
 
 TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
@@ -236,70 +65,38 @@ TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
     out.error = "empty traffic matrix";
     return out;
   }
-  const bool first = prep_ == nullptr;
-  if (!ensure_prepared(tm, &out.error)) return out;
-  Prepared& p = *prep_;
-  if (!first) {
+  if (!have_topo_) {
+    out.error = "no topology installed (send a topology op first)";
+    return out;
+  }
+  const bool first = !input_;
+  if (first) {
+    // The TeInput constructor needs a traffic matrix, and the rest of the
+    // offline stage needs the TeInput's tunnels.
+    OBS_SPAN("serve_prepare");
+    input_.emplace(net_, tm, scenarios_, config_.ctrl.tunnels);
+    session_->prepare({&*input_, 1});
+  } else {
     // The TeInput keeps its tunnels and caches; only demands change.
-    p.input.set_demands(tm);
-    p.input.scale_demands(p.calibration * config_.ctrl.demand_scale);
+    input_->set_demands(tm);
+    input_->scale_demands(session_->demand_factor());
   }
   OBS_SPAN("serve_tick");
+  ctrl::LadderOutcome lad = session_->solve(*input_);
 
-  const util::Deadline deadline =
-      config_.ctrl.te_budget_s > 0.0
-          ? util::Deadline::after(config_.ctrl.te_budget_s)
-          : util::Deadline();
-  util::Backoff backoff(
-      config_.ctrl.retry_backoff,
-      util::Rng::stream_seed(p.backoff_base,
-                             static_cast<std::uint64_t>(ticks_)));
-  util::ThreadPool& pool =
-      (solver::ScopedSolveObserver::active() != nullptr ||
-       solver::ScopedSimplexOverride::active() != nullptr)
-          ? inline_pool_
-          : util::global_pool();
-  ctrl::LadderOutcome lad = ctrl::solve_with_ladder(
-      config_.ctrl, p.input, p.arrow, p.last_good ? &*p.last_good : nullptr,
-      p.rcache ? &*p.rcache : nullptr, pool, deadline, &backoff);
-
-  ++ticks_;
   out.ok = true;
-  out.tick = ticks_;
+  out.tick = tally_.te_runs;
   out.rung = lad.rung;
   out.seconds = lad.seconds;
-  out.journal_recovered = first && journal_recovered_;
-  out.deadline_overrun = config_.ctrl.te_budget_s > 0.0 &&
-                         lad.seconds > config_.ctrl.te_budget_s;
-  out.rung_regression = ticks_ > 1 && lad.rung > last_rung_;
-
-  solver_timeouts_ += lad.timeouts;
-  backoff_retries_ += lad.backoff_retries;
-  simplex_iterations_ += lad.iterations;
-  presolve_rows_ += lad.presolve_rows;
-  presolve_cols_ += lad.presolve_cols;
-  pricing_candidates_ += lad.pricing_candidates;
-  decomposition_rounds_ += lad.decomposition_rounds;
-  decomposition_sub_solves_ += lad.decomposition_sub_solves;
-  decomposition_cuts_ += lad.decomposition_cuts;
-  rung_counts_[static_cast<std::size_t>(lad.rung)] += 1;
-  if (out.deadline_overrun) ++deadline_overruns_;
+  out.journal_recovered = first && tally_.journal_recovered;
+  out.deadline_overrun = lad.deadline_overrun;
+  out.rung_regression = tally_.te_runs > 1 && lad.rung > last_rung_;
   if (lad.rung != ctrl::Rung::kPrimary || out.deadline_overrun) {
-    ++degraded_ticks_;
+    ++tally_.degraded_periods;
   }
-  if (out.rung_regression) ++rung_regressions_;
   tick_seconds_.push_back(lad.seconds);
   last_rung_ = lad.rung;
-
-  if (p.journal && lad.rung <= ctrl::Rung::kFfcFallback) {
-    ctrl::JournalPlan plan;
-    plan.scheme = lad.sol.scheme;
-    plan.admitted = lad.sol.admitted;
-    plan.alloc = lad.sol.alloc;
-    p.journal->record_plan(plan);
-  }
-  if (lad.rung <= ctrl::Rung::kFfcFallback) p.last_good = lad.sol;
-  p.current = std::move(lad.sol);
+  current_ = std::move(lad.sol);
 
   // SLO metrics: tick latency distribution + rolling p50/p99 gauges, rung
   // attribution, regression alerts. All on the global registry so /metrics
@@ -325,7 +122,7 @@ TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
 
 TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
   CutResult out;
-  if (prep_ == nullptr || !prep_->current) {
+  if (!current_) {
     out.error = "no plan installed yet (send a tick first)";
     return out;
   }
@@ -334,45 +131,28 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
     out.error = "fiber id out of range";
     return out;
   }
-  if (active_cuts_.count(fiber) != 0) {
+  if (cuts_.active.count(fiber) != 0) {
     out.error = "fiber already cut";
     return out;
   }
   OBS_SPAN("serve_cut");
-  Prepared& p = *prep_;
-  active_cuts_.insert(fiber);
-  ++cuts_handled_;
+  cuts_.active.insert(fiber);
+  ++tally_.cuts_handled;
   obs::Registry::global().counter("arrow_serve_cuts_total").add();
   obs::Registry::global()
       .gauge("arrow_serve_active_cuts")
-      .set(static_cast<double>(active_cuts_.size()));
+      .set(static_cast<double>(cuts_.active.size()));
   out.ok = true;
 
-  if (p.restores) {
-    int q_match = -1;
-    for (std::size_t q = 0; q < scenarios_.size(); ++q) {
-      if (scenarios_[q].cuts.size() == 1 && scenarios_[q].cuts[0] == fiber) {
-        q_match = static_cast<int>(q);
-        break;
-      }
-    }
-    if (q_match >= 0) {
-      ++cuts_with_plan_;
+  const std::vector<topo::FiberId> active = cuts_.cuts();
+  if (session_->restores()) {
+    const int q = session_->plan_for_cut(fiber);
+    if (q >= 0) {
+      ++tally_.cuts_with_plan;
       out.planned = true;
-      const auto& tickets =
-          p.arrow.tickets[static_cast<std::size_t>(q_match)];
-      const auto& sol = *p.current;
-      const int w = sol.winner.empty()
-                        ? -1
-                        : sol.winner[static_cast<std::size_t>(q_match)];
-      const ticket::LotteryTicket ticket =
-          (w >= 0 && w < static_cast<int>(tickets.tickets.size()))
-              ? tickets.tickets[static_cast<std::size_t>(w)]
-              : ticket::naive_ticket(
-                    p.arrow.rwa[static_cast<std::size_t>(q_match)]);
-      auto links = p.arrow.rwa[static_cast<std::size_t>(q_match)].links;
-      const std::vector<topo::FiberId> active(active_cuts_.begin(),
-                                              active_cuts_.end());
+      const ticket::LotteryTicket ticket = session_->ticket_for(q, *current_);
+      auto links =
+          session_->prepared().rwa[static_cast<std::size_t>(q)].links;
       optical::assign_slots_first_fit(net_, active, links,
                                       ticket.path_waves);
       const auto plan = optical::plan_from_restoration(net_, links);
@@ -382,27 +162,23 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
             net_, active, plan, config_.ctrl.latency, replay);
         out.restored_gbps = latency.restored_gbps;
         out.latency_s = latency.total_s;
-        restoration_latency_s_.push_back(latency.total_s);
+        tally_.restoration_latency_s.push_back(latency.total_s);
         // The daemon has no event clock; restored capacity counts from the
         // moment the plan converges (latency reported to the client).
         for (const auto& pt : latency.timeline) {
-          if (pt.link < 0) continue;
-          restored_[pt.link] += pt.wave_gbps;
-          restored_by_cut_[fiber].emplace_back(pt.link, pt.wave_gbps);
+          if (pt.link >= 0) cuts_.restore(fiber, pt.link, pt.wave_gbps);
         }
       }
     } else {
-      ++unplanned_cuts_;
+      ++tally_.unplanned_cuts;
     }
-  } else if (p.local_repair) {
+  } else if (session_->local_repair()) {
     // Localized fast path: weave the installed plan around every active cut
     // at the IP layer. No optical restoration, no scenario lookup — the
     // repair LP is bounded by the failure's footprint, which is what lets
     // it run inside the cut request instead of waiting for the next tick.
-    const std::vector<topo::FiberId> active(active_cuts_.begin(),
-                                            active_cuts_.end());
-    const auto outcome = schemes::local_repair(
-        p.input, *p.current, net_.failed_ip_links(active));
+    const auto outcome = schemes::local_repair(*input_, *current_,
+                                               net_.failed_ip_links(active));
     local_repair_seconds_ += outcome.solve_seconds;
     local_repair_pivots_ += outcome.simplex_iterations;
     if (outcome.ok) {
@@ -413,10 +189,10 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
       const schemes::ReWeaveParams repair_params;
       out.latency_s = repair_params.detection_s + outcome.solve_seconds +
                       repair_params.rebalance_s;
-      restoration_latency_s_.push_back(out.latency_s);
-      // Install the repaired plan as current (not last_good: it is shaped
+      tally_.restoration_latency_s.push_back(out.latency_s);
+      // Install the repaired plan as current (not last-good: it is shaped
       // for the failure state, and the next tick re-solves from scratch).
-      p.current = outcome.plan;
+      current_ = outcome.plan;
       if (outcome.fell_back_global) {
         ++local_repair_fallbacks_;
         obs::Registry::global()
@@ -427,40 +203,28 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
           .counter("arrow_serve_local_repairs_total")
           .add();
     } else {
-      ++unplanned_cuts_;
+      ++tally_.unplanned_cuts;
     }
   } else {
-    ++unplanned_cuts_;
+    ++tally_.unplanned_cuts;
   }
   observe_delivery();
   return out;
 }
 
 bool TickEngine::repair(topo::FiberId fiber) {
-  if (active_cuts_.erase(fiber) == 0) return false;
-  auto it = restored_by_cut_.find(fiber);
-  if (it != restored_by_cut_.end()) {
-    for (const auto& [link, gbps] : it->second) {
-      auto rit = restored_.find(link);
-      if (rit == restored_.end()) continue;
-      rit->second -= gbps;
-      if (rit->second <= 1e-9) restored_.erase(rit);
-    }
-    restored_by_cut_.erase(it);
-  }
+  if (!cuts_.repair(fiber)) return false;
   obs::Registry::global()
       .gauge("arrow_serve_active_cuts")
-      .set(static_cast<double>(active_cuts_.size()));
+      .set(static_cast<double>(cuts_.active.size()));
   observe_delivery();
   return true;
 }
 
 void TickEngine::observe_delivery() {
-  if (prep_ == nullptr || !prep_->current) return;
-  const std::vector<topo::FiberId> cuts(active_cuts_.begin(),
-                                        active_cuts_.end());
-  const auto d = sim::state_delivery(prep_->input, *prep_->current, cuts,
-                                     restored_);
+  if (!current_) return;
+  const auto d =
+      sim::state_delivery(*input_, *current_, cuts_.cuts(), cuts_.restored);
   delivered_sum_ += d.delivered_gbps;
   offered_sum_ += d.offered_gbps;
   obs::Registry::global()
@@ -478,60 +242,20 @@ double TickEngine::tick_p99_s() const {
 
 obs::RunReport TickEngine::report() const {
   obs::RunReport rr;
-  rr.run_id = prep_ ? prep_->obs.run_id : config_.ctrl.obs.resolved().run_id;
-  rr.scheme = to_string(config_.ctrl.scheme);
-  rr.traffic_matrices = ticks_;
-  rr.scenarios = static_cast<int>(scenarios_.size());
-  rr.te_runs = ticks_;
-  for (int r = 0; r < ctrl::kNumRungs; ++r) {
-    rr.ladder.emplace_back(to_string(static_cast<ctrl::Rung>(r)),
-                           rung_counts_[static_cast<std::size_t>(r)]);
+  if (session_ != nullptr) {
+    session_->fill_run_report(&rr);
+  } else {  // no topology yet
+    rr.run_id = config_.ctrl.obs.resolved().run_id;
+    rr.scheme = config_.ctrl.scheme;
+    for (int r = 0; r < ctrl::kNumRungs; ++r) {
+      rr.ladder.emplace_back(ctrl::to_string(static_cast<ctrl::Rung>(r)), 0);
+    }
   }
-  rr.degraded_periods = degraded_ticks_;
-  rr.deadline_overruns = deadline_overruns_;
-  rr.solver_timeouts = solver_timeouts_;
-  rr.backoff_retries = backoff_retries_;
-  rr.canceled = false;
-  rr.journal_recovered = journal_recovered_;
-  rr.journal_prior_in_flight = journal_prior_in_flight_;
-  if (prep_ && prep_->journal) {
-    rr.journal_writes = prep_->journal->writes();
-    rr.journal_write_errors = prep_->journal->write_errors();
-  }
-  rr.simplex_iterations = simplex_iterations_;
-  rr.presolve_rows_removed = presolve_rows_;
-  rr.presolve_cols_removed = presolve_cols_;
-  rr.pricing_candidates = pricing_candidates_;
-  rr.decomposition_rounds = decomposition_rounds_;
-  rr.decomposition_sub_solves = decomposition_sub_solves_;
-  rr.decomposition_cuts = decomposition_cuts_;
-  if (prep_ && prep_->warm) {
-    rr.warm_start_hits = prep_->warm->hits();
-    rr.warm_start_stores = prep_->warm->stores();
-  }
-  rr.basis_seeded = basis_seeded_;
-  rr.basis_absorbed = basis_absorbed_;
-  if (prep_ && prep_->store != nullptr) {
-    rr.basis_evictions = prep_->store->evictions();
-  }
-  rr.basis_save_errors = basis_save_errors_;
-  rr.cuts_handled = cuts_handled_;
-  rr.cuts_with_plan = cuts_with_plan_;
-  rr.unplanned_cuts = unplanned_cuts_;
-  rr.rwa_repairs = rwa_repairs_;
+  rr.traffic_matrices = tally_.te_runs;
   rr.local_repairs = local_repairs_;
   rr.local_repair_fallbacks = local_repair_fallbacks_;
   rr.local_repair_pivots = local_repair_pivots_;
   rr.local_repair_seconds = local_repair_seconds_;
-  rr.restorations = static_cast<int>(restoration_latency_s_.size());
-  if (!restoration_latency_s_.empty()) {
-    rr.restoration_p50_s = util::percentile(restoration_latency_s_, 50);
-    rr.restoration_p90_s = util::percentile(restoration_latency_s_, 90);
-    rr.restoration_p99_s = util::percentile(restoration_latency_s_, 99);
-    rr.restoration_max_s =
-        *std::max_element(restoration_latency_s_.begin(),
-                          restoration_latency_s_.end());
-  }
   // Mean instantaneous delivered/offered sampled at every tick, cut, and
   // repair — the daemon has no simulated clock to integrate over.
   rr.availability =
@@ -542,21 +266,9 @@ obs::RunReport TickEngine::report() const {
 void TickEngine::drain() {
   if (drained_) return;
   drained_ = true;
-  if (prep_ == nullptr) return;
-  Prepared& p = *prep_;
-  if (p.store != nullptr && p.warm) {
-    basis_absorbed_ = p.store->absorb(p.topo_h, p.scen_h, *p.warm);
-    // save_shared: merge-under-flock so sibling daemons sharing this
-    // basis_dir all keep their entries (plain save would be
-    // last-writer-wins).
-    if (!p.basis_file.empty() && !p.store->save_shared(p.basis_file)) {
-      ++basis_save_errors_;
-    }
-  }
-  if (p.journal) {
-    p.journal->end_run();  // clears the in-flight marker
-  }
-  obs::emit_run_artifacts(p.obs, report());
+  if (!input_) return;  // no tick served: nothing to save or report
+  session_->close();
+  obs::emit_run_artifacts(session_->obs(), report());
 }
 
 }  // namespace arrow::serve

@@ -1,53 +1,50 @@
-// The daemon's control loop core: run_controller's per-period machinery
-// re-cut for a resident process.
+// The resident daemon's control loop: the controller's run core driven by
+// socket messages instead of a simulated clock.
 //
 // run_controller owns a whole simulated horizon — it gets every traffic
 // matrix and failure up front and replays them against an event queue. A
-// daemon gets them one socket message at a time, so TickEngine holds the
-// pieces run_controller keeps on its stack as long-lived state:
+// daemon gets them one socket message at a time. Both run the same
+// ctrl::Session (controller/session.h), so the offline stage, the ladder,
+// journaling, warm starts and RunReport accounting are one implementation;
+// TickEngine keeps only what is the daemon's own:
 //
-//   * the offline stage (scenarios, tunnels, ArrowPrepared restoration
-//     plans, the restorability cache) built once per topology and reused by
-//     every tick;
-//   * the degradation-ladder loop (ctrl::solve_with_ladder) run per traffic
-//     tick under the per-tick budget, with last-good carry-forward state
-//     surviving between ticks;
-//   * the crash journal: recovery happens when the first tick fixes the
-//     tunnel shape, begin_run/record_plan/end_run bracket the engine's
-//     lifetime, so a daemon restart recovers the dead process's last-good
-//     plan into the carry-forward rung;
-//   * the persistent BasisStore: seeded into a warm-start cache that lives
-//     across ticks (tick N+1 starts from tick N's optimal vertex), absorbed
-//     and saved back with BasisStore::save_shared on drain — N daemons
-//     sharing one basis_dir merge instead of clobbering.
+//   * the clock: set_topology samples scenarios and opens the session
+//     (basis store load and seed); the first tick fixes the tunnel shape and
+//     runs the rest of the offline stage (journal recovery, calibration,
+//     restoration plans with RWA repair); every tick runs the ladder with
+//     the warm-start cache carried across ticks, and last-good carry-forward
+//     state surviving between them;
+//   * cuts answered at once (no restoration ramp to integrate): an exact
+//     precomputed plan for the optically restoring schemes, the localized
+//     IP-layer repair for schemes whose registry capabilities set
+//     supports_local_repair;
+//   * sampled availability, tick latency and the serve SLO metrics;
+//   * drain: the session's close (absorb, BasisStore save_shared so N
+//     daemons sharing one basis_dir merge instead of clobbering, journal
+//     end_run) plus the final RunReport.
 //
 // Not thread-safe: the server calls it from its single poll loop.
 #pragma once
 
-#include <array>
-#include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "controller/controller.h"
-#include "controller/journal.h"
-#include "solver/basis_store.h"
-#include "solver/lp.h"
+#include "controller/session.h"
 #include "te/input.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace arrow::serve {
 
 struct EngineConfig {
-  // Scheme, tunnel/ticket/scenario parameters, per-tick budget
-  // (ctrl.te_budget_s — the daemon default is 50 ms, not the simulator's
-  // 5 minutes), journal_dir, basis_dir/basis_store, retry_backoff,
-  // demand_scale, latency model, and obs all mean exactly what they mean
-  // for run_controller. horizon_s/te_interval_s/cancel are unused — the
-  // socket is the clock.
+  // Scheme (a schemes::Registry name), tunnel/ticket/scenario parameters,
+  // per-tick budget (ctrl.te_budget_s — the daemon default is 50 ms, not
+  // the simulator's 5 minutes), journal_dir, basis_dir/basis_store,
+  // retry_backoff, demand_scale, latency model, and obs all mean exactly
+  // what they mean for run_controller. horizon_s/te_interval_s/cancel are
+  // unused — the socket is the clock.
   ctrl::ControllerConfig ctrl;
   std::uint64_t seed = 42;  // scenario sampling + restoration replay rng
 
@@ -66,10 +63,12 @@ class TickEngine {
     int fibers = 0;
     int scenarios = 0;
   };
-  // Installs (or replaces) the network. Scenario sampling happens here;
-  // tunnels, restoration plans, calibration and journal recovery are
-  // deferred to the first tick, which fixes the flow/tunnel shape. Replacing
-  // a topology drains the previous run (journal end_run, basis save) first.
+  // Installs (or replaces) the network. Scenario sampling and the basis
+  // store seeding happen here; tunnels, restoration plans, calibration and
+  // journal recovery are deferred to the first tick, which fixes the
+  // flow/tunnel shape. Replacing a topology drains the previous run
+  // (journal end_run, basis save) first. An unknown scheme name fails here
+  // with the registered names in the error.
   TopologyResult set_topology(topo::Network net);
 
   struct TickResult {
@@ -114,8 +113,8 @@ class TickEngine {
 
   // --- status (the query op) ----------------------------------------------
   bool has_topology() const { return have_topo_; }
-  int ticks() const { return ticks_; }
-  int active_cuts() const { return static_cast<int>(active_cuts_.size()); }
+  int ticks() const { return tally_.te_runs; }
+  int active_cuts() const { return static_cast<int>(cuts_.active.size()); }
   ctrl::Rung last_rung() const { return last_rung_; }
   bool drained() const { return drained_; }
   // p50/p99 of the per-tick ladder wall clock so far (0 before any tick).
@@ -123,61 +122,33 @@ class TickEngine {
   double tick_p99_s() const;
 
  private:
-  struct Prepared;  // offline stage + per-run state (engine.cc)
-
-  bool ensure_prepared(const traffic::TrafficMatrix& tm, std::string* error);
   void observe_delivery();
 
   EngineConfig config_;
   util::Rng rng_;
-  util::ThreadPool inline_pool_;
 
   bool have_topo_ = false;
   topo::Network net_;
   std::vector<scenario::Scenario> scenarios_;
 
-  std::unique_ptr<Prepared> prep_;
+  // Accounting in the controller's report type (te_runs counts ticks).
+  // tally_ and input_ are declared before session_, which points at both.
+  ctrl::ControllerReport tally_;
+  std::optional<te::TeInput> input_;       // built by the first tick
+  std::optional<te::TeSolution> current_;  // plan serving traffic now
+  std::unique_ptr<ctrl::Session> session_;
+  ctrl::CutState cuts_;
 
-  // --- accounting ----------------------------------------------------------
-  int ticks_ = 0;
+  // --- the daemon's own accounting ------------------------------------------
   ctrl::Rung last_rung_ = ctrl::Rung::kPrimary;
   std::vector<double> tick_seconds_;
-  std::array<int, ctrl::kNumRungs> rung_counts_{};
-  int degraded_ticks_ = 0;
-  int deadline_overruns_ = 0;
-  int rung_regressions_ = 0;
-  int solver_timeouts_ = 0;
-  int backoff_retries_ = 0;
-  long long simplex_iterations_ = 0;
-  long long presolve_rows_ = 0;
-  long long presolve_cols_ = 0;
-  long long pricing_candidates_ = 0;
-  long long decomposition_rounds_ = 0;
-  long long decomposition_sub_solves_ = 0;
-  long long decomposition_cuts_ = 0;
-  int rwa_repairs_ = 0;
-  bool calibration_degraded_ = false;
-  bool journal_recovered_ = false;
-  bool journal_prior_in_flight_ = false;
-  int cuts_handled_ = 0;
-  int cuts_with_plan_ = 0;
-  int unplanned_cuts_ = 0;
   int local_repairs_ = 0;
   int local_repair_fallbacks_ = 0;
   long long local_repair_pivots_ = 0;
   double local_repair_seconds_ = 0.0;
-  std::vector<double> restoration_latency_s_;
-  int basis_seeded_ = 0;
-  int basis_absorbed_ = 0;
-  int basis_save_errors_ = 0;
   double delivered_sum_ = 0.0;  // instantaneous delivery sampled per event
   double offered_sum_ = 0.0;
   bool drained_ = false;
-
-  std::set<topo::FiberId> active_cuts_;
-  std::map<topo::IpLinkId, double> restored_;
-  std::map<topo::FiberId, std::vector<std::pair<topo::IpLinkId, double>>>
-      restored_by_cut_;
 };
 
 }  // namespace arrow::serve

@@ -111,17 +111,4 @@ std::string http_response(const std::string& body,
   return out;
 }
 
-bool scheme_from_string(const std::string& name, ctrl::Scheme* out) {
-  for (const ctrl::Scheme s :
-       {ctrl::Scheme::kArrow, ctrl::Scheme::kArrowNaive, ctrl::Scheme::kFfc1,
-        ctrl::Scheme::kTeaVar, ctrl::Scheme::kEcmp,
-        ctrl::Scheme::kReWeave}) {
-    if (name == to_string(s)) {
-      if (out != nullptr) *out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace arrow::serve

@@ -56,9 +56,4 @@ bool is_http_get(const std::string& line, std::string* target);
 std::string http_response(const std::string& body,
                           const std::string& content_type);
 
-// Scheme names as accepted by the topology op and `arrowctl serve
-// --scheme` (the to_string spellings, case-sensitive: "ARROW",
-// "ARROW-Naive", "FFC-1", "TeaVaR", "ECMP").
-bool scheme_from_string(const std::string& name, ctrl::Scheme* out);
-
 }  // namespace arrow::serve

@@ -21,8 +21,6 @@ namespace {
 
 constexpr int kPollTimeoutMs = 100;
 
-std::string rung_name(ctrl::Rung r) { return to_string(r); }
-
 }  // namespace
 
 Server::Server(TickEngine& engine, ServerConfig config)
@@ -177,7 +175,7 @@ std::string Server::handle_line(const std::string& line, bool* close_conn,
     if (!res.ok) return error_line(res.error);
     obs::JsonValue f;
     f.object["tick"] = jnum(res.tick);
-    f.object["rung"] = jstr(rung_name(res.rung));
+    f.object["rung"] = jstr(ctrl::to_string(res.rung));
     f.object["seconds"] = jnum(res.seconds);
     f.object["deadline_overrun"] = jbool(res.deadline_overrun);
     f.object["rung_regression"] = jbool(res.rung_regression);
@@ -211,7 +209,7 @@ std::string Server::handle_line(const std::string& line, bool* close_conn,
     f.object["topology"] = jbool(engine_.has_topology());
     f.object["ticks"] = jnum(engine_.ticks());
     f.object["active_cuts"] = jnum(engine_.active_cuts());
-    f.object["rung"] = jstr(rung_name(engine_.last_rung()));
+    f.object["rung"] = jstr(ctrl::to_string(engine_.last_rung()));
     f.object["tick_p50_s"] = jnum(engine_.tick_p50_s());
     f.object["tick_p99_s"] = jnum(engine_.tick_p99_s());
     f.object["drained"] = jbool(engine_.drained());

@@ -24,29 +24,6 @@ schemes::SchemeOptions scheme_options(const SweepParams& params) {
   return options;
 }
 
-// The scheme list: explicit registry names when given (validated up front so
-// a typo fails before any LP runs, with the registered names in the error),
-// else the legacy booleans in their canonical order.
-std::vector<std::string> selected_schemes(const SweepParams& params) {
-  const auto& registry = schemes::Registry::global();
-  if (!params.schemes.empty()) {
-    for (const auto& name : params.schemes) {
-      if (!registry.contains(name)) {
-        throw std::logic_error(registry.unknown_message(name));
-      }
-    }
-    return params.schemes;
-  }
-  std::vector<std::string> out;
-  if (params.run_arrow) out.push_back("ARROW");
-  if (params.run_arrow_naive) out.push_back("ARROW-Naive");
-  if (params.run_ffc1) out.push_back("FFC-1");
-  if (params.run_ffc2) out.push_back("FFC-2");
-  if (params.run_teavar) out.push_back("TeaVaR");
-  if (params.run_ecmp) out.push_back("ECMP");
-  return out;
-}
-
 }  // namespace
 
 Evaluation evaluate_with_repairs(const te::TeInput& input,
@@ -133,7 +110,7 @@ SweepResult run_sweep(const topo::Network& net,
   const auto options = scheme_options(params);
   SweepResult result;
   result.scales = params.scales;
-  result.schemes = selected_schemes(params);
+  result.schemes = params.schemes;
   bool needs_prepared = false;
   for (const auto& s : result.schemes) {
     result.availability[s].assign(params.scales.size(), 0.0);
@@ -146,6 +123,8 @@ SweepResult run_sweep(const topo::Network& net,
     result.repair_simplex_iterations[s] = 0;
     result.repair_solve_seconds[s] = 0.0;
     result.repair_latency_s[s] = 0.0;
+    // capabilities() creates the scheme, so a typo fails here, before any
+    // LP runs, with the registered names in the error.
     if (registry.capabilities(s).needs_prepared) needs_prepared = true;
   }
 

@@ -19,16 +19,11 @@ namespace arrow::sim {
 
 struct SweepParams {
   std::vector<double> scales = {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5};
-  // Schemes to race, by registry name (schemes::Registry). When empty the
-  // legacy run_* booleans below select among the original six, in the same
-  // canonical order — existing callers keep byte-identical output.
-  std::vector<std::string> schemes;
-  bool run_arrow = true;
-  bool run_arrow_naive = true;
-  bool run_ffc1 = true;
-  bool run_ffc2 = true;
-  bool run_teavar = true;
-  bool run_ecmp = true;
+  // Schemes to race, by registry name (schemes::Registry), in this order.
+  // Defaults to the paper's six in canonical order; an unknown name fails
+  // the sweep before any LP, with the registered names in the error.
+  std::vector<std::string> schemes = {"ARROW",  "ARROW-Naive", "FFC-1",
+                                      "FFC-2",  "TeaVaR",      "ECMP"};
   // Chain each scheme's scale grid through a solver::ScopedWarmStartCache:
   // scale s_{i+1}'s LP starts from s_i's optimal basis instead of all-slack.
   // Results stay optimal either way; only the pivot count changes.

@@ -137,7 +137,7 @@ TEST(BasisStore, ControllerRunsPopulateAndReuseTheStore) {
   const auto tms = traffic::generate_traffic(net, tp, trng);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kFfc1;
+  config.scheme = "FFC-1";
   config.horizon_s = 1800.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;
@@ -447,7 +447,7 @@ TEST(BasisStoreDisk, ControllerWarmStartsAcrossRunsFromTheDiskFileAlone) {
   const auto tms = traffic::generate_traffic(net, tp, trng);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kFfc1;
+  config.scheme = "FFC-1";
   config.horizon_s = 1800.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;
@@ -512,7 +512,7 @@ TEST(BasisStoreDisk, ControllerHonorsArrowBasisDirEnvironmentVariable) {
   const auto tms = traffic::generate_traffic(net, tp, trng);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kFfc1;
+  config.scheme = "FFC-1";
   config.horizon_s = 900.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;

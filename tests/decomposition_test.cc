@@ -250,11 +250,7 @@ TEST(Decomposition, SweepOutputIsByteIdenticalDecompositionOnOrOff) {
   Workload w;
   sim::SweepParams params;
   params.scales = {0.4, 0.8};
-  params.run_arrow_naive = false;  // Phase I is the only thing under test
-  params.run_ffc1 = false;
-  params.run_ffc2 = false;
-  params.run_teavar = false;
-  params.run_ecmp = false;
+  params.schemes = {"ARROW"};  // Phase I is the only thing under test
   params.tunnels = w.tunnels;
   params.arrow.tickets.num_tickets = 4;
 
@@ -325,11 +321,7 @@ TEST(Decomposition, FaultedSubLpLandsInSweepSolveFailures) {
   Workload w;
   sim::SweepParams params;
   params.scales = {0.4, 0.8};
-  params.run_arrow_naive = false;
-  params.run_ffc1 = false;
-  params.run_ffc2 = false;
-  params.run_teavar = false;
-  params.run_ecmp = false;
+  params.schemes = {"ARROW"};
   params.tunnels = w.tunnels;
   params.arrow.tickets.num_tickets = 4;
   params.arrow.decomposition.enabled = true;
@@ -473,7 +465,7 @@ TEST(Decomposition, ControllerReportCarriesDecompositionTotals) {
   const auto tms = traffic::generate_traffic(net, tp, traffic_rng);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kArrow;
+  config.scheme = "ARROW";
   config.horizon_s = 600.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;
@@ -487,14 +479,14 @@ TEST(Decomposition, ControllerReportCarriesDecompositionTotals) {
   EXPECT_GT(report.te_runs, 0);
   // The decomposed Phase I ran and its totals flowed through the ladder
   // accounting into both the report and the serialized RunReport.
-  EXPECT_GT(report.te_decomposition_rounds, 0);
-  EXPECT_GT(report.te_decomposition_sub_solves, 0);
+  EXPECT_GT(report.solve_stats.decomposition_rounds, 0);
+  EXPECT_GT(report.solve_stats.decomposition_sub_solves, 0);
   EXPECT_EQ(report.run_report.decomposition_rounds,
-            report.te_decomposition_rounds);
+            report.solve_stats.decomposition_rounds);
   EXPECT_EQ(report.run_report.decomposition_sub_solves,
-            report.te_decomposition_sub_solves);
+            report.solve_stats.decomposition_sub_solves);
   EXPECT_EQ(report.run_report.decomposition_cuts,
-            report.te_decomposition_cuts);
+            report.solve_stats.decomposition_cuts);
 }
 
 }  // namespace

@@ -90,8 +90,8 @@ TEST(Determinism, RunSweepIsThreadCountInvariant) {
   Workload w;
   sim::SweepParams params;
   params.scales = {0.4, 0.8};
-  params.run_ffc2 = false;   // keep the matrix of solves small
-  params.run_teavar = false;
+  // Without FFC-2 and TeaVaR: keep the matrix of solves small.
+  params.schemes = {"ARROW", "ARROW-Naive", "FFC-1", "ECMP"};
   params.tunnels = w.tunnels;
   params.arrow.tickets.num_tickets = 4;
 

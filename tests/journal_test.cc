@@ -94,7 +94,7 @@ struct Fixture {
     config.arrow.tickets.num_tickets = 4;
     config.scenarios.probability_cutoff = 0.002;
     config.demand_scale = 0.5;
-    config.scheme = ctrl::Scheme::kArrow;
+    config.scheme = "ARROW";
   }
 };
 

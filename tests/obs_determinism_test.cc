@@ -93,7 +93,7 @@ struct ControllerFixture {
     traffic::TrafficParams tp;
     tp.num_matrices = 2;
     tms = traffic::generate_traffic(net, tp, rng);
-    config.scheme = ctrl::Scheme::kArrow;
+    config.scheme = "ARROW";
     config.horizon_s = 2.0 * 3600.0;
     config.te_interval_s = 600.0;
     config.tunnels.tunnels_per_flow = 4;
@@ -131,7 +131,7 @@ TEST(ObsDeterminism, ControllerRunBitIdenticalWithTraceOnVsOff) {
   EXPECT_EQ(off.offered_gbps_seconds, on.offered_gbps_seconds);
   EXPECT_EQ(off.delivered_gbps_seconds, on.delivered_gbps_seconds);
   EXPECT_EQ(off.lost_gbps_seconds, on.lost_gbps_seconds);
-  EXPECT_EQ(off.te_simplex_iterations, on.te_simplex_iterations);
+  EXPECT_EQ(off.solve_stats.iterations, on.solve_stats.iterations);
   EXPECT_EQ(off.simplex_iterations_by_matrix, on.simplex_iterations_by_matrix);
   ASSERT_EQ(off.timeline.size(), on.timeline.size());
   for (std::size_t i = 0; i < off.timeline.size(); ++i) {
@@ -147,13 +147,13 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
 
   // Pivot counts: the RunReport total must equal the controller's ladder
   // accounting, which sums the iterations every solve *returned*.
-  EXPECT_GT(report.te_simplex_iterations, 0);
-  EXPECT_EQ(rr.simplex_iterations, report.te_simplex_iterations);
-  EXPECT_EQ(rr.presolve_rows_removed, report.te_presolve_rows_removed);
-  EXPECT_EQ(rr.presolve_cols_removed, report.te_presolve_cols_removed);
-  EXPECT_EQ(rr.pricing_candidates, report.te_pricing_candidates);
-  EXPECT_GT(report.te_pricing_candidates, 0);
-  EXPECT_EQ(report.te_simplex_iterations,
+  EXPECT_GT(report.solve_stats.iterations, 0);
+  EXPECT_EQ(rr.simplex_iterations, report.solve_stats.iterations);
+  EXPECT_EQ(rr.presolve_rows_removed, report.solve_stats.presolve_rows);
+  EXPECT_EQ(rr.presolve_cols_removed, report.solve_stats.presolve_cols);
+  EXPECT_EQ(rr.pricing_candidates, report.solve_stats.pricing_candidates);
+  EXPECT_GT(report.solve_stats.pricing_candidates, 0);
+  EXPECT_EQ(report.solve_stats.iterations,
             std::accumulate(report.simplex_iterations_by_matrix.begin(),
                             report.simplex_iterations_by_matrix.end(), 0LL));
   ASSERT_EQ(report.simplex_iterations_by_matrix.size(), fx.tms.size());
@@ -176,6 +176,10 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
   EXPECT_EQ(rr.unplanned_cuts, report.unplanned_cuts);
   EXPECT_EQ(rr.emergency_restorations, report.emergency_restorations);
   EXPECT_EQ(rr.rwa_repairs, report.rwa_repairs);
+  EXPECT_EQ(rr.rwa_scenarios_lost, report.rwa_scenarios_lost);
+  EXPECT_EQ(rr.calibration_degraded, report.calibration_degraded);
+  EXPECT_EQ(rr.solver_timeouts, report.solve_stats.timeouts);
+  EXPECT_EQ(rr.backoff_retries, report.solve_stats.backoff_retries);
   EXPECT_EQ(rr.restorations,
             static_cast<int>(report.restoration_latency_s.size()));
   EXPECT_EQ(rr.availability, report.availability());

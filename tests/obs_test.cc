@@ -342,6 +342,8 @@ obs::RunReport sample_report() {
   r.unplanned_cuts = 1;
   r.emergency_restorations = 1;
   r.rwa_repairs = 2;
+  r.rwa_scenarios_lost = 1;
+  r.calibration_degraded = true;
   r.restorations = 5;
   r.restoration_p50_s = 8.25;
   r.restoration_p90_s = 9.5;
@@ -385,6 +387,8 @@ TEST(RunReport, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(out.unplanned_cuts, in.unplanned_cuts);
   EXPECT_EQ(out.emergency_restorations, in.emergency_restorations);
   EXPECT_EQ(out.rwa_repairs, in.rwa_repairs);
+  EXPECT_EQ(out.rwa_scenarios_lost, in.rwa_scenarios_lost);
+  EXPECT_EQ(out.calibration_degraded, in.calibration_degraded);
   EXPECT_EQ(out.restorations, in.restorations);
   EXPECT_DOUBLE_EQ(out.restoration_p50_s, in.restoration_p50_s);
   EXPECT_DOUBLE_EQ(out.restoration_p90_s, in.restoration_p90_s);

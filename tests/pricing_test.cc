@@ -220,9 +220,7 @@ TEST(PresolveSweep, SweepResultsAreIdenticalWithPresolveOnAndOff) {
 
   sim::SweepParams params;
   params.scales = {1.0, 2.0, 3.0};
-  params.run_ffc1 = false;
-  params.run_ffc2 = false;
-  params.run_teavar = false;
+  params.schemes = {"ARROW", "ARROW-Naive", "ECMP"};
   params.tunnels.tunnels_per_flow = 3;
   params.arrow.tickets.num_tickets = 3;
 

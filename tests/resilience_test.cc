@@ -15,6 +15,7 @@
 
 #include "controller/controller.h"
 #include "resilience/harness.h"
+#include "serve/engine.h"
 #include "solver/model.h"
 #include "topo/builders.h"
 
@@ -34,7 +35,7 @@ class ResilienceFixture : public ::testing::Test {
     config_.arrow.tickets.num_tickets = 4;
     config_.scenarios.probability_cutoff = 0.002;
     config_.demand_scale = 0.5;
-    config_.scheme = ctrl::Scheme::kArrow;
+    config_.scheme = "ARROW";
   }
   topo::Network net_;
   std::vector<traffic::TrafficMatrix> tms_;
@@ -186,6 +187,47 @@ TEST_F(ResilienceFixture, FaultFreeRunsEntirelyOnPrimaryRung) {
   EXPECT_EQ(r.deadline_overruns, 0);
   EXPECT_FALSE(r.calibration_degraded);
   EXPECT_EQ(run.counts.lp_faults, 0);
+}
+
+// The batch controller and the daemon share one offline stage. Given the
+// same network, scenarios, seed and LP fault schedule, both make the same
+// RWA repair attempts (parallel-safe streams, five attempts, backoff) and
+// take the same calibration path, and both report what they lost.
+TEST_F(ResilienceFixture, ControllerAndDaemonRepairRwaFaultsAlike) {
+  constexpr std::uint64_t kSeed = 31;
+  FaultConfig fc;
+  fc.seed = 1;
+  fc.lp_fault_rate = 0.5;
+
+  ctrl::ControllerReport controller;
+  {
+    FaultInjector injector(fc);
+    ScopedLpFaults faults(injector);
+    util::Rng rng(kSeed);
+    controller = ctrl::run_controller(net_, {tms_[0]}, {}, config_, rng);
+  }
+  obs::RunReport daemon;
+  {
+    FaultInjector injector(fc);
+    ScopedLpFaults faults(injector);
+    serve::EngineConfig engine_config;
+    engine_config.ctrl = config_;
+    engine_config.seed = kSeed;
+    serve::TickEngine engine(engine_config);
+    ASSERT_TRUE(engine.set_topology(net_).ok);
+    ASSERT_TRUE(engine.tick(tms_[0]).ok);
+    daemon = engine.report();
+  }
+  // The faults hit the offline stage: RWA solves repaired and lost, and the
+  // calibration LP.
+  EXPECT_GT(controller.rwa_repairs, 0);
+  EXPECT_GT(controller.rwa_scenarios_lost, 0);
+  EXPECT_TRUE(controller.calibration_degraded);
+  EXPECT_EQ(daemon.rwa_repairs, controller.rwa_repairs);
+  EXPECT_EQ(daemon.rwa_scenarios_lost, controller.rwa_scenarios_lost);
+  EXPECT_EQ(daemon.calibration_degraded, controller.calibration_degraded);
+  EXPECT_EQ(controller.run_report.rwa_scenarios_lost,
+            controller.rwa_scenarios_lost);
 }
 
 // --- unplanned cuts + emergency restoration --------------------------------

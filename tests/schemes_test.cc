@@ -1,7 +1,7 @@
 // Restoration-scheme subsystem suite (ctest label: schemes): the registry
-// round-trip, adapter equivalence — the registry-dispatched sweep must be
-// byte-identical to the legacy boolean path at any thread count — plus the
-// ReWeave localized-repair and PXT trail-provisioning machinery.
+// round-trip, the registry-dispatched sweep (byte-identical at any thread
+// count), every registered scheme under both the controller and the daemon,
+// plus the ReWeave localized-repair and PXT trail-provisioning machinery.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,11 +9,14 @@
 #include <string>
 #include <vector>
 
+#include "controller/controller.h"
 #include "schemes/builtin.h"
 #include "schemes/pxt.h"
 #include "schemes/reweave.h"
 #include "schemes/scheme.h"
+#include "serve/engine.h"
 #include "sim/sweep.h"
+#include "solver/lp.h"
 #include "te/basic.h"
 #include "topo/builders.h"
 #include "traffic/traffic.h"
@@ -111,15 +114,15 @@ TEST(SchemeRegistry, LocalRegistriesAreIsolatedFromGlobal) {
 
 // --- adapter equivalence ----------------------------------------------------
 
-// The registry-dispatched sweep (SweepParams::schemes) must reproduce the
-// legacy boolean path byte-for-byte, at any thread count. Exact double
-// equality on purpose.
-TEST(SchemeAdapters, SweepByNameListMatchesLegacyBooleansByteForByte) {
+// The registry-dispatched sweep must be byte-for-byte identical at any
+// thread count. Exact double equality on purpose.
+TEST(SchemeAdapters, SweepByNameListIsByteIdenticalAcrossThreadCounts) {
   Workload w;
   sim::SweepParams params;
   params.scales = {0.4, 0.8};
-  params.run_ffc2 = false;   // keep the suite fast; FFC-2 shares the
-  params.run_teavar = false; // adapter code path with FFC-1
+  // Without FFC-2 and TeaVaR: keep the suite fast; FFC-2 shares the
+  // adapter code path with FFC-1.
+  params.schemes = {"ARROW", "ARROW-Naive", "FFC-1", "ECMP"};
   params.arrow.tickets.num_tickets = 3;
 
   util::ThreadPool pool1(1);
@@ -130,13 +133,11 @@ TEST(SchemeAdapters, SweepByNameListMatchesLegacyBooleansByteForByte) {
             (std::vector<std::string>{"ARROW", "ARROW-Naive", "FFC-1",
                                       "ECMP"}));
 
-  sim::SweepParams by_name = params;
-  by_name.schemes = base.schemes;
   for (int threads : {1, 2, 8}) {
     util::ThreadPool pool(threads);
     util::Rng rng(31);
     const sim::SweepResult got =
-        sim::run_sweep(w.net, w.matrices, w.scenarios, by_name, rng, pool);
+        sim::run_sweep(w.net, w.matrices, w.scenarios, params, rng, pool);
     EXPECT_EQ(got.schemes, base.schemes) << "threads=" << threads;
     EXPECT_EQ(got.scales, base.scales);
     for (const auto& s : base.schemes) {
@@ -154,6 +155,15 @@ TEST(SchemeAdapters, SweepByNameListMatchesLegacyBooleansByteForByte) {
       EXPECT_EQ(got.repair_cuts.at(s), 0) << s;
     }
   }
+}
+
+// Callers that never set SweepParams::schemes race the paper's six, in the
+// canonical order.
+TEST(SchemeAdapters, SweepDefaultsToThePapersSixSchemesInCanonicalOrder) {
+  const auto registered = schemes::Registry::global().names();
+  EXPECT_EQ(sim::SweepParams{}.schemes,
+            std::vector<std::string>(registered.begin(),
+                                     registered.begin() + 6));
 }
 
 TEST(SchemeAdapters, SweepRejectsUnknownSchemeNameUpFront) {
@@ -188,6 +198,80 @@ TEST(SweepResult, MaxScaleAtUnknownSchemeNamesSweptAndRegistered) {
     EXPECT_NE(msg.find("registered:"), std::string::npos) << msg;
     EXPECT_NE(msg.find("swept: X"), std::string::npos) << msg;
   }
+}
+
+// --- every registered scheme under both loops ---------------------------------
+
+ctrl::ControllerConfig loop_config() {
+  ctrl::ControllerConfig config;
+  config.horizon_s = 1800.0;
+  config.te_interval_s = 600.0;
+  config.tunnels.tunnels_per_flow = 4;
+  config.arrow.tickets.num_tickets = 2;
+  config.scenarios.probability_cutoff = 0.005;
+  config.demand_scale = 0.4;
+  config.te_budget_s = 60.0;  // wide: every period must land on primary
+  return config;
+}
+
+// A scheme is a registry name end to end: every registered scheme runs a
+// short controller horizon with one cut, and a daemon tick, cut and repair,
+// each TE period served by the scheme itself (the primary rung).
+TEST(SchemeLoops, EveryRegisteredSchemeRunsUnderControllerAndDaemon) {
+  Workload w;
+  const topo::FiberId fiber = 0;
+  for (const auto& name : schemes::Registry::global().names()) {
+    ctrl::ControllerConfig config = loop_config();
+    config.scheme = name;
+    util::Rng rng(5);
+    const auto report = ctrl::run_controller(
+        w.net, w.matrices, {{600.0, fiber, 600.0}}, config, rng);
+    EXPECT_EQ(report.te_runs, 1) << name;
+    EXPECT_EQ(report.fallback_counts[0], report.te_runs) << name;
+    EXPECT_EQ(report.cuts_handled, 1) << name;
+    EXPECT_EQ(report.run_report.scheme, name);
+
+    serve::EngineConfig engine_config;
+    engine_config.ctrl = config;
+    serve::TickEngine engine(engine_config);
+    ASSERT_TRUE(engine.set_topology(w.net).ok) << name;
+    const auto tick = engine.tick(w.matrices[0]);
+    ASSERT_TRUE(tick.ok) << name << ": " << tick.error;
+    EXPECT_EQ(tick.rung, ctrl::Rung::kPrimary) << name;
+    const auto cut = engine.cut(fiber);
+    EXPECT_TRUE(cut.ok) << name << ": " << cut.error;
+    EXPECT_TRUE(engine.repair(fiber)) << name;
+    const obs::RunReport rr = engine.report();
+    EXPECT_EQ(rr.scheme, name);
+    EXPECT_EQ(rr.cuts_handled, 1) << name;
+  }
+}
+
+TEST(SchemeLoops, UnknownSchemeFailsBeforeAnyLpWithRegisteredNames) {
+  Workload w;
+  ctrl::ControllerConfig config = loop_config();
+  config.scheme = "SWAN";
+  int solves = 0;
+  solver::ScopedSolveObserver count(
+      [&](const solver::Lp&, solver::LpSolution&) { ++solves; });
+  util::Rng rng(5);
+  try {
+    ctrl::run_controller(w.net, w.matrices, {}, config, rng);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              schemes::Registry::global().unknown_message("SWAN"));
+  }
+  EXPECT_EQ(solves, 0);
+
+  serve::EngineConfig engine_config;
+  engine_config.ctrl = config;
+  serve::TickEngine engine(engine_config);
+  const auto res = engine.set_topology(w.net);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.error, schemes::Registry::global().unknown_message("SWAN"));
+  EXPECT_FALSE(engine.tick(w.matrices[0]).ok);
+  EXPECT_EQ(solves, 0);
 }
 
 // --- ReWeave localized repair -----------------------------------------------

@@ -128,15 +128,6 @@ TEST(ServeProtocol, HttpGetDetectionAndResponseFraming) {
   EXPECT_EQ(resp.substr(resp.size() - 4), "body");
 }
 
-TEST(ServeProtocol, SchemeNamesRoundTrip) {
-  ctrl::Scheme s = ctrl::Scheme::kEcmp;
-  EXPECT_TRUE(serve::scheme_from_string("ARROW", &s));
-  EXPECT_EQ(s, ctrl::Scheme::kArrow);
-  EXPECT_TRUE(serve::scheme_from_string("FFC-1", &s));
-  EXPECT_EQ(s, ctrl::Scheme::kFfc1);
-  EXPECT_FALSE(serve::scheme_from_string("nope", &s));
-}
-
 // --- engine lifecycle -------------------------------------------------------
 
 TEST(ServeEngine, TickCutRepairAndReport) {
@@ -189,7 +180,7 @@ TEST(ServeEngine, TickCutRepairAndReport) {
 // unplanned-cut path — and the repair telemetry must land in the RunReport.
 TEST(ServeEngine, ReWeaveCutFastPathDrill) {
   serve::EngineConfig config = test_config();
-  config.ctrl.scheme = ctrl::Scheme::kReWeave;
+  config.ctrl.scheme = "ReWeave-Local";
   serve::TickEngine engine(config);
 
   ASSERT_TRUE(engine.set_topology(test_net()).ok);

@@ -276,7 +276,8 @@ TEST(Sweep, SmallEndToEndRun) {
 
   SweepParams params;
   params.scales = {0.4, 0.8};
-  params.run_ffc2 = false;  // keep the test fast
+  // Without FFC-2: keep the test fast.
+  params.schemes = {"ARROW", "ARROW-Naive", "FFC-1", "TeaVaR", "ECMP"};
   params.tunnels.tunnels_per_flow = 5;
   params.arrow.tickets.num_tickets = 4;
   const SweepResult result = run_sweep(net, matrices, scenarios, params, rng);
@@ -382,11 +383,7 @@ TEST(Sweep, SolveFailuresAreCountedAndExcludedFromMeans) {
 
   SweepParams params;
   params.scales = {0.5};
-  params.run_arrow = false;
-  params.run_arrow_naive = false;
-  params.run_ffc2 = false;
-  params.run_teavar = false;
-  params.run_ecmp = false;  // FFC-1 only: one LP per calibration + chain
+  params.schemes = {"FFC-1"};  // one LP per calibration + chain
   params.warm_start = false;
   params.tunnels.tunnels_per_flow = 5;
 
