@@ -159,10 +159,11 @@ void Session::recover_journal(const te::TeInput& input) {
 // settings, then the closed-form ECMP bound (conservative but fault-immune).
 // A faulted calibration must not take the controller down.
 void Session::calibrate(std::span<te::TeInput> inputs) {
-  bool ok = true;
-  double calibration = te::max_satisfiable_scale(inputs.front(), &ok);
-  if (!ok) {
-    solver::ScopedSimplexOverride relax(relaxed_simplex_options());
+  bool ok = false;
+  double calibration = 0.0;
+  for (int attempt = 0; attempt < 2 && !ok; ++attempt) {
+    std::optional<solver::ScopedSimplexOverride> relax;
+    if (attempt > 0) relax.emplace(relaxed_simplex_options());
     calibration = te::max_satisfiable_scale(inputs.front(), &ok);
   }
   if (!ok) {

@@ -20,7 +20,6 @@
 
 #include <string>
 
-#include "controller/controller.h"
 #include "obs/json.h"
 #include "traffic/traffic.h"
 
