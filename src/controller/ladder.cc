@@ -124,10 +124,7 @@ LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
     back_off();
     solver::ScopedSolveDeadline guard(share(kRelaxedBudgetShare));
     solver::ScopedSimplexOverride relax(relaxed_simplex_options());
-    // The override is thread-local: the retry must not fan model builds
-    // onto pool workers that would escape it.
-    util::ThreadPool inline_pool(1);
-    out.sol = scheme.solve(input, prepared, inline_pool, cache);
+    out.sol = scheme.solve(input, prepared, pool, cache);
     account();
     if (out.sol.optimal) return done();
   }

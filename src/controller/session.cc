@@ -59,8 +59,8 @@ Session::Session(const ControllerConfig& config, const topo::Network& net,
   caps_ = scheme_->capabilities();
   num_scenarios_ = static_cast<int>(scenarios.size());
 
-  // Persistent warm starts (opt-in): seed a cache from the store's bases for
-  // this exact (topology, scenario set) before any solve; close() absorbs
+  // Persistent warm starts (opt-in): prepare() seeds a cache from the
+  // store's bases for this exact (topology, scenario set); close() absorbs
   // the run's final bases back. The hashes key on structure, not demands,
   // so runs over different traffic matrices share vertices as long as the
   // network and scenario set match. A basis directory extends the store
@@ -82,14 +82,11 @@ Session::Session(const ControllerConfig& config, const topo::Network& net,
       basis_file_ = solver::BasisStore::file_in(basis_dir);
       store_->load(basis_file_);  // false = cold start
     }
-    warm_.emplace();
-    tally_->basis_seeded = store_->seed(topo_h_, scen_h_, *warm_);
   }
 }
 
 util::ThreadPool& Session::pool() {
-  return solver::ScopedSolveObserver::active() != nullptr ||
-                 solver::ScopedSimplexOverride::active() != nullptr
+  return solver::ScopedSolveObserver::active() != nullptr
              ? inline_pool_
              : util::global_pool();
 }
@@ -98,10 +95,20 @@ void Session::prepare(std::span<te::TeInput> inputs) {
   te::TeInput& input = inputs.front();
   primary_ = &input;
   recover_journal(input);
-  calibrate(inputs);
+  // The offline RWA stage runs before the warm-start cache opens, so its
+  // LPs stay out of the cache and the basis file at every thread count.
+  // RWA reads no demands and calibration draws no rng, so calibration can
+  // follow it.
   if (restores()) {
     prepared_ = te::prepare_arrow(input, config_.arrow, rng_, pool());
     repair_rwa(input);
+  }
+  if (store_ != nullptr) {
+    warm_.emplace();
+    tally_->basis_seeded = store_->seed(topo_h_, scen_h_, *warm_);
+  }
+  calibrate(inputs);
+  if (restores()) {
     // Restorability flags are a function of (tunnels, tickets), both shared
     // across matrices, so one cache serves every period's ladder —
     // including its retry rungs.

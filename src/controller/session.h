@@ -8,10 +8,10 @@
 // and cuts. Everything but the clock lives here, once:
 //
 //   * the offline stage: ARROW_BASIS_DIR / ARROW_JOURNAL_DIR resolution,
-//     BasisStore load and seed into a warm-start cache that lives as long as
-//     the session, journal recovery (hash and tunnel-shape checks) into the
-//     carry-forward seed, the calibration ladder, prepare_arrow with
-//     per-scenario RWA repair, and the RestorabilityCache;
+//     journal recovery (hash and tunnel-shape checks) into the carry-forward
+//     seed, prepare_arrow with per-scenario RWA repair, BasisStore load and
+//     seed into a warm-start cache that lives as long as the session, the
+//     calibration ladder, and the RestorabilityCache;
 //   * one TE period: the degradation ladder with the scheme created from
 //     schemes::Registry by name, journaling and last-good tracking;
 //   * the cut-time plan lookup;
@@ -77,9 +77,9 @@ struct CutState {
 class Session {
  public:
   // Creates the scheme, then resolves the basis and journal directories and
-  // seeds the warm-start cache from the BasisStore. `tally` (the loop's
-  // accounting) must outlive the session. Throws std::logic_error listing
-  // the registered names when config.scheme is unknown — before any LP.
+  // loads the BasisStore. `tally` (the loop's accounting) must outlive the
+  // session. Throws std::logic_error listing the registered names when
+  // config.scheme is unknown — before any LP.
   Session(const ControllerConfig& config, const topo::Network& net,
           const std::vector<scenario::Scenario>& scenarios, util::Rng& rng,
           ControllerReport* tally);
@@ -88,8 +88,10 @@ class Session {
 
   // The rest of the offline stage, once the flow/tunnel shape is fixed.
   // `inputs` share one network and scenario set; inputs[0] is checked
-  // against the journal, calibrated and prepared, and every input is scaled
-  // to demand_factor(). inputs[0] must outlive the session.
+  // against the journal, prepared and calibrated, and every input is scaled
+  // to demand_factor(). Opens the session's (scoped) warm-start cache, so
+  // solver guards live at this call must outlive the session. inputs[0]
+  // must outlive the session.
   void prepare(std::span<te::TeInput> inputs);
 
   // Serves the next TE period on `input`: the ladder under te_budget_s,
@@ -120,9 +122,10 @@ class Session {
   double demand_factor() const { return demand_factor_; }
   const obs::ObsConfig& obs() const { return obs_; }
 
-  // The solver's ambient hooks are thread-local: work fanned onto pool
-  // workers would escape an active fault injector or options override, so
-  // under either hook (a fault drill) the work stays on this thread.
+  // The pool for the offline stage and the ladder. A solve observer (a
+  // fault drill) is per-thread by contract (solver/lp.h), so under one the
+  // work stays on this thread; every other solver hook follows the work
+  // onto the pool's workers.
   util::ThreadPool& pool();
 
  private:
@@ -145,9 +148,10 @@ class Session {
   std::string journal_dir_;
   std::uint64_t topo_h_ = 0;
   std::uint64_t scen_h_ = 0;
-  // Lives for the whole run, so period N+1 starts from period N's optimal
-  // vertex. Scoped, hence thread-local: it serves solves on the thread
-  // that created the session (the daemon's single poll loop).
+  // Opened by prepare() and lives for the rest of the run, so period N+1
+  // starts from period N's optimal vertex. Scoped: it serves solves on the
+  // thread that prepared the session (the daemon's single poll loop) and
+  // the pool work that thread fans out.
   std::optional<solver::ScopedWarmStartCache> warm_;
   std::optional<StateJournal> journal_;
 

@@ -196,11 +196,9 @@ SweepResult run_sweep(const topo::Network& net,
     const te::ArrowPrepared& prep = prepared[static_cast<std::size_t>(job.mi)];
     const auto& mcache = caches[static_cast<std::size_t>(job.mi)];
     const te::RestorabilityCache* rcache = mcache ? &*mcache : nullptr;
-    // Model builds inside a chain stay on this worker thread (the chains
-    // themselves are the parallelism). With the Phase I decomposition
-    // enabled this also runs its per-scenario sub-LPs inline, which keeps
-    // the chain's ambient hooks (warm-start cache, fault observers,
-    // deadlines) visible to every sub-LP solve.
+    // Model builds inside a chain stay on this worker thread: the chains
+    // themselves are the parallelism, and fanning out again onto the pool
+    // that runs this chain could deadlock it.
     util::ThreadPool chain_pool(1);
     std::optional<solver::ScopedWarmStartCache> cache;
     if (params.warm_start) cache.emplace();

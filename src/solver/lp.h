@@ -12,6 +12,7 @@
 // Bland's rule as an anti-cycling fallback.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -64,20 +65,14 @@ const char* to_string(LpStatus s);
 
 enum class Pricing {
   kDantzig,      // most-negative reduced cost, fully recomputed every
-                 // iteration. The slow-but-simple cross-check oracle: no
-                 // incremental state to drift, so the other modes are tested
-                 // against it.
-  kDevex,        // approximate steepest edge with per-iteration full reduced-
-                 // cost recomputation (the pre-incremental default).
+                 // iteration. The slow-but-simple cross-check oracle (and the
+                 // relaxed-retry rung): no incremental state to drift, so the
+                 // default mode is tested against it.
   kIncremental,  // Devex weights + reduced costs *updated* from the pivot row
                  // after each basis change (default). Phase 2 prices from a
                  // maintained vector refreshed at every refactorization;
                  // phase 1 (whose composite costs mutate each pivot) prices
                  // via the row-major mirror, skipping zero-dual rows.
-  kPartial,      // kIncremental plus a candidate list: only columns that were
-                 // improving at the last full refresh are scanned for the
-                 // entering choice, with periodic full refreshes to bound
-                 // drift (see SimplexOptions::partial_* below).
 };
 
 struct SimplexOptions {
@@ -93,11 +88,6 @@ struct SimplexOptions {
   // full space. The returned x/dual/reduced_cost/basis are always full-space,
   // so warm-start chaining and the BasisStore are unaffected.
   bool presolve = true;
-  // kPartial: cap on the candidate list kept at each full refresh
-  // (0 = automatic: max(64, n/8)), and how many pivots the list may serve
-  // before the next full refresh rebuilds it.
-  int partial_candidates = 0;
-  int partial_refresh_interval = 32;
   // Wall-clock bound on this solve (util::mono_now_s timeline; unset = none).
   // Combined with any ambient ScopedSolveDeadline: the earlier expiry wins.
   util::Deadline deadline;
@@ -162,12 +152,34 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options = {},
 
 // --- ambient solve hooks ---------------------------------------------------
 //
-// Both hooks are thread-local and scoped. Production call sites stay
-// hook-free; a region of code (the controller's degradation-ladder retry,
-// the resilience fault-injection harness) can wrap itself in a guard and
-// affect every solve_lp() that happens inside it, however deep in the call
-// stack the Model lives. Nesting is allowed — the innermost guard wins and
-// the previous one is restored on destruction.
+// Production call sites stay hook-free; a region of code (the controller's
+// degradation-ladder retry, the resilience fault-injection harness) can wrap
+// itself in a scoped guard and affect every solve_lp() that happens inside
+// it, however deep in the call stack the Model lives. Nesting is allowed —
+// the innermost guard wins and the previous one is restored on destruction.
+//
+// One context, four guards: ScopedSimplexOverride, ScopedWarmStartCache,
+// ScopedBasisTag and ScopedSolveDeadline each install a SolveContext — a copy
+// of the enclosing one with its own field set — in util's task-context slot
+// (util/parallel.h). util::ThreadPool carries that slot onto its workers, so
+// these four follow work fanned out with submit()/parallel_for: a solve on a
+// worker sees exactly the override, cache, tag and deadlines of the code
+// that fanned it out. Guards must therefore outlive the tasks submitted
+// under them. ScopedSolveObserver is the exception: it stays per-thread
+// (see below).
+
+class ScopedWarmStartCache;
+class ScopedSolveDeadline;
+
+// The ambient state the four propagating guards install. Read it through
+// the guards' static active() accessors.
+struct SolveContext {
+  const SimplexOptions* simplex_override = nullptr;
+  ScopedWarmStartCache* warm_cache = nullptr;
+  std::uint64_t basis_tag = 0;
+  ScopedSolveDeadline* deadline = nullptr;  // innermost deadline guard
+  const void* enclosing = nullptr;  // the slot's value before this one
+};
 
 // Replaces the caller-supplied SimplexOptions for every solve in scope.
 // Used by the ladder's "relaxed retry" rung (Dantzig pricing, raised
@@ -179,18 +191,23 @@ class ScopedSimplexOverride {
   ScopedSimplexOverride(const ScopedSimplexOverride&) = delete;
   ScopedSimplexOverride& operator=(const ScopedSimplexOverride&) = delete;
 
-  // The override in effect on this thread (nullptr when none).
+  // The override in effect (nullptr when none).
   static const SimplexOptions* active();
 
  private:
   SimplexOptions options_;
-  const SimplexOptions* previous_;
+  SolveContext context_;
 };
 
 // Observes — and may rewrite — every LpSolution produced by solve_lp in
 // scope. The simplex runs for real before the observer sees the result, so
 // a fault injector that overrides `status` still exercises genuine solver
 // state and the caller's true failure-handling paths.
+//
+// Per-thread by contract: pool workers do NOT inherit an observer. Observers
+// expect single-thread calls in program order (the fault injector's
+// sequential RNG streams, perfbench's LpCapture), so code that must keep an
+// active observer in view runs its work inline (ctrl::Session::pool()).
 using SolveObserver = std::function<void(const Lp& lp, LpSolution& solution)>;
 
 class ScopedSolveObserver {
@@ -224,11 +241,10 @@ struct WarmKey {
   }
 };
 
-// Tags the ambient warm-start key for every solve_lp() in scope on this
-// thread (same scoped thread-local discipline as the other hooks; nesting
-// shadows, destruction restores). The decomposition wraps each sub-LP solve
-// in a guard carrying that scenario's tag so chained re-solves of scenario q
-// warm-start from scenario q's own basis and never from a neighbor's.
+// Tags the ambient warm-start key for every solve_lp() in scope. The
+// decomposition wraps each sub-LP solve in a guard carrying that scenario's
+// tag so chained re-solves of scenario q warm-start from scenario q's own
+// basis and never from a neighbor's.
 class ScopedBasisTag {
  public:
   explicit ScopedBasisTag(std::uint64_t tag);
@@ -236,15 +252,14 @@ class ScopedBasisTag {
   ScopedBasisTag(const ScopedBasisTag&) = delete;
   ScopedBasisTag& operator=(const ScopedBasisTag&) = delete;
 
-  // The tag in effect on this thread (0 when none).
+  // The tag in effect (0 when none).
   static std::uint64_t active();
 
  private:
-  std::uint64_t previous_;
+  SolveContext context_;
 };
 
-// Ambient warm-start cache (same thread-local scoped discipline as the two
-// hooks above). While in scope, every solve_lp() on this thread looks up a
+// Ambient warm-start cache. While in scope, every solve_lp() looks up a
 // stored basis keyed by the LP's (rows, cols) shape and the active
 // ScopedBasisTag before falling back to the all-slack start, and stores its
 // final basis back after an optimal finish. A chain of same-shaped re-solves
@@ -255,12 +270,10 @@ class ScopedBasisTag {
 // just a poor starting vertex, and phase 1 (or the cold retry) restores
 // correctness.
 //
-// Thread-safety: find/lookup/store/preload are serialized by an internal
-// mutex, so pool workers solving the decomposition's per-scenario sub-LPs
-// may consult the owning chain's cache concurrently (std::map node pointers
-// stay valid under inserts of other keys, so a pointer returned by find()
-// remains usable after the lock is released). entries()/hits()/stores() are
-// snapshot accessors — call them after parallel work has quiesced.
+// Thread-safety: find/store/preload are serialized by an internal mutex, so
+// pool workers that inherited the cache may solve concurrently; find copies
+// the basis out under the lock. entries()/hits()/stores() are snapshot
+// accessors — call them after parallel work has quiesced.
 class ScopedWarmStartCache {
  public:
   ScopedWarmStartCache();
@@ -270,10 +283,8 @@ class ScopedWarmStartCache {
 
   static ScopedWarmStartCache* active();
 
-  // Counts a hit when an entry exists.
-  const Basis* find(int rows, int cols, std::uint64_t tag = 0);
-  // Copy-out variant for cross-thread use (counts a hit exactly like find).
-  bool lookup(int rows, int cols, std::uint64_t tag, Basis* out);
+  // Copies the entry into *out and counts a hit when one exists.
+  bool find(int rows, int cols, std::uint64_t tag, Basis* out);
   void store(int rows, int cols, Basis basis, std::uint64_t tag = 0);
 
   // Seeds an entry without counting it as a store — how BasisStore::seed
@@ -292,16 +303,16 @@ class ScopedWarmStartCache {
   std::map<WarmKey, Basis> entries_;
   int hits_ = 0;
   int stores_ = 0;
-  ScopedWarmStartCache* previous_;
+  SolveContext context_;
 };
 
-// Imposes a wall-clock deadline on every solve_lp() in scope on this thread
-// (same scoped thread-local discipline as the hooks above), and counts the
+// Imposes a wall-clock deadline on every solve_lp() in scope, and counts the
 // timeouts that occur under it. Unlike the other hooks, nesting does not
 // shadow: the EFFECTIVE deadline is the earliest across the whole chain plus
 // the caller's SimplexOptions::deadline, so an outer "whole run" budget can
 // never be loosened by an inner rung guard. A timeout is counted on every
-// guard in the chain, letting both the rung and the run observe it.
+// guard in the chain, letting both the rung and the run observe it — also
+// when the timed-out solve ran on a pool worker, hence the atomic count.
 class ScopedSolveDeadline {
  public:
   explicit ScopedSolveDeadline(const util::Deadline& deadline);
@@ -313,18 +324,14 @@ class ScopedSolveDeadline {
   static util::Deadline active_deadline();
   // Called by solve_lp when a solve finishes kTimedOut: bumps every guard.
   static void note_timeout();
-  // True when any guard is live on this thread. Work fanned onto pool
-  // workers (whose chains are empty) uses this to know whether a timeout
-  // there was already counted, and replays uncounted ones onto the caller's
-  // chain afterwards.
-  static bool any_active();
 
   int timeouts() const { return timeouts_; }
 
  private:
   util::Deadline deadline_;
-  int timeouts_ = 0;
+  std::atomic<int> timeouts_{0};
   ScopedSolveDeadline* previous_;
+  SolveContext context_;
 };
 
 // Verification helper (used heavily in tests): returns the maximum violation

@@ -10,16 +10,15 @@
 //  * phase 2 minimizes the true cost; both phases share pricing, FTRAN and
 //    the two-pass (Harris-lite) ratio test;
 //  * pricing runs off a row-major mirror of A built once per solve. Full
-//    passes (Dantzig/Devex, phase 1, and incremental refreshes) accumulate
+//    passes (Dantzig, phase 1, and incremental refreshes) accumulate
 //    d = c - A'y row by row, skipping rows with y == 0 — bit-identical to
 //    the per-column CSC dot because column entries arrive in the same
 //    ascending-row order. The default kIncremental mode *updates* phase-2
 //    reduced costs from the pivot row after each basis change
 //    (d_j -= theta_d * alpha_j with alpha = rho'A, rho = B^{-T}e_p) and
 //    folds the Devex weight update into the same sparse pass, replacing the
-//    old O(n*nnz) per-pivot sweep; kPartial adds a candidate list with
-//    periodic full refreshes. Every claimed optimum from maintained reduced
-//    costs is confirmed against a fresh full pass before returning.
+//    old O(n*nnz) per-pivot sweep. Every claimed optimum from maintained
+//    reduced costs is confirmed against a fresh full pass before returning.
 //  * the basis inverse is a Markowitz-ordered sparse LU (LuBasis) with
 //    product-form updates, refreshed every `refactor_interval` pivots or
 //    when the eta file grows dense; each refresh also refreshes the
@@ -41,6 +40,7 @@
 #include "solver/basis.h"
 #include "solver/presolve.h"
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace arrow::solver {
 
@@ -380,12 +380,10 @@ class Simplex {
     pricing_candidates_ += n_;
   }
 
-  // Entering-column choice from the current d_. Scans the partial candidate
-  // list when `use_list`, the full column range otherwise. Dantzig scores by
-  // |d|; every other mode by the Devex ratio d^2 / w_j. Bland's rule takes
-  // the lowest improving index.
-  int select_entering(int phase, bool bland, bool use_list, int* dir_out) {
-    (void)phase;
+  // Entering-column choice from the current d_. Dantzig scores by |d|,
+  // incremental by the Devex ratio d^2 / w_j. Bland's rule takes the lowest
+  // improving index.
+  int select_entering(bool bland, int* dir_out) {
     const bool devex_score = opt_.pricing != Pricing::kDantzig;
     int entering = -1;
     int dir = 0;
@@ -417,51 +415,11 @@ class Simplex {
       }
       return false;
     };
-    if (use_list) {
-      for (int j : cand_) {
-        if (consider(j)) break;
-      }
-    } else {
-      for (int j = 0; j < n_; ++j) {
-        if (consider(j)) break;
-      }
+    for (int j = 0; j < n_; ++j) {
+      if (consider(j)) break;
     }
     *dir_out = dir;
     return entering;
-  }
-
-  // kPartial: keep the best improving columns from the last full refresh.
-  // Deterministic: sorted by (score desc, index asc), capped at
-  // partial_candidates (0 = max(64, n/8)).
-  void rebuild_candidates() {
-    const bool devex_score = opt_.pricing != Pricing::kDantzig;
-    scratch_cand_.clear();
-    for (int j = 0; j < n_; ++j) {
-      const VStat st = vstat_[static_cast<std::size_t>(j)];
-      if (st == VStat::kBasic) continue;
-      const double d = d_[static_cast<std::size_t>(j)];
-      const bool improving =
-          ((st == VStat::kAtLower || st == VStat::kFree) &&
-           d < -opt_.opt_tol) ||
-          ((st == VStat::kAtUpper || st == VStat::kFree) && d > opt_.opt_tol);
-      if (!improving) continue;
-      const double score = devex_score
-                               ? d * d / devex_w_[static_cast<std::size_t>(j)]
-                               : std::abs(d);
-      scratch_cand_.emplace_back(score, j);
-    }
-    std::sort(scratch_cand_.begin(), scratch_cand_.end(),
-              [](const std::pair<double, int>& a,
-                 const std::pair<double, int>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    const std::size_t cap = static_cast<std::size_t>(
-        opt_.partial_candidates > 0 ? opt_.partial_candidates
-                                    : std::max(64, n_ / 8));
-    if (scratch_cand_.size() > cap) scratch_cand_.resize(cap);
-    cand_.clear();
-    for (const auto& sc : scratch_cand_) cand_.push_back(sc.second);
   }
 
   LpStatus iterate(int phase) {
@@ -473,17 +431,13 @@ class Simplex {
     // Incremental reduced costs only work in phase 2: the phase-1 composite
     // costs mutate with every pivot, so phase 1 always full-prices (cheaply,
     // through the row mirror — the phase-1 dual vector is typically sparse).
-    const bool inc_mode = phase == 2 &&
-                          (opt_.pricing == Pricing::kIncremental ||
-                           opt_.pricing == Pricing::kPartial);
-    const bool partial = phase == 2 && opt_.pricing == Pricing::kPartial;
+    const bool inc_mode = phase == 2 && opt_.pricing == Pricing::kIncremental;
     devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
     y_.assign(static_cast<std::size_t>(m_), 0.0);
     d_.assign(static_cast<std::size_t>(n_), 0.0);
     alpha_work_.assign(static_cast<std::size_t>(n_), 0.0);
     touched_mark_.assign(static_cast<std::size_t>(n_), 0);
     bool dual_fresh = false;    // inc_mode: d_ valid for the current basis
-    int pivots_since_refresh = 0;
     // Deadline checks happen at the loop head, every deadline_check_interval
     // passes (plus once on entry). The clock is only read when a deadline is
     // actually set, so unbudgeted solves never touch the clock seam and stay
@@ -510,39 +464,23 @@ class Simplex {
 
       const bool bland = degenerate_streak > opt_.bland_threshold;
 
-      // Pricing. Non-incremental modes recompute every reduced cost;
-      // incremental mode refreshes on basis-refactorization, on the partial
-      // schedule, and whenever Bland's rule needs exact values everywhere.
+      // Pricing. Outside incremental mode every pass recomputes every
+      // reduced cost; incremental mode refreshes on basis refactorization.
       bool refreshed = false;
-      if (!inc_mode) {
-        full_price(phase);
-        refreshed = true;
-      } else if (!dual_fresh ||
-                 (partial &&
-                  (bland ||
-                   pivots_since_refresh >= opt_.partial_refresh_interval))) {
+      if (!inc_mode || !dual_fresh) {
         full_price(phase);
         dual_fresh = true;
-        pivots_since_refresh = 0;
-        if (partial) rebuild_candidates();
         refreshed = true;
       }
 
-      const bool use_list = partial && !bland;
       int dir = 0;
-      int entering = select_entering(phase, bland, use_list, &dir);
-      if (entering < 0 && inc_mode) {
-        // Maintained (or truncated-list) reduced costs claim optimality:
-        // confirm against an exact full pass before believing them.
-        if (!refreshed) {
-          full_price(phase);
-          dual_fresh = true;
-          pivots_since_refresh = 0;
-          if (partial) rebuild_candidates();
-        }
-        if (!refreshed || use_list) {
-          entering = select_entering(phase, bland, /*use_list=*/false, &dir);
-        }
+      int entering = select_entering(bland, &dir);
+      if (entering < 0 && !refreshed) {
+        // Maintained reduced costs claim optimality: confirm against an
+        // exact full pass before believing them.
+        full_price(phase);
+        dual_fresh = true;
+        entering = select_entering(bland, &dir);
       }
       if (entering < 0) {
         // Phase 1: stalled with residual infeasibility => infeasible (checked
@@ -809,7 +747,6 @@ class Simplex {
       vstat_[static_cast<std::size_t>(leaving)] =
           std::abs(leave_target - leave_lo) <= opt_.feas_tol ? VStat::kAtLower
                                                              : VStat::kAtUpper;
-      if (inc_mode) ++pivots_since_refresh;
       if (devex_reset) {
         // Reference framework degraded: restart the weights.
         devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
@@ -902,19 +839,30 @@ class Simplex {
   std::vector<double> alpha_work_; // pivot-row scatter workspace (zeroed)
   std::vector<char> touched_mark_;
   std::vector<int> touched_;
-  std::vector<int> cand_;          // kPartial candidate list
-  std::vector<std::pair<double, int>> scratch_cand_;
   std::vector<int> row_start_;     // row-major mirror of lp_.a
   std::vector<int> row_col_;
   std::vector<double> row_val_;
   LuBasis inv_;
 };
 
-thread_local const SimplexOptions* active_simplex_override = nullptr;
+// The observer is the one per-thread hook (lp.h); the other four live in
+// the SolveContext installed in util's task-context slot.
 thread_local SolveObserver* active_solve_observer = nullptr;
-thread_local ScopedWarmStartCache* active_warm_cache = nullptr;
-thread_local ScopedSolveDeadline* active_solve_deadline = nullptr;
-thread_local std::uint64_t active_basis_tag = 0;
+
+const SolveContext& current_context() {
+  static const SolveContext kNone;
+  const void* installed = util::task_context();
+  return installed != nullptr ? *static_cast<const SolveContext*>(installed)
+                              : kNone;
+}
+
+// A copy of the installed context that remembers it as `enclosing`: a
+// guard sets its own field on the copy and installs it.
+SolveContext nested_context() {
+  SolveContext context = current_context();
+  context.enclosing = util::task_context();
+  return context;
+}
 
 // Runs the simplex with the standard warm-retry contract: a warm-started
 // solve that ends in numerical error is retried cold from the all-slack
@@ -950,16 +898,17 @@ LpSolution run_simplex(const Lp& lp, const SimplexOptions& opt,
 }  // namespace
 
 ScopedSimplexOverride::ScopedSimplexOverride(const SimplexOptions& options)
-    : options_(options), previous_(active_simplex_override) {
-  active_simplex_override = &options_;
+    : options_(options), context_(nested_context()) {
+  context_.simplex_override = &options_;
+  util::set_task_context(&context_);
 }
 
 ScopedSimplexOverride::~ScopedSimplexOverride() {
-  active_simplex_override = previous_;
+  util::set_task_context(context_.enclosing);
 }
 
 const SimplexOptions* ScopedSimplexOverride::active() {
-  return active_simplex_override;
+  return current_context().simplex_override;
 }
 
 ScopedSolveObserver::ScopedSolveObserver(SolveObserver observer)
@@ -973,30 +922,33 @@ ScopedSolveObserver::~ScopedSolveObserver() {
 
 SolveObserver* ScopedSolveObserver::active() { return active_solve_observer; }
 
-ScopedWarmStartCache::ScopedWarmStartCache() : previous_(active_warm_cache) {
-  active_warm_cache = this;
+ScopedWarmStartCache::ScopedWarmStartCache() : context_(nested_context()) {
+  context_.warm_cache = this;
+  util::set_task_context(&context_);
 }
 
 ScopedWarmStartCache::~ScopedWarmStartCache() {
-  active_warm_cache = previous_;
+  util::set_task_context(context_.enclosing);
 }
 
 ScopedWarmStartCache* ScopedWarmStartCache::active() {
-  return active_warm_cache;
+  return current_context().warm_cache;
 }
 
 ScopedSolveDeadline::ScopedSolveDeadline(const util::Deadline& deadline)
-    : deadline_(deadline), previous_(active_solve_deadline) {
-  active_solve_deadline = this;
+    : deadline_(deadline), context_(nested_context()) {
+  previous_ = context_.deadline;
+  context_.deadline = this;
+  util::set_task_context(&context_);
 }
 
 ScopedSolveDeadline::~ScopedSolveDeadline() {
-  active_solve_deadline = previous_;
+  util::set_task_context(context_.enclosing);
 }
 
 util::Deadline ScopedSolveDeadline::active_deadline() {
   util::Deadline d;
-  for (ScopedSolveDeadline* g = active_solve_deadline; g != nullptr;
+  for (const ScopedSolveDeadline* g = current_context().deadline; g != nullptr;
        g = g->previous_) {
     d = util::Deadline::earlier(d, g->deadline_);
   }
@@ -1004,38 +956,26 @@ util::Deadline ScopedSolveDeadline::active_deadline() {
 }
 
 void ScopedSolveDeadline::note_timeout() {
-  for (ScopedSolveDeadline* g = active_solve_deadline; g != nullptr;
+  for (ScopedSolveDeadline* g = current_context().deadline; g != nullptr;
        g = g->previous_) {
     ++g->timeouts_;
   }
 }
 
-bool ScopedSolveDeadline::any_active() {
-  return active_solve_deadline != nullptr;
+ScopedBasisTag::ScopedBasisTag(std::uint64_t tag)
+    : context_(nested_context()) {
+  context_.basis_tag = tag;
+  util::set_task_context(&context_);
 }
 
-ScopedBasisTag::ScopedBasisTag(std::uint64_t tag) : previous_(active_basis_tag) {
-  active_basis_tag = tag;
+ScopedBasisTag::~ScopedBasisTag() {
+  util::set_task_context(context_.enclosing);
 }
 
-ScopedBasisTag::~ScopedBasisTag() { active_basis_tag = previous_; }
+std::uint64_t ScopedBasisTag::active() { return current_context().basis_tag; }
 
-std::uint64_t ScopedBasisTag::active() { return active_basis_tag; }
-
-const Basis* ScopedWarmStartCache::find(int rows, int cols,
-                                        std::uint64_t tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(WarmKey{rows, cols, tag});
-  if (it == entries_.end()) return nullptr;
-  ++hits_;
-  // Map nodes are stable under inserts of other keys, and distinct
-  // (shape, tag) keys are never overwritten concurrently in our use, so the
-  // pointer stays valid past the lock.
-  return &it->second;
-}
-
-bool ScopedWarmStartCache::lookup(int rows, int cols, std::uint64_t tag,
-                                  Basis* out) {
+bool ScopedWarmStartCache::find(int rows, int cols, std::uint64_t tag,
+                                Basis* out) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(WarmKey{rows, cols, tag});
   if (it == entries_.end()) return false;
@@ -1063,17 +1003,20 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
   ARROW_CHECK(lp.a.cols == static_cast<int>(lp.lower.size()), "lower size");
   ARROW_CHECK(lp.a.cols == static_cast<int>(lp.upper.size()), "upper size");
   ARROW_CHECK(lp.a.rows == static_cast<int>(lp.rhs.size()), "rhs size");
-  const SimplexOptions* override = ScopedSimplexOverride::active();
-  SimplexOptions opt = override ? *override : options;
+  const SolveContext& context = current_context();
+  SimplexOptions opt =
+      context.simplex_override ? *context.simplex_override : options;
   // The binding deadline is the earliest of the caller's and every ambient
   // guard's — an override (which replaces the caller's options wholesale)
   // can therefore never loosen a budget imposed by an enclosing scope.
   opt.deadline = util::Deadline::earlier(opt.deadline,
                                          ScopedSolveDeadline::active_deadline());
-  ScopedWarmStartCache* cache = ScopedWarmStartCache::active();
+  ScopedWarmStartCache* cache = context.warm_cache;
   const Basis* warm = warm_start;
-  if (warm == nullptr && cache != nullptr) {
-    warm = cache->find(lp.a.rows, lp.a.cols, ScopedBasisTag::active());
+  Basis cached;
+  if (warm == nullptr && cache != nullptr &&
+      cache->find(lp.a.rows, lp.a.cols, context.basis_tag, &cached)) {
+    warm = &cached;
   }
   OBS_SPAN("lp_solve");
   const auto solve_t0 = std::chrono::steady_clock::now();
@@ -1129,7 +1072,7 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
     // A timed-out basis is the furthest vertex the budget bought; storing it
     // lets the retry (or the next period's solve) resume from there instead
     // of repeating the pivots already paid for.
-    cache->store(lp.a.rows, lp.a.cols, sol.basis, ScopedBasisTag::active());
+    cache->store(lp.a.rows, lp.a.cols, sol.basis, context.basis_tag);
   }
   if (sol.status == LpStatus::kTimedOut) {
     static obs::Counter& timeouts =

@@ -845,16 +845,6 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
         input.affected_flows(q).size(), 0);
   }
 
-  // Ambient context captured on the calling thread: pool workers have empty
-  // hook chains (util/parallel.h), so the sub-LP bodies re-establish the
-  // warm-start chain by explicit lookup/store and the deadline via
-  // SimplexOptions. Inline execution (ThreadPool(1), or a pool that runs the
-  // body on the caller) keeps the ambient path — the `cross_thread` test
-  // below distinguishes the two per body invocation.
-  solver::ScopedWarmStartCache* chain = solver::ScopedWarmStartCache::active();
-  const util::Deadline ambient_deadline =
-      solver::ScopedSolveDeadline::active_deadline();
-
   struct PerScenario {
     std::vector<std::size_t> new_cover_idx;       // into affected_flows(q)
     std::vector<solver::LinExpr> new_cover;       // parallel to new_cover_idx
@@ -863,7 +853,6 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
     double cut_rhs = 0.0;
     bool sub_ran = false;
     bool sub_failed = false;
-    bool sub_timeout_uncounted = false;
     long long iters = 0, prows = 0, pcols = 0, pcand = 0;
   };
 
@@ -1002,38 +991,17 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
           row.push_back(d);
         }
       }
-      sub.simplex_options().deadline = ambient_deadline;
-      const std::uint64_t tag = sub_lp_tag(q);
-      const int rows = sub.num_constrs();
-      const int cols = sub.num_vars() + sub.num_constrs();
-      const bool cross_thread =
-          chain != nullptr && solver::ScopedWarmStartCache::active() != chain;
-      solver::SolveResult sres;
-      if (cross_thread) {
-        solver::Basis warm;
-        const bool have = chain->lookup(rows, cols, tag, &warm);
-        sres = sub.solve(have ? &warm : nullptr);
-        if ((sres.status == solver::SolveStatus::kOptimal ||
-             sres.status == solver::SolveStatus::kTimedOut) &&
-            !sres.basis.empty()) {
-          chain->store(rows, cols, sres.basis, tag);
-        }
-      } else {
-        solver::ScopedBasisTag guard(tag);
-        sres = sub.solve();
-      }
+      solver::ScopedBasisTag guard(sub_lp_tag(q));
+      const solver::SolveResult sres = sub.solve();
       s.sub_ran = true;
       s.sub_failed = !sres.optimal();
-      s.sub_timeout_uncounted =
-          sres.status == solver::SolveStatus::kTimedOut &&
-          !solver::ScopedSolveDeadline::any_active();
       s.iters = sres.simplex_iterations;
       s.prows = sres.presolve_rows_removed;
       s.pcols = sres.presolve_cols_removed;
       s.pcand = sres.pricing_candidates;
     });
 
-    // Serial fixed-q-order merge: telemetry, timeout replay, row append.
+    // Serial fixed-q-order merge: telemetry and row append.
     bool appended = false;
     bool sub_failed = false;
     for (int q = 0; q < Q; ++q) {
@@ -1045,9 +1013,6 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
         out.presolve_cols_removed += s.pcols;
         out.pricing_candidates += s.pcand;
         sub_failed = sub_failed || s.sub_failed;
-        // A worker-side timeout never saw the caller's deadline guards;
-        // replay it so ladder/run accounting matches inline execution.
-        if (s.sub_timeout_uncounted) solver::ScopedSolveDeadline::note_timeout();
       }
       for (std::size_t i = 0; i < s.new_cover.size(); ++i) {
         master.add_constr(s.new_cover[i], solver::Sense::kGe, 0.0);

@@ -39,7 +39,27 @@ obs::Histogram& task_seconds_histogram() {
   return h;
 }
 
+thread_local const void* t_task_context = nullptr;
+
+// Installs a task's captured context for its lifetime on this thread.
+class TaskContextScope {
+ public:
+  explicit TaskContextScope(const void* context) : saved_(t_task_context) {
+    t_task_context = context;
+  }
+  ~TaskContextScope() { t_task_context = saved_; }
+  TaskContextScope(const TaskContextScope&) = delete;
+  TaskContextScope& operator=(const TaskContextScope&) = delete;
+
+ private:
+  const void* saved_;
+};
+
 }  // namespace
+
+const void* task_context() { return t_task_context; }
+
+void set_task_context(const void* context) { t_task_context = context; }
 
 ThreadPool::ThreadPool(int threads) {
   threads_ = threads > 0 ? threads : default_thread_count();
@@ -108,7 +128,8 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   // Record a throwing task's exception with the pool before the
   // packaged_task captures it for the future: a discarded future then
   // still surfaces the failure at the next wait().
-  auto body = [this, task = std::move(task)] {
+  auto body = [this, context = t_task_context, task = std::move(task)] {
+    TaskContextScope scope(context);
     try {
       task();
     } catch (...) {

@@ -6,11 +6,14 @@
 // counter-seeded util::Rng streams (see util::stream_seed) — so results are
 // bit-identical at any thread count, including the inline threads == 1 case.
 //
-// Ambient solver hooks (solver::ScopedSimplexOverride / ScopedSolveObserver)
-// are thread-local and do NOT propagate onto pool workers. Call sites that
-// must honor an active hook (the controller under a fault drill) run inline
-// by constructing a ThreadPool(1), which executes everything on the caller's
-// thread with no workers at all.
+// Task context: util owns one opaque per-thread slot that a higher layer
+// (the solver's scoped guards, solver/lp.h) points at its ambient state.
+// submit() — and therefore parallel_for() — captures the submitting thread's
+// slot and installs it on the worker for the task's lifetime, restoring the
+// worker's own value afterwards, so work behaves the same on a worker as
+// inline on the caller. What the slot points at must outlive every task
+// submitted under it: parallel_for blocks until its tasks finish; a submit()
+// caller joins the future (or wait()s) before leaving the guard's scope.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +77,10 @@ class ThreadPool {
   std::exception_ptr first_error_;   // first undelivered task exception
   bool stop_ = false;
 };
+
+// This thread's task-context slot (nullptr when nothing is installed).
+const void* task_context();
+void set_task_context(const void* context);
 
 // ARROW_THREADS env override when set to a positive integer, otherwise
 // std::thread::hardware_concurrency() (at least 1). Read on every call so

@@ -1,12 +1,21 @@
 // Tests for the event-driven WAN controller simulation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "controller/controller.h"
+#include "controller/ladder.h"
+#include "schemes/scheme.h"
+#include "solver/lp.h"
+#include "te/arrow.h"
+#include "te/basic.h"
 #include "topo/builders.h"
+#include "util/parallel.h"
 
 namespace arrow::ctrl {
 namespace {
@@ -187,6 +196,99 @@ TEST_F(ControllerFixture, RunReportMatchesGoldenForEveryScheme) {
                     << ".actual";
     }
   }
+}
+
+// Delegates to a real scheme after probing the pool it was handed: counts
+// fan-out bodies that ran off the caller's thread with the caller's simplex
+// override in force (the relaxed rung's condition).
+class PoolProbe : public schemes::Scheme {
+ public:
+  explicit PoolProbe(std::unique_ptr<schemes::Scheme> inner)
+      : inner_(std::move(inner)) {}
+  const std::string& name() const override { return inner_->name(); }
+  schemes::Capabilities capabilities() const override {
+    return inner_->capabilities();
+  }
+  te::TeSolution solve(const te::TeInput& input,
+                       const te::ArrowPrepared& prepared,
+                       util::ThreadPool& pool,
+                       const te::RestorabilityCache* cache) override {
+    if (solver::ScopedSimplexOverride::active() != nullptr) {
+      const auto caller = std::this_thread::get_id();
+      pool.parallel_for(0, 16, [&](int) {
+        if (std::this_thread::get_id() != caller &&
+            solver::ScopedSimplexOverride::active() != nullptr) {
+          relaxed_off_caller++;
+        }
+      });
+    }
+    return inner_->solve(input, prepared, pool, cache);
+  }
+
+  std::atomic<int> relaxed_off_caller{0};
+
+ private:
+  std::unique_ptr<schemes::Scheme> inner_;
+};
+
+// The relaxed-retry rung runs on the caller's pool: its override follows
+// the model builds onto the workers, so the period's outcome is the same on
+// eight threads as inline.
+TEST(Ladder, RelaxedRungOnEightThreadsMatchesInline) {
+  const topo::Network net = topo::build_b4();
+  util::Rng rng(7);
+  traffic::TrafficParams tp;
+  tp.num_matrices = 1;
+  const auto tms = traffic::generate_traffic(net, tp, rng);
+  scenario::ScenarioParams sp;
+  sp.probability_cutoff = 0.002;
+  const auto scenarios = scenario::remove_disconnecting(
+      net, scenario::generate_scenarios(net, sp, rng).scenarios);
+  te::TunnelParams tun;
+  tun.tunnels_per_flow = 4;
+  te::TeInput input(net, tms[0], scenarios, tun);
+  input.scale_demands(0.5 * te::max_satisfiable_scale(input));
+  schemes::SchemeOptions options;
+  options.arrow.tickets.num_tickets = 4;
+  util::ThreadPool inline_pool(1);
+  const auto prepared =
+      te::prepare_arrow(input, options.arrow, rng, inline_pool);
+  const te::RestorabilityCache rcache(input, prepared, inline_pool);
+
+  const auto run = [&](util::ThreadPool& pool, int* off_caller) {
+    PoolProbe scheme(schemes::Registry::global().create("ARROW", options));
+    // Fail the primary rung's first LP (solved on this thread, where the
+    // observer lives) so the relaxed rung serves the period.
+    int solves = 0;
+    solver::ScopedSolveObserver fail_first(
+        [&](const solver::Lp&, solver::LpSolution& solution) {
+          if (solves++ == 0) solution.status = solver::LpStatus::kNumericalError;
+        });
+    LadderOutcome out = solve_with_ladder(scheme, input, prepared, nullptr,
+                                          &rcache, pool, util::Deadline(),
+                                          nullptr);
+    *off_caller = scheme.relaxed_off_caller.load();
+    return out;
+  };
+  util::ThreadPool one(1), eight(8);
+  int off_one = 0, off_eight = 0;
+  const LadderOutcome a = run(one, &off_one);
+  const LadderOutcome b = run(eight, &off_eight);
+  ASSERT_EQ(a.rung, Rung::kRelaxedRetry);
+  ASSERT_TRUE(a.sol.optimal);
+  EXPECT_EQ(b.rung, a.rung);
+  EXPECT_EQ(b.sol.optimal, a.sol.optimal);
+  EXPECT_EQ(b.sol.objective, a.sol.objective);
+  EXPECT_EQ(b.sol.admitted, a.sol.admitted);
+  EXPECT_EQ(b.sol.alloc, a.sol.alloc);
+  EXPECT_EQ(b.stats.iterations, a.stats.iterations);
+  EXPECT_EQ(b.stats.presolve_rows, a.stats.presolve_rows);
+  EXPECT_EQ(b.stats.presolve_cols, a.stats.presolve_cols);
+  EXPECT_EQ(b.stats.pricing_candidates, a.stats.pricing_candidates);
+  EXPECT_EQ(b.stats.timeouts, a.stats.timeouts);
+  EXPECT_EQ(b.stats.backoff_retries, a.stats.backoff_retries);
+  EXPECT_EQ(off_one, 0);
+  EXPECT_GT(off_eight, 0);
 }
 
 TEST(FailureTrace, RespectsHorizonAndRates) {

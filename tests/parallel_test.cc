@@ -48,9 +48,8 @@ TEST(ThreadPool, SingleThreadRunsInlineOnCaller) {
   EXPECT_EQ(seen_submit, caller);
 }
 
-// The reason the controller drops to ThreadPool(1) under a fault drill:
-// ambient solver hooks are thread-local, so only the inline pool keeps them
-// visible to the work it runs.
+// Inline mode runs every body on the caller's thread, so every hook —
+// including the per-thread observer — stays visible to the work.
 TEST(ThreadPool, InlinePoolSeesAmbientHooks) {
   solver::SimplexOptions opt;
   opt.max_iterations = 1234;
@@ -64,14 +63,104 @@ TEST(ThreadPool, InlinePoolSeesAmbientHooks) {
   EXPECT_TRUE(seen);
 }
 
-TEST(ThreadPool, WorkersDoNotInheritAmbientHooks) {
+// Solver context follows the work: a task on a worker sees the override,
+// warm-start cache, basis tag and deadline chain of the thread that
+// submitted it, through parallel_for and submit alike, and a timeout noted
+// on a worker is counted on the submitting thread's deadline guards.
+TEST(ThreadPool, WorkersInheritSolveContext) {
   solver::SimplexOptions opt;
-  solver::ScopedSimplexOverride guard(opt);
+  opt.max_iterations = 1234;
+  solver::ScopedSimplexOverride override_guard(opt);
+  solver::ScopedWarmStartCache cache;
+  solver::ScopedBasisTag tag(42);
+  const util::Deadline outer = util::Deadline::after(3600.0);
+  const util::Deadline inner = util::Deadline::after(1800.0);
+  solver::ScopedSolveDeadline outer_guard(outer);
+  solver::ScopedSolveDeadline inner_guard(inner);
+  const auto caller = std::this_thread::get_id();
+  const auto sees_caller_context = [&] {
+    const auto* active = solver::ScopedSimplexOverride::active();
+    return active != nullptr && active->max_iterations == 1234 &&
+           solver::ScopedWarmStartCache::active() == &cache &&
+           solver::ScopedBasisTag::active() == 42 &&
+           solver::ScopedSolveDeadline::active_deadline().expiry_s() ==
+               inner.expiry_s();
+  };
+
+  util::ThreadPool pool(4);
+  constexpr int kN = 64;
+  std::atomic<int> seen{0}, off_caller{0};
+  pool.parallel_for(0, kN, [&](int) {
+    if (sees_caller_context()) seen++;
+    if (std::this_thread::get_id() != caller) off_caller++;
+    solver::ScopedSolveDeadline::note_timeout();
+  });
+  EXPECT_EQ(seen.load(), kN);
+  EXPECT_GT(off_caller.load(), 0);
+  EXPECT_EQ(inner_guard.timeouts(), kN);
+  EXPECT_EQ(outer_guard.timeouts(), kN);
+
+  bool submitted_seen = false;
+  std::thread::id submitted_on;
+  pool.submit([&] {
+        submitted_seen = sees_caller_context();
+        submitted_on = std::this_thread::get_id();
+      }).get();
+  EXPECT_TRUE(submitted_seen);
+  EXPECT_NE(submitted_on, caller);
+}
+
+// A guard opened inside one task is closed with it: the next task on the
+// same worker starts from its own submitter's context, and a worker between
+// tasks holds no context at all.
+TEST(ThreadPool, TaskGuardsDoNotLeakIntoLaterTasks) {
+  util::ThreadPool pool(2);
+  solver::ScopedBasisTag tag(7);
+  std::vector<std::thread::id> ran_on;
+  bool clean = true;
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&] {
+          ran_on.push_back(std::this_thread::get_id());
+          clean = clean && solver::ScopedBasisTag::active() == 7 &&
+                  solver::ScopedSimplexOverride::active() == nullptr &&
+                  solver::ScopedWarmStartCache::active() == nullptr;
+          solver::ScopedBasisTag inner(99);
+          solver::ScopedSimplexOverride relax(solver::SimplexOptions{});
+          solver::ScopedWarmStartCache cache;
+        }).get();
+  }
+  EXPECT_TRUE(clean);
+  // Two workers, eight sequential tasks: some worker ran more than one.
+  const std::set<std::thread::id> workers(ran_on.begin(), ran_on.end());
+  EXPECT_LT(workers.size(), ran_on.size());
+
+  // Tasks submitted from a thread with no guards see none.
+  std::atomic<int> leaked{0};
+  std::thread([&] {
+    pool.parallel_for(0, 16, [&](int) {
+      if (solver::ScopedBasisTag::active() != 0 ||
+          solver::ScopedSimplexOverride::active() != nullptr) {
+        leaked++;
+      }
+    });
+  }).join();
+  EXPECT_EQ(leaked.load(), 0);
+}
+
+// The observer is per-thread by contract: observers expect single-thread
+// calls in program order, so pool workers never inherit one.
+TEST(ThreadPool, WorkersDoNotInheritTheSolveObserver) {
+  solver::ScopedSolveObserver observer(
+      [](const solver::Lp&, solver::LpSolution&) {});
+  ASSERT_NE(solver::ScopedSolveObserver::active(), nullptr);
   util::ThreadPool pool(2);  // >1 thread: every body runs on a worker
   std::atomic<int> leaked{0};
   pool.parallel_for(0, 8, [&](int) {
-    if (solver::ScopedSimplexOverride::active() != nullptr) leaked++;
+    if (solver::ScopedSolveObserver::active() != nullptr) leaked++;
   });
+  pool.submit([&] {
+        if (solver::ScopedSolveObserver::active() != nullptr) leaked++;
+      }).get();
   EXPECT_EQ(leaked.load(), 0);
 }
 
