@@ -421,6 +421,196 @@ TEST(LuBasisPinned, EntriesAroundDropTolerance) {
              {285, 9791485964587754282ull, 10584826255977551564ull});
 }
 
+// --- pinned per-pivot solves ---------------------------------------------------
+//
+// The simplex does not solve dense vectors: each pivot runs FTRAN on an
+// entering column (a handful of nonzeros) and BTRAN on a unit vector e_p,
+// through whatever eta file has built up since the last refactorization.
+// These cases pin the exact bits of those calls, including the sign of
+// every zero: an unreached position of an FTRAN output is +0.0 / pivot,
+// which is -0.0 under a negative pivot, and -0.0 inputs (which BTRAN's
+// transposed etas produce) must be treated as entries.
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * 0x100000001b3ull;
+  return h ^ (h >> 29);
+}
+
+// A vector with `nnz` distinct random entries, the rest +0.0. With
+// `neg_zeros`, about a third of the chosen entries are -0.0 instead.
+std::vector<double> sparse_vector(util::Rng& rng, int m, int nnz,
+                                  bool neg_zeros) {
+  std::vector<double> v(static_cast<std::size_t>(m), 0.0);
+  for (int placed = 0; placed < nnz;) {
+    auto& e = v[static_cast<std::size_t>(rng.uniform_int(0, m - 1))];
+    if (e != 0.0 || std::signbit(e)) continue;
+    e = neg_zeros && rng.bernoulli(0.35)
+            ? -0.0
+            : rng.uniform(0.5, 2.0) * (rng.bernoulli(0.5) ? 1 : -1);
+    ++placed;
+  }
+  return v;
+}
+
+struct SolvePin {
+  std::uint64_t ftran_cols;   // entering-column-shaped inputs (1-5 entries)
+  std::uint64_t btran_units;  // e_p
+  std::uint64_t signed_zero;  // inputs carrying -0.0, both directions
+  int neg_zero_entries;       // -0.0 entries over all outputs (not pinned)
+};
+
+int count_neg_zeros(const std::vector<double>& v) {
+  return static_cast<int>(std::count_if(v.begin(), v.end(), [](double d) {
+    return d == 0.0 && std::signbit(d);
+  }));
+}
+
+SolvePin solve_pin(LuBasis& basis, int m, util::Rng& rng) {
+  SolvePin pin{0, 0, 0, 0};
+  for (int s = 0; s < 16; ++s) {
+    auto x = sparse_vector(rng, m, rng.uniform_int(1, 5), false);
+    basis.ftran(x);
+    pin.ftran_cols = mix(pin.ftran_cols, bit_hash(x));
+    pin.neg_zero_entries += count_neg_zeros(x);
+  }
+  // Around the point where a solve may switch to a dense sweep.
+  for (int nnz : {m / 8 - 1, m / 8, m / 8 + 1}) {
+    auto x = sparse_vector(rng, m, nnz, false);
+    basis.ftran(x);
+    pin.ftran_cols = mix(pin.ftran_cols, bit_hash(x));
+    auto y = sparse_vector(rng, m, nnz, false);
+    basis.btran(y);
+    pin.btran_units = mix(pin.btran_units, bit_hash(y));
+  }
+  for (int s = 0; s < 16; ++s) {
+    std::vector<double> y(static_cast<std::size_t>(m), 0.0);
+    y[static_cast<std::size_t>(rng.uniform_int(0, m - 1))] = 1.0;
+    basis.btran(y);
+    pin.btran_units = mix(pin.btran_units, bit_hash(y));
+    pin.neg_zero_entries += count_neg_zeros(y);
+  }
+  for (int s = 0; s < 8; ++s) {
+    auto x = sparse_vector(rng, m, rng.uniform_int(1, 6), true);
+    basis.ftran(x);
+    pin.signed_zero = mix(pin.signed_zero, bit_hash(x));
+    auto y = sparse_vector(rng, m, rng.uniform_int(1, 6), true);
+    basis.btran(y);
+    pin.signed_zero = mix(pin.signed_zero, bit_hash(y));
+  }
+  // Only -0.0 entries.
+  std::vector<double> z(static_cast<std::size_t>(m), 0.0);
+  z[static_cast<std::size_t>(rng.uniform_int(0, m - 1))] = -0.0;
+  auto zy = z;
+  basis.ftran(z);
+  basis.btran(zy);
+  pin.signed_zero = mix(mix(pin.signed_zero, bit_hash(z)), bit_hash(zy));
+  return pin;
+}
+
+// Factorizes `cols`, pins the per-pivot solves, replaces 8 basis columns by
+// entering-column-shaped columns through update() (each at the position of
+// its FTRAN's largest entry), and pins the same solves through the eta file.
+void expect_solve_pins(const std::vector<LuBasis::Column>& cols,
+                       std::uint64_t seed, std::size_t factor_nnz,
+                       const SolvePin& fresh, const SolvePin& updated,
+                       std::uint64_t etas) {
+  const int m = static_cast<int>(cols.size());
+  LuBasis basis;
+  ASSERT_TRUE(basis.factorize(m, cols, 1e-8));
+  EXPECT_EQ(basis.factor_nnz(), factor_nnz);
+  util::Rng rng(seed);
+  const SolvePin got = solve_pin(basis, m, rng);
+  EXPECT_EQ(got.ftran_cols, fresh.ftran_cols);
+  EXPECT_EQ(got.btran_units, fresh.btran_units);
+  EXPECT_EQ(got.signed_zero, fresh.signed_zero);
+  EXPECT_GT(got.neg_zero_entries, 0) << "no negative pivot left a -0.0";
+
+  std::uint64_t eta_hash = 0;
+  for (int done = 0; done < 8;) {
+    auto w = sparse_vector(rng, m, rng.uniform_int(1, 5), false);
+    basis.ftran(w);
+    int pos = 0;
+    for (int p = 1; p < m; ++p) {
+      if (std::abs(w[static_cast<std::size_t>(p)]) >
+          std::abs(w[static_cast<std::size_t>(pos)])) {
+        pos = p;
+      }
+    }
+    if (!basis.update(pos, w, 1e-8)) continue;
+    eta_hash = mix(eta_hash, bit_hash(w));
+    ++done;
+  }
+  EXPECT_EQ(basis.updates_since_factorize(), 8);
+  EXPECT_EQ(eta_hash, etas);
+  const SolvePin after = solve_pin(basis, m, rng);
+  EXPECT_EQ(after.ftran_cols, updated.ftran_cols);
+  EXPECT_EQ(after.btran_units, updated.btran_units);
+  EXPECT_EQ(after.signed_zero, updated.signed_zero);
+  EXPECT_GT(after.neg_zero_entries, 0);
+}
+
+// Negates about half the columns: unit slacks become -e_i and structural
+// diagonals change sign, so many pivots are negative.
+void negate_columns(std::vector<LuBasis::Column>& cols, util::Rng& rng) {
+  for (auto& col : cols) {
+    if (!rng.bernoulli(0.5)) continue;
+    for (auto& [r, v] : col) v = -v;
+  }
+}
+
+TEST(LuBasisPinned, SparseSolvesNegativePivots) {
+  util::Rng rng(1501);
+  auto cols = slack_heavy(rng, 200, 0.4, 3, {0.25, 0.5, 1.0, 1.5});
+  negate_columns(cols, rng);
+  shuffle_columns(cols, rng);
+  expect_solve_pins(cols, 21, 434,
+                    {16323963456025000525ull, 10371654004382405271ull,
+                     11611290579934696117ull, 0},
+                    {13788784773739497086ull, 3837870154900140294ull,
+                     6515440874371424175ull, 0},
+                    5843349274403637955ull);
+}
+
+TEST(LuBasisPinned, SparseSolvesLongColumns) {
+  // Long columns give L multipliers, so the L sweeps have work to skip.
+  util::Rng rng(1502);
+  const int m = 240;
+  auto cols = slack_heavy(rng, m, 0.3, 2, {0.5, 1.0, 1.5});
+  for (int k = 0; k < 6; ++k) {
+    const int j = rng.uniform_int(0, m - 1);
+    auto& col = cols[static_cast<std::size_t>(j)];
+    col = {{j, rng.uniform(4.0, 6.0) * (rng.bernoulli(0.5) ? 1 : -1)}};
+    for (int r = 0; r < m; ++r) {
+      if (r != j && rng.bernoulli(0.35)) {
+        col.emplace_back(r, rng.uniform(-1.0, 1.0));
+      }
+    }
+    std::sort(col.begin(), col.end());
+  }
+  negate_columns(cols, rng);
+  shuffle_columns(cols, rng);
+  expect_solve_pins(cols, 22, 872,
+                    {13524159372967444950ull, 6069063951464693835ull,
+                     2607570800677184020ull, 0},
+                    {8784394493746541405ull, 5358860173722109485ull,
+                     16788992226234918817ull, 0},
+                    9607347148176586029ull);
+}
+
+TEST(LuBasisPinned, SparseSolvesStructuralHeavy) {
+  // Mostly structural columns: long U rows and a wide reach per solve.
+  util::Rng rng(1503);
+  auto cols = slack_heavy(rng, 120, 0.85, 3, {0.2, 0.6, 1.0});
+  negate_columns(cols, rng);
+  shuffle_columns(cols, rng);
+  expect_solve_pins(cols, 23, 936,
+                    {15047819401707132329ull, 13879477070998690781ull,
+                     11517313666340372737ull, 0},
+                    {3290597611051605030ull, 5475493846021007536ull,
+                     10547951899154930296ull, 0},
+                    9621832997936689426ull);
+}
+
 TEST(LinExpr, OperatorAlgebra) {
   const VarId x{0}, y{1};
   LinExpr e = 2.0 * LinExpr(x) + LinExpr(y) * 3.0 - LinExpr(x) + 1.5;
