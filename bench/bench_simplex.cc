@@ -20,7 +20,10 @@
 //     the pivot sequence, not only one that slows it down.
 //
 // It also times the LU basis on the final basis of the largest corpus LP:
-// factorize, FTRAN and the factor's nonzeros (lu_* keys).
+// factorize, FTRAN of the dense rhs, the factor's nonzeros, and the two
+// solves a pivot runs — FTRAN of a structural column (lu_ftran_col_us) and
+// BTRAN of a unit vector e_p (lu_btran_unit_us), medians over seeded
+// samples (lu_* keys).
 //
 // Environment knobs: ARROW_BENCH_FAST=1 shrinks to the B4 topology for
 // CI-speed runs (bench-smoke). Results land in BENCH_simplex.json
@@ -270,7 +273,8 @@ int main() {
   for (const Lp& lp : corpus) {
     if (largest == nullptr || lp.a.rows > largest->a.rows) largest = &lp;
   }
-  double lu_factorize_ms = 0.0, lu_ftran_us = 0.0;
+  double lu_factorize_ms = 0.0, lu_ftran_us = 0.0, lu_ftran_col_us = 0.0,
+         lu_btran_unit_us = 0.0;
   long long lu_factor_nnz = 0;
   if (largest != nullptr) {
     const LpSolution sol = solver::solve_lp(*largest);
@@ -292,7 +296,7 @@ int main() {
     }
     solver::LuBasis lu;
     bool factored = static_cast<int>(cols.size()) == a.rows;
-    std::vector<double> f_ms, ft_us;
+    std::vector<double> f_ms, ft_us, col_us, unit_us;
     for (int rep = 0; rep < 5 && factored; ++rep) {
       const double t0 = now_s();
       factored = lu.factorize(a.rows, cols, SimplexOptions{}.pivot_tol);
@@ -304,6 +308,26 @@ int main() {
       lu.ftran(x);
       ft_us.push_back((now_s() - t0) * 1e6);
     }
+    // The slack columns come last, one per row.
+    const int structural = a.cols - a.rows;
+    util::Rng sample(1515);
+    for (int rep = 0; rep < 200 && factored && structural > 0; ++rep) {
+      const int j = sample.uniform_int(0, structural - 1);
+      std::vector<double> x(static_cast<std::size_t>(a.rows), 0.0);
+      for (int k = a.col_start[static_cast<std::size_t>(j)];
+           k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+        x[static_cast<std::size_t>(a.row_index[static_cast<std::size_t>(k)])] =
+            a.value[static_cast<std::size_t>(k)];
+      }
+      double t0 = now_s();
+      lu.ftran(x);
+      col_us.push_back((now_s() - t0) * 1e6);
+      std::vector<double> y(static_cast<std::size_t>(a.rows), 0.0);
+      y[static_cast<std::size_t>(sample.uniform_int(0, a.rows - 1))] = 1.0;
+      t0 = now_s();
+      lu.btran(y);
+      unit_us.push_back((now_s() - t0) * 1e6);
+    }
     if (!factored) {
       std::fprintf(stderr, "FAIL: the largest corpus LP's final basis did "
                    "not factorize\n");
@@ -311,15 +335,22 @@ int main() {
     } else {
       lu_factorize_ms = median(f_ms);
       lu_ftran_us = median(ft_us);
+      if (!col_us.empty()) {
+        lu_ftran_col_us = median(col_us);
+        lu_btran_unit_us = median(unit_us);
+      }
       lu_factor_nnz = static_cast<long long>(lu.factor_nnz());
     }
     out.set("lu_rows", static_cast<long long>(a.rows));
   }
   out.set("lu_factorize_ms", lu_factorize_ms);
   out.set("lu_ftran_us", lu_ftran_us);
+  out.set("lu_ftran_col_us", lu_ftran_col_us);
+  out.set("lu_btran_unit_us", lu_btran_unit_us);
   out.set("lu_factor_nnz", lu_factor_nnz);
   std::printf("LU on the largest LP's final basis: factorize %.3f ms, ftran "
-              "%.1f us, %lld factor nnz\n", lu_factorize_ms, lu_ftran_us,
+              "%.1f us (column %.1f us, btran e_p %.1f us), %lld factor nnz\n",
+              lu_factorize_ms, lu_ftran_us, lu_ftran_col_us, lu_btran_unit_us,
               lu_factor_nnz);
 
   // --- presolve reductions -------------------------------------------------

@@ -13,13 +13,29 @@
 // costs O((m + column updates) log m) plus the elimination's own flops,
 // where a per-step scan over all columns cost O(m^2).
 //
+// L columns and U rows live in flat per-step arrays, with a column index of
+// U and the step-of-row / step-of-position maps built alongside. FTRAN and
+// BTRAN are hypersparse: the L sweeps visit only steps that have
+// multipliers, and the U passes visit only the elimination steps reachable
+// from the input's nonzeros, so a per-pivot solve (an entering column, a
+// unit vector e_p) costs time in the nonzeros it touches rather than in m.
+// A position no step reaches gets exactly what a dense sweep writes there:
+// +0.0 / pivot, which is -0.0 under a negative pivot. Inputs with more than
+// m/8 nonzeros take a dense sweep inside the same routine, with the same
+// bits.
+//
 // The pivot order and the floating-point operation order are a contract:
 // they fix L, U and every FTRAN/BTRAN bit, hence every simplex pivot and
 // every pinned RunReport downstream. A change here must keep them
 // (tests/basis_test.cc pins them; bench_simplex pins corpus pivot counts)
 // or explain every pivot it moves.
+//
+// Thread safety: ftran() and btran() reuse work buffers and reach marks
+// held in the object, so they are not const and not reentrant. One LuBasis
+// serves one thread at a time; concurrent solves need their own objects.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -36,14 +52,20 @@ class LuBasis {
   bool factorize(int m, std::vector<Column> columns, double pivot_tol);
 
   // x := B^{-1} b. Input in row space; output in basis-position space.
-  void ftran(std::vector<double>& x) const;
+  // Every entry whose bits are not +0.0 (so -0.0 too) counts as a nonzero
+  // of b. If `nz` is given it receives the positions p with x[p] != 0, in
+  // ascending order.
+  void ftran(std::vector<double>& x, std::vector<int>* nz = nullptr);
 
   // y := B^{-T} c. Input in basis-position space; output in row space.
-  void btran(std::vector<double>& y) const;
+  // `nz` as for ftran(), over rows.
+  void btran(std::vector<double>& y, std::vector<int>* nz = nullptr);
 
   // Replaces the basis column at `position`; `w` must be ftran() of the
-  // entering column. Returns false if |w[position]| is below pivot_tol.
-  bool update(int position, const std::vector<double>& w, double pivot_tol);
+  // entering column and `nz` the ascending nonzero positions ftran()
+  // reported for it. Returns false if |w[position]| is below pivot_tol.
+  bool update(int position, const std::vector<double>& w,
+              const std::vector<int>& nz, double pivot_tol);
 
   int updates_since_factorize() const { return static_cast<int>(etas_.size()); }
   // Nonzeros in L + U + update etas: the per-ftran/btran work estimate.
@@ -63,21 +85,55 @@ class LuBasis {
     int end = 0;
   };
 
-  void apply_eta(const Eta& eta, std::vector<double>& w) const;
-  void apply_eta_transposed(const Eta& eta, std::vector<double>& z) const;
+  // Builds the solve-side indexes once all m steps are eliminated.
+  void index_factors();
+  // Marks output index i as written by a sparse solve.
+  void touch(int i);
+  // Writes the ascending indexes i with v[i] != 0 to *nz (if given): the
+  // touched ones after a sparse solve, which also clears touched_, or all
+  // of v after a dense one.
+  void collect_nonzeros(const std::vector<double>& v, bool dense,
+                        std::vector<int>* nz);
 
   int m_ = 0;
-  // Elimination step k: pivot row/col, diagonal, L multipliers, U row.
+  // Elimination step k: pivot row/col, diagonal.
   std::vector<int> pivot_row_;   // row space index per step
   std::vector<int> pivot_col_;   // basis-position index per step
   std::vector<double> diag_;
-  std::vector<std::vector<std::pair<int, double>>> l_cols_;  // (row, mult)
-  std::vector<std::vector<std::pair<int, double>>> u_rows_;  // (position, val)
+  // L column of step k: [l_start_[k], l_start_[k + 1]) of (l_row_, l_val_).
+  std::vector<int> l_start_;
+  std::vector<int> l_row_;
+  std::vector<double> l_val_;
+  std::vector<int> l_steps_;     // steps with a nonempty L column, ascending
+  // U row of step k: [u_start_[k], u_start_[k + 1]) of (u_pos_, u_val_).
+  std::vector<int> u_start_;
+  std::vector<int> u_pos_;
+  std::vector<double> u_val_;
+  // Column index of U: the steps whose U row holds position p, ascending,
+  // are ucol_step_[ucol_start_[p] .. ucol_start_[p + 1]).
+  std::vector<int> ucol_start_;
+  std::vector<int> ucol_step_;
+  std::vector<int> step_of_row_;
+  std::vector<int> step_of_pos_;
+  // What a dense U sweep writes where no step reaches: +0.0 / diag, laid
+  // out by position (FTRAN output) and by row (BTRAN output).
+  std::vector<double> zero_by_pos_;
+  std::vector<double> zero_by_row_;
+
   std::vector<Eta> etas_;
   std::vector<int> eta_pos_;     // off-pivot positions, all etas
   std::vector<double> eta_val_;  // matching values
   std::size_t lu_nnz_ = 0;
   std::size_t eta_nnz_ = 0;
+
+  // Solve work state, reused across calls (hence non-const solves).
+  std::vector<double> work_;     // the output being built
+  std::vector<char> reached_;    // per step; all zero between calls
+  std::vector<int> frontier_;    // heap of reached, unprocessed steps
+  std::vector<std::uint64_t> touched_;  // bitmap of output indexes a
+                                        // sparse solve wrote
+  // factorize()'s per-row column lists, kept for their capacity.
+  std::vector<std::vector<int>> rows_cols_;
 };
 
 }  // namespace arrow::solver

@@ -23,9 +23,10 @@
 //    product-form updates, refreshed every `refactor_interval` pivots or
 //    when the eta file grows dense; each refresh also refreshes the
 //    maintained reduced costs, bounding incremental drift;
-//  * the ratio-test passes and the step update run over contiguous
-//    per-position arrays (xb_, lb_basic_, ub_basic_, w) with branchless
-//    inner loops so the compiler can auto-vectorize them;
+//  * FTRAN reports the ascending nonzero positions of w = B^{-1} A_q: the
+//    two ratio-test passes, the eta build and (through BTRAN's rows of rho)
+//    the pivot-row pass walk only those, in the order a dense scan would;
+//    the step update stays a dense branchless axpy over xb_;
 //  * after `bland_threshold` consecutive degenerate pivots the pivot rule
 //    switches to Bland's rule until progress resumes.
 #include <algorithm>
@@ -426,6 +427,11 @@ class Simplex {
     int degenerate_streak = 0;
     std::vector<double> w(static_cast<std::size_t>(m_));
     std::vector<double> rho(static_cast<std::size_t>(m_));
+    // Ascending nonzero positions of w and rows of rho, as the solves
+    // report them: the ratio test, the eta build and the pivot-row pass walk
+    // these instead of all m entries, in the same ascending order.
+    std::vector<int> w_nz;
+    std::vector<int> rho_nz;
     int stall_refactors = 0;
     const bool devex_score = opt_.pricing != Pricing::kDantzig;
     // Incremental reduced costs only work in phase 2: the phase-1 composite
@@ -495,7 +501,7 @@ class Simplex {
         w[static_cast<std::size_t>(lp_.a.row_index[k])] =
             lp_.a.value[static_cast<std::size_t>(k)];
       }
-      inv_.ftran(w);
+      inv_.ftran(w, &w_nz);
 
       // Ratio test. The entering variable moves by t >= 0 in direction
       // `dir`; basic variable at position p changes at rate -dir * w[p].
@@ -516,10 +522,11 @@ class Simplex {
       // Pass 1: tightest breakpoint.
       double min_ratio = kNone;
       if (phase == 2) {
-        // Branchless over the contiguous position arrays: an infinite target
-        // or a sub-tolerance pivot yields ratio = +inf, which never tightens
-        // the minimum — identical selection to the guarded loop.
-        for (int p = 0; p < m_; ++p) {
+        // Branchless over w's nonzeros: an infinite target or a sub-tolerance
+        // pivot yields ratio = +inf, which never tightens the minimum —
+        // identical selection to the guarded loop. A zero of w is such a
+        // pivot, so skipping the zeros changes nothing.
+        for (int p : w_nz) {
           const double alpha = negdir * w[static_cast<std::size_t>(p)];
           const double target = alpha > 0.0
                                     ? ub_basic_[static_cast<std::size_t>(p)]
@@ -530,7 +537,7 @@ class Simplex {
           min_ratio = ratio < min_ratio ? ratio : min_ratio;
         }
       } else {
-        for (int p = 0; p < m_; ++p) {
+        for (int p : w_nz) {
           const double alpha = negdir * w[static_cast<std::size_t>(p)];
           if (std::abs(alpha) < opt_.pivot_tol) continue;
           const double v = xb_[static_cast<std::size_t>(p)];
@@ -564,11 +571,12 @@ class Simplex {
       }
 
       // Pass 2: among near-minimal breakpoints pick the largest pivot (or
-      // the lowest index under Bland's rule).
+      // the lowest index under Bland's rule). Ties go to the first position,
+      // so w_nz must ascend.
       if (min_ratio < kNone) {
         const double cutoff = min_ratio + opt_.feas_tol;
         double best_pivot = 0.0;
-        for (int p = 0; p < m_; ++p) {
+        for (int p : w_nz) {
           const double alpha = negdir * w[static_cast<std::size_t>(p)];
           if (std::abs(alpha) < opt_.pivot_tol) continue;
           const double v = xb_[static_cast<std::size_t>(p)];
@@ -629,8 +637,9 @@ class Simplex {
       if (phase == 1) ++phase1_iterations_;
       degenerate_streak = step < 1e-10 ? degenerate_streak + 1 : 0;
 
-      // Apply the step to the basic values. Branchless axpy: positions with
-      // w == 0 add an exact +-0 and stay put.
+      // Apply the step to the basic values. A dense branchless axpy on
+      // purpose: positions with w == 0 add an exact +-0, which turns a -0.0
+      // basic value into +0.0; skipping them would keep the -0.0.
       {
         const double scale = negdir * step;
         for (int p = 0; p < m_; ++p) {
@@ -665,7 +674,7 @@ class Simplex {
       if (need_alpha) {
         std::fill(rho.begin(), rho.end(), 0.0);
         rho[static_cast<std::size_t>(leave_pos)] = 1.0;
-        inv_.btran(rho);
+        inv_.btran(rho, &rho_nz);
         const double alpha_q = w[static_cast<std::size_t>(leave_pos)];
         const double wq = devex_w_[static_cast<std::size_t>(entering)];
         const double inv_aq2 = 1.0 / (alpha_q * alpha_q);
@@ -673,9 +682,8 @@ class Simplex {
         const double theta_d =
             update_d ? d_[static_cast<std::size_t>(entering)] / alpha_q : 0.0;
         touched_.clear();
-        for (int i = 0; i < m_; ++i) {
+        for (int i : rho_nz) {
           const double ri = rho[static_cast<std::size_t>(i)];
-          if (ri == 0.0) continue;
           const int end = row_start_[static_cast<std::size_t>(i) + 1];
           for (int k = row_start_[static_cast<std::size_t>(i)]; k < end; ++k) {
             const int j = row_col_[static_cast<std::size_t>(k)];
@@ -720,7 +728,7 @@ class Simplex {
         }
       }
 
-      if (!inv_.update(leave_pos, w, opt_.pivot_tol)) {
+      if (!inv_.update(leave_pos, w, w_nz, opt_.pivot_tol)) {
         // Stale factorization made the pivot look acceptable when it is not;
         // rebuild and retry the whole iteration. (The refresh also discards
         // the incremental d updates applied above for a pivot that never

@@ -200,8 +200,9 @@ TEST_P(LuBasisRandom, UpdateMatchesRefactorization) {
   newcol[static_cast<std::size_t>(pos)] += 2.5;  // keep it nonsingular-ish
 
   std::vector<double> w = newcol;
-  basis.ftran(w);
-  if (!basis.update(pos, w, 1e-8)) GTEST_SKIP() << "tiny pivot";
+  std::vector<int> w_nz;
+  basis.ftran(w, &w_nz);
+  if (!basis.update(pos, w, w_nz, 1e-8)) GTEST_SKIP() << "tiny pivot";
 
   auto modified = dense;
   for (int i = 0; i < n; ++i) {
@@ -528,7 +529,8 @@ void expect_solve_pins(const std::vector<LuBasis::Column>& cols,
   std::uint64_t eta_hash = 0;
   for (int done = 0; done < 8;) {
     auto w = sparse_vector(rng, m, rng.uniform_int(1, 5), false);
-    basis.ftran(w);
+    std::vector<int> w_nz;
+    basis.ftran(w, &w_nz);
     int pos = 0;
     for (int p = 1; p < m; ++p) {
       if (std::abs(w[static_cast<std::size_t>(p)]) >
@@ -536,7 +538,7 @@ void expect_solve_pins(const std::vector<LuBasis::Column>& cols,
         pos = p;
       }
     }
-    if (!basis.update(pos, w, 1e-8)) continue;
+    if (!basis.update(pos, w, w_nz, 1e-8)) continue;
     eta_hash = mix(eta_hash, bit_hash(w));
     ++done;
   }
@@ -609,6 +611,48 @@ TEST(LuBasisPinned, SparseSolvesStructuralHeavy) {
                     {3290597611051605030ull, 5475493846021007536ull,
                      10547951899154930296ull, 0},
                     9621832997936689426ull);
+}
+
+// The nonzero lists the solves report are what the simplex's ratio test,
+// eta build and pivot-row pass walk instead of all m entries: they must
+// hold exactly the nonzero indexes, ascending, on both sides of the dense
+// switch and through the eta file.
+TEST(LuBasis, SolvesReportExactAscendingNonzeros) {
+  util::Rng rng(1504);
+  const int m = 160;
+  auto cols = slack_heavy(rng, m, 0.5, 3, {0.5, 1.0, 2.0});
+  negate_columns(cols, rng);
+  shuffle_columns(cols, rng);
+  LuBasis basis;
+  ASSERT_TRUE(basis.factorize(m, cols, 1e-8));
+  const auto expect_exact = [](const std::vector<double>& v,
+                               const std::vector<int>& nz) {
+    std::vector<int> want;
+    for (int i = 0; i < static_cast<int>(v.size()); ++i) {
+      if (v[static_cast<std::size_t>(i)] != 0.0) want.push_back(i);
+    }
+    EXPECT_EQ(nz, want);
+  };
+  std::vector<int> nz;
+  for (int round = 0; round < 2; ++round) {
+    for (int nnz : {1, 3, 6, m / 8, m / 8 + 1, m}) {
+      auto x = sparse_vector(rng, m, nnz, true);
+      basis.ftran(x, &nz);
+      expect_exact(x, nz);
+      auto y = sparse_vector(rng, m, nnz, true);
+      basis.btran(y, &nz);
+      expect_exact(y, nz);
+    }
+    // Second round through an eta file.
+    for (int done = 0; done < 6;) {
+      auto w = sparse_vector(rng, m, 3, false);
+      basis.ftran(w, &nz);
+      if (nz.empty()) continue;
+      const int pos = nz[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(nz.size()) - 1))];
+      if (basis.update(pos, w, nz, 1e-8)) ++done;
+    }
+  }
 }
 
 TEST(LinExpr, OperatorAlgebra) {
