@@ -20,9 +20,9 @@
 // from the input's nonzeros, so a per-pivot solve (an entering column, a
 // unit vector e_p) costs time in the nonzeros it touches rather than in m.
 // A position no step reaches gets exactly what a dense sweep writes there:
-// +0.0 / pivot, which is -0.0 under a negative pivot. Inputs with more than
-// m/8 nonzeros take a dense sweep inside the same routine, with the same
-// bits.
+// +0.0 / pivot, which is -0.0 under a negative pivot. Once a solve's reach
+// passes m/8 steps, the rest of its U pass runs as a dense sweep inside the
+// same routine, with the same bits.
 //
 // The pivot order and the floating-point operation order are a contract:
 // they fix L, U and every FTRAN/BTRAN bit, hence every simplex pivot and
@@ -89,9 +89,9 @@ class LuBasis {
   void index_factors();
   // Marks output index i as written by a sparse solve.
   void touch(int i);
-  // Writes the ascending indexes i with v[i] != 0 to *nz (if given): the
-  // touched ones after a sparse solve, which also clears touched_, or all
-  // of v after a dense one.
+  // Writes the ascending indexes i with v[i] != 0 to *nz (if given), from
+  // touched_ after a sparse solve or from all of v after a dense one, and
+  // clears touched_.
   void collect_nonzeros(const std::vector<double>& v, bool dense,
                         std::vector<int>* nz);
 
