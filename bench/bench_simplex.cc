@@ -1,8 +1,6 @@
 // Solver raw-speed report: pivots/sec, pricing work, presolve reductions,
 // and warm-start savings on an LP corpus captured from a real solve_arrow
-// run — plus a measured microkernel check that the branchless (SIMD-
-// friendly) inner-loop formulation is not slower than the branchy scalar
-// one it replaced.
+// run.
 //
 // Gates (nonzero exit on violation):
 //   * both pricing modes (Dantzig, incremental) reach the same optimum on
@@ -12,8 +10,6 @@
 //     pricing-work proxy — if maintaining reduced costs prices MORE than
 //     recomputing them, the mirror is pure overhead);
 //   * warm-starting from the optimal basis takes no more pivots than cold;
-//   * the branchless ratio-test kernel is within 10% of the branchy one
-//     (full size only — wall-clock gates flake on an oversubscribed box);
 //   * the corpus pivot and refactorization totals under the default pricing
 //     equal the pinned values below. The LU's pivot order decides every
 //     simplex pivot, so this catches a factorization change that moves
@@ -78,57 +74,6 @@ struct CorpusPin {
 };
 constexpr CorpusPin kPinnedFast{1010, 17};  // B4 corpus, ARROW_BENCH_FAST=1
 constexpr CorpusPin kPinnedFull{2927, 47};  // IBM corpus
-
-// --- microkernel: branchless vs branchy ratio test -------------------------
-//
-// The simplex ratio test scans the pivot column for the tightest bound on
-// the step length. The branchy form takes a data-dependent branch per
-// entry; the branchless form (what simplex.cc uses) folds the eligibility
-// test into arithmetic selects the compiler can vectorize.
-
-double ratio_branchy(const std::vector<double>& col,
-                     const std::vector<double>& room, double tol) {
-  double best = 1e300;
-  for (std::size_t i = 0; i < col.size(); ++i) {
-    if (col[i] > tol) {
-      const double r = room[i] / col[i];
-      if (r < best) best = r;
-    }
-  }
-  return best;
-}
-
-double ratio_branchless(const std::vector<double>& col,
-                        const std::vector<double>& room, double tol) {
-  double best = 1e300;
-  for (std::size_t i = 0; i < col.size(); ++i) {
-    const double eligible = col[i] > tol ? 1.0 : 0.0;
-    const double r = room[i] / (col[i] + (1.0 - eligible));  // safe divisor
-    const double cand = eligible * r + (1.0 - eligible) * 1e300;
-    best = cand < best ? cand : best;
-  }
-  return best;
-}
-
-template <typename Fn>
-double time_kernel(Fn fn, const std::vector<double>& col,
-                   const std::vector<double>& room, int reps,
-                   double* checksum) {
-  // Warm-up pass keeps the first-touch cost out of both timings; best of
-  // three trials keeps scheduler noise (ctest -j on a loaded box) from
-  // flaking the 10% gate.
-  *checksum += fn(col, room, 1e-8);
-  double best = 1e300;
-  for (int trial = 0; trial < 3; ++trial) {
-    const double t0 = now_s();
-    double acc = 0.0;
-    for (int r = 0; r < reps; ++r) acc += fn(col, room, 1e-8);
-    const double dt = now_s() - t0;
-    *checksum += acc;
-    if (dt < best) best = dt;
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -389,37 +334,6 @@ int main() {
     std::fprintf(stderr, "FAIL: warm start from the optimal basis took MORE "
                  "pivots than cold (%lld vs %lld)\n", warm_pivots,
                  cold_pivots);
-    ok = false;
-  }
-
-  // --- SIMD microkernel gate -----------------------------------------------
-  const std::size_t n = fast_mode ? 1 << 14 : 1 << 16;
-  const int reps = fast_mode ? 200 : 400;
-  std::vector<double> col(n), room(n);
-  util::Rng krng(99);
-  for (std::size_t i = 0; i < n; ++i) {
-    col[i] = krng.uniform() * 2.0 - 0.5;   // ~25% ineligible entries
-    room[i] = krng.uniform() * 10.0;
-  }
-  double checksum = 0.0;
-  const double branchy_s =
-      time_kernel(ratio_branchy, col, room, reps, &checksum);
-  const double branchless_s =
-      time_kernel(ratio_branchless, col, room, reps, &checksum);
-  out.set("ratio_kernel_branchy_ms", branchy_s * 1e3);
-  out.set("ratio_kernel_branchless_ms", branchless_s * 1e3);
-  const double ratio = branchy_s > 0.0 ? branchless_s / branchy_s : 0.0;
-  out.set("ratio_kernel_branchless_over_branchy", ratio);
-  std::printf("ratio-test kernel: branchy %.2f ms, branchless %.2f ms "
-              "(%.2fx, checksum %.3g)\n", branchy_s * 1e3,
-              branchless_s * 1e3, ratio, checksum);
-  // Timing gate engages only at full size (same convention as the build
-  // benches): under bench-smoke's ctest -j the box is oversubscribed and
-  // wall-clock microbenchmarks flake.
-  if (!fast_mode && branchless_s > branchy_s * 1.10) {
-    std::fprintf(stderr, "FAIL: branchless ratio-test kernel is >10%% slower "
-                 "than the branchy one (%.2f ms vs %.2f ms)\n",
-                 branchless_s * 1e3, branchy_s * 1e3);
     ok = false;
   }
 

@@ -148,10 +148,12 @@ class Session {
   std::string journal_dir_;
   std::uint64_t topo_h_ = 0;
   std::uint64_t scen_h_ = 0;
-  // Opened by prepare() and lives for the rest of the run, so period N+1
-  // starts from period N's optimal vertex. Scoped: it serves solves on the
-  // thread that prepared the session (the daemon's single poll loop) and
-  // the pool work that thread fans out.
+  // Opened by prepare() only when a basis store is configured
+  // (ControllerConfig::basis_store / basis_dir / ARROW_BASIS_DIR); it then
+  // lives for the rest of the run, so period N+1 starts from period N's
+  // optimal vertex. Without a store it stays empty and every period solves
+  // cold. Scoped: it serves solves on the thread that prepared the session
+  // (the daemon's single poll loop) and the pool work that thread fans out.
   std::optional<solver::ScopedWarmStartCache> warm_;
   std::optional<StateJournal> journal_;
 

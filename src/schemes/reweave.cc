@@ -234,64 +234,14 @@ te::TeSolution global_resolve(const te::TeInput& input,
 
   // solve_max_throughput's model with dead tunnels clamped to zero: the
   // shape (variables, rows) is identical to the healthy LP, so chained
-  // re-solves across scenarios warm-start from one another's bases.
+  // re-solves across scenarios warm-start from one another's bases. The
+  // solve time includes the build, as local_repair's does.
   const auto t0 = Clock::now();
   solver::Model model;
-  model.set_maximize();
-  const int F = input.num_flows();
-  std::vector<solver::VarId> b(static_cast<std::size_t>(F));
-  std::vector<std::vector<solver::VarId>> a(static_cast<std::size_t>(F));
-  for (int f = 0; f < F; ++f) {
-    b[static_cast<std::size_t>(f)] = model.add_var(
-        0.0, input.flows()[static_cast<std::size_t>(f)].demand_gbps, 1.0);
-    const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
-    a[static_cast<std::size_t>(f)].resize(tunnels.size());
-    for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-      const int flat = input.tunnel_index(f, static_cast<int>(ti));
-      const double ub =
-          dead[static_cast<std::size_t>(flat)] ? 0.0 : solver::kInf;
-      a[static_cast<std::size_t>(f)][ti] = model.add_var(0.0, ub, 0.0);
-    }
-  }
-  for (int f = 0; f < F; ++f) {
-    solver::LinExpr sum;
-    for (const auto& v : a[static_cast<std::size_t>(f)]) sum.add_term(v, 1.0);
-    sum -= solver::LinExpr(b[static_cast<std::size_t>(f)]);
-    model.add_constr(sum, solver::Sense::kGe, 0.0);
-  }
-  for (const auto& link : input.net().ip_links) {
-    solver::LinExpr load;
-    for (const auto& lt : input.tunnels_on_link(link.id)) {
-      load.add_term(a[static_cast<std::size_t>(lt.flow)]
-                     [static_cast<std::size_t>(lt.ti)],
-                    1.0);
-    }
-    if (!load.terms().empty()) {
-      model.add_constr(load, solver::Sense::kLe, link.capacity_gbps());
-    }
-  }
-
+  const te::BaseVars vars = te::add_base(model, input, &dead);
   const auto res = model.solve();
-  te::TeSolution sol;
-  sol.scheme = "ReWeave-Global";
-  sol.optimal = res.optimal();
-  sol.objective = res.objective;
-  sol.solve_seconds = seconds_since(t0);
-  sol.simplex_iterations = res.simplex_iterations;
-  sol.presolve_rows_removed = res.presolve_rows_removed;
-  sol.presolve_cols_removed = res.presolve_cols_removed;
-  sol.pricing_candidates = res.pricing_candidates;
-  if (!sol.optimal) return sol;
-  sol.admitted.resize(static_cast<std::size_t>(F));
-  sol.alloc.resize(static_cast<std::size_t>(F));
-  for (int f = 0; f < F; ++f) {
-    sol.admitted[static_cast<std::size_t>(f)] =
-        model.value(b[static_cast<std::size_t>(f)]);
-    for (const auto& v : a[static_cast<std::size_t>(f)]) {
-      sol.alloc[static_cast<std::size_t>(f)].push_back(model.value(v));
-    }
-  }
-  return sol;
+  return te::extract_solution(model, input, vars, "ReWeave-Global", res,
+                              seconds_since(t0));
 }
 
 }  // namespace arrow::schemes

@@ -12,8 +12,10 @@
 //     (basis store load and seed); the first tick fixes the tunnel shape and
 //     runs the rest of the offline stage (journal recovery, calibration,
 //     restoration plans with RWA repair); every tick runs the ladder with
-//     the warm-start cache carried across ticks, and last-good carry-forward
-//     state surviving between them;
+//     last-good carry-forward state surviving between ticks and, when a
+//     basis store is configured (basis_store / basis_dir / ARROW_BASIS_DIR),
+//     the warm-start cache carried across them — without one every tick
+//     solves cold;
 //   * cuts answered at once (no restoration ramp to integrate): an exact
 //     precomputed plan for the optically restoring schemes, the localized
 //     IP-layer repair for schemes whose registry capabilities set

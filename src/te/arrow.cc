@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/model.h"
+#include "te/basic.h"
 #include "util/check.h"
 
 namespace arrow::te {
@@ -15,77 +16,6 @@ namespace arrow::te {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-struct BaseVars {
-  std::vector<solver::VarId> b;
-  std::vector<std::vector<solver::VarId>> a;
-};
-
-// Constraints (1)-(3) / (7)-(9): flow cover, healthy capacity, demand caps.
-// Link loads walk the link->tunnel incidence index; it visits tunnels in
-// (flow, ti) order and add_constr canonicalizes terms, so the rows match a
-// dense F x T probe exactly.
-BaseVars add_base(solver::Model& model, const TeInput& input) {
-  const int F = input.num_flows();
-  BaseVars vars;
-  vars.b.resize(static_cast<std::size_t>(F));
-  vars.a.resize(static_cast<std::size_t>(F));
-  for (int f = 0; f < F; ++f) {
-    vars.b[static_cast<std::size_t>(f)] = model.add_var(
-        0.0, input.flows()[static_cast<std::size_t>(f)].demand_gbps, 1.0);
-    vars.a[static_cast<std::size_t>(f)].resize(
-        input.tunnels()[static_cast<std::size_t>(f)].size());
-    for (auto& v : vars.a[static_cast<std::size_t>(f)]) {
-      v = model.add_var(0.0, solver::kInf, 0.0);
-    }
-  }
-  for (int f = 0; f < F; ++f) {
-    solver::LinExpr sum;
-    for (const auto& v : vars.a[static_cast<std::size_t>(f)]) {
-      sum.add_term(v, 1.0);
-    }
-    sum -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
-    model.add_constr(sum, solver::Sense::kGe, 0.0);
-  }
-  for (const auto& link : input.net().ip_links) {
-    solver::LinExpr load;
-    for (const auto& lt : input.tunnels_on_link(link.id)) {
-      load.add_term(
-          vars.a[static_cast<std::size_t>(lt.flow)][static_cast<std::size_t>(lt.ti)],
-          1.0);
-    }
-    if (!load.terms().empty()) {
-      model.add_constr(load, solver::Sense::kLe, link.capacity_gbps());
-    }
-  }
-  return vars;
-}
-
-TeSolution extract_solution(solver::Model& model, const TeInput& input,
-                            const BaseVars& vars, const char* scheme,
-                            const solver::SolveResult& res, double seconds) {
-  TeSolution sol;
-  sol.scheme = scheme;
-  sol.optimal = res.optimal();
-  sol.objective = res.objective;
-  sol.solve_seconds = seconds;
-  sol.simplex_iterations = res.simplex_iterations;
-  sol.presolve_rows_removed = res.presolve_rows_removed;
-  sol.presolve_cols_removed = res.presolve_cols_removed;
-  sol.pricing_candidates = res.pricing_candidates;
-  if (!sol.optimal) return sol;
-  const int F = input.num_flows();
-  sol.admitted.resize(static_cast<std::size_t>(F));
-  sol.alloc.resize(static_cast<std::size_t>(F));
-  for (int f = 0; f < F; ++f) {
-    sol.admitted[static_cast<std::size_t>(f)] =
-        model.value(vars.b[static_cast<std::size_t>(f)]);
-    for (const auto& v : vars.a[static_cast<std::size_t>(f)]) {
-      sol.alloc[static_cast<std::size_t>(f)].push_back(model.value(v));
-    }
-  }
-  return sol;
-}
 
 const ticket::LotteryTicket& ticket_or_naive(
     const ArrowPrepared& prepared, const std::vector<ticket::LotteryTicket>& naive,
@@ -128,7 +58,6 @@ void build_phase2(const TeInput& input, const ArrowPrepared& prepared,
   OBS_SPAN("phase2_build");
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
-  model.set_maximize();
   out->vars = add_base(model, input);
   const BaseVars& vars = out->vars;
 
@@ -252,7 +181,6 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
   ARROW_CHECK(cache != nullptr, "build_phase1 requires a restorability cache");
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
-  model.set_maximize();
   out->vars = add_base(model, input);
   const BaseVars& vars = out->vars;
   out->slack.assign(static_cast<std::size_t>(Q), {});
@@ -357,7 +285,6 @@ void build_ilp(const TeInput& input, const ArrowPrepared& prepared,
                IlpModel* out) {
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
-  model.set_maximize();
   out->vars = add_base(model, input);
   const BaseVars& vars = out->vars;
   out->select.assign(static_cast<std::size_t>(Q), {});
@@ -830,7 +757,6 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
   // sum_z sum_li max(0, load_li - r_li^z). Scenario rows start absent and are
   // priced in below.
   solver::Model master;
-  master.set_maximize();
   const BaseVars vars = add_base(master, input);
   std::vector<solver::VarId> theta;
   theta.reserve(static_cast<std::size_t>(Q));
@@ -1163,7 +1089,6 @@ TeSolution solve_arrow_ilp(const TeInput& input, const ArrowPrepared& prepared,
       std::chrono::duration<double>(Clock::now() - t0).count();
   TeSolution sol =
       extract_solution(model, input, vars, "ARROW-ILP", res, seconds);
-  sol.bb_nodes_hint = res.bb_nodes;
   if (!sol.optimal) return sol;
   sol.winner.assign(static_cast<std::size_t>(Q), -1);
   sol.restored.resize(static_cast<std::size_t>(Q));

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
-#include "solver/model.h"
 #include "util/check.h"
 
 namespace arrow::te {
@@ -19,62 +19,90 @@ double seconds_since(Clock::time_point t0) {
 
 }  // namespace
 
-TeSolution solve_max_throughput(const TeInput& input) {
-  solver::Model model;
+BaseVars add_base(solver::Model& model, const TeInput& input,
+                  const std::vector<char>* dead) {
   model.set_maximize();
   const int F = input.num_flows();
-  std::vector<solver::VarId> b(static_cast<std::size_t>(F));
-  std::vector<std::vector<solver::VarId>> a(static_cast<std::size_t>(F));
+  BaseVars vars;
+  vars.b.resize(static_cast<std::size_t>(F));
+  vars.a.resize(static_cast<std::size_t>(F));
   for (int f = 0; f < F; ++f) {
-    b[static_cast<std::size_t>(f)] = model.add_var(
+    vars.b[static_cast<std::size_t>(f)] = model.add_var(
         0.0, input.flows()[static_cast<std::size_t>(f)].demand_gbps, 1.0);
-    a[static_cast<std::size_t>(f)].resize(input.tunnels()[static_cast<std::size_t>(f)].size());
-    for (auto& v : a[static_cast<std::size_t>(f)]) {
-      v = model.add_var(0.0, solver::kInf, 0.0);
+    auto& a = vars.a[static_cast<std::size_t>(f)];
+    a.resize(input.tunnels()[static_cast<std::size_t>(f)].size());
+    for (std::size_t ti = 0; ti < a.size(); ++ti) {
+      const bool is_dead =
+          dead != nullptr &&
+          (*dead)[static_cast<std::size_t>(
+              input.tunnel_index(f, static_cast<int>(ti)))];
+      a[ti] = model.add_var(0.0, is_dead ? 0.0 : solver::kInf, 0.0);
     }
   }
   for (int f = 0; f < F; ++f) {
     solver::LinExpr sum;
-    for (const auto& v : a[static_cast<std::size_t>(f)]) sum.add_term(v, 1.0);
-    sum -= solver::LinExpr(b[static_cast<std::size_t>(f)]);
+    for (const auto& v : vars.a[static_cast<std::size_t>(f)]) {
+      sum.add_term(v, 1.0);
+    }
+    sum -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
     model.add_constr(sum, solver::Sense::kGe, 0.0);
   }
+  add_capacity_rows(model, input, vars.a);
+  return vars;
+}
+
+void add_capacity_rows(solver::Model& model, const TeInput& input,
+                       const std::vector<std::vector<solver::VarId>>& a) {
   for (const auto& link : input.net().ip_links) {
     solver::LinExpr load;
-    for (int f = 0; f < F; ++f) {
-      for (std::size_t ti = 0; ti < a[static_cast<std::size_t>(f)].size(); ++ti) {
-        if (input.tunnel_uses_link(f, static_cast<int>(ti), link.id)) {
-          load.add_term(a[static_cast<std::size_t>(f)][ti], 1.0);
-        }
-      }
+    for (const auto& lt : input.tunnels_on_link(link.id)) {
+      load.add_term(
+          a[static_cast<std::size_t>(lt.flow)][static_cast<std::size_t>(lt.ti)],
+          1.0);
     }
     if (!load.terms().empty()) {
       model.add_constr(load, solver::Sense::kLe, link.capacity_gbps());
     }
   }
+}
 
-  const auto t0 = Clock::now();
-  const auto res = model.solve();
+TeSolution extract_solution(const solver::Model& model, const TeInput& input,
+                            const BaseVars& vars, std::string scheme,
+                            const solver::SolveResult& res, double seconds) {
   TeSolution sol;
-  sol.scheme = "MaxThroughput";
+  sol.scheme = std::move(scheme);
   sol.optimal = res.optimal();
   sol.objective = res.objective;
-  sol.solve_seconds = seconds_since(t0);
+  sol.solve_seconds = seconds;
   sol.simplex_iterations = res.simplex_iterations;
+  sol.bb_nodes_hint = res.bb_nodes;
   sol.presolve_rows_removed = res.presolve_rows_removed;
   sol.presolve_cols_removed = res.presolve_cols_removed;
   sol.pricing_candidates = res.pricing_candidates;
   if (!sol.optimal) return sol;
-  sol.admitted.resize(static_cast<std::size_t>(F));
+  const int F = input.num_flows();
   sol.alloc.resize(static_cast<std::size_t>(F));
   for (int f = 0; f < F; ++f) {
-    sol.admitted[static_cast<std::size_t>(f)] =
-        model.value(b[static_cast<std::size_t>(f)]);
-    for (const auto& v : a[static_cast<std::size_t>(f)]) {
+    for (const auto& v : vars.a[static_cast<std::size_t>(f)]) {
       sol.alloc[static_cast<std::size_t>(f)].push_back(model.value(v));
     }
   }
+  if (vars.b.empty()) return sol;
+  sol.admitted.resize(static_cast<std::size_t>(F));
+  for (int f = 0; f < F; ++f) {
+    sol.admitted[static_cast<std::size_t>(f)] =
+        model.value(vars.b[static_cast<std::size_t>(f)]);
+  }
   return sol;
+}
+
+TeSolution solve_max_throughput(const TeInput& input) {
+  solver::Model model;
+  const BaseVars vars = add_base(model, input);
+  const auto t0 = Clock::now();
+  const auto res = model.solve();
+  return extract_solution(model, input, vars, "MaxThroughput", res,
+                          seconds_since(t0));
 }
 
 TeSolution solve_ecmp(const TeInput& input) {
@@ -116,19 +144,7 @@ double max_satisfiable_scale(const TeInput& input, bool* ok) {
     sum.add_term(s, -d);
     model.add_constr(sum, solver::Sense::kGe, 0.0);
   }
-  for (const auto& link : input.net().ip_links) {
-    solver::LinExpr load;
-    for (int f = 0; f < F; ++f) {
-      for (std::size_t ti = 0; ti < a[static_cast<std::size_t>(f)].size(); ++ti) {
-        if (input.tunnel_uses_link(f, static_cast<int>(ti), link.id)) {
-          load.add_term(a[static_cast<std::size_t>(f)][ti], 1.0);
-        }
-      }
-    }
-    if (!load.terms().empty()) {
-      model.add_constr(load, solver::Sense::kLe, link.capacity_gbps());
-    }
-  }
+  add_capacity_rows(model, input, a);
   const auto res = model.solve();
   if (ok != nullptr) {
     *ok = res.optimal();

@@ -1,12 +1,51 @@
 // Failure-oblivious building blocks: the plain max-throughput TE LP, ECMP,
 // and demand-scale calibration (the paper starts every sweep from a state
 // where 100% of demand is satisfiable, §6 "Demand scaling").
+//
+// Also the TE LP skeleton every LP scheme is built on. Max-throughput, FFC,
+// ARROW's Phase I/II/ILP models and ReWeave's global re-solve all start from
+// add_base; calibration and TeaVaR, whose variables and cover rows differ,
+// take only add_capacity_rows. Every scheme that returns a TeSolution from
+// an LP reads it back through extract_solution.
 #pragma once
 
+#include <string>
+#include <vector>
+
+#include "solver/model.h"
 #include "te/input.h"
 #include "te/solution.h"
 
 namespace arrow::te {
+
+// Allocation variables of the skeleton: b[f] admitted bandwidth (empty for
+// schemes without one), a[f][ti] tunnel allocation.
+struct BaseVars {
+  std::vector<solver::VarId> b;
+  std::vector<std::vector<solver::VarId>> a;
+};
+
+// Constraints (1)-(3) / (7)-(9) of Tables 2/3, maximizing sum_f b_f: per
+// flow, b_f in [0, d_f] with objective 1 followed by its a_{f,t} >= 0, then
+// one flow-cover row sum_t a_{f,t} >= b_f per flow, then add_capacity_rows.
+// With `dead` (a flat-tunnel mask), a_{f,t} of a dead tunnel gets ub = 0 —
+// the same shape as the healthy LP, so re-solves under different failures
+// warm-start from one another's bases.
+BaseVars add_base(solver::Model& model, const TeInput& input,
+                  const std::vector<char>* dead = nullptr);
+
+// Healthy capacity rows sum_{t crosses e} a_t <= c_e, one per IP link that
+// some tunnel crosses, in link order. Walks the link -> tunnel index, which
+// visits tunnels in (flow, ti) order.
+void add_capacity_rows(solver::Model& model, const TeInput& input,
+                       const std::vector<std::vector<solver::VarId>>& a);
+
+// Reads a solved model back: scheme, status, objective, `seconds`, solver
+// counters, then (when optimal) alloc from vars.a and admitted from vars.b.
+// With vars.b empty, admitted is left to the caller.
+TeSolution extract_solution(const solver::Model& model, const TeInput& input,
+                            const BaseVars& vars, std::string scheme,
+                            const solver::SolveResult& res, double seconds);
 
 // max sum_f b_f subject to tunnel/capacity constraints only (no failure
 // scenarios). This is also the hypothetical "Fully Restorable TE" of Fig. 16:

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "scenario/scenario.h"
-#include "solver/model.h"
+#include "te/basic.h"
 #include "util/check.h"
 
 namespace arrow::te {
@@ -14,39 +14,9 @@ TeSolution solve_ffc(const TeInput& input, const FfcParams& params) {
   const auto& net = input.net();
   const int F = input.num_flows();
 
-  solver::Model model;
-  model.set_maximize();
-  std::vector<solver::VarId> b(static_cast<std::size_t>(F));
-  std::vector<std::vector<solver::VarId>> a(static_cast<std::size_t>(F));
-  for (int f = 0; f < F; ++f) {
-    b[static_cast<std::size_t>(f)] = model.add_var(
-        0.0, input.flows()[static_cast<std::size_t>(f)].demand_gbps, 1.0);
-    a[static_cast<std::size_t>(f)].resize(
-        input.tunnels()[static_cast<std::size_t>(f)].size());
-    for (auto& v : a[static_cast<std::size_t>(f)]) {
-      v = model.add_var(0.0, solver::kInf, 0.0);
-    }
-  }
   // (1) flow cover, (2) capacity.
-  for (int f = 0; f < F; ++f) {
-    solver::LinExpr sum;
-    for (const auto& v : a[static_cast<std::size_t>(f)]) sum.add_term(v, 1.0);
-    sum -= solver::LinExpr(b[static_cast<std::size_t>(f)]);
-    model.add_constr(sum, solver::Sense::kGe, 0.0);
-  }
-  for (const auto& link : net.ip_links) {
-    solver::LinExpr load;
-    for (int f = 0; f < F; ++f) {
-      for (std::size_t ti = 0; ti < a[static_cast<std::size_t>(f)].size(); ++ti) {
-        if (input.tunnel_uses_link(f, static_cast<int>(ti), link.id)) {
-          load.add_term(a[static_cast<std::size_t>(f)][ti], 1.0);
-        }
-      }
-    }
-    if (!load.terms().empty()) {
-      model.add_constr(load, solver::Sense::kLe, link.capacity_gbps());
-    }
-  }
+  solver::Model model;
+  const BaseVars vars = add_base(model, input);
 
   // FFC guarantee rows: for every <= k cut scenario, residual tunnels must
   // still cover b_f. Distinct scenarios with identical failed-link sets are
@@ -84,11 +54,11 @@ TeSolution solve_ffc(const TeInput& input, const FfcParams& params) {
         if (dead) {
           any_dead = true;
         } else {
-          alive.add_term(a[static_cast<std::size_t>(f)][ti], 1.0);
+          alive.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
         }
       }
       if (!any_dead) continue;
-      alive -= solver::LinExpr(b[static_cast<std::size_t>(f)]);
+      alive -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
       model.add_constr(alive, solver::Sense::kGe, 0.0);
     }
   };
@@ -108,28 +78,10 @@ TeSolution solve_ffc(const TeInput& input, const FfcParams& params) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto res = model.solve();
-  TeSolution sol;
-  sol.scheme = params.k == 1 ? "FFC-1" : "FFC-2";
-  sol.optimal = res.optimal();
-  sol.objective = res.objective;
-  sol.solve_seconds =
+  return extract_solution(
+      model, input, vars, params.k == 1 ? "FFC-1" : "FFC-2", res,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  sol.simplex_iterations = res.simplex_iterations;
-  sol.presolve_rows_removed = res.presolve_rows_removed;
-  sol.presolve_cols_removed = res.presolve_cols_removed;
-  sol.pricing_candidates = res.pricing_candidates;
-  if (!sol.optimal) return sol;
-  sol.admitted.resize(static_cast<std::size_t>(F));
-  sol.alloc.resize(static_cast<std::size_t>(F));
-  for (int f = 0; f < F; ++f) {
-    sol.admitted[static_cast<std::size_t>(f)] =
-        model.value(b[static_cast<std::size_t>(f)]);
-    for (const auto& v : a[static_cast<std::size_t>(f)]) {
-      sol.alloc[static_cast<std::size_t>(f)].push_back(model.value(v));
-    }
-  }
-  return sol;
+          .count());
 }
 
 }  // namespace arrow::te

@@ -134,18 +134,16 @@ void TeInput::build_caches() {
   }
 
   const auto num_links = net_->ip_links.size();
-  uses_link_.assign(static_cast<std::size_t>(total_tunnels_),
-                    std::vector<char>(num_links, 0));
   on_link_.assign(num_links, {});
   for (std::size_t f = 0; f < tunnels_.size(); ++f) {
     for (std::size_t ti = 0; ti < tunnels_[f].size(); ++ti) {
       const int flat = tunnel_index(static_cast<int>(f), static_cast<int>(ti));
       for (int e : tunnels_[f][ti].links) {
-        auto& flag =
-            uses_link_[static_cast<std::size_t>(flat)][static_cast<std::size_t>(e)];
-        if (flag) continue;  // a tunnel revisiting a link indexes once
-        flag = 1;
-        on_link_[static_cast<std::size_t>(e)].push_back(
+        auto& on_e = on_link_[static_cast<std::size_t>(e)];
+        // Tunnels are visited in flat order, so one revisiting e already
+        // sits at the back: it is indexed once.
+        if (!on_e.empty() && on_e.back().flat == flat) continue;
+        on_e.push_back(
             LinkTunnel{static_cast<int>(f), static_cast<int>(ti), flat});
       }
     }
@@ -176,11 +174,6 @@ void TeInput::build_caches() {
       if (any_dead) affected_flows_[q].push_back(static_cast<int>(f));
     }
   }
-}
-
-bool TeInput::tunnel_uses_link(int f, int ti, topo::IpLinkId e) const {
-  return uses_link_[static_cast<std::size_t>(tunnel_index(f, ti))]
-                   [static_cast<std::size_t>(e)] != 0;
 }
 
 void TeInput::set_demands(const traffic::TrafficMatrix& tm) {

@@ -1,6 +1,7 @@
 // Common input to every TE formulation (paper Table 1): flows, tunnels,
-// link capacities, failure scenarios, plus the derived residual-tunnel and
-// link-usage caches shared by ECMP/FFC/TeaVaR/ARROW.
+// link capacities, failure scenarios, plus the derived caches shared by
+// ECMP/FFC/TeaVaR/ARROW/ReWeave: the link -> tunnel incidence index and the
+// per-scenario residual-tunnel flags, failed links and affected flows.
 #pragma once
 
 #include <vector>
@@ -50,9 +51,6 @@ class TeInput {
   int num_flows() const { return static_cast<int>(flows_.size()); }
   int num_scenarios() const { return static_cast<int>(scenarios_.size()); }
 
-  // L[t,e]: does tunnel (f, ti) traverse IP link e?
-  bool tunnel_uses_link(int f, int ti, topo::IpLinkId e) const;
-
   // One entry of the inverted link -> tunnel incidence index.
   struct LinkTunnel {
     int flow = -1;
@@ -60,10 +58,9 @@ class TeInput {
     int flat = -1;  // flattened tunnel index (tunnel_index(flow, ti))
   };
 
-  // Tunnels traversing IP link e, in (flow, ti) order — the same order a
-  // dense F x T scan filtered by tunnel_uses_link visits them, so constraint
-  // rows built from this index carry identical terms. Turns the per-link
-  // model-build loops from O(F * T) probes into O(tunnels on e).
+  // Tunnels traversing IP link e (L[t,e] of Table 1), in (flow, ti) order,
+  // each listed once even when it revisits e. Per-link model-build loops
+  // cost O(tunnels on e) instead of O(F * T) probes.
   const std::vector<LinkTunnel>& tunnels_on_link(topo::IpLinkId e) const {
     return on_link_[static_cast<std::size_t>(e)];
   }
@@ -106,7 +103,6 @@ class TeInput {
 
   std::vector<int> tunnel_base_;  // flow -> flattened tunnel index base
   int total_tunnels_ = 0;
-  std::vector<std::vector<char>> uses_link_;   // [flat tunnel][ip link]
   std::vector<std::vector<LinkTunnel>> on_link_;  // [ip link] -> tunnels
   std::vector<std::vector<char>> alive_;       // [scenario][flat tunnel]
   std::vector<std::vector<topo::IpLinkId>> failed_links_;  // [scenario]

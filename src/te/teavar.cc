@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "solver/model.h"
+#include "te/basic.h"
 #include "util/check.h"
 
 namespace arrow::te {
@@ -50,19 +50,7 @@ TeSolution solve_teavar(const TeInput& input, const TeaVarParams& params) {
     model.add_constr(sum, solver::Sense::kLe,
                      params.allocation_headroom * d);
   }
-  for (const auto& link : input.net().ip_links) {
-    solver::LinExpr load;
-    for (int f = 0; f < F; ++f) {
-      for (std::size_t ti = 0; ti < a[static_cast<std::size_t>(f)].size(); ++ti) {
-        if (input.tunnel_uses_link(f, static_cast<int>(ti), link.id)) {
-          load.add_term(a[static_cast<std::size_t>(f)][ti], 1.0);
-        }
-      }
-    }
-    if (!load.terms().empty()) {
-      model.add_constr(load, solver::Sense::kLe, link.capacity_gbps());
-    }
-  }
+  add_capacity_rows(model, input, a);
 
   // CVaR rows. Scenario loss is the demand-weighted fractional loss
   //   L_q = sum_f (d_f / D) * u_{f,q},   u_{f,q} = max(0, 1 - sum_alive a/d_f)
@@ -124,28 +112,16 @@ TeSolution solve_teavar(const TeInput& input, const TeaVarParams& params) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto res = model.solve();
-  TeSolution sol;
-  sol.scheme = "TeaVaR";
-  sol.optimal = res.optimal();
-  sol.objective = res.objective;
-  sol.solve_seconds =
+  TeSolution sol = extract_solution(
+      model, input, BaseVars{{}, a}, "TeaVaR", res,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  sol.simplex_iterations = res.simplex_iterations;
-  sol.presolve_rows_removed = res.presolve_rows_removed;
-  sol.presolve_cols_removed = res.presolve_cols_removed;
-  sol.pricing_candidates = res.pricing_candidates;
+          .count());
   if (!sol.optimal) return sol;
-
+  // No b_f in this LP: a flow is credited its allocation, capped at demand.
   sol.admitted.resize(static_cast<std::size_t>(F));
-  sol.alloc.resize(static_cast<std::size_t>(F));
   for (int f = 0; f < F; ++f) {
     double total = 0.0;
-    for (const auto& v : a[static_cast<std::size_t>(f)]) {
-      const double val = model.value(v);
-      sol.alloc[static_cast<std::size_t>(f)].push_back(val);
-      total += val;
-    }
+    for (double val : sol.alloc[static_cast<std::size_t>(f)]) total += val;
     sol.admitted[static_cast<std::size_t>(f)] = std::min(
         total, input.flows()[static_cast<std::size_t>(f)].demand_gbps);
   }
