@@ -115,8 +115,8 @@ int main() {
     for (int i = 0; i < ctrl::kNumRungs; ++i) {
       rung_counts[static_cast<std::size_t>(i)] += report.fallback_counts[i];
     }
-    timeouts += report.solve_stats.timeouts;
-    backoff_retries += report.solve_stats.backoff_retries;
+    timeouts += report.solver_timeouts;
+    backoff_retries += report.backoff_retries;
     degraded += report.degraded_periods;
   }
 

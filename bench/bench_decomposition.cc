@@ -177,14 +177,14 @@ int main() {
     out.set(rung_key("monolithic_completed"), mono.completed ? 1 : 0);
     out.set(rung_key("decomposed_ms"), deco.solve_ms);
     out.set(rung_key("decomposed_completed"), deco.completed ? 1 : 0);
-    out.set(rung_key("decomposed_rounds"), deco.p1.rounds);
-    out.set(rung_key("decomposed_cuts"), deco.p1.cuts_added);
+    out.set(rung_key("decomposed_rounds"), deco.p1.decomposition_rounds);
+    out.set(rung_key("decomposed_cuts"), deco.p1.decomposition_cuts);
     std::printf(
         "Q=%4d  monolithic %8.1f ms (%s)   decomposed %8.1f ms "
-        "(%s, %d rounds, %d cuts, %d sub-solves)\n",
+        "(%s, %lld rounds, %lld cuts, %lld sub-solves)\n",
         Q, mono.solve_ms, mono.completed ? "ok" : "BUDGET", deco.solve_ms,
-        deco.completed ? "ok" : "BUDGET", deco.p1.rounds, deco.p1.cuts_added,
-        deco.p1.sub_solves);
+        deco.completed ? "ok" : "BUDGET", deco.p1.decomposition_rounds, deco.p1.decomposition_cuts,
+        deco.p1.decomposition_sub_solves);
 
     if (!deco.completed) {
       std::fprintf(stderr,

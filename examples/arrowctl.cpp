@@ -361,7 +361,7 @@ int cmd_run(int argc, char** argv) {
   table.add_row({"TE runs", std::to_string(report.te_runs)});
   table.add_row({"degraded periods", std::to_string(report.degraded_periods)});
   table.add_row(
-      {"solver timeouts", std::to_string(report.solve_stats.timeouts)});
+      {"solver timeouts", std::to_string(report.solver_timeouts)});
   table.add_row({"cuts handled", std::to_string(report.cuts_handled)});
   table.add_row({"journal recovered",
                  report.journal_recovered ? "yes" : "no"});

@@ -85,7 +85,7 @@ ControllerReport run_controller(const topo::Network& net,
     LadderOutcome out = session.solve(input, /*drain=*/report.canceled);
     report.rung_by_matrix.push_back(out.rung);
     report.solve_seconds_by_matrix.push_back(out.seconds);
-    report.simplex_iterations_by_matrix.push_back(out.stats.iterations);
+    report.simplex_iterations_by_matrix.push_back(out.work.simplex_iterations);
     obs::Registry::global()
         .counter("arrow_ctrl_rung_" + rung_metric_name(out.rung) + "_total")
         .add();

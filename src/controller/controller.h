@@ -152,26 +152,6 @@ struct ControllerConfig {
   std::function<double()> restoration_delay_s;
 };
 
-// Solver work summed over LP attempts: every ladder attempt adds its
-// TeSolution's counters, so totals are exact by construction.
-struct SolveStats {
-  long long iterations = 0;  // simplex pivots
-  long long presolve_rows = 0;
-  long long presolve_cols = 0;
-  long long pricing_candidates = 0;  // columns examined by pricing
-  // Phase I decomposition totals (zero when the monolithic path — or a
-  // scheme without Phase I — ran).
-  long long decomposition_rounds = 0;
-  long long decomposition_sub_solves = 0;
-  long long decomposition_cuts = 0;
-  int timeouts = 0;         // LP solves that returned kTimedOut
-  int backoff_retries = 0;  // backoff sleeps taken before retries
-
-  // The counters one TE solve returned.
-  static SolveStats of(const te::TeSolution& sol);
-  SolveStats& operator+=(const SolveStats& o);
-};
-
 // One run's accounting. serve::TickEngine keeps its tally in this type too:
 // the fields mean the same there, with te_runs counting ticks and the
 // time-integrated fields left at zero.
@@ -197,9 +177,12 @@ struct ControllerReport {
   // just the winning rung) — the controller's own accounting of what the
   // solver returned, which the RunReport copies verbatim.
   std::vector<long long> simplex_iterations_by_matrix;
-  // Solver work across every ladder attempt in the horizon (plus the RWA
-  // repair backoffs of the offline stage).
-  SolveStats solve_stats;
+  // Solver work across every ladder attempt in the horizon, the LP solves
+  // among them that returned kTimedOut, and the backoff sleeps taken before
+  // retries (the offline stage's RWA repair backoffs included).
+  obs::SolveWork solve_work;
+  int solver_timeouts = 0;
+  int backoff_retries = 0;
   // TE periods in the horizon served by a rung below kPrimary or by a
   // solve that blew the te_budget_s deadline.
   int degraded_periods = 0;

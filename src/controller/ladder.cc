@@ -20,7 +20,7 @@ te::TeSolution carry_forward(const te::TeSolution& last_good,
   sol.scheme = "CarryForward(" + last_good.scheme + ")";
   sol.optimal = true;  // feasible by construction, not an optimum
   sol.solve_seconds = 0.0;
-  sol.simplex_iterations = 0;
+  static_cast<obs::SolveWork&>(sol) = {};
   // Carry the per-flow *splitting ratios* forward and let admission follow
   // demand (what the installed router config does between TE runs: split
   // weights stay, traffic volume changes). Oversubscription this may cause
@@ -42,37 +42,23 @@ te::TeSolution carry_forward(const te::TeSolution& last_good,
   return sol;
 }
 
-SolveStats SolveStats::of(const te::TeSolution& sol) {
-  SolveStats s;
-  s.iterations = sol.simplex_iterations;
-  s.presolve_rows = sol.presolve_rows_removed;
-  s.presolve_cols = sol.presolve_cols_removed;
-  s.pricing_candidates = sol.pricing_candidates;
-  s.decomposition_rounds = sol.decomposition_rounds;
-  s.decomposition_sub_solves = sol.decomposition_sub_solves;
-  s.decomposition_cuts = sol.decomposition_cuts;
-  return s;
-}
-
-SolveStats& SolveStats::operator+=(const SolveStats& o) {
-  iterations += o.iterations;
-  presolve_rows += o.presolve_rows;
-  presolve_cols += o.presolve_cols;
-  pricing_candidates += o.pricing_candidates;
-  decomposition_rounds += o.decomposition_rounds;
-  decomposition_sub_solves += o.decomposition_sub_solves;
-  decomposition_cuts += o.decomposition_cuts;
-  timeouts += o.timeouts;
-  backoff_retries += o.backoff_retries;
-  return *this;
-}
-
 std::string rung_metric_name(Rung r) {
   std::string name = to_string(r);
   for (char& c : name) {
     if (c == '-') c = '_';
   }
   return name;
+}
+
+void solve_bottom_rung(const te::TeInput& input,
+                       const te::TeSolution* last_good, LadderOutcome* out) {
+  if (last_good != nullptr) {
+    out->sol = carry_forward(*last_good, input);
+    out->rung = Rung::kCarryForward;
+  } else {
+    out->sol = te::solve_ecmp(input);
+    out->rung = Rung::kEcmp;
+  }
 }
 
 LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
@@ -96,11 +82,11 @@ LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
   double lp_seconds = 0.0;
   const auto account = [&]() {
     lp_seconds += out.sol.solve_seconds;
-    out.stats += SolveStats::of(out.sol);
+    out.work += out.sol;
   };
   const auto back_off = [&]() {
     if (backoff != nullptr && backoff->sleep(deadline) > 0.0) {
-      ++out.stats.backoff_retries;
+      ++out.backoff_retries;
     }
   };
   // Wall clock (not the sum of per-solve timings): backoff sleeps and
@@ -108,7 +94,7 @@ LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
   // timings when unbudgeted, avoiding clock reads on the default path.
   const auto done = [&]() {
     out.seconds = budgeted ? util::mono_now_s() - t0 : lp_seconds;
-    out.stats.timeouts = run_guard.timeouts();
+    out.solver_timeouts = run_guard.timeouts();
     return std::move(out);
   };
 
@@ -140,13 +126,7 @@ LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
   }
 
   // Closed-form bottom rungs: no LP, so they cannot fail.
-  if (last_good != nullptr) {
-    out.sol = carry_forward(*last_good, input);
-    out.rung = Rung::kCarryForward;
-  } else {
-    out.sol = te::solve_ecmp(input);
-    out.rung = Rung::kEcmp;
-  }
+  solve_bottom_rung(input, last_good, &out);
   return done();
 }
 

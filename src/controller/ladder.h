@@ -44,13 +44,21 @@ struct LadderOutcome {
   te::TeSolution sol;
   Rung rung = Rung::kPrimary;
   double seconds = 0.0;  // wall clock across all attempts this period
-  SolveStats stats;      // solver work across all attempts
+  obs::SolveWork work;   // solver work across all attempts
+  int solver_timeouts = 0;  // LP solves that returned kTimedOut
+  int backoff_retries = 0;  // backoff sleeps taken before retries
   bool deadline_overrun = false;  // seconds > te_budget_s (set by Session)
 };
 
 // Rung name with the metric-safe spelling (dashes are not legal in
 // Prometheus metric names).
 std::string rung_metric_name(Rung r);
+
+// The ladder's closed-form bottom rung: carries `last_good` (nullable)
+// forward onto `input`, else solves ECMP, and sets out->sol and out->rung.
+// No LP, so it cannot fail; a graceful drain lands here directly.
+void solve_bottom_rung(const te::TeInput& input,
+                       const te::TeSolution* last_good, LadderOutcome* out);
 
 // Walks the degradation ladder until some rung yields a usable solution.
 // The primary and relaxed rungs run `scheme` (one instance per run, so

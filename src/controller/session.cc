@@ -232,7 +232,7 @@ void Session::repair_rwa(const te::TeInput& input) {
   for (char r : repaired) {
     if (r) ++tally_->rwa_repairs; else ++tally_->rwa_scenarios_lost;
   }
-  tally_->solve_stats.backoff_retries += rwa_backoff_retries.load();
+  tally_->backoff_retries += rwa_backoff_retries.load();
 }
 
 LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
@@ -240,13 +240,7 @@ LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
   LadderOutcome out;
   if (drain) {
     // Graceful drain: no further LP work, the closed-form rungs only.
-    if (last_good != nullptr) {
-      out.sol = carry_forward(*last_good, input);
-      out.rung = Rung::kCarryForward;
-    } else {
-      out.sol = te::solve_ecmp(input);
-      out.rung = Rung::kEcmp;
-    }
+    solve_bottom_rung(input, last_good, &out);
   } else {
     const util::Deadline deadline =
         config_.te_budget_s > 0.0 ? util::Deadline::after(config_.te_budget_s)
@@ -261,7 +255,9 @@ LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
   }
   out.deadline_overrun =
       config_.te_budget_s > 0.0 && out.seconds > config_.te_budget_s;
-  tally_->solve_stats += out.stats;
+  tally_->solve_work += out.work;
+  tally_->solver_timeouts += out.solver_timeouts;
+  tally_->backoff_retries += out.backoff_retries;
   tally_->fallback_counts[static_cast<std::size_t>(out.rung)] += 1;
   if (out.deadline_overrun) ++tally_->deadline_overruns;
   ++tally_->te_runs;
@@ -312,21 +308,15 @@ void Session::fill_run_report(obs::RunReport* rr) const {
   }
   rr->degraded_periods = t.degraded_periods;
   rr->deadline_overruns = t.deadline_overruns;
-  rr->solver_timeouts = t.solve_stats.timeouts;
-  rr->backoff_retries = t.solve_stats.backoff_retries;
+  rr->solver_timeouts = t.solver_timeouts;
+  rr->backoff_retries = t.backoff_retries;
   rr->journal_recovered = t.journal_recovered;
   rr->journal_prior_in_flight = t.journal_prior_in_flight;
   if (journal_) {
     rr->journal_writes = journal_->writes();
     rr->journal_write_errors = journal_->write_errors();
   }
-  rr->simplex_iterations = t.solve_stats.iterations;
-  rr->presolve_rows_removed = t.solve_stats.presolve_rows;
-  rr->presolve_cols_removed = t.solve_stats.presolve_cols;
-  rr->pricing_candidates = t.solve_stats.pricing_candidates;
-  rr->decomposition_rounds = t.solve_stats.decomposition_rounds;
-  rr->decomposition_sub_solves = t.solve_stats.decomposition_sub_solves;
-  rr->decomposition_cuts = t.solve_stats.decomposition_cuts;
+  static_cast<obs::SolveWork&>(*rr) = t.solve_work;
   if (warm_) {
     rr->warm_start_hits = warm_->hits();
     rr->warm_start_stores = warm_->stores();

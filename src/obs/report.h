@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/solve_work.h"
+
 namespace arrow::obs {
 
 // What a run should emit. Resolution order: explicit config fields win,
@@ -49,7 +51,11 @@ struct ObsConfig {
   }
 };
 
-struct RunReport {
+// The SolveWork base holds the solver work summed from every SolveResult
+// the TE layer returned (every ladder attempt counts, not just the winning
+// rung's): pivots, presolve reductions and pricing work (v3), and Phase I
+// decomposition totals (v4).
+struct RunReport : SolveWork {
   // v2: adds solver timeout / backoff / cancellation counts and the
   // crash-consistency journal + basis-store save-error fields.
   // v3: adds solver-internals telemetry (presolve reductions, pricing
@@ -88,19 +94,6 @@ struct RunReport {
   int journal_writes = 0;
   int journal_write_errors = 0;
 
-  // Solver stats, summed from the SolveResults the TE layer returned
-  // (every ladder attempt counts, not just the winning rung's).
-  long long simplex_iterations = 0;
-  // Presolve reductions applied to the run's LPs and the number of columns
-  // the pricing step examined, summed like simplex_iterations (v3).
-  long long presolve_rows_removed = 0;
-  long long presolve_cols_removed = 0;
-  long long pricing_candidates = 0;
-  // Phase I decomposition totals across every ladder attempt (v4; zero when
-  // ArrowParams::decomposition is off or the scheme never runs Phase I).
-  long long decomposition_rounds = 0;
-  long long decomposition_sub_solves = 0;
-  long long decomposition_cuts = 0;
   // Warm-start traffic of the run's ScopedWarmStartCache and BasisStore.
   int warm_start_hits = 0;
   int warm_start_stores = 0;

@@ -56,7 +56,7 @@ struct RwaResult {
   std::vector<LinkRestoration> links;  // one entry per failed IP link
   double total_restored_waves = 0.0;
   bool optimal = false;
-  int simplex_iterations = 0;
+  long long simplex_iterations = 0;
 };
 
 struct RwaOptions {

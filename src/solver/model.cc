@@ -14,7 +14,17 @@ namespace arrow::solver {
 
 namespace {
 constexpr double kIntTol = 1e-6;
+
+// The solve-work counters one simplex call reported.
+obs::SolveWork work_of(const LpSolution& sol) {
+  obs::SolveWork w;
+  w.simplex_iterations = sol.iterations;
+  w.presolve_rows_removed = sol.presolve_rows_removed;
+  w.presolve_cols_removed = sol.presolve_cols_removed;
+  w.pricing_candidates = sol.pricing_candidates;
+  return w;
 }
+}  // namespace
 
 const char* to_string(SolveStatus s) {
   switch (s) {
@@ -191,16 +201,9 @@ SolveResult Model::solve(const Basis* warm_start) {
   const Lp lp = build_lp(lb, ub);
   const LpSolution sol = solve_lp(lp, simplex_options_, warm_start);
   SolveResult res;
-  res.simplex_iterations = sol.iterations;
-  res.phase1_iterations = sol.phase1_iterations;
-  res.refactorizations = sol.refactorizations;
-  res.phase1_seconds = sol.phase1_seconds;
-  res.phase2_seconds = sol.phase2_seconds;
+  res += work_of(sol);
   res.basis = sol.basis;
   res.warm_started = sol.warm_started;
-  res.presolve_rows_removed = sol.presolve_rows_removed;
-  res.presolve_cols_removed = sol.presolve_cols_removed;
-  res.pricing_candidates = sol.pricing_candidates;
   switch (sol.status) {
     case LpStatus::kOptimal: res.status = SolveStatus::kOptimal; break;
     case LpStatus::kInfeasible: res.status = SolveStatus::kInfeasible; break;
@@ -280,11 +283,7 @@ SolveResult Model::solve_mip() {
 
     const Lp lp = build_lp(node.lb, node.ub);
     const LpSolution sol = solve_lp(lp, simplex_options_);
-    res.simplex_iterations += sol.iterations;
-    res.refactorizations += sol.refactorizations;
-    res.presolve_rows_removed += sol.presolve_rows_removed;
-    res.presolve_cols_removed += sol.presolve_cols_removed;
-    res.pricing_candidates += sol.pricing_candidates;
+    res += work_of(sol);
     if (sol.status == LpStatus::kInfeasible) continue;
     if (sol.status == LpStatus::kUnbounded) {
       if (res.bb_nodes == 1) root_unbounded = true;

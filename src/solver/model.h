@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/solve_work.h"
 #include "solver/linexpr.h"
 #include "solver/lp.h"
 
@@ -34,24 +35,16 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus s);
 
-struct SolveResult {
+// The SolveWork base holds the pivots, presolve reductions and pricing work
+// of the solve (see LpSolution; summed over MIP nodes).
+struct SolveResult : obs::SolveWork {
   SolveStatus status = SolveStatus::kNumericalError;
   double objective = 0.0;
-  int simplex_iterations = 0;
-  int phase1_iterations = 0;  // feasibility-restoration share of the above
-  int refactorizations = 0;   // LU refactorizations (summed over MIP nodes)
-  double phase1_seconds = 0.0;  // simplex phase wall clocks (pure LPs only)
-  double phase2_seconds = 0.0;
   int bb_nodes = 0;           // 0 for pure LPs
   // Final simplex basis (pure LPs only; empty for MIPs and hard failures).
   // Feed it back into a later solve() of a same-shaped model to warm-start.
   Basis basis;
   bool warm_started = false;  // this solve started from a supplied basis
-  // Presolve reductions and pricing work (see LpSolution; summed over MIP
-  // nodes).
-  int presolve_rows_removed = 0;
-  int presolve_cols_removed = 0;
-  long long pricing_candidates = 0;
   bool optimal() const { return status == SolveStatus::kOptimal; }
 };
 

@@ -1104,9 +1104,9 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
         reg.counter("arrow_solver_warm_starts_total");
     static obs::Counter& cold_starts =
         reg.counter("arrow_solver_cold_starts_total");
-    static obs::Counter& presolve_rows =
+    static obs::Counter& rows_removed =
         reg.counter("arrow_solver_presolve_rows_removed_total");
-    static obs::Counter& presolve_cols =
+    static obs::Counter& cols_removed =
         reg.counter("arrow_solver_presolve_cols_removed_total");
     static obs::Counter& pricing_cands =
         reg.counter("arrow_solver_pricing_candidates");
@@ -1121,8 +1121,8 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
     p1_iters.add(static_cast<std::uint64_t>(sol.phase1_iterations));
     refactors.add(static_cast<std::uint64_t>(sol.refactorizations));
     (sol.warm_started ? warm_starts : cold_starts).add();
-    presolve_rows.add(static_cast<std::uint64_t>(sol.presolve_rows_removed));
-    presolve_cols.add(static_cast<std::uint64_t>(sol.presolve_cols_removed));
+    rows_removed.add(static_cast<std::uint64_t>(sol.presolve_rows_removed));
+    cols_removed.add(static_cast<std::uint64_t>(sol.presolve_cols_removed));
     pricing_cands.add(static_cast<std::uint64_t>(sol.pricing_candidates));
     solve_seconds.observe(std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - solve_t0)

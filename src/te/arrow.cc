@@ -271,7 +271,8 @@ struct IlpModel {
   std::vector<std::vector<solver::VarId>> select;  // [q][z]
 };
 
-// Builds the exact selection ILP (Table 9). The per-(q, z) cover (31) and
+// Builds the exact selection ILP (Table 9). Restorability flags come from
+// `cache` (required), as in build_phase1. The per-(q, z) cover (31) and
 // restored-capacity (32) expressions — minus their big-M selector terms,
 // which reference variables that do not exist yet — are generated on `pool`
 // into per-q slots, then appended serially in fixed (q, z) order with the
@@ -283,6 +284,7 @@ void build_ilp(const TeInput& input, const ArrowPrepared& prepared,
                const std::vector<ticket::LotteryTicket>& naive,
                const RestorabilityCache* cache, util::ThreadPool& pool,
                IlpModel* out) {
+  ARROW_CHECK(cache != nullptr, "build_ilp requires a restorability cache");
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
   out->vars = add_base(model, input);
@@ -301,13 +303,7 @@ void build_ilp(const TeInput& input, const ArrowPrepared& prepared,
     per_z.resize(static_cast<std::size_t>(Z));
     for (int z = 0; z < Z; ++z) {
       const int zi = tickets.tickets.empty() ? -1 : z;
-      std::vector<char> fresh;
-      if (cache == nullptr) {
-        fresh = restorable_flags(input, q, tickets,
-                                 ticket_or_naive(prepared, naive, q, zi));
-      }
-      const std::vector<char>& restorable =
-          cache != nullptr ? cache->flags(q, zi) : fresh;
+      const std::vector<char>& restorable = cache->flags(q, zi);
       TicketRows& r = per_z[static_cast<std::size_t>(z)];
       // (31): cover constraint relaxed unless ticket z is selected.
       r.cover.reserve(input.affected_flows(q).size());
@@ -449,13 +445,6 @@ std::vector<int> pick_winners(const TeInput& input,
         select_phase1_winner(totals, gbps, budgets);
   });
   return winners;
-}
-
-void add_solve_stats(const solver::SolveResult& res, Phase1Result* out) {
-  out->simplex_iterations += res.simplex_iterations;
-  out->presolve_rows_removed += res.presolve_rows_removed;
-  out->presolve_cols_removed += res.presolve_cols_removed;
-  out->pricing_candidates += res.pricing_candidates;
 }
 
 }  // namespace
@@ -721,7 +710,7 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
   Phase1Result out;
   out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   out.objective = res.objective;
-  add_solve_stats(res, &out);
+  out += res;
   if (!res.optimal()) return out;
   out.optimal = true;
   const auto alloc = extract_alloc(p1.model, p1.vars);
@@ -779,21 +768,21 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
     double cut_rhs = 0.0;
     bool sub_ran = false;
     bool sub_failed = false;
-    long long iters = 0, prows = 0, pcols = 0, pcand = 0;
+    obs::SolveWork work;
   };
 
   std::vector<std::vector<double>> alloc;
   bool converged = false;
-  while (out.rounds < params.decomposition.max_rounds) {
+  while (out.decomposition_rounds < params.decomposition.max_rounds) {
     solver::SolveResult mres;
     {
       solver::ScopedBasisTag tag(kMasterBasisTag);
       OBS_SPAN("phase1_master_solve");
       mres = master.solve();
     }
-    ++out.rounds;
+    ++out.decomposition_rounds;
     out.objective = mres.objective;
-    add_solve_stats(mres, &out);
+    out += mres;
     if (!mres.optimal()) {
       out.seconds = elapsed();
       return out;  // optimal stays false: same contract as the monolithic LP
@@ -921,10 +910,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
       const solver::SolveResult sres = sub.solve();
       s.sub_ran = true;
       s.sub_failed = !sres.optimal();
-      s.iters = sres.simplex_iterations;
-      s.prows = sres.presolve_rows_removed;
-      s.pcols = sres.presolve_cols_removed;
-      s.pcand = sres.pricing_candidates;
+      s.work = sres;
     });
 
     // Serial fixed-q-order merge: telemetry and row append.
@@ -933,22 +919,19 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
     for (int q = 0; q < Q; ++q) {
       PerScenario& s = ps[static_cast<std::size_t>(q)];
       if (s.sub_ran) {
-        ++out.sub_solves;
-        out.simplex_iterations += s.iters;
-        out.presolve_rows_removed += s.prows;
-        out.presolve_cols_removed += s.pcols;
-        out.pricing_candidates += s.pcand;
+        ++out.decomposition_sub_solves;
+        out += s.work;
         sub_failed = sub_failed || s.sub_failed;
       }
       for (std::size_t i = 0; i < s.new_cover.size(); ++i) {
         master.add_constr(s.new_cover[i], solver::Sense::kGe, 0.0);
         cover_present[static_cast<std::size_t>(q)][s.new_cover_idx[i]] = 1;
-        ++out.cuts_added;
+        ++out.decomposition_cuts;
         appended = true;
       }
       if (s.add_cut) {
         master.add_constr(s.cut, solver::Sense::kGe, s.cut_rhs);
-        ++out.cuts_added;
+        ++out.decomposition_cuts;
         appended = true;
       }
     }
@@ -973,9 +956,9 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
       "arrow_te_decomposition_sub_solves_total");
   static obs::Counter& cuts_total = obs::Registry::global().counter(
       "arrow_te_decomposition_cuts_total");
-  rounds_total.add(static_cast<std::uint64_t>(out.rounds));
-  subs_total.add(static_cast<std::uint64_t>(out.sub_solves));
-  cuts_total.add(static_cast<std::uint64_t>(out.cuts_added));
+  rounds_total.add(static_cast<std::uint64_t>(out.decomposition_rounds));
+  subs_total.add(static_cast<std::uint64_t>(out.decomposition_sub_solves));
+  cuts_total.add(static_cast<std::uint64_t>(out.decomposition_cuts));
   return out;
 }
 
@@ -999,27 +982,14 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
     TeSolution sol;
     sol.scheme = "ARROW";
     sol.solve_seconds = p1.seconds;
-    sol.simplex_iterations = static_cast<int>(p1.simplex_iterations);
-    sol.presolve_rows_removed = static_cast<int>(p1.presolve_rows_removed);
-    sol.presolve_cols_removed = static_cast<int>(p1.presolve_cols_removed);
-    sol.pricing_candidates = p1.pricing_candidates;
-    sol.decomposition_rounds = p1.rounds;
-    sol.decomposition_sub_solves = p1.sub_solves;
-    sol.decomposition_cuts = p1.cuts_added;
+    sol += p1;
     return sol;
   }
 
   // ---- Phase II -----------------------------------------------------------
   TeSolution sol = phase2(input, prepared, cache->naive_tickets(), p1.winners,
                           "ARROW", p1.seconds, cache, pool);
-  sol.simplex_iterations +=
-      static_cast<int>(p1.simplex_iterations);  // include Phase I's share
-  sol.presolve_rows_removed += static_cast<int>(p1.presolve_rows_removed);
-  sol.presolve_cols_removed += static_cast<int>(p1.presolve_cols_removed);
-  sol.pricing_candidates += p1.pricing_candidates;
-  sol.decomposition_rounds = p1.rounds;
-  sol.decomposition_sub_solves = p1.sub_solves;
-  sol.decomposition_cuts = p1.cuts_added;
+  sol += p1;  // include Phase I's share
   return sol;
 }
 

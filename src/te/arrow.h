@@ -149,23 +149,16 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
 // ---- Phase I entry points --------------------------------------------------
 
 // Phase I alone: the shared allocation plus the winning ticket per scenario
-// (-1 = naive RWA-floor plan), without paying for Phase II. Telemetry sums
-// over every LP attempt the path made (the decomposed path's master rounds
-// and per-scenario sub-LPs included).
-struct Phase1Result {
+// (-1 = naive RWA-floor plan), without paying for Phase II. The SolveWork
+// base sums over every LP attempt the path made (the decomposed path's
+// master rounds and per-scenario sub-LPs included); its decomposition_*
+// counters are 0 on the monolithic path.
+struct Phase1Result : obs::SolveWork {
   bool optimal = false;
   bool decomposed = false;   // which path produced this result
   std::vector<int> winners;  // per scenario (empty when !optimal)
   double objective = 0.0;    // Phase I LP objective (master's at convergence)
   double seconds = 0.0;
-  long long simplex_iterations = 0;
-  long long presolve_rows_removed = 0;
-  long long presolve_cols_removed = 0;
-  long long pricing_candidates = 0;
-  // Decomposed path only (0 on the monolithic path):
-  int rounds = 0;      // master solves performed
-  int sub_solves = 0;  // per-scenario sub-LP solves performed
-  int cuts_added = 0;  // lazily activated cover rows + optimality cuts
 };
 
 // Dispatches on params.decomposition.enabled.

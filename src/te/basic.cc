@@ -70,15 +70,12 @@ TeSolution extract_solution(const solver::Model& model, const TeInput& input,
                             const BaseVars& vars, std::string scheme,
                             const solver::SolveResult& res, double seconds) {
   TeSolution sol;
+  static_cast<obs::SolveWork&>(sol) = res;
   sol.scheme = std::move(scheme);
   sol.optimal = res.optimal();
   sol.objective = res.objective;
   sol.solve_seconds = seconds;
-  sol.simplex_iterations = res.simplex_iterations;
   sol.bb_nodes_hint = res.bb_nodes;
-  sol.presolve_rows_removed = res.presolve_rows_removed;
-  sol.presolve_cols_removed = res.presolve_cols_removed;
-  sol.pricing_candidates = res.pricing_candidates;
   if (!sol.optimal) return sol;
   const int F = input.num_flows();
   sol.alloc.resize(static_cast<std::size_t>(F));

@@ -6,35 +6,21 @@
 #include <string>
 #include <vector>
 
+#include "obs/solve_work.h"
 #include "topo/network.h"
 
 namespace arrow::te {
 
 class TeInput;
 
-struct TeSolution {
+// The SolveWork base sums the solver work of EVERY solve behind this
+// solution: Phase I master rounds, per-scenario sub-LPs and Phase II.
+struct TeSolution : obs::SolveWork {
   std::string scheme;
   bool optimal = false;
   double objective = 0.0;       // scheme-specific (throughput or CVaR)
   double solve_seconds = 0.0;   // optimization solve time only (Fig. 15)
-  int simplex_iterations = 0;
   int bb_nodes_hint = 0;        // branch-and-bound nodes (ILP schemes only)
-
-  // Solver-internals telemetry (summed across EVERY solve behind this
-  // solution — Phase I master rounds, per-scenario sub-LPs, Phase II):
-  // presolve reductions applied and the number of columns the pricing step
-  // actually examined.
-  int presolve_rows_removed = 0;
-  int presolve_cols_removed = 0;
-  long long pricing_candidates = 0;
-
-  // Phase I decomposition accounting (all zero when the monolithic path
-  // ran): master-loop rounds, per-scenario sub-LP solves performed, and
-  // rows generated lazily into the master (activated cover rows +
-  // optimality cuts).
-  int decomposition_rounds = 0;
-  int decomposition_sub_solves = 0;
-  int decomposition_cuts = 0;
 
   std::vector<double> admitted;              // b_f per flow (if modelled)
   std::vector<std::vector<double>> alloc;    // a_{f,t} Gbps per flow, tunnel

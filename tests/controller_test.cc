@@ -281,12 +281,12 @@ TEST(Ladder, RelaxedRungOnEightThreadsMatchesInline) {
   EXPECT_EQ(b.sol.objective, a.sol.objective);
   EXPECT_EQ(b.sol.admitted, a.sol.admitted);
   EXPECT_EQ(b.sol.alloc, a.sol.alloc);
-  EXPECT_EQ(b.stats.iterations, a.stats.iterations);
-  EXPECT_EQ(b.stats.presolve_rows, a.stats.presolve_rows);
-  EXPECT_EQ(b.stats.presolve_cols, a.stats.presolve_cols);
-  EXPECT_EQ(b.stats.pricing_candidates, a.stats.pricing_candidates);
-  EXPECT_EQ(b.stats.timeouts, a.stats.timeouts);
-  EXPECT_EQ(b.stats.backoff_retries, a.stats.backoff_retries);
+  EXPECT_EQ(b.work.simplex_iterations, a.work.simplex_iterations);
+  EXPECT_EQ(b.work.presolve_rows_removed, a.work.presolve_rows_removed);
+  EXPECT_EQ(b.work.presolve_cols_removed, a.work.presolve_cols_removed);
+  EXPECT_EQ(b.work.pricing_candidates, a.work.pricing_candidates);
+  EXPECT_EQ(b.solver_timeouts, a.solver_timeouts);
+  EXPECT_EQ(b.backoff_retries, a.backoff_retries);
   EXPECT_EQ(off_one, 0);
   EXPECT_GT(off_eight, 0);
 }

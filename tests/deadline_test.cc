@@ -328,15 +328,15 @@ TEST_F(LadderFixture, ShrinkingBudgetDegradesButEveryPeriodIsServed) {
   for (int c : report.fallback_counts) served += c;
   EXPECT_EQ(served, report.te_runs);  // every period attributed to a rung
   EXPECT_EQ(report.fallback_counts[static_cast<int>(ctrl::Rung::kPrimary)], 0);
-  EXPECT_GT(report.solve_stats.timeouts, 0);
+  EXPECT_GT(report.solver_timeouts, 0);
   EXPECT_GT(report.degraded_periods, 0);
   EXPECT_GT(report.deadline_overruns, 0);
   EXPECT_EQ(static_cast<int>(report.rung_by_matrix.size()), report.te_runs);
 
   // Timeout accounting must flow into the RunReport exactly.
-  EXPECT_EQ(report.run_report.solver_timeouts, report.solve_stats.timeouts);
+  EXPECT_EQ(report.run_report.solver_timeouts, report.solver_timeouts);
   EXPECT_EQ(report.run_report.backoff_retries,
-            report.solve_stats.backoff_retries);
+            report.backoff_retries);
   EXPECT_EQ(report.run_report.deadline_overruns, report.deadline_overruns);
   EXPECT_FALSE(report.canceled);
 }
@@ -352,7 +352,7 @@ TEST_F(LadderFixture, GenerousBudgetStaysOnThePrimaryRung) {
   ASSERT_GT(report.te_runs, 0);
   EXPECT_EQ(report.fallback_counts[static_cast<int>(ctrl::Rung::kPrimary)],
             report.te_runs);
-  EXPECT_EQ(report.solve_stats.timeouts, 0);
+  EXPECT_EQ(report.solver_timeouts, 0);
   EXPECT_EQ(report.degraded_periods, 0);
   EXPECT_EQ(report.run_report.solver_timeouts, 0);
 }

@@ -226,7 +226,7 @@ TEST(Decomposition, Phase1WinnersMatchAndTrajectoryIsThreadCountInvariant) {
   EXPECT_FALSE(mono.decomposed);
   EXPECT_TRUE(base.decomposed);
   EXPECT_EQ(base.winners, mono.winners);
-  EXPECT_GT(base.rounds, 0);
+  EXPECT_GT(base.decomposition_rounds, 0);
 
   // The decomposition's control flow is a pure function of master solutions
   // extracted on the calling thread: every number it reports — rounds, cuts,
@@ -238,9 +238,12 @@ TEST(Decomposition, Phase1WinnersMatchAndTrajectoryIsThreadCountInvariant) {
     ASSERT_TRUE(got.optimal) << "threads=" << threads;
     EXPECT_EQ(got.winners, base.winners) << "threads=" << threads;
     EXPECT_EQ(got.objective, base.objective) << "threads=" << threads;
-    EXPECT_EQ(got.rounds, base.rounds) << "threads=" << threads;
-    EXPECT_EQ(got.cuts_added, base.cuts_added) << "threads=" << threads;
-    EXPECT_EQ(got.sub_solves, base.sub_solves) << "threads=" << threads;
+    EXPECT_EQ(got.decomposition_rounds, base.decomposition_rounds)
+        << "threads=" << threads;
+    EXPECT_EQ(got.decomposition_cuts, base.decomposition_cuts)
+        << "threads=" << threads;
+    EXPECT_EQ(got.decomposition_sub_solves, base.decomposition_sub_solves)
+        << "threads=" << threads;
     EXPECT_EQ(got.simplex_iterations, base.simplex_iterations)
         << "threads=" << threads;
   }
@@ -479,14 +482,14 @@ TEST(Decomposition, ControllerReportCarriesDecompositionTotals) {
   EXPECT_GT(report.te_runs, 0);
   // The decomposed Phase I ran and its totals flowed through the ladder
   // accounting into both the report and the serialized RunReport.
-  EXPECT_GT(report.solve_stats.decomposition_rounds, 0);
-  EXPECT_GT(report.solve_stats.decomposition_sub_solves, 0);
+  EXPECT_GT(report.solve_work.decomposition_rounds, 0);
+  EXPECT_GT(report.solve_work.decomposition_sub_solves, 0);
   EXPECT_EQ(report.run_report.decomposition_rounds,
-            report.solve_stats.decomposition_rounds);
+            report.solve_work.decomposition_rounds);
   EXPECT_EQ(report.run_report.decomposition_sub_solves,
-            report.solve_stats.decomposition_sub_solves);
+            report.solve_work.decomposition_sub_solves);
   EXPECT_EQ(report.run_report.decomposition_cuts,
-            report.solve_stats.decomposition_cuts);
+            report.solve_work.decomposition_cuts);
 }
 
 }  // namespace

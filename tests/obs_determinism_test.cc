@@ -131,7 +131,7 @@ TEST(ObsDeterminism, ControllerRunBitIdenticalWithTraceOnVsOff) {
   EXPECT_EQ(off.offered_gbps_seconds, on.offered_gbps_seconds);
   EXPECT_EQ(off.delivered_gbps_seconds, on.delivered_gbps_seconds);
   EXPECT_EQ(off.lost_gbps_seconds, on.lost_gbps_seconds);
-  EXPECT_EQ(off.solve_stats.iterations, on.solve_stats.iterations);
+  EXPECT_EQ(off.solve_work.simplex_iterations, on.solve_work.simplex_iterations);
   EXPECT_EQ(off.simplex_iterations_by_matrix, on.simplex_iterations_by_matrix);
   ASSERT_EQ(off.timeline.size(), on.timeline.size());
   for (std::size_t i = 0; i < off.timeline.size(); ++i) {
@@ -147,13 +147,13 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
 
   // Pivot counts: the RunReport total must equal the controller's ladder
   // accounting, which sums the iterations every solve *returned*.
-  EXPECT_GT(report.solve_stats.iterations, 0);
-  EXPECT_EQ(rr.simplex_iterations, report.solve_stats.iterations);
-  EXPECT_EQ(rr.presolve_rows_removed, report.solve_stats.presolve_rows);
-  EXPECT_EQ(rr.presolve_cols_removed, report.solve_stats.presolve_cols);
-  EXPECT_EQ(rr.pricing_candidates, report.solve_stats.pricing_candidates);
-  EXPECT_GT(report.solve_stats.pricing_candidates, 0);
-  EXPECT_EQ(report.solve_stats.iterations,
+  EXPECT_GT(report.solve_work.simplex_iterations, 0);
+  EXPECT_EQ(rr.simplex_iterations, report.solve_work.simplex_iterations);
+  EXPECT_EQ(rr.presolve_rows_removed, report.solve_work.presolve_rows_removed);
+  EXPECT_EQ(rr.presolve_cols_removed, report.solve_work.presolve_cols_removed);
+  EXPECT_EQ(rr.pricing_candidates, report.solve_work.pricing_candidates);
+  EXPECT_GT(report.solve_work.pricing_candidates, 0);
+  EXPECT_EQ(report.solve_work.simplex_iterations,
             std::accumulate(report.simplex_iterations_by_matrix.begin(),
                             report.simplex_iterations_by_matrix.end(), 0LL));
   ASSERT_EQ(report.simplex_iterations_by_matrix.size(), fx.tms.size());
@@ -178,8 +178,8 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
   EXPECT_EQ(rr.rwa_repairs, report.rwa_repairs);
   EXPECT_EQ(rr.rwa_scenarios_lost, report.rwa_scenarios_lost);
   EXPECT_EQ(rr.calibration_degraded, report.calibration_degraded);
-  EXPECT_EQ(rr.solver_timeouts, report.solve_stats.timeouts);
-  EXPECT_EQ(rr.backoff_retries, report.solve_stats.backoff_retries);
+  EXPECT_EQ(rr.solver_timeouts, report.solver_timeouts);
+  EXPECT_EQ(rr.backoff_retries, report.backoff_retries);
   EXPECT_EQ(rr.restorations,
             static_cast<int>(report.restoration_latency_s.size()));
   EXPECT_EQ(rr.availability, report.availability());

@@ -14,6 +14,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/solve_work.h"
 #include "obs/trace.h"
 
 namespace arrow {
@@ -310,6 +311,38 @@ TEST(Json, RejectsMalformedInput) {
   std::string err;
   EXPECT_FALSE(obs::json_parse("{\"a\": }", &v, &err));
   EXPECT_FALSE(err.empty());
+}
+
+// ---- SolveWork -------------------------------------------------------------
+
+TEST(SolveWork, PlusEqualsSumsEveryField) {
+  obs::SolveWork a;
+  a.simplex_iterations = 1;
+  a.presolve_rows_removed = 2;
+  a.presolve_cols_removed = 3;
+  a.pricing_candidates = 4;
+  a.decomposition_rounds = 5;
+  a.decomposition_sub_solves = 6;
+  a.decomposition_cuts = 7;
+  obs::SolveWork b;
+  b.simplex_iterations = 10;
+  b.presolve_rows_removed = 200;
+  b.presolve_cols_removed = 3000;
+  b.pricing_candidates = 40000;
+  b.decomposition_rounds = 500000;
+  b.decomposition_sub_solves = 6000000;
+  b.decomposition_cuts = 70000000;
+  a += b;
+  EXPECT_EQ(a.simplex_iterations, 11);
+  EXPECT_EQ(a.presolve_rows_removed, 202);
+  EXPECT_EQ(a.presolve_cols_removed, 3003);
+  EXPECT_EQ(a.pricing_candidates, 40004);
+  EXPECT_EQ(a.decomposition_rounds, 500005);
+  EXPECT_EQ(a.decomposition_sub_solves, 6000006);
+  EXPECT_EQ(a.decomposition_cuts, 70000007);
+  // The right-hand side is left as it was.
+  EXPECT_EQ(b.simplex_iterations, 10);
+  EXPECT_EQ(b.decomposition_cuts, 70000000);
 }
 
 // ---- RunReport -------------------------------------------------------------
