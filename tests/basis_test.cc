@@ -252,10 +252,11 @@ struct Pin {
   std::uint64_t btran;
 };
 
-// Factorizes `cols`, then runs FTRAN and BTRAN on seeded dense vectors.
-Pin pin_of(const std::vector<LuBasis::Column>& cols, std::uint64_t seed) {
+// Factorizes `cols` into `basis`, then runs FTRAN and BTRAN on seeded
+// dense vectors.
+Pin pin_into(LuBasis& basis, const std::vector<LuBasis::Column>& cols,
+             std::uint64_t seed) {
   const int m = static_cast<int>(cols.size());
-  LuBasis basis;
   if (!basis.factorize(m, cols, 1e-8)) {
     ADD_FAILURE() << "pinned basis reported singular";
     return {0, 0, 0};
@@ -268,6 +269,11 @@ Pin pin_of(const std::vector<LuBasis::Column>& cols, std::uint64_t seed) {
   basis.ftran(x);
   basis.btran(y);
   return {basis.factor_nnz(), bit_hash(x), bit_hash(y)};
+}
+
+Pin pin_of(const std::vector<LuBasis::Column>& cols, std::uint64_t seed) {
+  LuBasis basis;
+  return pin_into(basis, cols, seed);
 }
 
 void expect_pin(const Pin& got, const Pin& want) {
@@ -420,6 +426,123 @@ TEST(LuBasisPinned, EntriesAroundDropTolerance) {
   shuffle_columns(cols, rng);
   expect_pin(pin_of(cols, 10),
              {285, 9791485964587754282ull, 10584826255977551564ull});
+}
+
+// Appends a column with a dominant entry in row `diag` and about `len`
+// entries in all, the rest in distinct random rows, sorted by row.
+LuBasis::Column long_column(util::Rng& rng, int m, int diag, int len) {
+  std::vector<char> used(static_cast<std::size_t>(m), 0);
+  LuBasis::Column col = {{diag, rng.uniform(4.0, 6.0)}};
+  used[static_cast<std::size_t>(diag)] = 1;
+  while (static_cast<int>(col.size()) < len) {
+    const int r = rng.uniform_int(0, m - 1);
+    if (used[static_cast<std::size_t>(r)]) continue;
+    used[static_cast<std::size_t>(r)] = 1;
+    col.emplace_back(r, rng.uniform(-1.0, 1.0));
+  }
+  std::sort(col.begin(), col.end());
+  return col;
+}
+
+TEST(LuBasisPinned, PhaseOneShape) {
+  // The shape of the IBM Phase I final basis, scaled down: about 85% unit
+  // slacks, structural columns of three entries, and a dozen long columns
+  // of 150-400 entries. The singleton pivots strip most rows off the long
+  // columns without rebuilding them; the pivots with multipliers then
+  // rebuild some of them, after which further singleton pivots strip more
+  // rows off the rebuilt columns.
+  util::Rng rng(2001);
+  const int m = 3000;
+  auto cols = slack_heavy(rng, m, 0.15, 2, {0.25, 0.5, 1.0, 1.5});
+  for (int k = 0; k < 12; ++k) {
+    const int j = rng.uniform_int(0, m - 1);
+    cols[static_cast<std::size_t>(j)] =
+        long_column(rng, m, j, rng.uniform_int(150, 400));
+  }
+  shuffle_columns(cols, rng);
+  expect_pin(pin_of(cols, 31),
+             {7291, 5868977492524268738ull, 3369061593518802175ull});
+}
+
+// `block` columns over `block` rows with no slack of their own, in cycles
+// of `cycle` (which divides `block`): column k has entries in block rows k
+// and k + 1 of its cycle, sometimes a third in row k + 2 of its cycle, plus
+// 1-3 entries in other (slack) rows. Block rows are rows [0, block), slack
+// rows the rest, one unit slack column each.
+std::vector<LuBasis::Column> cyclic_block(util::Rng& rng, int m, int block,
+                                          int cycle, double third) {
+  std::vector<LuBasis::Column> cols;
+  for (int k = 0; k < block; ++k) {
+    const int base = k - k % cycle;
+    const auto row = [&](int d) { return base + (k + d) % cycle; };
+    LuBasis::Column col = {
+        {k, rng.uniform(1.0, 3.0) * (rng.bernoulli(0.5) ? 1 : -1)},
+        {row(1), rng.uniform(-1.5, 1.5)}};
+    if (rng.bernoulli(third)) col.emplace_back(row(2), rng.uniform(-1.0, 1.0));
+    for (int s = rng.uniform_int(1, 3); s > 0;) {
+      const int r = rng.uniform_int(block, m - 1);
+      bool dup = false;
+      for (const auto& [ri, v] : col) dup = dup || ri == r;
+      if (dup) continue;
+      col.emplace_back(r, rng.uniform(-2.0, 2.0));
+      --s;
+    }
+    std::sort(col.begin(), col.end());
+    cols.push_back(std::move(col));
+  }
+  for (int i = block; i < m; ++i) cols.push_back({{i, 1.0}});
+  return cols;
+}
+
+TEST(LuBasisPinned, NoSingletonBump) {
+  // Every slack pivot removes a row from some block column, changing its
+  // count while it stays at two or more. Once the slacks are gone no column
+  // singleton is left, so the pivot column comes from the count >= 2
+  // choice, after all of those count changes.
+  util::Rng rng(2002);
+  auto cols = cyclic_block(rng, 400, 60, 60, 0.5);
+  shuffle_columns(cols, rng);
+  expect_pin(pin_of(cols, 32),
+             {653, 11589834540112907972ull, 9053103985228652396ull});
+}
+
+TEST(LuBasisPinned, FillInRaisesSingleton) {
+  // m > 128, with the block columns at the lowest positions and the slacks
+  // above them: the singleton picks climb through every word of positions
+  // before the first pivot with multipliers. Those pivots then make new
+  // singletons back in the lowest word, and their fill-in takes columns
+  // that lost the pivot row down to one entry back up to two.
+  util::Rng rng(2003);
+  const auto cols = cyclic_block(rng, 200, 40, 5, 0.4);
+  expect_pin(pin_of(cols, 33),
+             {354, 14256458116364100303ull, 16013846560092539081ull});
+}
+
+TEST(LuBasis, ReusedObjectMatchesFresh) {
+  // factorize() keeps its working arrays across calls. A factorization
+  // must not see anything an earlier one left there, including one that
+  // failed partway through elimination.
+  util::Rng rng(2004);
+  const int m = 300;
+  auto a = slack_heavy(rng, m, 0.3, 2, {0.25, 0.5, 1.0});
+  for (int k = 0; k < 4; ++k) {
+    const int j = rng.uniform_int(0, m - 1);
+    a[static_cast<std::size_t>(j)] = long_column(rng, m, j, 90);
+  }
+  shuffle_columns(a, rng);
+  auto singular = cyclic_block(rng, 250, 30, 10, 0.5);
+  singular[7] = singular[3];  // duplicate column: cancels to empty
+  shuffle_columns(singular, rng);
+  auto b = cyclic_block(rng, 40, 12, 4, 0.5);
+  shuffle_columns(b, rng);
+
+  LuBasis reused;
+  expect_pin(pin_into(reused, a, 41), pin_of(a, 41));
+  EXPECT_FALSE(reused.factorize(250, singular, 1e-8));
+  LuBasis fresh;
+  EXPECT_FALSE(fresh.factorize(250, singular, 1e-8));
+  expect_pin(pin_into(reused, b, 42), pin_of(b, 42));
+  expect_pin(pin_into(reused, a, 43), pin_of(a, 43));
 }
 
 // --- pinned per-pivot solves ---------------------------------------------------
