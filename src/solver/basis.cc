@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 
+#include "solver/lp.h"
 #include "util/check.h"
 
 namespace arrow::solver {
@@ -18,19 +19,45 @@ constexpr double kDropTol = 1e-12;
 constexpr double kRelPivot = 0.05;
 }  // namespace
 
-// `w` is the working matrix, column-wise: the caller's columns, taken by
-// value. Entries may go stale when rows deactivate (filtered on read).
-// Rebuilt per touched column during updates.
-bool LuBasis::factorize(int m, std::vector<Column> w, double pivot_tol) {
-  ARROW_CHECK(static_cast<int>(w.size()) == m, "basis size mismatch");
+bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
+                        double pivot_tol) {
+  ARROW_CHECK(static_cast<int>(cols.size()) == a.rows, "basis size mismatch");
+  return factorize_columns(
+      a.rows,
+      [&](int p, const auto& add) {
+        const int j = cols[static_cast<std::size_t>(p)];
+        for (int k = a.col_start[static_cast<std::size_t>(j)];
+             k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+          add(a.row_index[static_cast<std::size_t>(k)],
+              a.value[static_cast<std::size_t>(k)]);
+        }
+      },
+      pivot_tol);
+}
+
+bool LuBasis::factorize(int m, const std::vector<Column>& columns,
+                        double pivot_tol) {
+  ARROW_CHECK(static_cast<int>(columns.size()) == m, "basis size mismatch");
+  return factorize_columns(
+      m,
+      [&](int p, const auto& add) {
+        for (const auto& [r, v] : columns[static_cast<std::size_t>(p)]) add(r, v);
+      },
+      pivot_tol);
+}
+
+template <class Entries>
+bool LuBasis::factorize_columns(int m, const Entries& entries,
+                                double pivot_tol) {
+  const auto sm = static_cast<std::size_t>(m);
   m_ = 0;  // no solves until the factorization succeeds
-  pivot_row_.assign(static_cast<std::size_t>(m), -1);
-  pivot_col_.assign(static_cast<std::size_t>(m), -1);
-  diag_.assign(static_cast<std::size_t>(m), 0.0);
-  l_start_.assign(static_cast<std::size_t>(m) + 1, 0);
+  pivot_row_.assign(sm, -1);
+  pivot_col_.assign(sm, -1);
+  diag_.assign(sm, 0.0);
+  l_start_.assign(sm + 1, 0);
   l_row_.clear();
   l_val_.clear();
-  u_start_.assign(static_cast<std::size_t>(m) + 1, 0);
+  u_start_.assign(sm + 1, 0);
   u_pos_.clear();
   u_val_.clear();
   etas_.clear();
@@ -39,71 +66,124 @@ bool LuBasis::factorize(int m, std::vector<Column> w, double pivot_tol) {
   lu_nnz_ = 0;
   eta_nnz_ = 0;
 
-  // Row lists keep their capacity from the last factorization.
-  auto& rows_cols = rows_cols_;
-  rows_cols.resize(static_cast<std::size_t>(m));
-  for (auto& cols : rows_cols) cols.clear();
-  std::vector<int> col_nnz(static_cast<std::size_t>(m), 0);
-  std::vector<int> row_nnz(static_cast<std::size_t>(m), 0);
-  std::vector<char> row_active(static_cast<std::size_t>(m), 1);
-  std::vector<char> col_active(static_cast<std::size_t>(m), 1);
-  // clean[j]: every active-row entry of column j is above kDropTol and
-  // col_nnz[j] counts exactly those, so an update that only removes the
-  // pivot row can skip the rebuild (see the elimination below).
-  std::vector<char> clean(static_cast<std::size_t>(m), 1);
+  // Load the working matrix, then the row lists by counting sort: each in
+  // column order, as the columns were given.
+  col_nnz_.assign(sm, 0);
+  row_nnz_.assign(sm, 0);
+  row_active_.assign(sm, 1);
+  col_active_.assign(sm, 1);
+  clean_.assign(sm, 1);
+  w_row_.clear();
+  w_val_.clear();
+  w_start_.resize(sm);
+  w_len_.resize(sm);
+  w_cap_.resize(sm);
   for (int j = 0; j < m; ++j) {
-    col_nnz[static_cast<std::size_t>(j)] =
-        static_cast<int>(w[static_cast<std::size_t>(j)].size());
-    for (const auto& [r, v] : w[static_cast<std::size_t>(j)]) {
-      rows_cols[static_cast<std::size_t>(r)].push_back(j);
-      ++row_nnz[static_cast<std::size_t>(r)];
-      if (std::abs(v) <= kDropTol) clean[static_cast<std::size_t>(j)] = 0;
+    const auto sj = static_cast<std::size_t>(j);
+    w_start_[sj] = static_cast<int>(w_row_.size());
+    entries(j, [&](int r, double v) {
+      w_row_.push_back(r);
+      w_val_.push_back(v);
+      ++row_nnz_[static_cast<std::size_t>(r)];
+      if (std::abs(v) <= kDropTol) clean_[sj] = 0;
+    });
+    w_len_[sj] = w_cap_[sj] = static_cast<int>(w_row_.size()) - w_start_[sj];
+    col_nnz_[sj] = w_len_[sj];
+  }
+  w_rec_.resize(w_row_.size());
+  r_start_.resize(sm);
+  r_len_.assign(sm, 0);
+  r_cap_.resize(sm);
+  row_dropped_.assign(sm, 0);
+  int r_size = 0;
+  for (std::size_t r = 0; r < sm; ++r) {
+    r_start_[r] = r_size;
+    r_cap_[r] = row_nnz_[r];
+    r_size += row_nnz_[r];
+  }
+  r_rec_.resize(static_cast<std::size_t>(r_size));
+  for (int j = 0; j < m; ++j) {
+    const auto sj = static_cast<std::size_t>(j);
+    for (int k = w_start_[sj]; k < w_start_[sj] + w_len_[sj]; ++k) {
+      const auto r = static_cast<std::size_t>(w_row_[static_cast<std::size_t>(k)]);
+      const int i = r_len_[r]++;
+      r_rec_[static_cast<std::size_t>(r_start_[r] + i)] = {j, k};
+      w_rec_[static_cast<std::size_t>(k)] = i;
     }
   }
 
-  // Pivot-column candidates: a lazy min-heap of (max(col_nnz, 1), j) packed
-  // into one word. A column is pushed again whenever its key changes; an
-  // entry whose column is already pivoted, or whose key is out of date, is
-  // dropped when it surfaces. The first live entry is therefore the lowest-
-  // index column of smallest count, with counts 0 and 1 ranked equal: the
-  // column a left-to-right scan that stops at the first count <= 1 picks.
-  // Choosing all m pivots costs O((m + column updates) log m) here instead
-  // of the scan's O(m^2).
+  // Pivot-column candidates. The pick is the lowest-index column of
+  // smallest max(col_nnz_, 1), so while any column has count <= 1 it is the
+  // lowest set bit of single_. Only once no singleton is left does the
+  // count of the other columns matter: they sit on a lazy min-heap of
+  // (col_nnz_, j) packed into one word, and their count changes wait on
+  // dirty_ until then. A heap entry whose column is pivoted, or whose key
+  // is out of date, is dropped when it surfaces.
   const auto key = [&](int j) {
-    return static_cast<std::uint64_t>(
-               std::max(col_nnz[static_cast<std::size_t>(j)], 1))
+    return static_cast<std::uint64_t>(col_nnz_[static_cast<std::size_t>(j)])
                << 32 |
            static_cast<std::uint32_t>(j);
   };
-  std::vector<std::uint64_t> heap(static_cast<std::size_t>(m));
-  for (int j = 0; j < m; ++j) heap[static_cast<std::size_t>(j)] = key(j);
-  std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  single_.assign((sm + 63) / 64, 0);
+  single_lo_ = 0;
+  heap_.clear();
+  dirty_.clear();
+  is_dirty_.assign(sm, 0);
+  for (int j = 0; j < m; ++j) {
+    if (col_nnz_[static_cast<std::size_t>(j)] <= 1) {
+      single_[static_cast<std::size_t>(j) >> 6] |= std::uint64_t{1} << (j & 63);
+    } else {
+      heap_.push_back(key(j));
+    }
+  }
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
 
-  std::vector<double> acc(static_cast<std::size_t>(m), 0.0);
-  std::vector<char> in_acc(static_cast<std::size_t>(m), 0);
-  std::vector<int> acc_rows;
-  acc_rows.reserve(static_cast<std::size_t>(m));
-  Column live;     // active entries of the pivot column, reused per step
-  Column rebuilt;  // an updated column, swapped in; reused per column
+  acc_.resize(sm);
+  acc_rec_.resize(sm);
+  in_acc_.assign(sm, 0);
 
   for (int step = 0; step < m; ++step) {
     // --- pivot column: smallest active column count -----------------------
     int c = -1;
-    while (c < 0 && !heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-      const std::uint64_t top = heap.back();
-      heap.pop_back();
-      const int j = static_cast<int>(top & 0xffffffffu);
-      if (col_active[static_cast<std::size_t>(j)] && top == key(j)) c = j;
+    const int words = static_cast<int>(single_.size());
+    while (single_lo_ < words &&
+           single_[static_cast<std::size_t>(single_lo_)] == 0) {
+      ++single_lo_;
+    }
+    if (single_lo_ < words) {
+      auto& word = single_[static_cast<std::size_t>(single_lo_)];
+      c = single_lo_ * 64 + std::countr_zero(word);
+      word &= word - 1;
+    } else {
+      for (int j : dirty_) {
+        is_dirty_[static_cast<std::size_t>(j)] = 0;
+        if (col_active_[static_cast<std::size_t>(j)] &&
+            col_nnz_[static_cast<std::size_t>(j)] >= 2) {
+          heap_.push_back(key(j));
+          std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        }
+      }
+      dirty_.clear();
+      while (c < 0 && !heap_.empty()) {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+        const std::uint64_t top = heap_.back();
+        heap_.pop_back();
+        const int j = static_cast<int>(top & 0xffffffffu);
+        if (col_active_[static_cast<std::size_t>(j)] && top == key(j)) c = j;
+      }
     }
     if (c < 0) return false;
 
     // Gather active entries of column c.
-    live.clear();
+    live_.clear();
     double colmax = 0.0;
-    for (const auto& [r, v] : w[static_cast<std::size_t>(c)]) {
-      if (row_active[static_cast<std::size_t>(r)]) {
-        live.emplace_back(r, v);
+    const int c_begin = w_start_[static_cast<std::size_t>(c)];
+    const int c_end = c_begin + w_len_[static_cast<std::size_t>(c)];
+    for (int k = c_begin; k < c_end; ++k) {
+      const int ri = w_row_[static_cast<std::size_t>(k)];
+      if (row_active_[static_cast<std::size_t>(ri)]) {
+        const double v = w_val_[static_cast<std::size_t>(k)];
+        live_.emplace_back(ri, v);
         colmax = std::max(colmax, std::abs(v));
       }
     }
@@ -114,10 +194,10 @@ bool LuBasis::factorize(int m, std::vector<Column> w, double pivot_tol) {
     int r = -1;
     int best_row_nnz = m + 1;
     double d = 0.0;
-    for (const auto& [ri, v] : live) {
+    for (const auto& [ri, v] : live_) {
       if (std::abs(v) < threshold) continue;
-      if (row_nnz[static_cast<std::size_t>(ri)] < best_row_nnz) {
-        best_row_nnz = row_nnz[static_cast<std::size_t>(ri)];
+      if (row_nnz_[static_cast<std::size_t>(ri)] < best_row_nnz) {
+        best_row_nnz = row_nnz_[static_cast<std::size_t>(ri)];
         r = ri;
         d = v;
       }
@@ -129,7 +209,7 @@ bool LuBasis::factorize(int m, std::vector<Column> w, double pivot_tol) {
     diag_[static_cast<std::size_t>(step)] = d;
 
     const std::size_t l_begin = l_row_.size();
-    for (const auto& [ri, v] : live) {
+    for (const auto& [ri, v] : live_) {
       if (ri != r && std::abs(v) > kDropTol) {
         l_row_.push_back(ri);
         l_val_.push_back(v / d);
@@ -140,87 +220,39 @@ bool LuBasis::factorize(int m, std::vector<Column> w, double pivot_tol) {
     lu_nnz_ += l_end - l_begin + 1;
 
     // Deactivate pivot row/column before the updates so rebuilds drop them.
-    row_active[static_cast<std::size_t>(r)] = 0;
-    col_active[static_cast<std::size_t>(c)] = 0;
-    for (const auto& [ri, v] : live) {
+    row_active_[static_cast<std::size_t>(r)] = 0;
+    col_active_[static_cast<std::size_t>(c)] = 0;
+    for (const auto& [ri, v] : live_) {
       (void)v;
-      if (row_active[static_cast<std::size_t>(ri)]) {
-        --row_nnz[static_cast<std::size_t>(ri)];
+      if (row_active_[static_cast<std::size_t>(ri)]) {
+        --row_nnz_[static_cast<std::size_t>(ri)];
       }
     }
 
-    // --- eliminate: update every active column containing pivot row r -----
+    // --- eliminate: update every active column with an entry in row r -----
+    // Row r is inactive, so nothing below adds to its list; fill-in may move
+    // the record pool, so the list is read by index.
     const std::size_t u_begin = u_pos_.size();
-    for (int cj : rows_cols[static_cast<std::size_t>(r)]) {
-      if (!col_active[static_cast<std::size_t>(cj)]) continue;
-      auto& col = w[static_cast<std::size_t>(cj)];
-      const auto entry = std::find_if(col.begin(), col.end(), [r](const auto& e) {
-        return e.first == r;
-      });
-      if (entry == col.end() || std::abs(entry->second) <= kDropTol) continue;
-      const double u = entry->second;
+    const int r_begin = r_start_[static_cast<std::size_t>(r)];
+    const int r_end = r_begin + r_len_[static_cast<std::size_t>(r)];
+    for (int i = r_begin; i < r_end; ++i) {
+      const RowRec rec = r_rec_[static_cast<std::size_t>(i)];
+      const int cj = rec.col;
+      if (!col_active_[static_cast<std::size_t>(cj)] || rec.at < 0) continue;
+      const double u = w_val_[static_cast<std::size_t>(rec.at)];
+      if (std::abs(u) <= kDropTol) continue;
       u_pos_.push_back(cj);
       u_val_.push_back(u);
-      const std::uint64_t old_key = key(cj);
-
-      if (l_begin == l_end && clean[static_cast<std::size_t>(cj)]) {
+      const int old_nnz = col_nnz_[static_cast<std::size_t>(cj)];
+      if (l_begin == l_end && clean_[static_cast<std::size_t>(cj)]) {
         // No multipliers: the update only drops row r, which a rebuild does
-        // in O(|col|), making a long column quadratic over its pivots. Leave
-        // the entry stale instead (every reader skips inactive rows), zeroed
-        // so a repeated rows_cols visit skips it like a missing entry, and
-        // compact in entry order once stale entries outnumber live ones.
-        entry->second = 0.0;
-        const int live_nnz = --col_nnz[static_cast<std::size_t>(cj)];
-        if (col.size() > 2 * static_cast<std::size_t>(live_nnz) + 16) {
-          col.erase(std::remove_if(col.begin(), col.end(),
-                                   [&](const auto& e) {
-                                     return !row_active[static_cast<std::size_t>(
-                                         e.first)];
-                                   }),
-                    col.end());
-        }
+        // in O(|col|), making a long column quadratic over its pivots. The
+        // entry stays where it is; every reader skips inactive rows.
+        --col_nnz_[static_cast<std::size_t>(cj)];
       } else {
-        // col := col - u * lcol, rebuilt through a dense accumulator.
-        acc_rows.clear();
-        for (const auto& [ri, v] : col) {
-          if (!row_active[static_cast<std::size_t>(ri)]) continue;
-          acc[static_cast<std::size_t>(ri)] = v;
-          in_acc[static_cast<std::size_t>(ri)] = 1;
-          acc_rows.push_back(ri);
-        }
-        for (std::size_t e = l_begin; e < l_end; ++e) {
-          const int ri = l_row_[e];
-          const double l = l_val_[e];
-          if (!row_active[static_cast<std::size_t>(ri)]) continue;
-          if (!in_acc[static_cast<std::size_t>(ri)]) {
-            acc[static_cast<std::size_t>(ri)] = 0.0;
-            in_acc[static_cast<std::size_t>(ri)] = 1;
-            acc_rows.push_back(ri);
-            rows_cols[static_cast<std::size_t>(ri)].push_back(cj);  // fill-in
-            ++row_nnz[static_cast<std::size_t>(ri)];
-          }
-          acc[static_cast<std::size_t>(ri)] -= l * u;
-        }
-        rebuilt.clear();
-        rebuilt.reserve(acc_rows.size());
-        for (int ri : acc_rows) {
-          const double v = acc[static_cast<std::size_t>(ri)];
-          if (std::abs(v) > kDropTol) {
-            rebuilt.emplace_back(ri, v);
-          } else {
-            --row_nnz[static_cast<std::size_t>(ri)];  // cancellation
-          }
-          in_acc[static_cast<std::size_t>(ri)] = 0;
-        }
-        col_nnz[static_cast<std::size_t>(cj)] =
-            static_cast<int>(rebuilt.size());
-        clean[static_cast<std::size_t>(cj)] = 1;
-        col.swap(rebuilt);
+        rebuild_column(cj, l_begin, l_end, u);
       }
-      if (key(cj) != old_key) {
-        heap.push_back(key(cj));
-        std::push_heap(heap.begin(), heap.end(), std::greater<>());
-      }
+      if (col_nnz_[static_cast<std::size_t>(cj)] != old_nnz) note_count(cj);
     }
     u_start_[static_cast<std::size_t>(step) + 1] =
         static_cast<int>(u_pos_.size());
@@ -229,6 +261,105 @@ bool LuBasis::factorize(int m, std::vector<Column> w, double pivot_tol) {
   m_ = m;
   index_factors();
   return true;
+}
+
+// col := col - u * lcol through a dense accumulator: the column's active
+// entries in their order, then fill-in in L order, dropping results at or
+// below kDropTol. Every kept entry's row record is pointed at its new
+// index; a dropped entry's record is marked dropped (at == -1) and stays in
+// its row's list, so that a later fill in the same row takes the column's
+// place in that list back.
+void LuBasis::rebuild_column(int j, std::size_t l_begin, std::size_t l_end,
+                             double u) {
+  const auto sj = static_cast<std::size_t>(j);
+  acc_rows_.clear();
+  for (int k = w_start_[sj]; k < w_start_[sj] + w_len_[sj]; ++k) {
+    const auto ri = static_cast<std::size_t>(w_row_[static_cast<std::size_t>(k)]);
+    if (!row_active_[ri]) continue;
+    acc_[ri] = w_val_[static_cast<std::size_t>(k)];
+    acc_rec_[ri] = w_rec_[static_cast<std::size_t>(k)];
+    in_acc_[ri] = 1;
+    acc_rows_.push_back(static_cast<int>(ri));
+  }
+  for (std::size_t e = l_begin; e < l_end; ++e) {
+    const int ri = l_row_[e];
+    const auto sri = static_cast<std::size_t>(ri);
+    if (!row_active_[sri]) continue;
+    if (!in_acc_[sri]) {  // fill-in
+      acc_[sri] = 0.0;
+      acc_rec_[sri] = attach_record(ri, j);
+      in_acc_[sri] = 1;
+      acc_rows_.push_back(ri);
+      ++row_nnz_[sri];
+    }
+    acc_[sri] -= l_val_[e] * u;
+  }
+  const auto need = static_cast<int>(acc_rows_.size());
+  if (need > w_cap_[sj]) {
+    w_start_[sj] = static_cast<int>(w_row_.size());
+    w_cap_[sj] = 2 * need;
+    const std::size_t size = w_row_.size() + static_cast<std::size_t>(w_cap_[sj]);
+    w_row_.resize(size);
+    w_val_.resize(size);
+    w_rec_.resize(size);
+  }
+  int at = w_start_[sj];
+  for (int ri : acc_rows_) {
+    const auto sri = static_cast<std::size_t>(ri);
+    const double v = acc_[sri];
+    const int rec = acc_rec_[sri];
+    in_acc_[sri] = 0;
+    if (std::abs(v) > kDropTol) {
+      w_row_[static_cast<std::size_t>(at)] = ri;
+      w_val_[static_cast<std::size_t>(at)] = v;
+      w_rec_[static_cast<std::size_t>(at)] = rec;
+      r_rec_[static_cast<std::size_t>(r_start_[sri] + rec)].at = at++;
+    } else {
+      --row_nnz_[sri];  // cancellation
+      r_rec_[static_cast<std::size_t>(r_start_[sri] + rec)].at = -1;
+      ++row_dropped_[sri];
+    }
+  }
+  w_len_[sj] = at - w_start_[sj];
+  col_nnz_[sj] = w_len_[sj];
+  clean_[sj] = 1;
+}
+
+int LuBasis::attach_record(int r, int j) {
+  const auto sr = static_cast<std::size_t>(r);
+  const auto begin = static_cast<std::size_t>(r_start_[sr]);
+  if (row_dropped_[sr] > 0) {
+    for (int i = 0; i < r_len_[sr]; ++i) {
+      const RowRec& rec = r_rec_[begin + static_cast<std::size_t>(i)];
+      if (rec.col == j && rec.at < 0) {
+        --row_dropped_[sr];
+        return i;
+      }
+    }
+  }
+  if (r_len_[sr] == r_cap_[sr]) {  // full: move the list to the pool's end
+    r_start_[sr] = static_cast<int>(r_rec_.size());
+    r_cap_[sr] = 2 * r_len_[sr] + 4;
+    r_rec_.resize(r_rec_.size() + static_cast<std::size_t>(r_cap_[sr]));
+    std::copy_n(r_rec_.begin() + static_cast<std::ptrdiff_t>(begin), r_len_[sr],
+                r_rec_.begin() + r_start_[sr]);
+  }
+  r_rec_[static_cast<std::size_t>(r_start_[sr] + r_len_[sr])] = {j, -1};
+  return r_len_[sr]++;
+}
+
+// A column of count <= 1 is picked before any pivot column with
+// multipliers, the only kind that adds fill, so a count never rises once
+// the column is in single_: it leaves the bitmap only as a pivot.
+void LuBasis::note_count(int j) {
+  const auto sj = static_cast<std::size_t>(j);
+  if (col_nnz_[sj] <= 1) {
+    single_[sj >> 6] |= std::uint64_t{1} << (j & 63);
+    single_lo_ = std::min(single_lo_, j >> 6);
+  } else if (!is_dirty_[sj]) {
+    is_dirty_[sj] = 1;
+    dirty_.push_back(j);
+  }
 }
 
 void LuBasis::index_factors() {
@@ -252,14 +383,18 @@ void LuBasis::index_factors() {
   for (int p : u_pos_) ++ucol_start_[static_cast<std::size_t>(p) + 1];
   for (std::size_t p = 0; p < m; ++p) ucol_start_[p + 1] += ucol_start_[p];
   ucol_step_.resize(u_pos_.size());
-  std::vector<int> fill(ucol_start_.begin(), ucol_start_.end() - 1);
+  // ucol_start_[p] serves as position p's fill pointer and ends at p + 1's
+  // start; shifting the array up one slot restores the starts.
   for (int k = 0; k < m_; ++k) {
     for (int e = u_start_[static_cast<std::size_t>(k)];
          e < u_start_[static_cast<std::size_t>(k) + 1]; ++e) {
       ucol_step_[static_cast<std::size_t>(
-          fill[static_cast<std::size_t>(u_pos_[static_cast<std::size_t>(e)])]++)] = k;
+          ucol_start_[static_cast<std::size_t>(u_pos_[static_cast<std::size_t>(e)])]++)] = k;
     }
   }
+  std::copy_backward(ucol_start_.begin(), ucol_start_.end() - 1,
+                     ucol_start_.end());
+  ucol_start_[0] = 0;
   work_.resize(m);
   reached_.assign(m, 0);
   touched_.assign((m + 63) / 64, 0);

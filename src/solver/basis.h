@@ -6,12 +6,20 @@
 // keep fill low (smallest active column, then smallest row count subject to
 // threshold partial pivoting). Update etas act in basis-position space.
 //
-// The pivot column comes off a lazy min-heap keyed (max(count, 1), index),
-// and an update that only removes the pivot row from a column (a pivot
-// column with no multipliers, the common case in slack-heavy bases) leaves
-// the entry stale instead of rebuilding the column. A refactorization thus
-// costs O((m + column updates) log m) plus the elimination's own flops,
-// where a per-step scan over all columns cost O(m^2).
+// The pivot column is the lowest-index column of smallest max(count, 1).
+// Columns of count <= 1 sit in a bitmap and the pick is its lowest set bit;
+// count changes of the other columns are deferred and reach a lazy
+// min-heap keyed (count, index) only when no singleton is left. Each record
+// of a row's column list holds the index of its entry in the working
+// matrix, so the pivot row's entry in a column is found in O(1), and an
+// update that only removes the pivot row from a column (a pivot column with
+// no multipliers, the common case in slack-heavy bases) leaves the entry
+// stale in O(1) instead of rebuilding the column. A refactorization thus
+// costs O(nnz + m^2 / 64) for the loads, updates and bitmap, plus O(log m)
+// per count change the heap sees, plus the rebuilds' and the elimination's
+// own flops. The working matrix and the row lists are pools and every work
+// array is a member, so a factorization of a size seen before allocates
+// nothing.
 //
 // L columns and U rows live in flat per-step arrays, with a column index of
 // U and the step-of-row / step-of-position maps built alongside. FTRAN and
@@ -41,15 +49,20 @@
 
 namespace arrow::solver {
 
+struct SparseMatrix;  // solver/lp.h
+
 class LuBasis {
  public:
   // A sparse basis column: (row, value) pairs.
   using Column = std::vector<std::pair<int, double>>;
 
-  // Factorizes the m columns as the new basis. Returns false if the matrix
-  // is numerically singular. The columns are the elimination's working
-  // matrix, so a caller that is done with them should std::move them in.
-  bool factorize(int m, std::vector<Column> columns, double pivot_tol);
+  // Factorizes the basis whose position p holds column cols[p] of `a`
+  // (cols.size() == a.rows). Returns false if the matrix is numerically
+  // singular. The entries are copied into the object's own working matrix.
+  bool factorize(const SparseMatrix& a, const std::vector<int>& cols,
+                 double pivot_tol);
+  // The same for m explicit columns.
+  bool factorize(int m, const std::vector<Column>& columns, double pivot_tol);
 
   // x := B^{-1} b. Input in row space; output in basis-position space.
   // Every entry whose bits are not +0.0 (so -0.0 too) counts as a nonzero
@@ -85,6 +98,25 @@ class LuBasis {
     int end = 0;
   };
 
+  // A row list record: column `col` has its entry for the row at working
+  // matrix index `at`, or none (at == -1) since a rebuild dropped it.
+  struct RowRec {
+    int col;
+    int at;
+  };
+
+  // The shared body of the factorize() overloads: entries(p, add) calls
+  // add(row, value) for each entry of basis column p, in order.
+  template <class Entries>
+  bool factorize_columns(int m, const Entries& entries, double pivot_tol);
+  // Rebuilds active column j as j - u * (L column [l_begin, l_end)).
+  void rebuild_column(int j, std::size_t l_begin, std::size_t l_end, double u);
+  // The index in row r's list of column j's record: a dropped one if the
+  // list has it, else a new one.
+  int attach_record(int r, int j);
+  // Files column j under its new count: in the singleton bitmap, or on
+  // the dirty list for the heap.
+  void note_count(int j);
   // Builds the solve-side indexes once all m steps are eliminated.
   void index_factors();
   // Marks output index i as written by a sparse solve.
@@ -132,8 +164,41 @@ class LuBasis {
   std::vector<int> frontier_;    // heap of reached, unprocessed steps
   std::vector<std::uint64_t> touched_;  // bitmap of output indexes a
                                         // sparse solve wrote
-  // factorize()'s per-row column lists, kept for their capacity.
-  std::vector<std::vector<int>> rows_cols_;
+  // factorize()'s state, kept across calls for its capacity. The working
+  // matrix is column-wise in one pool: column j's entries are
+  // (w_row_, w_val_)[w_start_[j], w_start_[j] + w_len_[j]), with room for
+  // w_cap_[j]; entries of rows already pivoted on may linger there. w_rec_
+  // holds each entry's index in its row's list. Row r's list is
+  // r_rec_[r_start_[r], r_start_[r] + r_len_[r]), with room for r_cap_[r].
+  // A column or list that outgrows its room moves to the end of its pool.
+  std::vector<int> w_row_;
+  std::vector<double> w_val_;
+  std::vector<int> w_rec_;
+  std::vector<int> w_start_;
+  std::vector<int> w_len_;
+  std::vector<int> w_cap_;
+  std::vector<RowRec> r_rec_;
+  std::vector<int> r_start_;
+  std::vector<int> r_len_;
+  std::vector<int> r_cap_;
+  std::vector<int> row_dropped_;  // records with at == -1, per row
+  std::vector<int> col_nnz_;
+  std::vector<int> row_nnz_;
+  std::vector<char> row_active_;
+  std::vector<char> col_active_;
+  // clean_[j]: every active-row entry of column j is above the drop
+  // tolerance and col_nnz_[j] counts exactly those.
+  std::vector<char> clean_;
+  std::vector<std::uint64_t> single_;  // active columns of count <= 1
+  int single_lo_ = 0;                  // no set bit below this word
+  std::vector<std::uint64_t> heap_;    // (count, column), count >= 2
+  std::vector<int> dirty_;             // count changed since the last flush
+  std::vector<char> is_dirty_;
+  std::vector<double> acc_;  // a rebuild's dense accumulator, by row
+  std::vector<int> acc_rec_;
+  std::vector<char> in_acc_;
+  std::vector<int> acc_rows_;
+  Column live_;  // active entries of the pivot column
 };
 
 }  // namespace arrow::solver

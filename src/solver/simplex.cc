@@ -297,22 +297,14 @@ class Simplex {
 
   bool refactorize() {
     ++refactorizations_;
-    std::vector<LuBasis::Column> cols(static_cast<std::size_t>(m_));
-    for (int p = 0; p < m_; ++p) {
-      const int j = basis_[static_cast<std::size_t>(p)];
-      auto& col = cols[static_cast<std::size_t>(p)];
-      for (int k = lp_.a.col_start[j]; k < lp_.a.col_start[j + 1]; ++k) {
-        col.emplace_back(lp_.a.row_index[k],
-                         lp_.a.value[static_cast<std::size_t>(k)]);
-      }
-    }
-    if (!inv_.factorize(m_, std::move(cols), opt_.pivot_tol)) return false;
+    if (!inv_.factorize(lp_.a, basis_, opt_.pivot_tol)) return false;
     recompute_basic_values();
     return true;
   }
 
   void recompute_basic_values() {
-    std::vector<double> rhs(lp_.rhs);
+    std::vector<double>& rhs = rhs_work_;
+    rhs.assign(lp_.rhs.begin(), lp_.rhs.end());
     for (int j = 0; j < n_; ++j) {
       if (vstat_[static_cast<std::size_t>(j)] == VStat::kBasic) continue;
       const double v = nonbasic_value(j);
@@ -839,6 +831,7 @@ class Simplex {
   std::vector<int> basis_;
   std::vector<VStat> vstat_;
   std::vector<double> xb_;
+  std::vector<double> rhs_work_;   // recompute_basic_values() buffer
   std::vector<double> lb_basic_;   // bounds of basic variables by position
   std::vector<double> ub_basic_;
   std::vector<double> devex_w_;

@@ -530,17 +530,20 @@ TEST(LuBasis, ReusedObjectMatchesFresh) {
     a[static_cast<std::size_t>(j)] = long_column(rng, m, j, 90);
   }
   shuffle_columns(a, rng);
-  auto singular = cyclic_block(rng, 250, 30, 10, 0.5);
-  singular[7] = singular[3];  // duplicate column: cancels to empty
-  shuffle_columns(singular, rng);
+  // A with its first unit column copied to the middle position: the copy
+  // loses its one entry to the original and fails when the singleton picks
+  // reach it, with count changes of other columns still deferred.
+  auto singular = a;
+  singular[m / 2] = *std::find_if(
+      a.begin(), a.end(), [](const auto& col) { return col.size() == 1; });
   auto b = cyclic_block(rng, 40, 12, 4, 0.5);
   shuffle_columns(b, rng);
 
   LuBasis reused;
   expect_pin(pin_into(reused, a, 41), pin_of(a, 41));
-  EXPECT_FALSE(reused.factorize(250, singular, 1e-8));
+  EXPECT_FALSE(reused.factorize(m, singular, 1e-8));
   LuBasis fresh;
-  EXPECT_FALSE(fresh.factorize(250, singular, 1e-8));
+  EXPECT_FALSE(fresh.factorize(m, singular, 1e-8));
   expect_pin(pin_into(reused, b, 42), pin_of(b, 42));
   expect_pin(pin_into(reused, a, 43), pin_of(a, 43));
 }
