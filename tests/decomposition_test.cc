@@ -351,6 +351,70 @@ TEST(Decomposition, FaultedSubLpLandsInSweepSolveFailures) {
   for (double a : got.availability.at("ARROW")) EXPECT_EQ(a, 0.0);
 }
 
+// ---- master-LP failure surfacing ------------------------------------------
+
+// The master is the decomposition's tagged solve (kMasterBasisTag): the
+// monolithic Phase I and Phase II run untagged, so a nonzero ambient tag
+// picks out master rounds. Inline pools run every round on the calling
+// thread, where the observer sees it.
+bool is_master_lp() { return solver::ScopedBasisTag::active() != 0; }
+
+TEST(Decomposition, FaultedMasterLpFailsTheWholeSolve) {
+  Workload w;
+  const te::ArrowParams params = w.arrow_params(true);
+  util::ThreadPool pool(1);
+  util::Rng rng(99);
+  const auto prepared = te::prepare_arrow(*w.input, params, rng, pool);
+  const te::RestorabilityCache cache(*w.input, prepared, pool);
+
+  int faulted = 0;
+  solver::ScopedSolveObserver observer(
+      [&](const solver::Lp&, solver::LpSolution& solution) {
+        if (faulted == 0 && is_master_lp()) {
+          ++faulted;
+          solution.status = solver::LpStatus::kNumericalError;
+        }
+      });
+  const te::TeSolution sol =
+      te::solve_arrow(*w.input, prepared, params, pool, &cache);
+  ASSERT_EQ(faulted, 1);
+  // A failed master round ends Phase I there, with optimal false: the same
+  // all-or-nothing contract as a failed monolithic Phase I LP.
+  EXPECT_EQ(sol.decomposition_rounds, 1);
+  EXPECT_FALSE(sol.optimal);
+}
+
+TEST(Decomposition, FaultedMasterLpLandsInSweepSolveFailures) {
+  Workload w;
+  sim::SweepParams params;
+  params.scales = {0.4, 0.8};
+  params.schemes = {"ARROW"};
+  params.tunnels = w.tunnels;
+  params.arrow.tickets.num_tickets = 4;
+  params.arrow.decomposition.enabled = true;
+
+  util::ThreadPool pool(1);  // sweep chains inline => the hook sees masters
+  int faulted = 0;
+  solver::ScopedSolveObserver observer(
+      [&](const solver::Lp&, solver::LpSolution& solution) {
+        if (is_master_lp()) {
+          ++faulted;
+          solution.status = solver::LpStatus::kNumericalError;
+        }
+      });
+  util::Rng rng(31);
+  const auto got =
+      sim::run_sweep(w.net, w.matrices, w.scenarios, params, rng, pool);
+  ASSERT_GT(faulted, 0);
+  // Every ARROW solve hit a poisoned master, so every (scheme, scale) slot
+  // reports its failure instead of averaging a zero into the curve.
+  const std::vector<int> expect_failed(params.scales.size(), 1);
+  EXPECT_EQ(got.solve_failures.at("ARROW"), expect_failed);
+  EXPECT_EQ(got.total_solve_failures(),
+            static_cast<long long>(params.scales.size()));
+  for (double a : got.availability.at("ARROW")) EXPECT_EQ(a, 0.0);
+}
+
 // ---- telemetry aggregation ------------------------------------------------
 
 TEST(Decomposition, TelemetryTotalsEqualTheSumOverEveryLpAttempt) {
