@@ -144,11 +144,6 @@ int main() {
   te::ArrowParams deco_params = params;
   deco_params.decomposition.enabled = true;
 
-  // The decomposed rungs chain through one warm-start cache: scenario q's
-  // tagged sub-LP basis from rung k warm-starts q's sub-LP at rung k+1 (the
-  // shapes are per-scenario, not per-rung).
-  solver::ScopedWarmStartCache warm;
-
   for (std::size_t ri = 0; ri < ladder.size(); ++ri) {
     const int Q = ladder[ri];
     const std::vector<scenario::Scenario> slice(
@@ -181,10 +176,10 @@ int main() {
     out.set(rung_key("decomposed_cuts"), deco.p1.decomposition_cuts);
     std::printf(
         "Q=%4d  monolithic %8.1f ms (%s)   decomposed %8.1f ms "
-        "(%s, %lld rounds, %lld cuts, %lld sub-solves)\n",
+        "(%s, %lld rounds, %lld cuts)\n",
         Q, mono.solve_ms, mono.completed ? "ok" : "BUDGET", deco.solve_ms,
-        deco.completed ? "ok" : "BUDGET", deco.p1.decomposition_rounds, deco.p1.decomposition_cuts,
-        deco.p1.decomposition_sub_solves);
+        deco.completed ? "ok" : "BUDGET", deco.p1.decomposition_rounds,
+        deco.p1.decomposition_cuts);
 
     if (!deco.completed) {
       std::fprintf(stderr,
@@ -205,10 +200,8 @@ int main() {
 
   out.set("monolithic_capacity", mono_capacity);
   out.set("decomposed_capacity", deco_capacity);
-  out.set("warm_start_hits", warm.hits());
-  std::printf("capacity within %.1fs/solve: monolithic %d, decomposed %d "
-              "(%d warm-start hits across rungs)\n",
-              budget_s, mono_capacity, deco_capacity, warm.hits());
+  std::printf("capacity within %.1fs/solve: monolithic %d, decomposed %d\n",
+              budget_s, mono_capacity, deco_capacity);
 
   if (deco_capacity < mono_capacity) {
     std::fprintf(stderr,

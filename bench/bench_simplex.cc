@@ -1,6 +1,5 @@
-// Solver raw-speed report: pivots/sec, pricing work, presolve reductions,
-// and warm-start savings on an LP corpus captured from a real solve_arrow
-// run.
+// Solver raw-speed report: pivots/sec, pricing work and warm-start savings
+// on an LP corpus captured from a real solve_arrow run.
 //
 // Gates (nonzero exit on violation):
 //   * both pricing modes (Dantzig, incremental) reach the same optimum on
@@ -297,25 +296,6 @@ int main() {
               "%.1f us (column %.1f us, btran e_p %.1f us), %lld factor nnz\n",
               lu_factorize_ms, lu_ftran_us, lu_ftran_col_us, lu_btran_unit_us,
               lu_factor_nnz);
-
-  // --- presolve reductions -------------------------------------------------
-  long long rows_removed = 0, cols_removed = 0;
-  for (const Lp& lp : corpus) {
-    const LpSolution sol = solver::solve_lp(lp);
-    rows_removed += sol.presolve_rows_removed;
-    cols_removed += sol.presolve_cols_removed;
-  }
-  const double row_pct =
-      corpus_rows > 0 ? 100.0 * rows_removed / corpus_rows : 0.0;
-  const double col_pct =
-      corpus_cols > 0 ? 100.0 * cols_removed / corpus_cols : 0.0;
-  out.set("presolve_rows_removed", rows_removed);
-  out.set("presolve_cols_removed", cols_removed);
-  out.set("presolve_row_reduction_pct", row_pct);
-  out.set("presolve_col_reduction_pct", col_pct);
-  std::printf("presolve: removed %lld/%lld rows (%.1f%%), %lld/%lld cols "
-              "(%.1f%%)\n", rows_removed, corpus_rows, row_pct, cols_removed,
-              corpus_cols, col_pct);
 
   // --- cold vs warm --------------------------------------------------------
   long long cold_pivots = 0, warm_pivots = 0;

@@ -72,16 +72,10 @@ std::string RunReport::to_json() const {
          ",\n";
   out += "  \"simplex_iterations\": " + std::to_string(simplex_iterations) +
          ",\n";
-  out += "  \"presolve_rows_removed\": " +
-         std::to_string(presolve_rows_removed) + ",\n";
-  out += "  \"presolve_cols_removed\": " +
-         std::to_string(presolve_cols_removed) + ",\n";
   out += "  \"pricing_candidates\": " + std::to_string(pricing_candidates) +
          ",\n";
   out += "  \"decomposition_rounds\": " + std::to_string(decomposition_rounds) +
          ",\n";
-  out += "  \"decomposition_sub_solves\": " +
-         std::to_string(decomposition_sub_solves) + ",\n";
   out += "  \"decomposition_cuts\": " + std::to_string(decomposition_cuts) +
          ",\n";
   out += "  \"warm_start_hits\": " + std::to_string(warm_start_hits) + ",\n";
@@ -160,16 +154,10 @@ bool RunReport::from_json(const std::string& text, RunReport* out) {
       static_cast<int>(root.num("journal_write_errors"));
   r.simplex_iterations =
       static_cast<long long>(root.num("simplex_iterations"));
-  r.presolve_rows_removed =
-      static_cast<long long>(root.num("presolve_rows_removed"));
-  r.presolve_cols_removed =
-      static_cast<long long>(root.num("presolve_cols_removed"));
   r.pricing_candidates =
       static_cast<long long>(root.num("pricing_candidates"));
   r.decomposition_rounds =
       static_cast<long long>(root.num("decomposition_rounds"));
-  r.decomposition_sub_solves =
-      static_cast<long long>(root.num("decomposition_sub_solves"));
   r.decomposition_cuts =
       static_cast<long long>(root.num("decomposition_cuts"));
   r.warm_start_hits = static_cast<int>(root.num("warm_start_hits"));

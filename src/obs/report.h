@@ -53,8 +53,8 @@ struct ObsConfig {
 
 // The SolveWork base holds the solver work summed from every SolveResult
 // the TE layer returned (every ladder attempt counts, not just the winning
-// rung's): pivots, presolve reductions and pricing work (v3), and Phase I
-// decomposition totals (v4).
+// rung's): pivots and pricing work (v3), and Phase I decomposition totals
+// (v4).
 struct RunReport : SolveWork {
   // v2: adds solver timeout / backoff / cancellation counts and the
   // crash-consistency journal + basis-store save-error fields.
@@ -66,7 +66,9 @@ struct RunReport : SolveWork {
   // counts, global fallbacks, pivots, solve seconds).
   // v6: adds the offline stage's lost RWA scenarios and the calibration
   // fallback flag.
-  static constexpr int kVersion = 6;
+  // v7: drops the presolve reductions and the decomposition's sub-LP solve
+  // count; the presolve pass and the sub-LP are gone.
+  static constexpr int kVersion = 7;
 
   std::string run_id;
   std::string scheme;

@@ -13,26 +13,18 @@ namespace arrow::obs {
 
 struct SolveWork {
   long long simplex_iterations = 0;  // simplex pivots
-  // Presolve reductions applied to the LPs, and the columns the pricing
-  // step examined (see solver::LpSolution).
-  long long presolve_rows_removed = 0;
-  long long presolve_cols_removed = 0;
+  // Columns the pricing step examined (see solver::LpSolution).
   long long pricing_candidates = 0;
-  // Phase I decomposition: master rounds, per-scenario sub-LP solves, and
-  // rows generated lazily into the master (activated cover rows plus
-  // optimality cuts). Zero on the monolithic path and for schemes without a
-  // Phase I.
+  // Phase I decomposition: master rounds and rows generated lazily into the
+  // master (activated cover rows plus optimality cuts). Zero on the
+  // monolithic path and for schemes without a Phase I.
   long long decomposition_rounds = 0;
-  long long decomposition_sub_solves = 0;
   long long decomposition_cuts = 0;
 
   SolveWork& operator+=(const SolveWork& o) {
     simplex_iterations += o.simplex_iterations;
-    presolve_rows_removed += o.presolve_rows_removed;
-    presolve_cols_removed += o.presolve_cols_removed;
     pricing_candidates += o.pricing_candidates;
     decomposition_rounds += o.decomposition_rounds;
-    decomposition_sub_solves += o.decomposition_sub_solves;
     decomposition_cuts += o.decomposition_cuts;
     return *this;
   }
@@ -40,7 +32,7 @@ struct SolveWork {
 
 // A counter added to SolveWork must also be summed in operator+= (and
 // written by RunReport::to_json / from_json); this trips until it is.
-static_assert(sizeof(SolveWork) == 7 * sizeof(long long),
+static_assert(sizeof(SolveWork) == 4 * sizeof(long long),
               "SolveWork gained a field: sum it in operator+=");
 
 }  // namespace arrow::obs

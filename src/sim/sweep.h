@@ -46,7 +46,7 @@ struct SweepResult {
   // averaged). The warm-start win shows up here: same availability curve,
   // fewer pivots. Telemetry about the path taken, not part of the scientific
   // output: flipping ArrowParams::decomposition changes which LPs run (master
-  // rounds + per-scenario sub-LPs vs one monolithic Phase I), so this total
+  // rounds vs one monolithic Phase I), so this total
   // legitimately differs while availability/throughput/winners stay
   // byte-identical (tests/decomposition_test.cc).
   std::map<std::string, long long> simplex_iterations;
@@ -57,9 +57,9 @@ struct SweepResult {
   // averaged in as 0.0, dragging the curve down with no signal); a slot
   // where every matrix failed reports 0 availability and its failure count
   // carries the evidence. The decomposed Phase I keeps the contract: any
-  // non-optimal master or per-scenario sub-LP solve fails the whole ARROW
-  // solve (TeSolution::optimal == false), so a single poisoned sub-LP lands
-  // here for exactly the (scheme, scale) slots it hit.
+  // non-optimal master solve fails the whole ARROW solve
+  // (TeSolution::optimal == false), so a single poisoned master lands here
+  // for exactly the (scheme, scale) slots it hit.
   std::map<std::string, std::vector<int>> solve_failures;
 
   // Runtime-repair telemetry, summed over matrices, scales, and scenarios.

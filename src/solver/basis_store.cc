@@ -29,7 +29,7 @@ namespace {
 //   trailer:      FNV-1a 64-bit checksum (u64) over every preceding byte
 //
 // v2 added the per-entry WarmKey tag (the Phase I decomposition keys its
-// per-scenario sub-LP bases by scenario). A v1 file — or any other version —
+// master bases by tag). A v1 file — or any other version —
 // is rejected by load() and the run degrades to a cold start, the documented
 // contract for every unexpected file.
 //

@@ -12,8 +12,8 @@
 // Keys hash the *structure* that determines LP geometry (topology wiring and
 // capacities via topo::structure_hash, the failure scenario set via
 // scenario::set_hash) plus the LP's (rows, cols) shape and its WarmKey tag
-// (0 for ordinary solves; the Phase I decomposition tags its master and
-// per-scenario sub-LP bases so controller ticks chain them individually).
+// (0 for ordinary solves; the Phase I decomposition tags its master bases so
+// controller ticks chain them apart from other LPs of the same shape).
 // Collisions and stale entries are harmless by the same argument as the
 // scoped cache: a mismatched basis is just a poor starting vertex and the
 // simplex falls back to (or retries from) the all-slack start, so

@@ -83,11 +83,6 @@ struct SimplexOptions {
   int bland_threshold = 100;    // degenerate steps before Bland's rule
   int max_iterations = 0;       // 0 = automatic (scales with problem size)
   Pricing pricing = Pricing::kIncremental;
-  // Run the presolve reductions (fixed columns, empty/singleton rows, implied
-  // bound tightening) before the simplex and postsolve the answer back to
-  // full space. The returned x/dual/reduced_cost/basis are always full-space,
-  // so warm-start chaining and the BasisStore are unaffected.
-  bool presolve = true;
   // Wall-clock bound on this solve (util::mono_now_s timeline; unset = none).
   // Combined with any ambient ScopedSolveDeadline: the earlier expiry wins.
   util::Deadline deadline;
@@ -135,9 +130,8 @@ struct LpSolution {
   double phase1_seconds = 0.0;        // wall clock in feasibility restoration
   double phase2_seconds = 0.0;        // wall clock in optimality iterations
   bool warm_started = false;          // solved from a caller/cache basis
-  // Presolve reductions applied to this solve (0 when presolve is off).
+  // Always 0: there is no presolve. Kept for perfbench's LP records.
   int presolve_rows_removed = 0;
-  int presolve_cols_removed = 0;
   // Reduced-cost evaluations performed while pricing (every column whose d
   // was computed or updated counts once). The pricing-work proxy: full
   // recomputation pays ~n per pivot, incremental pays ~|pivot row| per pivot.
@@ -226,9 +220,8 @@ class ScopedSolveObserver {
 
 // Warm-start cache key: LP shape plus a caller-chosen tag. The tag
 // disambiguates same-shaped LPs that must not share a basis slot — the
-// Phase I decomposition's per-scenario sub-LPs all have identical shapes,
-// and its master LP could collide with an unrelated model of the same size.
-// Tag 0 is the untagged default every pre-existing call site keeps using.
+// Phase I decomposition's master LP could collide with an unrelated model of
+// the same size. Tag 0 is the untagged default of every other call site.
 struct WarmKey {
   int rows = 0;
   int cols = 0;
@@ -242,9 +235,8 @@ struct WarmKey {
 };
 
 // Tags the ambient warm-start key for every solve_lp() in scope. The
-// decomposition wraps each sub-LP solve in a guard carrying that scenario's
-// tag so chained re-solves of scenario q warm-start from scenario q's own
-// basis and never from a neighbor's.
+// decomposition wraps each master solve in a guard carrying its tag, so the
+// master warm-starts only from an earlier master basis.
 class ScopedBasisTag {
  public:
   explicit ScopedBasisTag(std::uint64_t tag);

@@ -19,8 +19,6 @@ constexpr double kIntTol = 1e-6;
 obs::SolveWork work_of(const LpSolution& sol) {
   obs::SolveWork w;
   w.simplex_iterations = sol.iterations;
-  w.presolve_rows_removed = sol.presolve_rows_removed;
-  w.presolve_cols_removed = sol.presolve_cols_removed;
   w.pricing_candidates = sol.pricing_candidates;
   return w;
 }

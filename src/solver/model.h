@@ -35,8 +35,8 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus s);
 
-// The SolveWork base holds the pivots, presolve reductions and pricing work
-// of the solve (see LpSolution; summed over MIP nodes).
+// The SolveWork base holds the pivots and pricing work of the solve (see
+// LpSolution; summed over MIP nodes).
 struct SolveResult : obs::SolveWork {
   SolveStatus status = SolveStatus::kNumericalError;
   double objective = 0.0;

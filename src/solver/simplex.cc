@@ -1,8 +1,6 @@
 // Bounded-variable revised primal simplex on the computational-form LP.
 //
 // Structure:
-//  * optional presolve (presolve.h) shrinks the LP before the simplex sees
-//    it; the postsolve lifts x/duals/reduced costs/basis back to full space;
 //  * initial basis = the all-slack basis (the Model always appends one slack
 //    column per row, so the basis matrix starts as the identity);
 //  * phase 1 minimizes the sum of primal infeasibilities of the basic
@@ -39,7 +37,6 @@
 #include "obs/trace.h"
 #include "solver/lp.h"
 #include "solver/basis.h"
-#include "solver/presolve.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -1022,49 +1019,7 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
   OBS_SPAN("lp_solve");
   const auto solve_t0 = std::chrono::steady_clock::now();
 
-  LpSolution sol;
-  bool solved = false;
-  if (opt.presolve && lp.a.rows > 0) {
-    Presolved pre = presolve_lp(lp, opt);
-    if (pre.status == Presolved::Status::kInfeasible) {
-      sol.status = LpStatus::kInfeasible;
-      sol.x.assign(static_cast<std::size_t>(lp.a.cols), 0.0);
-      // Structurally valid all-slack basis, matching the shape contract of a
-      // simplex-detected infeasibility.
-      sol.basis.status.assign(static_cast<std::size_t>(lp.a.cols),
-                              BasisStatus::kNonbasicLower);
-      for (int i = 0; i < lp.a.rows; ++i) {
-        sol.basis.status[static_cast<std::size_t>(lp.a.cols - lp.a.rows + i)] =
-            BasisStatus::kBasic;
-      }
-      sol.presolve_rows_removed = pre.rows_removed;
-      sol.presolve_cols_removed = pre.cols_removed;
-      solved = true;
-    } else if (!pre.is_identity()) {
-      // Map the full-space warm basis down to the reduced space; a basis
-      // whose basic count no longer matches is rejected by the simplex and
-      // the solve falls back to cold, exactly as in full space.
-      Basis reduced_warm;
-      const Basis* rw = nullptr;
-      if (warm != nullptr &&
-          static_cast<int>(warm->status.size()) == lp.a.cols) {
-        reduced_warm.status.reserve(pre.col_map.size());
-        for (int oc : pre.col_map) {
-          reduced_warm.status.push_back(
-              warm->status[static_cast<std::size_t>(oc)]);
-        }
-        rw = &reduced_warm;
-      }
-      LpSolution reduced_sol = run_simplex(pre.reduced, opt, rw);
-      sol = postsolve_solution(lp, pre, reduced_sol, opt);
-      sol.presolve_rows_removed = pre.rows_removed;
-      sol.presolve_cols_removed = pre.cols_removed;
-      solved = true;
-    }
-  }
-  if (!solved) {
-    sol = run_simplex(lp, opt, warm);
-  }
+  LpSolution sol = run_simplex(lp, opt, warm);
 
   if (cache != nullptr &&
       (sol.status == LpStatus::kOptimal ||
@@ -1097,10 +1052,6 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
         reg.counter("arrow_solver_warm_starts_total");
     static obs::Counter& cold_starts =
         reg.counter("arrow_solver_cold_starts_total");
-    static obs::Counter& rows_removed =
-        reg.counter("arrow_solver_presolve_rows_removed_total");
-    static obs::Counter& cols_removed =
-        reg.counter("arrow_solver_presolve_cols_removed_total");
     static obs::Counter& pricing_cands =
         reg.counter("arrow_solver_pricing_candidates");
     static obs::Histogram& solve_seconds =
@@ -1114,8 +1065,6 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
     p1_iters.add(static_cast<std::uint64_t>(sol.phase1_iterations));
     refactors.add(static_cast<std::uint64_t>(sol.refactorizations));
     (sol.warm_started ? warm_starts : cold_starts).add();
-    rows_removed.add(static_cast<std::uint64_t>(sol.presolve_rows_removed));
-    cols_removed.add(static_cast<std::uint64_t>(sol.presolve_cols_removed));
     pricing_cands.add(static_cast<std::uint64_t>(sol.pricing_candidates));
     solve_seconds.observe(std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - solve_t0)

@@ -369,23 +369,13 @@ void build_ilp(const TeInput& input, const ArrowPrepared& prepared,
 
 // ---- Phase I decomposition helpers -----------------------------------------
 
-// Warm-start tags for the decomposition's LPs. Every solve the decomposition
-// adds is tagged (nonzero), so its bases live in their own keyspace and can
-// never displace — or be displaced by — the untagged bases of the monolithic
-// Phase I / Phase II chain. That isolation is what keeps sweep output
-// byte-identical decomposition on vs off: the Phase II solves see exactly
-// the same warm-start chain either way.
+// Warm-start tag for the decomposition's master LP. The tag is nonzero, so
+// master bases live in their own keyspace and can never displace — or be
+// displaced by — the untagged bases of the monolithic Phase I / Phase II
+// chain. That isolation is what keeps sweep output byte-identical
+// decomposition on vs off: the Phase II solves see exactly the same
+// warm-start chain either way.
 constexpr std::uint64_t kMasterBasisTag = 0x41525257u;  // "ARRW"
-
-// splitmix64 finalizer: per-scenario sub-LP tag, stable across runs and
-// processes (BasisStore persists it to disk).
-std::uint64_t sub_lp_tag(int q) {
-  std::uint64_t x = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(q);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x != 0 ? x : 1;
-}
 
 std::vector<std::vector<double>> extract_alloc(solver::Model& model,
                                                const BaseVars& vars) {
@@ -766,9 +756,6 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
     bool add_cut = false;
     solver::LinExpr cut;                          // theta_q - sum cnt*load
     double cut_rhs = 0.0;
-    bool sub_ran = false;
-    bool sub_failed = false;
-    obs::SolveWork work;
   };
 
   std::vector<std::vector<double>> alloc;
@@ -800,9 +787,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
 
     // Pricing fan-out: every decision below is a closed-form function of the
     // master solution extracted above, so the appended rows — and with them
-    // the whole trajectory — are bit-identical at any thread count. The
-    // sub-LP supplies telemetry, the failure signal and the warm-start chain
-    // entry for scenario q; its solution is never consulted for control flow.
+    // the whole trajectory — are bit-identical at any thread count.
     std::vector<PerScenario> ps(static_cast<std::size_t>(Q));
     pool.parallel_for(0, Q, [&](int q) {
       const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
@@ -884,45 +869,12 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
         s.cut = std::move(cut);
         s.cut_rhs = cut_rhs;
       }
-
-      // Scenario sub-LP: min penalty * sum dp  s.t.  dp - dm >= load - r per
-      // (z, li), z-major. Its optimum is penalty * f_q and its final basis is
-      // scenario q's warm-start chain entry. Shape: Z*L rows, 3*Z*L lowered
-      // columns (2 structural + 1 slack per row) — the handle the resilience
-      // fault-injection tests match sub-LPs by.
-      solver::Model sub;
-      std::vector<std::vector<solver::VarId>> dp(static_cast<std::size_t>(Z));
-      for (int z = 0; z < Z; ++z) {
-        auto& row = dp[static_cast<std::size_t>(z)];
-        row.reserve(L);
-        for (std::size_t li = 0; li < L; ++li) {
-          const auto d = sub.add_var(0.0, solver::kInf, params.slack_penalty);
-          const auto m = sub.add_var(0.0, solver::kInf, 0.0);
-          solver::LinExpr r{d};
-          r.add_term(m, -1.0);
-          const auto& ticket = ticket_or_naive(
-              prepared, naive, q, tickets.tickets.empty() ? -1 : z);
-          sub.add_constr(r, solver::Sense::kGe, loads[li] - ticket.gbps[li]);
-          row.push_back(d);
-        }
-      }
-      solver::ScopedBasisTag guard(sub_lp_tag(q));
-      const solver::SolveResult sres = sub.solve();
-      s.sub_ran = true;
-      s.sub_failed = !sres.optimal();
-      s.work = sres;
     });
 
-    // Serial fixed-q-order merge: telemetry and row append.
+    // Serial fixed-q-order row append.
     bool appended = false;
-    bool sub_failed = false;
     for (int q = 0; q < Q; ++q) {
-      PerScenario& s = ps[static_cast<std::size_t>(q)];
-      if (s.sub_ran) {
-        ++out.decomposition_sub_solves;
-        out += s.work;
-        sub_failed = sub_failed || s.sub_failed;
-      }
+      const PerScenario& s = ps[static_cast<std::size_t>(q)];
       for (std::size_t i = 0; i < s.new_cover.size(); ++i) {
         master.add_constr(s.new_cover[i], solver::Sense::kGe, 0.0);
         cover_present[static_cast<std::size_t>(q)][s.new_cover_idx[i]] = 1;
@@ -934,10 +886,6 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
         ++out.decomposition_cuts;
         appended = true;
       }
-    }
-    if (sub_failed) {
-      out.seconds = elapsed();
-      return out;  // all-or-nothing: any sub-LP failure fails Phase I
     }
     if (!appended) {
       converged = true;
@@ -952,12 +900,9 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
 
   static obs::Counter& rounds_total = obs::Registry::global().counter(
       "arrow_te_decomposition_rounds_total");
-  static obs::Counter& subs_total = obs::Registry::global().counter(
-      "arrow_te_decomposition_sub_solves_total");
   static obs::Counter& cuts_total = obs::Registry::global().counter(
       "arrow_te_decomposition_cuts_total");
   rounds_total.add(static_cast<std::uint64_t>(out.decomposition_rounds));
-  subs_total.add(static_cast<std::uint64_t>(out.decomposition_sub_solves));
   cuts_total.add(static_cast<std::uint64_t>(out.decomposition_cuts));
   return out;
 }

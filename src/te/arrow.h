@@ -22,10 +22,11 @@ namespace arrow::te {
 // Phase I decomposition knobs (see solve_phase1_decomposed below).
 struct DecompositionParams {
   // Off: solve_arrow builds the monolithic Table 2 LP. On: Phase I runs as a
-  // coordinating master over the shared allocation with per-scenario slack
-  // sub-LPs priced in parallel — same optimum, but the master only ever
-  // holds the scenario rows that actually bind, which is what scales the
-  // scenario count past what the monolithic model can hold.
+  // coordinating master over the shared allocation, with each scenario's
+  // cover rows and slack penalty priced in parallel in closed form — same
+  // optimum, but the master only ever holds the scenario rows that actually
+  // bind, which is what scales the scenario count past what the monolithic
+  // model can hold.
   bool enabled = false;
   // Master-loop iteration cap. Each round can only add missing rows (a
   // present row is never violated again), so the loop terminates on its own;
@@ -150,9 +151,9 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
 
 // Phase I alone: the shared allocation plus the winning ticket per scenario
 // (-1 = naive RWA-floor plan), without paying for Phase II. The SolveWork
-// base sums over every LP attempt the path made (the decomposed path's
-// master rounds and per-scenario sub-LPs included); its decomposition_*
-// counters are 0 on the monolithic path.
+// base sums over every LP attempt the path made (every master round on the
+// decomposed path); its decomposition_* counters are 0 on the monolithic
+// path.
 struct Phase1Result : obs::SolveWork {
   bool optimal = false;
   bool decomposed = false;   // which path produced this result
@@ -171,16 +172,16 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
 // and only the scenario rows proven necessary so far. Each round solves the
 // master, then fans per-scenario pricing out on `pool`: closed-form link
 // loads from the master allocation decide which cover rows are violated and
-// how far theta_q undershoots the scenario's true penalty, while a genuine
-// per-scenario sub-LP (warm-started from a ScopedWarmStartCache entry tagged
-// by scenario id, chained across sweep scales and controller ticks via
-// BasisStore) supplies the telemetry and failure signal. Violated rows and
+// how far theta_q undershoots the scenario's true penalty. Violated rows and
 // optimality cuts are appended serially in scenario order; the loop ends
-// when no row is missing. All control flow is a pure function of master
-// solutions computed on the calling thread, so the trajectory — and the
-// final allocation — is bit-identical at any thread count. Any non-optimal
-// master or sub-LP solve fails the whole Phase I (optimal = false), the
-// same all-or-nothing contract as the monolithic solve.
+// when no row is missing. The master is the only LP the loop solves; its
+// solves carry one warm-start tag (kMasterBasisTag), so its bases chain
+// across sweep scales and controller ticks via ScopedWarmStartCache and
+// BasisStore. All control flow is a pure function of master solutions
+// computed on the calling thread, so the trajectory — and the final
+// allocation — is bit-identical at any thread count. A non-optimal master
+// solve fails the whole Phase I (optimal = false), the same all-or-nothing
+// contract as the monolithic solve.
 Phase1Result solve_phase1_decomposed(const TeInput& input,
                                      const ArrowPrepared& prepared,
                                      const ArrowParams& params,

@@ -14,7 +14,8 @@ namespace arrow::te {
 class TeInput;
 
 // The SolveWork base sums the solver work of EVERY solve behind this
-// solution: Phase I master rounds, per-scenario sub-LPs and Phase II.
+// solution: Phase I (monolithic, or every decomposition master round) and
+// Phase II.
 struct TeSolution : obs::SolveWork {
   std::string scheme;
   bool optimal = false;

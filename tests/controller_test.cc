@@ -282,8 +282,6 @@ TEST(Ladder, RelaxedRungOnEightThreadsMatchesInline) {
   EXPECT_EQ(b.sol.admitted, a.sol.admitted);
   EXPECT_EQ(b.sol.alloc, a.sol.alloc);
   EXPECT_EQ(b.work.simplex_iterations, a.work.simplex_iterations);
-  EXPECT_EQ(b.work.presolve_rows_removed, a.work.presolve_rows_removed);
-  EXPECT_EQ(b.work.presolve_cols_removed, a.work.presolve_cols_removed);
   EXPECT_EQ(b.work.pricing_candidates, a.work.pricing_candidates);
   EXPECT_EQ(b.solver_timeouts, a.solver_timeouts);
   EXPECT_EQ(b.backoff_retries, a.backoff_retries);

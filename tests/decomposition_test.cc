@@ -6,10 +6,10 @@
 //     the evaluation sweep's scientific output must not move at all;
 //   * Phase I winner selection must be order-independent (the old incumbent
 //     scan's +-1e-9 tolerance was non-transitive);
-//   * a faulted per-scenario sub-LP must fail the whole ARROW solve and be
-//     visible in SweepResult::solve_failures;
+//   * a faulted master LP must fail the whole ARROW solve and be visible in
+//     SweepResult::solve_failures;
 //   * the per-solution telemetry totals must equal the exact sum over every
-//     LP attempt, master and sub-LPs included.
+//     LP attempt: the master rounds plus Phase II.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,19 +60,6 @@ struct Workload {
     return params;
   }
 };
-
-// Matches the decomposition's per-scenario sub-LP and nothing else in the
-// ARROW pipeline: the lowered sub-LP has exactly one slack column per row on
-// top of the dp/dm pair per (candidate, failed link) — cols == 3 * rows —
-// and every structural cost is 0 or the slack penalty (the master and both
-// phase models carry throughput costs and fail the cost scan).
-bool is_sub_lp(const solver::Lp& lp, double slack_penalty) {
-  if (lp.a.rows <= 0 || lp.a.cols != 3 * lp.a.rows) return false;
-  for (double c : lp.cost) {
-    if (c != 0.0 && c != slack_penalty) return false;
-  }
-  return true;
-}
 
 // ---- select_phase1_winner: the order-dependence regression ----------------
 
@@ -203,9 +190,7 @@ TEST(Decomposition, SolveArrowAgreesWithMonolithicExactly) {
   // The decomposed path actually ran its machinery (and the monolithic path
   // reports none of it).
   EXPECT_GT(deco.decomposition_rounds, 0);
-  EXPECT_GT(deco.decomposition_sub_solves, 0);
   EXPECT_EQ(mono.decomposition_rounds, 0);
-  EXPECT_EQ(mono.decomposition_sub_solves, 0);
   EXPECT_EQ(mono.decomposition_cuts, 0);
 }
 
@@ -241,8 +226,6 @@ TEST(Decomposition, Phase1WinnersMatchAndTrajectoryIsThreadCountInvariant) {
     EXPECT_EQ(got.decomposition_rounds, base.decomposition_rounds)
         << "threads=" << threads;
     EXPECT_EQ(got.decomposition_cuts, base.decomposition_cuts)
-        << "threads=" << threads;
-    EXPECT_EQ(got.decomposition_sub_solves, base.decomposition_sub_solves)
         << "threads=" << threads;
     EXPECT_EQ(got.simplex_iterations, base.simplex_iterations)
         << "threads=" << threads;
@@ -293,70 +276,12 @@ TEST(Decomposition, SweepOutputIsByteIdenticalDecompositionOnOrOff) {
   }
 }
 
-// ---- sub-LP failure surfacing ---------------------------------------------
-
-TEST(Decomposition, FaultedSubLpFailsTheWholeSolve) {
-  Workload w;
-  const te::ArrowParams params = w.arrow_params(true);
-  util::ThreadPool pool(1);  // inline: the observer hook reaches the sub-LPs
-  util::Rng rng(99);
-  const auto prepared = te::prepare_arrow(*w.input, params, rng, pool);
-  const te::RestorabilityCache cache(*w.input, prepared, pool);
-
-  int faulted = 0;
-  solver::ScopedSolveObserver observer(
-      [&](const solver::Lp& lp, solver::LpSolution& solution) {
-        if (faulted == 0 && is_sub_lp(lp, params.slack_penalty)) {
-          ++faulted;
-          solution.status = solver::LpStatus::kNumericalError;
-        }
-      });
-  const te::TeSolution sol =
-      te::solve_arrow(*w.input, prepared, params, pool, &cache);
-  ASSERT_EQ(faulted, 1);
-  // All-or-nothing, same as the monolithic contract: one poisoned scenario
-  // sub-LP invalidates the whole solve rather than silently shipping winners
-  // priced against a solver fault.
-  EXPECT_FALSE(sol.optimal);
-}
-
-TEST(Decomposition, FaultedSubLpLandsInSweepSolveFailures) {
-  Workload w;
-  sim::SweepParams params;
-  params.scales = {0.4, 0.8};
-  params.schemes = {"ARROW"};
-  params.tunnels = w.tunnels;
-  params.arrow.tickets.num_tickets = 4;
-  params.arrow.decomposition.enabled = true;
-
-  util::ThreadPool pool(1);  // sweep chains inline => hooks reach sub-LPs
-  int faulted = 0;
-  solver::ScopedSolveObserver observer(
-      [&](const solver::Lp& lp, solver::LpSolution& solution) {
-        if (is_sub_lp(lp, params.arrow.slack_penalty)) {
-          ++faulted;
-          solution.status = solver::LpStatus::kNumericalError;
-        }
-      });
-  util::Rng rng(31);
-  const auto got =
-      sim::run_sweep(w.net, w.matrices, w.scenarios, params, rng, pool);
-  ASSERT_GT(faulted, 0);
-  // Every ARROW solve hit a poisoned sub-LP, so every (scheme, scale) slot
-  // reports its failure instead of averaging a zero into the curve.
-  const std::vector<int> expect_failed(params.scales.size(), 1);
-  EXPECT_EQ(got.solve_failures.at("ARROW"), expect_failed);
-  EXPECT_EQ(got.total_solve_failures(),
-            static_cast<long long>(params.scales.size()));
-  for (double a : got.availability.at("ARROW")) EXPECT_EQ(a, 0.0);
-}
-
 // ---- master-LP failure surfacing ------------------------------------------
 
-// The master is the decomposition's tagged solve (kMasterBasisTag): the
+// The master is the decomposition's only tagged solve (kMasterBasisTag): the
 // monolithic Phase I and Phase II run untagged, so a nonzero ambient tag
-// picks out master rounds. Inline pools run every round on the calling
-// thread, where the observer sees it.
+// picks out master rounds. Masters run on the calling thread, where the
+// observer sees them.
 bool is_master_lp() { return solver::ScopedBasisTag::active() != 0; }
 
 TEST(Decomposition, FaultedMasterLpFailsTheWholeSolve) {
@@ -425,7 +350,7 @@ TEST(Decomposition, TelemetryTotalsEqualTheSumOverEveryLpAttempt) {
   const auto prepared = te::prepare_arrow(*w.input, params, rng, pool);
   const te::RestorabilityCache cache(*w.input, prepared, pool);
 
-  long long iterations = 0, presolve_rows = 0, presolve_cols = 0, pricing = 0;
+  long long iterations = 0, pricing = 0;
   int solves = 0;
   te::TeSolution sol;
   {
@@ -433,28 +358,23 @@ TEST(Decomposition, TelemetryTotalsEqualTheSumOverEveryLpAttempt) {
         [&](const solver::Lp&, solver::LpSolution& solution) {
           ++solves;
           iterations += solution.iterations;
-          presolve_rows += solution.presolve_rows_removed;
-          presolve_cols += solution.presolve_cols_removed;
           pricing += solution.pricing_candidates;
         });
     sol = te::solve_arrow(*w.input, prepared, params, pool, &cache);
   }
   ASSERT_TRUE(sol.optimal);
-  // Master rounds + per-scenario sub-LPs + Phase II, and nothing else: the
-  // totals the solution reports are the exact sum of what the solver
-  // returned per attempt — not approximately, exactly.
+  // Master rounds + Phase II, and nothing else: the totals the solution
+  // reports are the exact sum of what the solver returned per attempt — not
+  // approximately, exactly.
   EXPECT_EQ(static_cast<long long>(sol.simplex_iterations), iterations);
-  EXPECT_EQ(static_cast<long long>(sol.presolve_rows_removed), presolve_rows);
-  EXPECT_EQ(static_cast<long long>(sol.presolve_cols_removed), presolve_cols);
   EXPECT_EQ(sol.pricing_candidates, pricing);
-  // Every master round and every sub-LP solve was a real solve_lp call.
-  EXPECT_EQ(solves,
-            sol.decomposition_rounds + sol.decomposition_sub_solves + 1);
+  // Every master round was a real solve_lp call, and Phase II one more.
+  EXPECT_EQ(solves, sol.decomposition_rounds + 1);
 }
 
 // ---- warm-start chaining --------------------------------------------------
 
-TEST(Decomposition, SubLpBasesChainThroughTheWarmStartCache) {
+TEST(Decomposition, MasterBasesChainThroughTheWarmStartCache) {
   Workload w;
   const te::ArrowParams params = w.arrow_params(true);
   util::ThreadPool pool(1);
@@ -473,7 +393,7 @@ TEST(Decomposition, SubLpBasesChainThroughTheWarmStartCache) {
       te::solve_arrow(*w.input, prepared, params, pool, &cache);
   ASSERT_TRUE(second.optimal);
   // The re-solve warm-started from the first solve's bases (the tagged
-  // per-scenario sub-LP entries and Phase II's untagged one)...
+  // master entries and Phase II's untagged one)...
   EXPECT_GT(warm.hits(), hits_after_first);
   // ...and warm-starting changed only the pivot path, never the selection or
   // the objective. (The Phase II *vertex* may legally move to an alternate
@@ -483,10 +403,10 @@ TEST(Decomposition, SubLpBasesChainThroughTheWarmStartCache) {
               1e-6 * (1.0 + std::abs(first.objective)));
 }
 
-TEST(Decomposition, CrossThreadSubLpSolvesShareTheChainCache) {
-  // Same as above but with real pool workers: the sub-LPs run on threads
-  // whose ambient cache is empty, so the explicit chain-cache plumbing is
-  // what carries the bases — and the answer must still match inline mode.
+TEST(Decomposition, CrossThreadMasterSolvesShareTheChainCache) {
+  // Same as above but with real pool workers running the pricing fan-out
+  // between master rounds: the master chain must warm-start the same way,
+  // and the answer must still match inline mode.
   Workload w;
   const te::ArrowParams params = w.arrow_params(true);
   util::ThreadPool inline_pool(1);
@@ -547,11 +467,8 @@ TEST(Decomposition, ControllerReportCarriesDecompositionTotals) {
   // The decomposed Phase I ran and its totals flowed through the ladder
   // accounting into both the report and the serialized RunReport.
   EXPECT_GT(report.solve_work.decomposition_rounds, 0);
-  EXPECT_GT(report.solve_work.decomposition_sub_solves, 0);
   EXPECT_EQ(report.run_report.decomposition_rounds,
             report.solve_work.decomposition_rounds);
-  EXPECT_EQ(report.run_report.decomposition_sub_solves,
-            report.solve_work.decomposition_sub_solves);
   EXPECT_EQ(report.run_report.decomposition_cuts,
             report.solve_work.decomposition_cuts);
 }

@@ -318,31 +318,24 @@ TEST(Json, RejectsMalformedInput) {
 TEST(SolveWork, PlusEqualsSumsEveryField) {
   obs::SolveWork a;
   a.simplex_iterations = 1;
-  a.presolve_rows_removed = 2;
-  a.presolve_cols_removed = 3;
-  a.pricing_candidates = 4;
-  a.decomposition_rounds = 5;
-  a.decomposition_sub_solves = 6;
-  a.decomposition_cuts = 7;
+  a.pricing_candidates = 2;
+  a.decomposition_rounds = 3;
+  a.decomposition_cuts = 4;
   obs::SolveWork b;
   b.simplex_iterations = 10;
-  b.presolve_rows_removed = 200;
-  b.presolve_cols_removed = 3000;
-  b.pricing_candidates = 40000;
-  b.decomposition_rounds = 500000;
-  b.decomposition_sub_solves = 6000000;
-  b.decomposition_cuts = 70000000;
+  b.pricing_candidates = 200;
+  b.decomposition_rounds = 3000;
+  b.decomposition_cuts = 40000;
   a += b;
   EXPECT_EQ(a.simplex_iterations, 11);
-  EXPECT_EQ(a.presolve_rows_removed, 202);
-  EXPECT_EQ(a.presolve_cols_removed, 3003);
-  EXPECT_EQ(a.pricing_candidates, 40004);
-  EXPECT_EQ(a.decomposition_rounds, 500005);
-  EXPECT_EQ(a.decomposition_sub_solves, 6000006);
-  EXPECT_EQ(a.decomposition_cuts, 70000007);
+  EXPECT_EQ(a.pricing_candidates, 202);
+  EXPECT_EQ(a.decomposition_rounds, 3003);
+  EXPECT_EQ(a.decomposition_cuts, 40004);
   // The right-hand side is left as it was.
   EXPECT_EQ(b.simplex_iterations, 10);
-  EXPECT_EQ(b.decomposition_cuts, 70000000);
+  EXPECT_EQ(b.pricing_candidates, 200);
+  EXPECT_EQ(b.decomposition_rounds, 3000);
+  EXPECT_EQ(b.decomposition_cuts, 40000);
 }
 
 // ---- RunReport -------------------------------------------------------------
@@ -359,11 +352,8 @@ obs::RunReport sample_report() {
   r.degraded_periods = 2;
   r.deadline_overruns = 1;
   r.simplex_iterations = 12345;
-  r.presolve_rows_removed = 321;
-  r.presolve_cols_removed = 654;
   r.pricing_candidates = 98765;
   r.decomposition_rounds = 7;
-  r.decomposition_sub_solves = 88;
   r.decomposition_cuts = 13;
   r.warm_start_hits = 6;
   r.warm_start_stores = 9;
@@ -404,11 +394,8 @@ TEST(RunReport, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(out.degraded_periods, in.degraded_periods);
   EXPECT_EQ(out.deadline_overruns, in.deadline_overruns);
   EXPECT_EQ(out.simplex_iterations, in.simplex_iterations);
-  EXPECT_EQ(out.presolve_rows_removed, in.presolve_rows_removed);
-  EXPECT_EQ(out.presolve_cols_removed, in.presolve_cols_removed);
   EXPECT_EQ(out.pricing_candidates, in.pricing_candidates);
   EXPECT_EQ(out.decomposition_rounds, in.decomposition_rounds);
-  EXPECT_EQ(out.decomposition_sub_solves, in.decomposition_sub_solves);
   EXPECT_EQ(out.decomposition_cuts, in.decomposition_cuts);
   EXPECT_EQ(out.warm_start_hits, in.warm_start_hits);
   EXPECT_EQ(out.warm_start_stores, in.warm_start_stores);
@@ -435,6 +422,13 @@ TEST(RunReport, FromJsonRejectsWrongVersionAndGarbage) {
   out.te_runs = 99;  // sentinel: must stay untouched on failure
   EXPECT_FALSE(obs::RunReport::from_json("not json", &out));
   EXPECT_FALSE(obs::RunReport::from_json("{\"version\": 999}", &out));
+  // A complete v6 report, which still carries the presolve and sub-LP
+  // fields, is refused rather than read with those fields dropped.
+  std::string v6 = sample_report().to_json();
+  const std::string v7_field = "\"version\": 7,";
+  ASSERT_NE(v6.find(v7_field), std::string::npos);
+  v6.replace(v6.find(v7_field), v7_field.size(), "\"version\": 6,");
+  EXPECT_FALSE(obs::RunReport::from_json(v6, &out));
   EXPECT_EQ(out.te_runs, 99);
 }
 
