@@ -357,9 +357,9 @@ TEST(BasisStoreDisk, EverySingleByteFlipIsRejected) {
   }
 }
 
-// Same-shaped entries under different tags (the decomposition's per-scenario
-// sub-LP bases) are distinct keys end-to-end: store/load, seed/absorb, and
-// the v2 disk format all carry the tag.
+// Same-shaped entries under different tags (the decomposition's master bases
+// beside an untagged LP of the same shape) are distinct keys end-to-end:
+// store/load, seed/absorb, and the v2 disk format all carry the tag.
 TEST(BasisStoreDisk, TagDistinguishesSameShapedEntries) {
   BasisStore store;
   store.store({3, 4, 5, 12, 0}, make_basis(12, BasisStatus::kBasic));
