@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <set>
 
 #include "controller/session.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optical/event_sim.h"
-#include "optical/rwa.h"
 #include "sim/availability.h"
 #include "topo/network.h"
-#include "ticket/ticket.h"
 #include "util/check.h"
 
 namespace arrow::ctrl {
@@ -73,8 +70,7 @@ ControllerReport run_controller(const topo::Network& net,
     inputs.emplace_back(net, tm, scenarios, config.tunnels);
   }
   session.prepare(inputs);
-  const bool restores = session.restores();
-  const te::ArrowPrepared& prepared = session.prepared();
+  const bool restores_optically = session.capabilities().restores_optically;
 
   std::vector<te::TeSolution> solutions;
   solutions.reserve(inputs.size());
@@ -155,15 +151,12 @@ ControllerReport run_controller(const topo::Network& net,
     });
   }
 
-  // Shared tail of both restoration paths: run the drop/delay fault hooks,
-  // replay the reconfiguration through the optical latency simulator, and
-  // schedule the wavelength-up events. Returns false when the plan was
-  // dropped or came out empty (no surviving surrogate waves).
-  const auto install_plan = [&](std::vector<optical::LinkRestoration> links,
-                                const std::vector<topo::FiberId>& sim_cuts,
-                                topo::FiberId owner, double now) -> bool {
-    const auto plan = optical::plan_from_restoration(net, links);
-    if (plan.empty()) return false;
+  // Light a cut's answer: run the drop/delay fault hooks, then schedule
+  // the wavelength-up events of its timeline. Returns false when the answer
+  // was dropped or lights nothing (no surviving surrogate waves).
+  const auto light = [&](const schemes::CutRepair& repair,
+                         topo::FiberId owner, double now) -> bool {
+    if (repair.timeline.empty()) return false;
     if (config.drop_restoration_plan && config.drop_restoration_plan()) {
       ++report.plans_dropped;
       return false;
@@ -173,18 +166,14 @@ ControllerReport run_controller(const topo::Network& net,
       delay = std::max(0.0, config.restoration_delay_s());
       if (delay > 0.0) ++report.plans_delayed;
     }
-    util::Rng replay = rng.fork();
-    const auto latency = optical::simulate_restoration(net, sim_cuts, plan,
-                                                       config.latency, replay);
     report.worst_restoration_s =
-        std::max(report.worst_restoration_s, delay + latency.total_s);
-    report.restoration_latency_s.push_back(delay + latency.total_s);
+        std::max(report.worst_restoration_s, delay + repair.latency_s);
+    report.restoration_latency_s.push_back(delay + repair.latency_s);
     ++restorations_in_flight;
     // Replay each wavelength-up event; the restoration window closes at the
     // final one.
-    const double final_t = now + delay + latency.total_s;
-    for (const auto& p : latency.timeline) {
-      if (p.link < 0) continue;
+    const double final_t = now + delay + repair.latency_s;
+    for (const auto& p : repair.timeline) {
       const topo::IpLinkId link = p.link;
       const double gbps = p.wave_gbps;
       queue.schedule(now + delay + p.t_s,
@@ -201,70 +190,6 @@ ControllerReport run_controller(const topo::Network& net,
     return true;
   };
 
-  // Emergency restoration for a cut with no exact precomputed plan:
-  // transplant the nearest scenario's plan. "Nearest" = highest Jaccard
-  // overlap between the scenario's failed IP links and the links this cut
-  // actually took down; ties prefer fewer cut fibers (plans transplant more
-  // cleanly), then the lower index for determinism.
-  const auto emergency_restore = [&](topo::FiberId fiber, double now) {
-    const auto failed_now_v = net.failed_ip_links({fiber});
-    const std::set<topo::IpLinkId> failed_now(failed_now_v.begin(),
-                                              failed_now_v.end());
-    if (failed_now.empty()) return;
-    int best_q = -1;
-    double best_score = 0.0;
-    std::size_t best_cuts = 0;
-    for (std::size_t q = 0; q < scenarios.size(); ++q) {
-      if (prepared.rwa[q].links.empty()) continue;
-      const auto& sf = inputs.front().failed_links(static_cast<int>(q));
-      std::size_t inter = 0;
-      for (topo::IpLinkId e : sf) inter += failed_now.count(e);
-      if (inter == 0) continue;
-      const double uni =
-          static_cast<double>(failed_now.size() + sf.size() - inter);
-      const double score = static_cast<double>(inter) / uni;
-      if (best_q < 0 || score > best_score + 1e-12 ||
-          (score > best_score - 1e-12 && scenarios[q].cuts.size() < best_cuts)) {
-        best_q = static_cast<int>(q);
-        best_score = score;
-        best_cuts = scenarios[q].cuts.size();
-      }
-    }
-    if (best_q < 0) return;  // no scenario shares a failed link
-    const ticket::LotteryTicket ticket =
-        session.ticket_for(best_q, solutions[active_tm]);
-    const auto& rwa_links = prepared.rwa[static_cast<std::size_t>(best_q)].links;
-    const std::vector<topo::FiberId> active = state.cuts();
-    // Keep only the entries for links this cut actually failed, and zero
-    // out surrogate paths that cross any currently cut fiber — the donor
-    // scenario did not plan around the cuts we actually have.
-    std::vector<optical::LinkRestoration> links;
-    std::vector<std::vector<int>> want;
-    for (std::size_t li = 0; li < rwa_links.size(); ++li) {
-      if (!failed_now.count(rwa_links[li].link)) continue;
-      optical::LinkRestoration lr = rwa_links[li];
-      std::vector<int> w = li < ticket.path_waves.size()
-                               ? ticket.path_waves[li]
-                               : std::vector<int>{};
-      w.resize(lr.paths.size(), 0);
-      for (std::size_t pi = 0; pi < lr.paths.size(); ++pi) {
-        for (topo::FiberId f : lr.paths[pi].fibers) {
-          if (state.active.count(f)) {
-            w[pi] = 0;
-            break;
-          }
-        }
-      }
-      links.push_back(std::move(lr));
-      want.push_back(std::move(w));
-    }
-    if (links.empty()) return;
-    optical::assign_slots_first_fit(net, active, links, want);
-    if (install_plan(std::move(links), active, fiber, now)) {
-      ++report.emergency_restorations;
-    }
-  };
-
   // Failure + repair + restoration events.
   for (const FailureEvent& ev : failures) {
     if (ev.t_s >= config.horizon_s) continue;
@@ -275,21 +200,14 @@ ControllerReport run_controller(const topo::Network& net,
       ++report.cuts_handled;
       mark(now);
 
-      if (restores) {
-        const int q_match = session.plan_for_cut(ev.fiber);
-        if (q_match >= 0) {
-          ++report.cuts_with_plan;
-          const ticket::LotteryTicket ticket =
-              session.ticket_for(q_match, solutions[active_tm]);
-          auto links = prepared.rwa[static_cast<std::size_t>(q_match)].links;
-          optical::assign_slots_first_fit(net, {ev.fiber}, links,
-                                          ticket.path_waves);
-          install_plan(std::move(links), {ev.fiber}, ev.fiber, now);
-        } else {
-          ++report.unplanned_cuts;
-          if (config.emergency_restoration) {
-            emergency_restore(ev.fiber, now);
-          }
+      // The one gate on the cut path: only optical answers are lit here.
+      // An IP-layer repair's latency includes its wall-clock solve time, so
+      // replaying one would make the run depend on the machine it ran on.
+      if (restores_optically) {
+        const schemes::CutRepair repair = session.cut(
+            ev.fiber, state.cuts(), inputs[active_tm], solutions[active_tm]);
+        if (light(repair, ev.fiber, now) && repair.transplanted) {
+          ++report.emergency_restorations;
         }
       }
 
@@ -318,7 +236,6 @@ ControllerReport run_controller(const topo::Network& net,
   session.fill_run_report(&rr);
   rr.traffic_matrices = static_cast<int>(tms.size());
   rr.canceled = report.canceled;
-  rr.emergency_restorations = report.emergency_restorations;
   rr.availability = report.availability();
   emit_run_artifacts(obs_cfg, rr);
   return report;

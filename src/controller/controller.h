@@ -7,11 +7,12 @@
 //     current traffic matrix (matrices rotate per period, §3.1);
 //   * ARROW's offline stage precomputes the RWA + LotteryTicket restoration
 //     plans and the online stage installs per-scenario winners;
-//   * fiber-cut events arrive at runtime; the controller looks up the
-//     precomputed plan for the cut and replays the physical reconfiguration
-//     through the optical latency simulator — wavelengths come back one by
-//     one, so transient loss during the 8-second (or, with legacy
-//     amplifiers, 17-minute) restoration window is accounted exactly;
+//   * fiber-cut events arrive at runtime; the scheme's on_cut answers each
+//     from the precomputed plan for the cut (or transplants the nearest
+//     scenario's) and replays the physical reconfiguration through the
+//     optical latency simulator — wavelengths come back one by one, so
+//     transient loss during the 8-second (or, with legacy amplifiers,
+//     17-minute) restoration window is accounted exactly;
 //   * delivered vs offered Gbps-seconds integrate into availability and
 //     downtime figures.
 #pragma once
@@ -110,12 +111,6 @@ struct ControllerConfig {
   // a graceful drain, not an abort.
   std::function<bool()> cancel;
 
-  // For a cut with no exact precomputed plan, transplant the plan of the
-  // nearest precomputed scenario (most-overlapping failed-link set) instead
-  // of leaving the cut unrestored. Surrogate paths crossing any currently
-  // cut fiber are discarded before slots are assigned.
-  bool emergency_restoration = true;
-
   // Opt-in persistent warm-start store (e.g. &solver::BasisStore::global()).
   // When set, the run wraps its solves in a solver::ScopedWarmStartCache
   // seeded from the store's bases for this (topology, scenario set) and
@@ -164,7 +159,11 @@ struct ControllerReport {
   double transient_loss_gbps_seconds = 0.0;
   int te_runs = 0;
   int cuts_handled = 0;
-  int cuts_with_plan = 0;       // cut matched a precomputed scenario
+  // Cuts the scheme's on_cut answered from the precomputed plan of the
+  // single-cut scenario they match exactly. Both loops count every cut
+  // they ask on_cut about in this or unplanned_cuts; run_controller asks
+  // only for restores_optically schemes.
+  int cuts_with_plan = 0;
   double worst_restoration_s = 0.0;
 
   // --- degradation-ladder accounting ---------------------------------------
@@ -199,8 +198,9 @@ struct ControllerReport {
   // --- restoration robustness ----------------------------------------------
   int rwa_repairs = 0;             // scenario RWA solves recovered by retry
   int rwa_scenarios_lost = 0;      // scenario plans lost even after retries
-  int unplanned_cuts = 0;          // cut had no exact precomputed plan
-  int emergency_restorations = 0;  // served via nearest-scenario transplant
+  int unplanned_cuts = 0;          // on_cut had no exact precomputed plan
+  // Unplanned cuts whose nearest-scenario transplant lit capacity.
+  int emergency_restorations = 0;
   int plans_dropped = 0;           // fault hook discarded an available plan
   int plans_delayed = 0;           // fault hook delayed plan installation
   int overlapping_cuts = 0;        // cut arrived while another was active
@@ -238,7 +238,7 @@ struct ControllerReport {
 // Robustness contract: a failed or faulted TE solve never aborts the run —
 // it walks down the degradation ladder (see Rung) and the report records
 // which rung served each period. Cuts without a precomputed plan get a
-// best-effort emergency restoration instead of none.
+// best-effort transplant of the nearest scenario's plan instead of none.
 ControllerReport run_controller(const topo::Network& net,
                                 const std::vector<traffic::TrafficMatrix>& tms,
                                 const std::vector<FailureEvent>& failures,

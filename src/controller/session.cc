@@ -99,7 +99,7 @@ void Session::prepare(std::span<te::TeInput> inputs) {
   // LPs stay out of the cache and the basis file at every thread count.
   // RWA reads no demands and calibration draws no rng, so calibration can
   // follow it.
-  if (restores()) {
+  if (caps_.needs_prepared) {
     prepared_ = te::prepare_arrow(input, config_.arrow, rng_, pool());
     repair_rwa(input);
   }
@@ -108,7 +108,7 @@ void Session::prepare(std::span<te::TeInput> inputs) {
     tally_->basis_seeded = store_->seed(topo_h_, scen_h_, *warm_);
   }
   calibrate(inputs);
-  if (restores()) {
+  if (caps_.needs_prepared) {
     // Restorability flags are a function of (tunnels, tickets), both shared
     // across matrices, so one cache serves every period's ladder —
     // including its retry rungs.
@@ -328,6 +328,7 @@ void Session::fill_run_report(obs::RunReport* rr) const {
   rr->cuts_handled = t.cuts_handled;
   rr->cuts_with_plan = t.cuts_with_plan;
   rr->unplanned_cuts = t.unplanned_cuts;
+  rr->emergency_restorations = t.emergency_restorations;
   rr->rwa_repairs = t.rwa_repairs;
   rr->rwa_scenarios_lost = t.rwa_scenarios_lost;
   rr->calibration_degraded = t.calibration_degraded;
@@ -351,14 +352,19 @@ int Session::plan_for_cut(topo::FiberId fiber) const {
   return -1;
 }
 
-ticket::LotteryTicket Session::ticket_for(int q,
-                                          const te::TeSolution& plan) const {
-  const auto qi = static_cast<std::size_t>(q);
-  const auto& tickets = prepared_.tickets[qi].tickets;
-  const int w = plan.winner.empty() ? -1 : plan.winner[qi];
-  return (w >= 0 && w < static_cast<int>(tickets.size()))
-             ? tickets[static_cast<std::size_t>(w)]
-             : ticket::naive_ticket(prepared_.rwa[qi]);
+schemes::CutRepair Session::cut(topo::FiberId fiber,
+                                const std::vector<topo::FiberId>& active,
+                                const te::TeInput& input,
+                                const te::TeSolution& plan) {
+  const schemes::CutContext ctx{input, plan, active, plan_for_cut(fiber),
+                                fiber, &prepared_, &rng_};
+  schemes::CutRepair repair = scheme_->on_cut(ctx);
+  if (repair.planned) {
+    ++tally_->cuts_with_plan;
+  } else {
+    ++tally_->unplanned_cuts;
+  }
+  return repair;
 }
 
 }  // namespace arrow::ctrl

@@ -14,7 +14,8 @@
 //     calibration ladder, and the RestorabilityCache;
 //   * one TE period: the degradation ladder with the scheme created from
 //     schemes::Registry by name, journaling and last-good tracking;
-//   * the cut-time plan lookup;
+//   * the cut path: the scenario lookup and the scheme's on_cut, the only
+//     code that answers a fiber cut, with its planned/unplanned count;
 //   * the close step (absorb, save_shared, journal end_run) and the
 //     RunReport fields both loops share.
 //
@@ -39,7 +40,6 @@
 #include "solver/basis_store.h"
 #include "solver/lp.h"
 #include "te/arrow.h"
-#include "ticket/ticket.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -108,17 +108,18 @@ class Session {
   // counts are read live, so a report taken mid-run is current.
   void fill_run_report(obs::RunReport* rr) const;
 
-  // Precomputed single-cut scenario for `fiber`, or -1.
-  int plan_for_cut(topo::FiberId fiber) const;
-  // Restoration ticket for scenario q under `plan`: its Phase I winner
-  // when the plan carries one, else the naive RWA plan (fallback-rung
-  // plans have no winners, but restoration must still go out).
-  ticket::LotteryTicket ticket_for(int q, const te::TeSolution& plan) const;
+  // Answers a cut of `fiber` through the scheme's on_cut. `active` is every
+  // fiber cut now, `fiber` included; `input` and `plan` are what serves
+  // traffic. The context names the precomputed single-cut scenario for
+  // `fiber` (or none) and carries the run's rng for the optical replay.
+  // Counts the cut in cuts_with_plan when the answer came from that
+  // scenario's plan, else in unplanned_cuts. Lighting the answer, and
+  // counting a lit transplant in emergency_restorations, is the loop's.
+  schemes::CutRepair cut(topo::FiberId fiber,
+                         const std::vector<topo::FiberId>& active,
+                         const te::TeInput& input, const te::TeSolution& plan);
 
-  // ARROW's offline artifacts are built for this scheme.
-  bool restores() const { return caps_.needs_prepared; }
-  bool local_repair() const { return caps_.supports_local_repair; }
-  const te::ArrowPrepared& prepared() const { return prepared_; }
+  const schemes::Capabilities& capabilities() const { return caps_; }
   double demand_factor() const { return demand_factor_; }
   const obs::ObsConfig& obs() const { return obs_; }
 
@@ -132,6 +133,8 @@ class Session {
   void recover_journal(const te::TeInput& input);
   void calibrate(std::span<te::TeInput> inputs);
   void repair_rwa(const te::TeInput& input);
+  // Precomputed single-cut scenario for `fiber`, or -1.
+  int plan_for_cut(topo::FiberId fiber) const;
 
   const ControllerConfig& config_;
   util::Rng& rng_;

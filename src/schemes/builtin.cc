@@ -2,10 +2,13 @@
 // forwards to the exact te:: call the sweep's old if-chain made — same
 // arguments, same order — so sweep output through the registry stays
 // byte-identical to the pre-registry sweep.
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "schemes/builtin.h"
+#include "optical/rwa.h"
 #include "te/basic.h"
 #include "ticket/ticket.h"
 #include "util/rng.h"
@@ -14,48 +17,127 @@ namespace arrow::schemes {
 
 namespace {
 
-// Shared on_cut replay for the optically-restoring pair: realize the
-// scenario's restoration (winner ticket, or the naive RWA floor) with the
-// first-fit slot assigner and simulate the optical convergence. The TE plan
-// itself is unchanged — ARROW's headroom for the scenario was provisioned at
-// solve time — so this exists to price restoration latency, not to reroute.
-CutRepair optical_replay(const CutContext& ctx,
-                         const optical::LatencyParams& latency,
-                         bool force_naive) {
+// Restoration plan of scenario q under `plan`: its Phase I winner ticket
+// when the plan carries one, else the naive RWA plan (ARROW-Naive and the
+// fallback rungs carry no winners, but restoration must still go out).
+ticket::LotteryTicket ticket_for(const te::ArrowPrepared& prepared,
+                                 std::size_t q, const te::TeSolution& plan) {
+  const auto& tickets = prepared.tickets[q].tickets;
+  const int w = q < plan.winner.size() ? plan.winner[q] : -1;
+  return (w >= 0 && w < static_cast<int>(tickets.size()))
+             ? tickets[static_cast<std::size_t>(w)]
+             : ticket::naive_ticket(prepared.rwa[q]);
+}
+
+// Donor for a cut with no exact plan: the scenario whose failed IP links
+// overlap `failed_now` most (Jaccard); ties prefer fewer cut fibers (plans
+// transplant more cleanly), then the lower index. -1 when no scenario with
+// a restoration plan shares a failed link.
+int nearest_scenario(const te::TeInput& input,
+                     const te::ArrowPrepared& prepared,
+                     const std::set<topo::IpLinkId>& failed_now) {
+  const auto& scenarios = input.scenarios();
+  int best_q = -1;
+  double best_score = 0.0;
+  std::size_t best_cuts = 0;
+  for (std::size_t q = 0; q < prepared.rwa.size(); ++q) {
+    if (prepared.rwa[q].links.empty()) continue;
+    const auto& sf = input.failed_links(static_cast<int>(q));
+    std::size_t inter = 0;
+    for (topo::IpLinkId e : sf) inter += failed_now.count(e);
+    if (inter == 0) continue;
+    const double uni =
+        static_cast<double>(failed_now.size() + sf.size() - inter);
+    const double score = static_cast<double>(inter) / uni;
+    if (best_q < 0 || score > best_score + 1e-12 ||
+        (score > best_score - 1e-12 && scenarios[q].cuts.size() < best_cuts)) {
+      best_q = static_cast<int>(q);
+      best_score = score;
+      best_cuts = scenarios[q].cuts.size();
+    }
+  }
+  return best_q;
+}
+
+// The cut answer of the optically-restoring pair. A cut that matches a
+// precomputed scenario gets that scenario's plan, slots assigned around the
+// scenario's own cuts. Any other cut gets the nearest scenario's plan
+// transplanted: only entries for links this cut failed are kept, surrogate
+// paths crossing any active cut are zeroed (the donor did not plan around
+// them), and slots are assigned around every active cut. The TE plan itself
+// is unchanged — ARROW's headroom was provisioned at solve time — so the
+// answer is the wave-up timeline of the simulated optical reconfiguration.
+CutRepair restore_optically(const CutContext& ctx,
+                            const optical::LatencyParams& latency) {
   CutRepair repair;
-  if (ctx.prepared == nullptr || ctx.scenario < 0) return repair;
-  const auto q = static_cast<std::size_t>(ctx.scenario);
-  if (q >= ctx.prepared->rwa.size() || q >= ctx.prepared->tickets.size()) {
-    return repair;
+  if (ctx.prepared == nullptr || ctx.rng == nullptr) return repair;
+  const auto& net = ctx.input.net();
+  const auto& rwa = ctx.prepared->rwa;
+  std::vector<optical::LinkRestoration> links;
+  std::vector<topo::FiberId> sim_cuts;
+  if (ctx.scenario >= 0) {
+    const auto q = static_cast<std::size_t>(ctx.scenario);
+    if (q >= rwa.size()) return repair;
+    repair.planned = true;
+    sim_cuts = ctx.input.scenarios()[q].cuts;
+    links = rwa[q].links;
+    optical::assign_slots_first_fit(net, sim_cuts, links,
+                                    ticket_for(*ctx.prepared, q, ctx.plan)
+                                        .path_waves);
+  } else {
+    const auto failed_v = net.failed_ip_links({ctx.fiber});
+    const std::set<topo::IpLinkId> failed_now(failed_v.begin(),
+                                              failed_v.end());
+    if (failed_now.empty()) return repair;
+    const int donor = nearest_scenario(ctx.input, *ctx.prepared, failed_now);
+    if (donor < 0) return repair;
+    const auto q = static_cast<std::size_t>(donor);
+    const ticket::LotteryTicket ticket = ticket_for(*ctx.prepared, q, ctx.plan);
+    std::vector<std::vector<int>> want;
+    for (std::size_t li = 0; li < rwa[q].links.size(); ++li) {
+      if (!failed_now.count(rwa[q].links[li].link)) continue;
+      optical::LinkRestoration lr = rwa[q].links[li];
+      std::vector<int> w = li < ticket.path_waves.size()
+                               ? ticket.path_waves[li]
+                               : std::vector<int>{};
+      w.resize(lr.paths.size(), 0);
+      for (std::size_t pi = 0; pi < lr.paths.size(); ++pi) {
+        for (topo::FiberId f : lr.paths[pi].fibers) {
+          if (std::find(ctx.cuts.begin(), ctx.cuts.end(), f) !=
+              ctx.cuts.end()) {
+            w[pi] = 0;
+            break;
+          }
+        }
+      }
+      links.push_back(std::move(lr));
+      want.push_back(std::move(w));
+    }
+    if (links.empty()) return repair;
+    repair.transplanted = true;
+    sim_cuts = ctx.cuts;
+    optical::assign_slots_first_fit(net, sim_cuts, links, want);
   }
-  const auto& tickets = ctx.prepared->tickets[q];
-  int w = -1;
-  if (!force_naive && q < ctx.plan.winner.size()) {
-    w = ctx.plan.winner[q];
-  }
-  const ticket::LotteryTicket ticket =
-      (w >= 0 && w < static_cast<int>(tickets.tickets.size()))
-          ? tickets.tickets[static_cast<std::size_t>(w)]
-          : ticket::naive_ticket(ctx.prepared->rwa[q]);
-  auto links = ctx.prepared->rwa[q].links;
-  const auto& cuts = ctx.input.scenarios()[q].cuts;
-  optical::assign_slots_first_fit(ctx.input.net(), cuts, links,
-                                  ticket.path_waves);
-  const auto plan = optical::plan_from_restoration(ctx.input.net(), links);
   repair.ok = true;
-  repair.plan = ctx.plan;
-  if (!plan.empty()) {
-    util::Rng replay(ctx.seed);
-    const auto result = optical::simulate_restoration(
-        ctx.input.net(), cuts, plan, latency, replay);
-    repair.latency_s = result.total_s;
+  const auto plan = optical::plan_from_restoration(net, links);
+  if (plan.empty()) return repair;
+  util::Rng replay = ctx.rng->fork();
+  auto result =
+      optical::simulate_restoration(net, sim_cuts, plan, latency, replay);
+  repair.latency_s = result.total_s;
+  repair.restored_gbps = result.restored_gbps;
+  for (auto& point : result.timeline) {
+    if (point.link >= 0) repair.timeline.push_back(std::move(point));
   }
   return repair;
 }
 
+// ARROW and ARROW-Naive differ only in the Phase II tickets: Phase I
+// winners, or the naive RWA plan for every scenario.
 class ArrowScheme final : public Scheme {
  public:
-  explicit ArrowScheme(SchemeOptions options) : options_(std::move(options)) {}
+  ArrowScheme(std::string name, SchemeOptions options, bool naive)
+      : name_(std::move(name)), options_(std::move(options)), naive_(naive) {}
   const std::string& name() const override { return name_; }
   Capabilities capabilities() const override {
     Capabilities caps;
@@ -67,41 +149,19 @@ class ArrowScheme final : public Scheme {
                        const te::ArrowPrepared& prepared,
                        util::ThreadPool& pool,
                        const te::RestorabilityCache* cache) override {
-    return te::solve_arrow(input, prepared, options_.arrow, pool, cache);
+    return naive_ ? te::solve_arrow_naive(input, prepared, options_.arrow,
+                                          pool, cache)
+                  : te::solve_arrow(input, prepared, options_.arrow, pool,
+                                    cache);
   }
   CutRepair on_cut(const CutContext& ctx) override {
-    return optical_replay(ctx, options_.latency, /*force_naive=*/false);
+    return restore_optically(ctx, options_.latency);
   }
 
  private:
-  const std::string name_ = "ARROW";
+  const std::string name_;
   SchemeOptions options_;
-};
-
-class ArrowNaiveScheme final : public Scheme {
- public:
-  explicit ArrowNaiveScheme(SchemeOptions options)
-      : options_(std::move(options)) {}
-  const std::string& name() const override { return name_; }
-  Capabilities capabilities() const override {
-    Capabilities caps;
-    caps.needs_prepared = true;
-    caps.restores_optically = true;
-    return caps;
-  }
-  te::TeSolution solve(const te::TeInput& input,
-                       const te::ArrowPrepared& prepared,
-                       util::ThreadPool& pool,
-                       const te::RestorabilityCache* cache) override {
-    return te::solve_arrow_naive(input, prepared, options_.arrow, pool, cache);
-  }
-  CutRepair on_cut(const CutContext& ctx) override {
-    return optical_replay(ctx, options_.latency, /*force_naive=*/true);
-  }
-
- private:
-  const std::string name_ = "ARROW-Naive";
-  SchemeOptions options_;
+  const bool naive_;
 };
 
 class FfcScheme final : public Scheme {
@@ -155,11 +215,12 @@ class EcmpScheme final : public Scheme {
 }  // namespace
 
 std::unique_ptr<Scheme> make_arrow(const SchemeOptions& options) {
-  return std::make_unique<ArrowScheme>(options);
+  return std::make_unique<ArrowScheme>("ARROW", options, /*naive=*/false);
 }
 
 std::unique_ptr<Scheme> make_arrow_naive(const SchemeOptions& options) {
-  return std::make_unique<ArrowNaiveScheme>(options);
+  return std::make_unique<ArrowScheme>("ARROW-Naive", options,
+                                       /*naive=*/true);
 }
 
 std::unique_ptr<Scheme> make_ffc1(const SchemeOptions&) {

@@ -106,7 +106,6 @@ class PxtScheme final : public Scheme {
   Capabilities capabilities() const override {
     Capabilities caps;
     caps.restores_optically = true;
-    caps.preprovisions_spectrum = true;
     return caps;
   }
 
@@ -124,20 +123,20 @@ class PxtScheme final : public Scheme {
     CutRepair repair;
     if (ctx.scenario < 0) return repair;
     ensure_trails(ctx.input);
-    if (static_cast<std::size_t>(ctx.scenario) >= trails_->restored.size()) {
-      return repair;
-    }
+    const auto q = static_cast<std::size_t>(ctx.scenario);
+    if (q >= trails_->restored.size()) return repair;
     // The trails are already cross-connected: restoration is a lookup plus
-    // a transponder switchover — zero solve cost, the whole point.
+    // a transponder switchover — zero solve cost, the whole point — and
+    // every trail wave comes up at once.
     repair.ok = true;
+    repair.planned = true;
     repair.local = true;
-    repair.plan = ctx.plan;
-    repair.plan.optimal = true;
-    if (repair.plan.restored.size() <
-        static_cast<std::size_t>(ctx.input.num_scenarios())) {
-      repair.plan.restored = trails_->restored;
-    }
     repair.latency_s = options_.pxt.detection_s + options_.pxt.switchover_s;
+    for (const auto& [link, gbps] : trails_->restored[q]) {
+      repair.restored_gbps += gbps;
+      repair.timeline.push_back(
+          {repair.latency_s, repair.restored_gbps, "trail up", link, gbps});
+    }
     return repair;
   }
 

@@ -196,12 +196,9 @@ class ReWeaveScheme final : public Scheme {
 
   CutRepair on_cut(const CutContext& ctx) override {
     CutRepair repair;
-    if (ctx.scenario < 0 ||
-        ctx.scenario >= ctx.input.num_scenarios()) {
-      return repair;
-    }
     LocalRepairOutcome outcome =
-        local_repair(ctx.input, ctx.plan, ctx.input.failed_links(ctx.scenario),
+        local_repair(ctx.input, ctx.plan,
+                     ctx.input.net().failed_ip_links(ctx.cuts),
                      options_.reweave);
     repair.ok = outcome.ok;
     repair.local = outcome.local;
@@ -209,6 +206,7 @@ class ReWeaveScheme final : public Scheme {
     repair.solve_seconds = outcome.solve_seconds;
     repair.simplex_iterations = outcome.simplex_iterations;
     repair.plan = std::move(outcome.plan);
+    repair.restored_gbps = outcome.recovered_gbps;
     if (repair.ok) {
       repair.latency_s = options_.reweave.detection_s + outcome.solve_seconds +
                          options_.reweave.rebalance_s;

@@ -7,11 +7,11 @@
 // offline artifacts? does it carry a per-scenario optical restoration plan?
 // can it weave a localized repair at cut time?). sim::run_sweep dispatches
 // through the registry instead of a hard-coded if-chain, so adding a
-// competitor is one register_scheme call, not a sweep edit; the serve
-// daemon consults the same flags to pick its cut fast path.
+// competitor is one register_scheme call, not a sweep edit. on_cut() is the
+// only code that answers a fiber cut: both control loops (run_controller
+// and serve::TickEngine) reach it through ctrl::Session::cut.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,26 +25,24 @@
 #include "te/solution.h"
 #include "te/teavar.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace arrow::schemes {
 
 // What a scheme can do — consumed by run_sweep (prepare stage + repair-aware
-// evaluation) and by serve::TickEngine (cut fast path).
+// evaluation) and by the control loops' cut path.
 struct Capabilities {
   // Consumes the offline stage (prepare_arrow's RWA + LotteryTickets and the
-  // RestorabilityCache). The sweep only pays for the offline stage when some
-  // selected scheme sets this.
+  // RestorabilityCache). The sweep and ctrl::Session only pay for the
+  // offline stage when the scheme sets this.
   bool needs_prepared = false;
-  // The solution carries per-scenario restored capacity (TeSolution::
-  // restored) that the evaluator credits to failed links.
+  // on_cut() answers a cut with a wave-up timeline under the installed plan.
+  // The control loops light that timeline; run_controller asks on_cut()
+  // only for these schemes.
   bool restores_optically = false;
-  // on_cut() can weave a repaired TE plan around a failure at runtime —
-  // the daemon's localized fast path and the sweep's repair-aware
-  // evaluation both key off this.
+  // on_cut() can weave a repaired TE plan around a failure at runtime; the
+  // sweep's repair-aware evaluation keys off this.
   bool supports_local_repair = false;
-  // Reserves protection spectrum at prepare time (PXT); the reservation
-  // accounting is the scheme's cost-model charge.
-  bool preprovisions_spectrum = false;
 };
 
 // Knobs for the ReWeave-Local repair (see reweave.h for the algorithm).
@@ -86,16 +84,24 @@ struct SchemeOptions {
   optical::LatencyParams latency;
 };
 
-// Everything on_cut() may consult. `scenario` indexes input.scenarios();
-// `plan` is the currently-installed solution the repair starts from; `seed`
-// keys any stochastic replay (optical restoration simulation) so repairs
-// never consume a shared rng stream.
+// Everything on_cut() may consult.
 struct CutContext {
   const te::TeInput& input;
-  int scenario = -1;
+  // The installed solution the answer starts from.
   const te::TeSolution& plan;
+  // Every fiber cut now, the one being answered included.
+  const std::vector<topo::FiberId>& cuts;
+  // input.scenarios() index of the precomputed scenario this cut matches
+  // exactly, or -1 for an unplanned cut.
+  int scenario = -1;
+  // The fiber just cut (-1 when the sweep scores a whole scenario).
+  topo::FiberId fiber = -1;
+  // ARROW's offline artifacts (needs_prepared schemes).
   const te::ArrowPrepared* prepared = nullptr;
-  std::uint64_t seed = 0;
+  // The replay stream: forked once per optical plan simulated, so the
+  // loop's own draws stay in step. Required by the optically restoring
+  // schemes; they answer nothing without it.
+  util::Rng* rng = nullptr;
 };
 
 // Outcome of on_cut(). `ok == false` means the scheme has no runtime answer
@@ -103,9 +109,17 @@ struct CutContext {
 // installed plan and restore nothing at cut time).
 struct CutRepair {
   bool ok = false;
+  bool planned = false;       // answered from ctx.scenario's precomputed plan
+  bool transplanted = false;  // answered from the nearest scenario's plan
   bool local = false;             // localized repair sufficed
   bool fell_back_global = false;  // local repair degraded to a global solve
-  te::TeSolution plan;            // repaired plan (meaningful when ok)
+  // IP-layer repairs: the rewoven plan to install. Optical answers leave it
+  // empty — the installed plan stays, and the timeline restores under it.
+  te::TeSolution plan;
+  // Optical answers: the wave-up events, t_s after the cut; each lights
+  // wave_gbps on link. Empty when no surrogate wave survives.
+  std::vector<optical::TimelinePoint> timeline;
+  double restored_gbps = 0.0;     // capacity the answer brings back
   double latency_s = 0.0;         // time until the repair carries traffic
   double solve_seconds = 0.0;
   long long simplex_iterations = 0;
@@ -127,7 +141,9 @@ class Scheme {
                                util::ThreadPool& pool,
                                const te::RestorabilityCache* cache) = 0;
 
-  // Answer a failure at runtime. Default: no runtime repair.
+  // Answer a fiber cut: the control loops' only cut path (through
+  // ctrl::Session::cut) and the sweep's repair-aware evaluation. Default:
+  // no runtime repair.
   virtual CutRepair on_cut(const CutContext& ctx) {
     (void)ctx;
     return {};

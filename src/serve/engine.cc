@@ -4,12 +4,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "optical/latency.h"
-#include "optical/rwa.h"
-#include "schemes/reweave.h"
 #include "schemes/scheme.h"
 #include "sim/availability.h"
-#include "ticket/ticket.h"
 #include "util/stats.h"
 
 namespace arrow::serve {
@@ -143,69 +139,43 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
       .set(static_cast<double>(cuts_.active.size()));
   out.ok = true;
 
-  const std::vector<topo::FiberId> active = cuts_.cuts();
-  if (session_->restores()) {
-    const int q = session_->plan_for_cut(fiber);
-    if (q >= 0) {
-      ++tally_.cuts_with_plan;
-      out.planned = true;
-      const ticket::LotteryTicket ticket = session_->ticket_for(q, *current_);
-      auto links =
-          session_->prepared().rwa[static_cast<std::size_t>(q)].links;
-      optical::assign_slots_first_fit(net_, active, links,
-                                      ticket.path_waves);
-      const auto plan = optical::plan_from_restoration(net_, links);
-      if (!plan.empty()) {
-        util::Rng replay = rng_.fork();
-        const auto latency = optical::simulate_restoration(
-            net_, active, plan, config_.ctrl.latency, replay);
-        out.restored_gbps = latency.restored_gbps;
-        out.latency_s = latency.total_s;
-        tally_.restoration_latency_s.push_back(latency.total_s);
-        // The daemon has no event clock; restored capacity counts from the
-        // moment the plan converges (latency reported to the client).
-        for (const auto& pt : latency.timeline) {
-          if (pt.link >= 0) cuts_.restore(fiber, pt.link, pt.wave_gbps);
-        }
-      }
-    } else {
-      ++tally_.unplanned_cuts;
-    }
-  } else if (session_->local_repair()) {
-    // Localized fast path: weave the installed plan around every active cut
-    // at the IP layer. No optical restoration, no scenario lookup — the
-    // repair LP is bounded by the failure's footprint, which is what lets
-    // it run inside the cut request instead of waiting for the next tick.
-    const auto outcome = schemes::local_repair(*input_, *current_,
-                                               net_.failed_ip_links(active));
-    local_repair_seconds_ += outcome.solve_seconds;
-    local_repair_pivots_ += outcome.simplex_iterations;
-    if (outcome.ok) {
-      ++local_repairs_;
-      out.local_repair = outcome.local;
-      out.fell_back_global = outcome.fell_back_global;
-      out.restored_gbps = outcome.recovered_gbps;
-      const schemes::ReWeaveParams repair_params;
-      out.latency_s = repair_params.detection_s + outcome.solve_seconds +
-                      repair_params.rebalance_s;
-      tally_.restoration_latency_s.push_back(out.latency_s);
-      // Install the repaired plan as current (not last-good: it is shaped
-      // for the failure state, and the next tick re-solves from scratch).
-      current_ = outcome.plan;
-      if (outcome.fell_back_global) {
-        ++local_repair_fallbacks_;
-        obs::Registry::global()
-            .counter("arrow_serve_local_repair_fallbacks_total")
-            .add();
-      }
+  schemes::CutRepair repair =
+      session_->cut(fiber, cuts_.cuts(), *input_, *current_);
+  out.planned = repair.planned;
+  local_repair_seconds_ += repair.solve_seconds;
+  local_repair_pivots_ += repair.simplex_iterations;
+  // An optical answer lights its timeline; any other answer is an IP-layer
+  // repair, woven inside the cut request instead of waiting for the next
+  // tick.
+  const bool rewoven =
+      repair.ok && !session_->capabilities().restores_optically;
+  if (rewoven || !repair.timeline.empty()) {
+    out.restored_gbps = repair.restored_gbps;
+    out.latency_s = repair.latency_s;
+    tally_.restoration_latency_s.push_back(repair.latency_s);
+  }
+  // The daemon has no event clock; restored capacity counts from the
+  // moment the plan converges (latency reported to the client).
+  for (const auto& pt : repair.timeline) {
+    cuts_.restore(fiber, pt.link, pt.wave_gbps);
+  }
+  if (repair.transplanted && !repair.timeline.empty()) {
+    ++tally_.emergency_restorations;
+  }
+  if (rewoven) {
+    // Install the repaired plan as current (not last-good: it is shaped
+    // for the failure state, and the next tick re-solves from scratch).
+    ++local_repairs_;
+    out.local_repair = repair.local;
+    out.fell_back_global = repair.fell_back_global;
+    current_ = std::move(repair.plan);
+    if (repair.fell_back_global) {
+      ++local_repair_fallbacks_;
       obs::Registry::global()
-          .counter("arrow_serve_local_repairs_total")
+          .counter("arrow_serve_local_repair_fallbacks_total")
           .add();
-    } else {
-      ++tally_.unplanned_cuts;
     }
-  } else {
-    ++tally_.unplanned_cuts;
+    obs::Registry::global().counter("arrow_serve_local_repairs_total").add();
   }
   observe_delivery();
   return out;

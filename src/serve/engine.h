@@ -16,10 +16,10 @@
 //     basis store is configured (basis_store / basis_dir / ARROW_BASIS_DIR),
 //     the warm-start cache carried across them — without one every tick
 //     solves cold;
-//   * cuts answered at once (no restoration ramp to integrate): an exact
-//     precomputed plan for the optically restoring schemes, the localized
-//     IP-layer repair for schemes whose registry capabilities set
-//     supports_local_repair;
+//   * cuts answered at once by the session's cut path (the scheme's
+//     on_cut): an optical answer's timeline is credited at convergence (no
+//     restoration ramp to integrate), an IP-layer repair's rewoven plan is
+//     installed as current;
 //   * sampled availability, tick latency and the serve SLO metrics;
 //   * drain: the session's close (absorb, BasisStore save_shared so N
 //     daemons sharing one basis_dir merge instead of clobbering, journal
@@ -90,12 +90,11 @@ class TickEngine {
   struct CutResult {
     bool ok = false;
     std::string error;
-    bool planned = false;        // an exact precomputed plan existed
+    bool planned = false;  // answered from an exact precomputed plan
     double restored_gbps = 0.0;
-    double latency_s = 0.0;      // optical convergence time of the plan
-    // Localized-repair fast path (schemes whose registry capabilities set
-    // supports_local_repair): the installed plan was rewoven around the cut
-    // at the IP layer instead of restored optically.
+    double latency_s = 0.0;  // until the answer carries traffic
+    // IP-layer repair (schemes that do not restore optically): the
+    // installed plan was rewoven around the cut.
     bool local_repair = false;
     bool fell_back_global = false;  // local LP insufficient; global re-solve
   };

@@ -35,7 +35,8 @@ Evaluation evaluate_with_repairs(const te::TeInput& input,
   double weighted = 0.0;
   eval.per_scenario.reserve(static_cast<std::size_t>(input.num_scenarios()));
   for (int q = 0; q < input.num_scenarios(); ++q) {
-    schemes::CutContext ctx{input, q, sol};
+    const schemes::CutContext ctx{
+        input, sol, input.scenarios()[static_cast<std::size_t>(q)].cuts, q};
     const schemes::CutRepair repair = scheme.on_cut(ctx);
     double sat = 0.0;
     if (repair.ok) {

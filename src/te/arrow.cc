@@ -437,6 +437,16 @@ std::vector<int> pick_winners(const TeInput& input,
   return winners;
 }
 
+// The caller's shared cache, else a private one built into `local`. The
+// cache (and its index) never change the model — only how fast it is
+// assembled.
+const RestorabilityCache* shared_or_local(
+    const TeInput& input, const ArrowPrepared& prepared,
+    util::ThreadPool& pool, const RestorabilityCache* cache,
+    std::optional<RestorabilityCache>& local) {
+  return cache != nullptr ? cache : &local.emplace(input, prepared, pool);
+}
+
 }  // namespace
 
 std::vector<char> restorable_flags(const TeInput& input, int q,
@@ -600,10 +610,7 @@ Phase1BuildStats build_phase1_model(const TeInput& input,
   const auto t0 = Clock::now();
   const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
+  cache = shared_or_local(input, prepared, pool, cache, local);
   Phase1Model p1;
   build_phase1(input, prepared, naive, params, pool, cache, &p1);
   Phase1BuildStats stats;
@@ -684,10 +691,7 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
   ARROW_CHECK(static_cast<int>(prepared.tickets.size()) == Q,
               "prepared/scenario mismatch");
   std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
+  cache = shared_or_local(input, prepared, pool, cache, local);
   Phase1Model p1;
   build_phase1(input, prepared, cache->naive_tickets(), params, pool, cache,
                &p1);
@@ -718,10 +722,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
   ARROW_CHECK(static_cast<int>(prepared.tickets.size()) == Q,
               "prepared/scenario mismatch");
   std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
+  cache = shared_or_local(input, prepared, pool, cache, local);
   const auto& naive = cache->naive_tickets();
 
   Phase1Result out;
@@ -913,13 +914,8 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
   const int Q = input.num_scenarios();
   ARROW_CHECK(static_cast<int>(prepared.tickets.size()) == Q,
               "prepared/scenario mismatch");
-  // Build a private cache when the caller did not share one. The cache (and
-  // the index) never change the model — only how fast it is assembled.
   std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
+  cache = shared_or_local(input, prepared, pool, cache, local);
 
   // ---- Phase I (Table 2, monolithic or decomposed) + winner selection -----
   const Phase1Result p1 = solve_phase1(input, prepared, params, pool, cache);
@@ -988,10 +984,7 @@ TeSolution solve_arrow_ilp(const TeInput& input, const ArrowPrepared& prepared,
   const int Q = input.num_scenarios();
   const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
+  cache = shared_or_local(input, prepared, pool, cache, local);
   IlpModel ilp;
   build_ilp(input, prepared, naive, cache, pool, &ilp);
   solver::Model& model = ilp.model;
@@ -1043,10 +1036,7 @@ ModelBuildStats build_phase2_model(const TeInput& input,
   const auto t0 = Clock::now();
   const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
+  cache = shared_or_local(input, prepared, pool, cache, local);
   Phase2Model p2;
   build_phase2(input, prepared, naive, winners, cache, pool, &p2);
   ModelBuildStats stats;
@@ -1067,10 +1057,7 @@ ModelBuildStats build_arrow_ilp_model(const TeInput& input,
   const auto t0 = Clock::now();
   const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
+  cache = shared_or_local(input, prepared, pool, cache, local);
   IlpModel ilp;
   build_ilp(input, prepared, naive, cache, pool, &ilp);
   ModelBuildStats stats;

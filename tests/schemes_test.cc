@@ -80,7 +80,6 @@ TEST(SchemeRegistry, CreateRoundTripsNamesAndCapabilities) {
   EXPECT_TRUE(
       registry.capabilities("ReWeave-Local").supports_local_repair);
   EXPECT_FALSE(registry.capabilities("ReWeave-Local").needs_prepared);
-  EXPECT_TRUE(registry.capabilities("PXT").preprovisions_spectrum);
   EXPECT_TRUE(registry.capabilities("PXT").restores_optically);
 }
 
@@ -424,14 +423,31 @@ TEST(Pxt, SchemeSolveCarriesTrailRestorationIntoTheEvaluator) {
   ASSERT_EQ(sol.restored.size(), w.scenarios.size());
 
   // Cut answer: pure lookup, transponder-speed latency, zero solve cost.
-  schemes::CutContext ctx{input, 0, sol};
-  const auto repair = pxt->on_cut(ctx);
-  EXPECT_TRUE(repair.ok);
-  EXPECT_TRUE(repair.local);
-  EXPECT_EQ(repair.simplex_iterations, 0);
-  const schemes::PxtParams defaults;
-  EXPECT_DOUBLE_EQ(repair.latency_s,
-                   defaults.detection_s + defaults.switchover_s);
+  // Every trail wave of the scenario comes up at the switchover.
+  for (int q = 0; q < input.num_scenarios(); ++q) {
+    const schemes::CutContext ctx{
+        input, sol, w.scenarios[static_cast<std::size_t>(q)].cuts, q};
+    const auto repair = pxt->on_cut(ctx);
+    EXPECT_TRUE(repair.ok);
+    EXPECT_TRUE(repair.planned);
+    EXPECT_TRUE(repair.local);
+    EXPECT_EQ(repair.simplex_iterations, 0);
+    const schemes::PxtParams defaults;
+    EXPECT_DOUBLE_EQ(repair.latency_s,
+                     defaults.detection_s + defaults.switchover_s);
+    const auto& trails = sol.restored[static_cast<std::size_t>(q)];
+    ASSERT_EQ(repair.timeline.size(), trails.size());
+    double lit = 0.0;
+    for (const auto& point : repair.timeline) {
+      EXPECT_DOUBLE_EQ(point.t_s, repair.latency_s);
+      EXPECT_DOUBLE_EQ(point.wave_gbps, trails.at(point.link));
+      lit += point.wave_gbps;
+    }
+    EXPECT_DOUBLE_EQ(repair.restored_gbps, lit);
+  }
+  // An unplanned cut has no trail to switch onto.
+  const std::vector<topo::FiberId> none;
+  EXPECT_FALSE(pxt->on_cut({input, sol, none}).ok);
 }
 
 // --- new entrants through the sweep -----------------------------------------

@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include "controller/journal.h"
 #include "obs/json.h"
 #include "resilience/chaos.h"
+#include "schemes/scheme.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -211,6 +213,80 @@ TEST(ServeEngine, ReWeaveCutFastPathDrill) {
   const auto t2 = engine.tick(tm);
   ASSERT_TRUE(t2.ok) << t2.error;
   EXPECT_TRUE(engine.repair(0));
+  engine.drain();
+}
+
+// The most loaded fiber that shares an IP link with another fiber, and the
+// most loaded such partner: a plan for the first is a transplant donor for
+// a cut of the second.
+std::pair<topo::FiberId, topo::FiberId> overlapping_fibers(
+    const topo::Network& net) {
+  std::vector<std::pair<double, topo::FiberId>> loaded;
+  for (const auto& f : net.optical.fibers) {
+    loaded.emplace_back(net.provisioned_gbps(f.id), f.id);
+  }
+  std::sort(loaded.rbegin(), loaded.rend());
+  for (const auto& [ga, a] : loaded) {
+    const auto la = net.failed_ip_links({a});
+    for (const auto& [gb, b] : loaded) {
+      if (a == b) continue;
+      for (topo::IpLinkId e : net.failed_ip_links({b})) {
+        if (std::find(la.begin(), la.end(), e) != la.end()) return {a, b};
+      }
+    }
+  }
+  return {-1, -1};
+}
+
+// The daemon answers a cut with no exact plan the way the controller does:
+// the nearest scenario's plan, transplanted onto the cut.
+TEST(ServeEngine, UnplannedCutIsServedByATransplant) {
+  const topo::Network net = topo::build_b4();
+  const auto [planned, surprise] = overlapping_fibers(net);
+  ASSERT_GE(surprise, 0) << "no two fibers share an IP link";
+  serve::EngineConfig config = test_config();
+  config.ctrl.explicit_scenarios = {{{planned}, 0.01}};
+  serve::TickEngine engine(config);
+  ASSERT_TRUE(engine.set_topology(net).ok);
+  ASSERT_TRUE(engine.tick(test_tm(net, 7)).ok);
+
+  const auto cut = engine.cut(surprise);
+  ASSERT_TRUE(cut.ok) << cut.error;
+  EXPECT_FALSE(cut.planned);
+  EXPECT_GT(cut.restored_gbps, 0.0);
+  EXPECT_GT(cut.latency_s, 0.0);
+  const obs::RunReport report = engine.report();
+  EXPECT_EQ(report.cuts_handled, 1);
+  EXPECT_EQ(report.cuts_with_plan, 0);
+  EXPECT_EQ(report.unplanned_cuts, 1);
+  EXPECT_EQ(report.emergency_restorations, 1);
+  EXPECT_EQ(report.restorations, 1);
+  engine.drain();
+}
+
+// PXT's trails are a precomputed plan: a cut of a scenario's fiber switches
+// onto them at once, in the daemon as in the sweep's evaluator.
+TEST(ServeEngine, PxtCutSwitchesOntoItsTrails) {
+  const topo::Network net = topo::build_b4();
+  const topo::FiberId fiber = overlapping_fibers(net).first;
+  serve::EngineConfig config = test_config();
+  config.ctrl.scheme = "PXT";
+  config.ctrl.explicit_scenarios = {{{fiber}, 0.01}};
+  serve::TickEngine engine(config);
+  ASSERT_TRUE(engine.set_topology(net).ok);
+  ASSERT_TRUE(engine.tick(test_tm(net, 7)).ok);
+
+  const auto cut = engine.cut(fiber);
+  ASSERT_TRUE(cut.ok) << cut.error;
+  EXPECT_TRUE(cut.planned);
+  EXPECT_GT(cut.restored_gbps, 0.0);
+  const schemes::PxtParams pxt;
+  EXPECT_DOUBLE_EQ(cut.latency_s, pxt.detection_s + pxt.switchover_s);
+  EXPECT_FALSE(cut.local_repair);
+  const obs::RunReport report = engine.report();
+  EXPECT_EQ(report.cuts_with_plan, 1);
+  EXPECT_EQ(report.unplanned_cuts, 0);
+  EXPECT_EQ(report.local_repairs, 0);
   engine.drain();
 }
 
