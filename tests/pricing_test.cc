@@ -7,6 +7,10 @@
 // no incremental state, so agreement with it validates the maintained
 // reduced costs and Devex weights of kIncremental.
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "te/basic.h"
 #include "topo/builders.h"
 #include "traffic/traffic.h"
+#include "util/rng.h"
 
 namespace arrow::solver {
 namespace {
@@ -137,6 +142,243 @@ TEST(WarmRetry, FailedWarmAttemptSecondsAreSummedIntoTheRetry) {
   EXPECT_GE(retried.phase2_seconds, 1.0);
   // The retry ran cold, so the result must not claim a warm start.
   EXPECT_FALSE(retried.warm_started);
+}
+
+// --- Pinned pivot paths on small generated LPs -----------------------------
+//
+// Each case below pins one solve's iterations, phase-1 iterations,
+// refactorizations, pricing candidates, objective bits and final Basis, so
+// a change to how the entering column is found (not only which optimum is
+// reached) fails here. The LPs are small enough to solve in microseconds but
+// walk the pricing paths that the TE corpus reaches only by chance: Bland's
+// rule, bound flips of boxed columns, free columns entering in either
+// direction, Dantzig pricing and a warm-started re-solve.
+
+// Column kinds the pricing rule tells apart by their nonbasic status.
+struct LpShape {
+  int dense_rows = 10;
+  int boxed = 20;       // [0, u], u in 1..3: flips between its bounds
+  int lower_only = 3;   // [0, inf)
+  int upper_only = 3;   // (-inf, u]: starts at its upper bound
+  int free = 2;         // (-inf, inf): starts nonbasic free at 0
+  bool degenerate = false;  // dense rows pass through the all-lower start
+  std::uint64_t seed = 1;
+};
+
+// Computational form as Model::build_lp lowers it: the structural columns,
+// then one identity slack per row. Every row is ranged,
+//   lo_i <= a_i x <= hi_i  as  a_i x + s_i = hi_i,  s_i in [0, hi_i - lo_i],
+// and each column without a finite bound on both sides also gets a
+// singleton ranged row of its own, which keeps the LP bounded.
+Lp generated_lp(const LpShape& shape) {
+  util::Rng rng(shape.seed);
+  const int structural =
+      shape.boxed + shape.lower_only + shape.upper_only + shape.free;
+  const int unboxed = structural - shape.boxed;
+  const int m = shape.dense_rows + unboxed;
+  std::vector<std::vector<double>> rows(
+      static_cast<std::size_t>(m),
+      std::vector<double>(static_cast<std::size_t>(structural), 0.0));
+  Lp lp;
+  for (int j = 0; j < structural; ++j) {
+    double lo = 0.0, hi = kInf;
+    if (j < shape.boxed) {
+      hi = rng.uniform_int(1, 3);
+    } else if (j < shape.boxed + shape.lower_only) {
+      // [0, inf)
+    } else if (j < shape.boxed + shape.lower_only + shape.upper_only) {
+      lo = -kInf;
+      hi = rng.uniform_int(1, 3);
+    } else {
+      lo = -kInf;
+    }
+    lp.lower.push_back(lo);
+    lp.upper.push_back(hi);
+    lp.cost.push_back(rng.uniform_int(-9, 9));
+  }
+  std::vector<double> row_lo, row_hi;
+  for (int i = 0; i < shape.dense_rows; ++i) {
+    double sum = 0.0;
+    for (int j = 0; j < structural; ++j) {
+      if (rng.uniform() < 0.4) {
+        const double a = rng.uniform_int(-3, 3);
+        rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = a;
+        sum += std::abs(a);
+      }
+    }
+    const double hi = shape.degenerate && i % 2 == 0
+                          ? 0.0
+                          : rng.uniform_int(0, static_cast<int>(sum / 2));
+    row_hi.push_back(hi);
+    row_lo.push_back(hi - rng.uniform_int(1, 6 + static_cast<int>(sum)));
+  }
+  for (int k = 0; k < unboxed; ++k) {
+    const int j = shape.boxed + k;
+    rows[static_cast<std::size_t>(shape.dense_rows + k)]
+        [static_cast<std::size_t>(j)] = 1.0;
+    const double hi = rng.uniform_int(1, 5);
+    row_hi.push_back(hi);
+    row_lo.push_back(hi - rng.uniform_int(2, 9));
+  }
+  const int n = structural + m;
+  lp.a.rows = m;
+  lp.a.cols = n;
+  lp.a.col_start.push_back(0);
+  for (int j = 0; j < structural; ++j) {
+    for (int i = 0; i < m; ++i) {
+      const double a =
+          rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+      if (a == 0.0) continue;
+      lp.a.row_index.push_back(i);
+      lp.a.value.push_back(a);
+    }
+    lp.a.col_start.push_back(static_cast<int>(lp.a.row_index.size()));
+  }
+  for (int i = 0; i < m; ++i) {
+    lp.a.row_index.push_back(i);
+    lp.a.value.push_back(1.0);
+    lp.a.col_start.push_back(static_cast<int>(lp.a.row_index.size()));
+    lp.cost.push_back(0.0);
+    lp.lower.push_back(0.0);
+    lp.upper.push_back(row_hi[static_cast<std::size_t>(i)] -
+                       row_lo[static_cast<std::size_t>(i)]);
+  }
+  lp.rhs = row_hi;
+  return lp;
+}
+
+// One character per column: B basic, L/U at its lower/upper bound, F free.
+std::string basis_string(const Basis& basis) {
+  std::string s;
+  for (BasisStatus st : basis.status) {
+    switch (st) {
+      case BasisStatus::kBasic: s += 'B'; break;
+      case BasisStatus::kNonbasicLower: s += 'L'; break;
+      case BasisStatus::kNonbasicUpper: s += 'U'; break;
+      case BasisStatus::kNonbasicFree: s += 'F'; break;
+    }
+  }
+  return s;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+struct PivotPin {
+  int iterations;
+  int phase1_iterations;
+  int refactorizations;
+  long long pricing_candidates;
+  std::uint64_t objective_bits;
+  const char* basis;
+};
+
+// Checks `sol` against `pin`; on a mismatch prints the pin the solve would
+// need, ready to paste.
+void expect_pinned(const LpSolution& sol, const PivotPin& pin) {
+  ASSERT_EQ(sol.status, LpStatus::kOptimal);
+  const std::string basis = basis_string(sol.basis);
+  const bool same = sol.iterations == pin.iterations &&
+                    sol.phase1_iterations == pin.phase1_iterations &&
+                    sol.refactorizations == pin.refactorizations &&
+                    sol.pricing_candidates == pin.pricing_candidates &&
+                    bits(sol.objective) == pin.objective_bits &&
+                    basis == pin.basis;
+  if (!same) {
+    std::printf("  actual: {%d, %d, %d, %lld, 0x%016llxull,\n   \"%s\"}\n",
+                sol.iterations, sol.phase1_iterations, sol.refactorizations,
+                sol.pricing_candidates,
+                static_cast<unsigned long long>(bits(sol.objective)),
+                basis.c_str());
+  }
+  EXPECT_EQ(sol.iterations, pin.iterations);
+  EXPECT_EQ(sol.phase1_iterations, pin.phase1_iterations);
+  EXPECT_EQ(sol.refactorizations, pin.refactorizations);
+  EXPECT_EQ(sol.pricing_candidates, pin.pricing_candidates);
+  EXPECT_EQ(bits(sol.objective), pin.objective_bits);
+  EXPECT_EQ(basis, pin.basis);
+}
+
+// The counts in each comment were read off an instrumented build; they say
+// which path the pin covers, not what it asserts.
+
+// 72 phase-2 Bland pivots on a degenerate LP, with refactorizations every 8.
+TEST(PricingPins, BlandsRuleThroughout) {
+  LpShape shape;
+  shape.upper_only = 0;
+  shape.degenerate = true;
+  shape.seed = 15;
+  const Lp lp = generated_lp(shape);
+  SimplexOptions opt;
+  // Bland's rule engages once the degenerate streak exceeds the threshold;
+  // -1 makes every pivot a Bland pivot (0 would wait for the first
+  // degenerate one).
+  opt.bland_threshold = -1;
+  opt.refactor_interval = 8;
+  expect_pinned(solve_lp(lp, opt),
+                {87, 15, 11, 2395, 0xc060a88888888888ull,
+                 "BLUUULUULBUULLUBUBLLBBBBBLBLBUUBBLBLBLLL"});
+}
+
+// 7 of its 16 iterations are bound flips, all under maintained reduced
+// costs.
+TEST(PricingPins, BoxedColumnsFlipBetweenTheirBounds) {
+  LpShape shape;
+  shape.boxed = 30;
+  shape.lower_only = 0;
+  shape.upper_only = 0;
+  shape.free = 0;
+  shape.seed = 20;
+  expect_pinned(solve_lp(generated_lp(shape)),
+                {16, 0, 1, 192, 0xc0588aaaaaaaaaabull,
+                 "ULBUUULLLUUUBLLLLULULUBLLULULLBBBBLBLBBL"});
+}
+
+// Free columns enter 3 times upward and 3 times downward in phase 2.
+TEST(PricingPins, FreeColumnsEnterInBothDirections) {
+  LpShape shape;
+  shape.boxed = 12;
+  shape.free = 6;
+  shape.seed = 34;
+  expect_pinned(solve_lp(generated_lp(shape)),
+                {21, 1, 1, 429, 0xc0573cb7cb7cb7cbull,
+                 "UULULBLLLULLBLBUUUBBBBBBBBLBBBLLULBBBBBBLBBULU"});
+}
+
+// Full pricing on every pass: 4 bound flips, free columns in both
+// directions.
+TEST(PricingPins, DantzigPricing) {
+  LpShape shape;
+  shape.seed = 14;
+  SimplexOptions opt;
+  opt.pricing = Pricing::kDantzig;
+  expect_pinned(solve_lp(generated_lp(shape), opt),
+                {34, 13, 1, 1610, 0xc062eaaaaaaaaaacull,
+                 "ULLULLLULULUULULULLLBBBBBBBBUBBBBLBBUBBLBLUUUB"});
+}
+
+// Phase 1 from a caller's basis, then phase 2 across a refactorization.
+TEST(PricingPins, WarmStartedResolve) {
+  LpShape shape;
+  shape.seed = 15;
+  const Lp lp = generated_lp(shape);
+  SimplexOptions opt;
+  opt.refactor_interval = 8;
+  const LpSolution cold = solve_lp(lp, opt);
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+  // The same LP with most dense rows shifted: the old basis is still a
+  // basis but no longer feasible.
+  Lp moved = lp;
+  for (int i = 0; i < shape.dense_rows; ++i) {
+    moved.rhs[static_cast<std::size_t>(i)] += i % 3 - 1;
+  }
+  const LpSolution warm = solve_lp(moved, opt, &cold.basis);
+  EXPECT_TRUE(warm.warm_started);
+  expect_pinned(warm, {11, 7, 2, 543, 0xc060f8e38e38e38eull,
+                       "BUULUBUUBLUBBBLLLLLLLLBUUBBBBBLLBULUULBBBBBUUU"});
 }
 
 }  // namespace
