@@ -162,6 +162,7 @@ struct LpShape {
   int upper_only = 3;   // (-inf, u]: starts at its upper bound
   int free = 2;         // (-inf, inf): starts nonbasic free at 0
   bool degenerate = false;  // dense rows pass through the all-lower start
+  int equality_rows = 0;    // dense rows with lo == hi: a slack fixed at 0
   std::uint64_t seed = 1;
 };
 
@@ -210,7 +211,9 @@ Lp generated_lp(const LpShape& shape) {
                           ? 0.0
                           : rng.uniform_int(0, static_cast<int>(sum / 2));
     row_hi.push_back(hi);
-    row_lo.push_back(hi - rng.uniform_int(1, 6 + static_cast<int>(sum)));
+    row_lo.push_back(i < shape.equality_rows
+                         ? hi
+                         : hi - rng.uniform_int(1, 6 + static_cast<int>(sum)));
   }
   for (int k = 0; k < unboxed; ++k) {
     const int j = shape.boxed + k;
@@ -346,6 +349,18 @@ TEST(PricingPins, FreeColumnsEnterInBothDirections) {
   expect_pinned(solve_lp(generated_lp(shape)),
                 {21, 1, 1, 429, 0xc0573cb7cb7cb7cbull,
                  "UULULBLLLULLBLBUUUBBBBBBBBLBBBLLULBBBBBBLBBULU"});
+}
+
+// Equality rows: a slack fixed at 0 leaves the basis at its lower bound
+// and can improve at once, so the leaving column's own status change
+// decides the next entering column.
+TEST(PricingPins, FixedSlacksLeaveImproving) {
+  LpShape shape;
+  shape.equality_rows = 2;
+  shape.seed = 53;
+  expect_pinned(solve_lp(generated_lp(shape)),
+                {31, 10, 1, 913, 0xc04f155555555554ull,
+                 "LUULULBLULLBLULBLLBLBLLBUBBBUUUBBULBUULBBBBBLB"});
 }
 
 // Full pricing on every pass: 4 bound flips, free columns in both
