@@ -17,6 +17,15 @@
 //    folds the Devex weight update into the same sparse pass, replacing the
 //    old O(n*nnz) per-pivot sweep. Every claimed optimum from maintained
 //    reduced costs is confirmed against a fresh full pass before returning.
+//  * the entering column is chosen from a maintained set of improving
+//    nonbasic columns (d_j < -opt_tol at a lower bound, d_j > opt_tol at an
+//    upper bound, either for a free column), not from a scan of all n: a
+//    full pass rebuilds the set, a basis change refreshes the entering and
+//    leaving columns and the pivot row's columns (the only d_j that moved),
+//    a bound flip refreshes the flipped column. The best score wins and a
+//    tie goes to the lowest index (Bland's rule takes the lowest index
+//    outright): the choice an ascending scan of all n columns makes, so
+//    every pivot is the scan's pivot;
 //  * the basis inverse is a Markowitz-ordered sparse LU (LuBasis) with
 //    product-form updates, refreshed every `refactor_interval` pivots or
 //    when the eta file grows dense; each refresh also refreshes the
@@ -368,47 +377,76 @@ class Simplex {
       }
     }
     pricing_candidates_ += n_;
+    // Every d_j moved: rebuild the candidate set, in ascending order.
+    for (int j : cand_) cand_pos_[static_cast<std::size_t>(j)] = -1;
+    cand_.clear();
+    for (int j = 0; j < n_; ++j) {
+      if (improving_dir(j) == 0) continue;
+      cand_pos_[static_cast<std::size_t>(j)] = static_cast<int>(cand_.size());
+      cand_.push_back(j);
+    }
   }
 
-  // Entering-column choice from the current d_. Dantzig scores by |d|,
-  // incremental by the Devex ratio d^2 / w_j. Bland's rule takes the lowest
-  // improving index.
-  int select_entering(bool bland, int* dir_out) {
-    const bool devex_score = opt_.pricing != Pricing::kDantzig;
-    int entering = -1;
-    int dir = 0;
-    double best_score = 0.0;
-    auto consider = [&](int j) -> bool {
-      const VStat st = vstat_[static_cast<std::size_t>(j)];
-      if (st == VStat::kBasic) return false;
-      const double d = d_[static_cast<std::size_t>(j)];
-      int cand_dir = 0;
-      if ((st == VStat::kAtLower || st == VStat::kFree) && d < -opt_.opt_tol) {
-        cand_dir = +1;
-      } else if ((st == VStat::kAtUpper || st == VStat::kFree) &&
-                 d > opt_.opt_tol) {
-        cand_dir = -1;
-      }
-      if (cand_dir == 0) return false;
-      if (bland) {
-        entering = j;
-        dir = cand_dir;
-        return true;  // lowest improving index
-      }
-      const double score = devex_score
-                               ? d * d / devex_w_[static_cast<std::size_t>(j)]
-                               : std::abs(d);
-      if (score > best_score) {
-        best_score = score;
-        entering = j;
-        dir = cand_dir;
-      }
-      return false;
-    };
-    for (int j = 0; j < n_; ++j) {
-      if (consider(j)) break;
+  // The direction column j would enter in: +1 up from its lower bound, -1
+  // down from its upper bound (a free column goes either way), 0 when j is
+  // basic or d_j does not improve the objective beyond opt_tol.
+  int improving_dir(int j) const {
+    const VStat st = vstat_[static_cast<std::size_t>(j)];
+    if (st == VStat::kBasic) return 0;
+    const double d = d_[static_cast<std::size_t>(j)];
+    if ((st == VStat::kAtLower || st == VStat::kFree) && d < -opt_.opt_tol) {
+      return +1;
     }
-    *dir_out = dir;
+    if ((st == VStat::kAtUpper || st == VStat::kFree) && d > opt_.opt_tol) {
+      return -1;
+    }
+    return 0;
+  }
+
+  // Puts j into the candidate set or takes it out after its d_j or status
+  // moved. Removal swaps the last member into j's slot.
+  void refresh_candidate(int j) {
+    int& pos = cand_pos_[static_cast<std::size_t>(j)];
+    const bool improving = improving_dir(j) != 0;
+    if (improving == (pos >= 0)) return;
+    if (improving) {
+      pos = static_cast<int>(cand_.size());
+      cand_.push_back(j);
+      return;
+    }
+    const int last = cand_.back();
+    cand_[static_cast<std::size_t>(pos)] = last;
+    cand_pos_[static_cast<std::size_t>(last)] = pos;
+    cand_.pop_back();
+    pos = -1;
+  }
+
+  // Entering-column choice among the improving candidates. Dantzig scores
+  // by |d|, incremental by the Devex ratio d^2 / w_j; the best score wins,
+  // it must be > 0, and a tie goes to the lowest index. Bland's rule takes
+  // the lowest index. That is the choice an ascending scan of all n columns
+  // with a strict `score > best` makes, so the set's order never matters.
+  int select_entering(bool bland, int* dir_out) {
+    int entering = -1;
+    if (bland) {
+      for (int j : cand_) {
+        if (entering < 0 || j < entering) entering = j;
+      }
+    } else {
+      const bool devex_score = opt_.pricing != Pricing::kDantzig;
+      double best_score = 0.0;
+      for (int j : cand_) {
+        const double d = d_[static_cast<std::size_t>(j)];
+        const double score =
+            devex_score ? d * d / devex_w_[static_cast<std::size_t>(j)]
+                        : std::abs(d);
+        if (score > best_score || (score == best_score && j < entering)) {
+          best_score = score;
+          entering = j;
+        }
+      }
+    }
+    *dir_out = entering < 0 ? 0 : improving_dir(entering);
     return entering;
   }
 
@@ -430,6 +468,8 @@ class Simplex {
     devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
     y_.assign(static_cast<std::size_t>(m_), 0.0);
     d_.assign(static_cast<std::size_t>(n_), 0.0);
+    cand_.clear();
+    cand_pos_.assign(static_cast<std::size_t>(n_), -1);
     alpha_work_.assign(static_cast<std::size_t>(n_), 0.0);
     touched_mark_.assign(static_cast<std::size_t>(n_), 0);
     bool dual_fresh = false;    // inc_mode: d_ valid for the current basis
@@ -642,6 +682,7 @@ class Simplex {
         // costs are all unchanged.
         vstat_[static_cast<std::size_t>(entering)] =
             dir > 0 ? VStat::kAtUpper : VStat::kAtLower;
+        refresh_candidate(entering);
         continue;
       }
 
@@ -696,6 +737,7 @@ class Simplex {
           if (update_d) {
             d_[static_cast<std::size_t>(j)] -= theta_d * alpha_j;
             ++pricing_candidates_;
+            refresh_candidate(j);
           }
           if (weights) {
             const double cand = alpha_j * alpha_j * inv_aq2 * wq;
@@ -744,6 +786,11 @@ class Simplex {
       vstat_[static_cast<std::size_t>(leaving)] =
           std::abs(leave_target - leave_lo) <= opt_.feas_tol ? VStat::kAtLower
                                                              : VStat::kAtUpper;
+      // The touched columns were refreshed in the pivot-row pass; these two
+      // changed status. Outside incremental phase 2 the next pass
+      // full-prices and rebuilds the set anyway.
+      refresh_candidate(entering);
+      refresh_candidate(leaving);
       if (devex_reset) {
         // Reference framework degraded: restart the weights.
         devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
@@ -834,6 +881,10 @@ class Simplex {
   std::vector<double> devex_w_;
   std::vector<double> y_;          // dual work vector for pricing
   std::vector<double> d_;          // reduced costs (maintained in inc mode)
+  // Improving nonbasic columns (improving_dir != 0) in no particular order,
+  // and each column's slot in cand_ (-1 when absent).
+  std::vector<int> cand_;
+  std::vector<int> cand_pos_;
   std::vector<double> alpha_work_; // pivot-row scatter workspace (zeroed)
   std::vector<char> touched_mark_;
   std::vector<int> touched_;
