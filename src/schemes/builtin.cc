@@ -60,70 +60,68 @@ int nearest_scenario(const te::TeInput& input,
 }
 
 // The cut answer of the optically-restoring pair. A cut that matches a
-// precomputed scenario gets that scenario's plan, slots assigned around the
-// scenario's own cuts. Any other cut gets the nearest scenario's plan
-// transplanted: only entries for links this cut failed are kept, surrogate
-// paths crossing any active cut are zeroed (the donor did not plan around
-// them), and slots are assigned around every active cut. The TE plan itself
-// is unchanged — ARROW's headroom was provisioned at solve time — so the
-// answer is the wave-up timeline of the simulated optical reconfiguration.
+// precomputed scenario gets that scenario's plan. Any other cut gets the
+// nearest scenario's plan transplanted: only entries for links this cut
+// failed are kept. Either way the plan's surrogate paths that cross any
+// active cut are zeroed (the plan was made around its scenario's cuts
+// only), and slots are assigned and the replay simulated around every
+// active cut. The TE plan itself is unchanged — ARROW's headroom was
+// provisioned at solve time — so the answer is the wave-up timeline of the
+// simulated optical reconfiguration.
 CutRepair restore_optically(const CutContext& ctx,
                             const optical::LatencyParams& latency) {
   CutRepair repair;
   if (ctx.prepared == nullptr || ctx.rng == nullptr) return repair;
   const auto& net = ctx.input.net();
   const auto& rwa = ctx.prepared->rwa;
-  std::vector<optical::LinkRestoration> links;
-  std::vector<topo::FiberId> sim_cuts;
-  if (ctx.scenario >= 0) {
-    const auto q = static_cast<std::size_t>(ctx.scenario);
-    if (q >= rwa.size()) return repair;
-    repair.planned = true;
-    sim_cuts = ctx.input.scenarios()[q].cuts;
-    links = rwa[q].links;
-    optical::assign_slots_first_fit(net, sim_cuts, links,
-                                    ticket_for(*ctx.prepared, q, ctx.plan)
-                                        .path_waves);
+  const bool planned = ctx.scenario >= 0;
+  std::set<topo::IpLinkId> failed_now;
+  int q = ctx.scenario;
+  if (planned) {
+    if (static_cast<std::size_t>(q) >= rwa.size()) return repair;
   } else {
     const auto failed_v = net.failed_ip_links({ctx.fiber});
-    const std::set<topo::IpLinkId> failed_now(failed_v.begin(),
-                                              failed_v.end());
+    failed_now.insert(failed_v.begin(), failed_v.end());
     if (failed_now.empty()) return repair;
-    const int donor = nearest_scenario(ctx.input, *ctx.prepared, failed_now);
-    if (donor < 0) return repair;
-    const auto q = static_cast<std::size_t>(donor);
-    const ticket::LotteryTicket ticket = ticket_for(*ctx.prepared, q, ctx.plan);
-    std::vector<std::vector<int>> want;
-    for (std::size_t li = 0; li < rwa[q].links.size(); ++li) {
-      if (!failed_now.count(rwa[q].links[li].link)) continue;
-      optical::LinkRestoration lr = rwa[q].links[li];
-      std::vector<int> w = li < ticket.path_waves.size()
-                               ? ticket.path_waves[li]
-                               : std::vector<int>{};
-      w.resize(lr.paths.size(), 0);
-      for (std::size_t pi = 0; pi < lr.paths.size(); ++pi) {
-        for (topo::FiberId f : lr.paths[pi].fibers) {
-          if (std::find(ctx.cuts.begin(), ctx.cuts.end(), f) !=
-              ctx.cuts.end()) {
-            w[pi] = 0;
-            break;
-          }
+    q = nearest_scenario(ctx.input, *ctx.prepared, failed_now);
+    if (q < 0) return repair;
+  }
+  const auto& donor = rwa[static_cast<std::size_t>(q)].links;
+  const ticket::LotteryTicket ticket =
+      ticket_for(*ctx.prepared, static_cast<std::size_t>(q), ctx.plan);
+  std::vector<optical::LinkRestoration> links;
+  std::vector<std::vector<int>> want;
+  for (std::size_t li = 0; li < donor.size(); ++li) {
+    if (!planned && !failed_now.count(donor[li].link)) continue;
+    std::vector<int> w = li < ticket.path_waves.size()
+                             ? ticket.path_waves[li]
+                             : std::vector<int>{};
+    w.resize(donor[li].paths.size(), 0);
+    for (std::size_t pi = 0; pi < donor[li].paths.size(); ++pi) {
+      for (topo::FiberId f : donor[li].paths[pi].fibers) {
+        if (std::find(ctx.cuts.begin(), ctx.cuts.end(), f) !=
+            ctx.cuts.end()) {
+          w[pi] = 0;
+          break;
         }
       }
-      links.push_back(std::move(lr));
-      want.push_back(std::move(w));
     }
+    links.push_back(donor[li]);
+    want.push_back(std::move(w));
+  }
+  if (planned) {
+    repair.planned = true;
+  } else {
     if (links.empty()) return repair;
     repair.transplanted = true;
-    sim_cuts = ctx.cuts;
-    optical::assign_slots_first_fit(net, sim_cuts, links, want);
   }
+  optical::assign_slots_first_fit(net, ctx.cuts, links, want);
   repair.ok = true;
   const auto plan = optical::plan_from_restoration(net, links);
   if (plan.empty()) return repair;
   util::Rng replay = ctx.rng->fork();
   auto result =
-      optical::simulate_restoration(net, sim_cuts, plan, latency, replay);
+      optical::simulate_restoration(net, ctx.cuts, plan, latency, replay);
   repair.latency_s = result.total_s;
   repair.restored_gbps = result.restored_gbps;
   for (auto& point : result.timeline) {

@@ -17,17 +17,22 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "controller/journal.h"
 #include "obs/json.h"
+#include "optical/latency.h"
+#include "optical/rwa.h"
 #include "resilience/chaos.h"
 #include "schemes/scheme.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "solver/lp.h"
+#include "te/arrow.h"
 #include "topo/builders.h"
 #include "topo/io.h"
 #include "traffic/traffic.h"
@@ -262,6 +267,73 @@ TEST(ServeEngine, UnplannedCutIsServedByATransplant) {
   EXPECT_EQ(report.emergency_restorations, 1);
   EXPECT_EQ(report.restorations, 1);
   engine.drain();
+}
+
+// A planned cut while another fiber is still down. The scenario's plan was
+// made around its own cut only, so the answer assigns slots and replays
+// around both cuts: no wave it lights rides the fiber that is still dark,
+// and the capacity it restores is what first-fit finds around both.
+TEST(ServeEngine, PlannedCutAvoidsAFiberAlreadyCut) {
+  constexpr topo::FiberId kHeld = 4;
+  constexpr topo::FiberId kCut = 3;
+  const topo::Network net = topo::build_b4();
+  const std::vector<scenario::Scenario> scenarios = {{{kHeld}, 0.01},
+                                                     {{kCut}, 0.01}};
+  const traffic::TrafficMatrix tm = test_tm(net, 7);
+
+  // The daemon: the cut alone, then the same cut with kHeld already down.
+  serve::EngineConfig config = test_config();
+  config.ctrl.explicit_scenarios = scenarios;
+  serve::TickEngine engine(config);
+  ASSERT_TRUE(engine.set_topology(net).ok);
+  ASSERT_TRUE(engine.tick(tm).ok);
+  const auto alone = engine.cut(kCut);
+  ASSERT_TRUE(alone.ok) << alone.error;
+  EXPECT_TRUE(alone.planned);
+  ASSERT_TRUE(engine.repair(kCut));
+  ASSERT_TRUE(engine.cut(kHeld).ok);
+  const auto overlapping = engine.cut(kCut);
+  ASSERT_TRUE(overlapping.ok) << overlapping.error;
+  EXPECT_TRUE(overlapping.planned);
+  EXPECT_LT(overlapping.restored_gbps, alone.restored_gbps);
+  engine.drain();
+
+  // The same answer through Scheme::on_cut, against the plan the
+  // scenario's ticket gets from first-fit around both cuts.
+  const auto& params = config.ctrl;
+  te::TeInput input(net, tm, scenarios, params.tunnels);
+  util::Rng rng(5);
+  const te::ArrowPrepared prepared = te::prepare_arrow(input, params.arrow, rng);
+  const te::TeSolution plan = te::solve_arrow(input, prepared, params.arrow);
+  ASSERT_TRUE(plan.optimal);
+  const std::vector<topo::FiberId> cuts = {kHeld, kCut};
+  const auto arrow_scheme = schemes::Registry::global().create("ARROW");
+  const schemes::CutRepair repair = arrow_scheme->on_cut(
+      {input, plan, cuts, /*scenario=*/1, kCut, &prepared, &rng});
+  ASSERT_TRUE(repair.ok);
+  EXPECT_TRUE(repair.planned);
+
+  const auto& tickets = prepared.tickets[1].tickets;
+  const int winner = plan.winner[1];
+  ASSERT_GE(winner, 0);
+  ASSERT_LT(winner, static_cast<int>(tickets.size()));
+  std::vector<optical::LinkRestoration> links = prepared.rwa[1].links;
+  optical::assign_slots_first_fit(
+      net, cuts, links,
+      tickets[static_cast<std::size_t>(winner)].path_waves);
+  double expected_gbps = 0.0;
+  std::map<topo::IpLinkId, double> expected_by_link;
+  for (const auto& wave : optical::plan_from_restoration(net, links)) {
+    EXPECT_EQ(std::count(wave.path.begin(), wave.path.end(), kHeld), 0);
+    expected_gbps += wave.gbps;
+    expected_by_link[wave.link] += wave.gbps;
+  }
+  EXPECT_DOUBLE_EQ(repair.restored_gbps, expected_gbps);
+  std::map<topo::IpLinkId, double> lit_by_link;
+  for (const auto& point : repair.timeline) {
+    lit_by_link[point.link] += point.wave_gbps;
+  }
+  EXPECT_EQ(lit_by_link, expected_by_link);
 }
 
 // PXT's trails are a precomputed plan: a cut of a scenario's fiber switches
