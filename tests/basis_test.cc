@@ -739,6 +739,53 @@ TEST(LuBasisPinned, SparseSolvesStructuralHeavy) {
                     9621832997936689426ull);
 }
 
+TEST(LuBasisPinned, EtasWriteNegativeZeroFromZeroInputs) {
+  // A transposed eta computes pivot * y[pivot] + sum val * y[pos], so on
+  // all +0.0 inputs it writes -0.0 exactly when its pivot value and every
+  // off-pivot value are negative. BTRAN of e_p runs every eta, so those
+  // -0.0 writes land in the output even when e_p reaches none of them.
+  // Block columns sit at positions [0, 12), unit slacks e_i at position i
+  // above, so an entering column in slack rows FTRANs to itself.
+  util::Rng rng(1505);
+  const int m = 48;
+  const auto cols = cyclic_block(rng, m, 12, 4, 0.5);
+  LuBasis basis;
+  ASSERT_TRUE(basis.factorize(m, cols, 1e-8));
+  const auto enter = [&](const std::vector<std::pair<int, double>>& column,
+                         int pos) {
+    std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+    for (const auto& [r, v] : column) w[static_cast<std::size_t>(r)] = v;
+    std::vector<int> w_nz;
+    basis.ftran(w, &w_nz);
+    ASSERT_TRUE(basis.update(pos, w, w_nz, 1e-8));
+  };
+  // Eta 0 reads position 25 with a positive value: -0.0 there makes it
+  // write -0.0 at 20. Eta 1 is a singleton with a negative pivot. Eta 2
+  // is all negative and writes position 25. Eta 3 runs through the block.
+  enter({{20, -2.0}, {25, 1.0}}, 20);
+  enter({{30, -2.0}}, 30);
+  enter({{25, -4.0}, {33, -1.0}, {40, -0.5}}, 25);
+  enter({{3, 1.5}, {14, 0.5}}, 3);
+  ASSERT_EQ(basis.updates_since_factorize(), 4);
+
+  std::uint64_t units = 0;
+  int neg_zeros = 0;
+  for (int p = 0; p < m; ++p) {
+    std::vector<double> y(static_cast<std::size_t>(m), 0.0);
+    y[static_cast<std::size_t>(p)] = 1.0;
+    basis.btran(y);
+    units = mix(units, bit_hash(y));
+    neg_zeros += count_neg_zeros(y);
+    if (p != 5) continue;
+    for (int r : {20, 25, 30}) {
+      EXPECT_EQ(y[static_cast<std::size_t>(r)], 0.0) << "row " << r;
+      EXPECT_TRUE(std::signbit(y[static_cast<std::size_t>(r)])) << "row " << r;
+    }
+  }
+  EXPECT_EQ(units, 3210855347682993429ull);
+  EXPECT_EQ(neg_zeros, 353);
+}
+
 // The nonzero lists the solves report are what the simplex's ratio test,
 // eta build and pivot-row pass walk instead of all m entries: they must
 // hold exactly the nonzero indexes, ascending, on both sides of the dense

@@ -396,5 +396,50 @@ TEST(PricingPins, WarmStartedResolve) {
                        "BUULUBUUBLUBBBLLLLLLLLBUUBBBBBLLBULUULBBBBBUUU"});
 }
 
+
+// Degenerate rows with refactorizations every 8 pivots: basic values
+// recomputed over a negative pivot come out -0.0. A step adds w[p] * step
+// to every basic value, and an exact zero term turns a -0.0 into +0.0
+// unless the term is -0.0 too, so a -0.0 survives some steps and not
+// others. In the first LP two of them reach x; in the second the last
+// one is cleared by a step whose w is zero there. Pins the bits of x,
+// signs included, beside the pivot path.
+TEST(PricingPins, NegativeZeroBasicValues) {
+  struct Case {
+    std::uint64_t seed;
+    PivotPin pin;
+    std::uint64_t x_hash;
+    int neg_zeros;
+  };
+  const Case cases[] = {
+      {42,
+       {34, 10, 5, 1183, 0xc05a8aaaaaaaaaaaull,
+        "LLUULLUUBULULLLLBLLUBBBBUUBBBULBBLLBLBLBLBBBUB"},
+       0x466fa0b6d45655b0ull, 2},
+      {185,
+       {28, 14, 4, 1084, 0xc049400000000000ull,
+        "UBULBLLBLLLLLLLLLBULBLBBBBBBLBUULULULBBBLBUBUB"},
+       0xcf126458ff8be678ull, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.seed);
+    LpShape shape;
+    shape.degenerate = true;
+    shape.seed = c.seed;
+    SimplexOptions opt;
+    opt.refactor_interval = 8;
+    const LpSolution sol = solve_lp(generated_lp(shape), opt);
+    expect_pinned(sol, c.pin);
+    std::uint64_t x_hash = 0xcbf29ce484222325ull;
+    int neg_zeros = 0;
+    for (double v : sol.x) {
+      x_hash = (x_hash ^ bits(v)) * 0x100000001b3ull;
+      neg_zeros += v == 0.0 && std::signbit(v);
+    }
+    EXPECT_EQ(x_hash, c.x_hash);
+    EXPECT_EQ(neg_zeros, c.neg_zeros);
+  }
+}
+
 }  // namespace
 }  // namespace arrow::solver
