@@ -402,33 +402,46 @@ TEST(PricingPins, WarmStartedResolve) {
 // to every basic value, and an exact zero term turns a -0.0 into +0.0
 // unless the term is -0.0 too, so a -0.0 survives some steps and not
 // others. In the first LP two of them reach x; in the second the last
-// one is cleared by a step whose w is zero there. Pins the bits of x,
-// signs included, beside the pivot path.
+// one is cleared by a step whose w is zero there. In the third, columns
+// bounded above by -0.0 enter down from it by degenerate steps, so an
+// entering column's basic value starts as -0.0 + -1 * 0 = -0.0. Pins the
+// bits of x, signs included, beside the pivot path.
 TEST(PricingPins, NegativeZeroBasicValues) {
   struct Case {
     std::uint64_t seed;
+    int neg_zero_uppers;  // upper-only columns, each bounded by -0.0
     PivotPin pin;
     std::uint64_t x_hash;
     int neg_zeros;
   };
   const Case cases[] = {
-      {42,
+      {42, 0,
        {34, 10, 5, 1183, 0xc05a8aaaaaaaaaaaull,
         "LLUULLUUBULULLLLBLLUBBBBUUBBBULBBLLBLBLBLBBBUB"},
        0x466fa0b6d45655b0ull, 2},
-      {185,
+      {185, 0,
        {28, 14, 4, 1084, 0xc049400000000000ull,
         "UBULBLLBLLLLLLLLLBULBLBBBBBBLBUULULULBBBLBUBUB"},
        0xcf126458ff8be678ull, 0},
+      {2, 6,
+       {36, 4, 5, 1351, 0xc06527a8d9df51b4ull,
+        "LLULBULULUBUBUULLUBULLLUUBBUBBBBULLBLUBLLBBBBBUBBUBB"},
+       0x12a178701a78324aull, 3},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.seed);
     LpShape shape;
     shape.degenerate = true;
     shape.seed = c.seed;
+    if (c.neg_zero_uppers > 0) shape.upper_only = c.neg_zero_uppers;
+    Lp lp = generated_lp(shape);
+    for (int k = 0; k < c.neg_zero_uppers; ++k) {
+      lp.upper[static_cast<std::size_t>(shape.boxed + shape.lower_only + k)] =
+          -0.0;
+    }
     SimplexOptions opt;
     opt.refactor_interval = 8;
-    const LpSolution sol = solve_lp(generated_lp(shape), opt);
+    const LpSolution sol = solve_lp(lp, opt);
     expect_pinned(sol, c.pin);
     std::uint64_t x_hash = 0xcbf29ce484222325ull;
     int neg_zeros = 0;
