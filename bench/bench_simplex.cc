@@ -17,8 +17,9 @@
 // It also times the LU basis on the final basis of the largest corpus LP:
 // factorize, FTRAN of the dense rhs, the factor's nonzeros, and the two
 // solves a pivot runs — FTRAN of a structural column (lu_ftran_col_us) and
-// BTRAN of a unit vector e_p (lu_btran_unit_us), medians over seeded
-// samples (lu_* keys).
+// BTRAN of a unit vector e_p (lu_btran_unit_us), each handed its input's
+// nonzeros as the simplex hands them over; medians over seeded samples
+// (lu_* keys).
 //
 // Environment knobs: ARROW_BENCH_FAST=1 shrinks to the B4 topology for
 // CI-speed runs (bench-smoke). Results land in BENCH_simplex.json
@@ -252,24 +253,30 @@ int main() {
       lu.ftran(x);
       ft_us.push_back((now_s() - t0) * 1e6);
     }
-    // The slack columns come last, one per row.
+    // The slack columns come last, one per row. The solves are seeded with
+    // the input's nonzeros, as the simplex's per-pivot solves are.
     const int structural = a.cols - a.rows;
     util::Rng sample(1515);
+    std::vector<int> seeds;
     for (int rep = 0; rep < 200 && factored && structural > 0; ++rep) {
       const int j = sample.uniform_int(0, structural - 1);
       std::vector<double> x(static_cast<std::size_t>(a.rows), 0.0);
+      seeds.clear();
       for (int k = a.col_start[static_cast<std::size_t>(j)];
            k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
         x[static_cast<std::size_t>(a.row_index[static_cast<std::size_t>(k)])] =
             a.value[static_cast<std::size_t>(k)];
+        seeds.push_back(a.row_index[static_cast<std::size_t>(k)]);
       }
       double t0 = now_s();
-      lu.ftran(x);
+      lu.ftran(x, seeds);
       col_us.push_back((now_s() - t0) * 1e6);
       std::vector<double> y(static_cast<std::size_t>(a.rows), 0.0);
-      y[static_cast<std::size_t>(sample.uniform_int(0, a.rows - 1))] = 1.0;
+      const int p = sample.uniform_int(0, a.rows - 1);
+      y[static_cast<std::size_t>(p)] = 1.0;
+      seeds.assign(1, p);
       t0 = now_s();
-      lu.btran(y);
+      lu.btran(y, seeds);
       unit_us.push_back((now_s() - t0) * 1e6);
     }
     if (!factored) {

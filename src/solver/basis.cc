@@ -63,6 +63,10 @@ bool LuBasis::factorize_columns(int m, const Entries& entries,
   etas_.clear();
   eta_pos_.clear();
   eta_val_.clear();
+  reader_head_.assign(sm, -1);
+  readers_.clear();
+  neg_zero_etas_.clear();
+  eta_pending_.clear();
   lu_nnz_ = 0;
   eta_nnz_ = 0;
 
@@ -413,6 +417,22 @@ bool is_positive_zero(double v) {
 }
 }  // namespace
 
+std::vector<int>& LuBasis::scan_seeds(const std::vector<double>& v) {
+  scan_.clear();
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (!is_positive_zero(v[i])) scan_.push_back(static_cast<int>(i));
+  }
+  return scan_;
+}
+
+void LuBasis::ftran(std::vector<double>& x, std::vector<int>* nz) {
+  ftran(x, scan_seeds(x), nz);
+}
+
+void LuBasis::btran(std::vector<double>& y, std::vector<int>* nz) {
+  btran(y, scan_seeds(y), nz);
+}
+
 void LuBasis::touch(int i) {
   touched_[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
 }
@@ -443,33 +463,45 @@ void LuBasis::collect_nonzeros(const std::vector<double>& v, bool dense,
 // Every FTRAN step below performs the dense sweep's floating-point
 // operations in the dense sweep's order; only steps that provably write
 // what a dense sweep writes there are skipped.
-void LuBasis::ftran(std::vector<double>& x, std::vector<int>* nz) {
+void LuBasis::ftran(std::vector<double>& x, std::vector<int>& seeds,
+                    std::vector<int>* nz) {
   ARROW_CHECK(static_cast<int>(x.size()) == m_, "ftran size mismatch");
   // L pass in elimination order (row space); steps without multipliers
-  // change nothing.
+  // change nothing. A row it writes joins the seeds when it leaves +0.0;
+  // a row that holds anything else is listed already, by the caller or
+  // when it left +0.0.
   for (int k : l_steps_) {
     const double v =
         x[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])];
     if (v == 0.0) continue;
     for (int e = l_start_[static_cast<std::size_t>(k)];
          e < l_start_[static_cast<std::size_t>(k) + 1]; ++e) {
-      x[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(e)])] -=
-          l_val_[static_cast<std::size_t>(e)] * v;
+      const int r = l_row_[static_cast<std::size_t>(e)];
+      double& xr = x[static_cast<std::size_t>(r)];
+      if (is_positive_zero(xr)) seeds.push_back(r);
+      xr -= l_val_[static_cast<std::size_t>(e)] * v;
     }
   }
 
   // U back substitution into basis-position space. A step whose pivot row
   // holds +0.0 and whose U row reads only zeros computes (+0.0 - u * ±0) /
   // diag = zero_by_pos_; every other step is seeded here or reached from
-  // one that is.
+  // one that is. The seeds' rows that hold other than +0.0 give the
+  // frontier, each step once; the heap pops the same steps in the same
+  // order whatever order they arrive in.
   frontier_.clear();
-  for (int i = 0; i < m_; ++i) {
-    if (!is_positive_zero(x[static_cast<std::size_t>(i)])) {
-      frontier_.push_back(step_of_row_[static_cast<std::size_t>(i)]);
-    }
+  for (int i : seeds) {
+    if (is_positive_zero(x[static_cast<std::size_t>(i)])) continue;
+    const int k = step_of_row_[static_cast<std::size_t>(i)];
+    if (reached_[static_cast<std::size_t>(k)]) continue;
+    reached_[static_cast<std::size_t>(k)] = 1;
+    frontier_.push_back(k);
   }
   int reach = static_cast<int>(frontier_.size());
   bool dense = reach * kDenseReach > m_;
+  if (dense) {
+    for (int k : frontier_) reached_[static_cast<std::size_t>(k)] = 0;
+  }
   int dense_from = m_ - 1;  // the dense sweep's first (highest) step
   std::copy(zero_by_pos_.begin(), zero_by_pos_.end(), work_.begin());
   const auto solve_step = [&](int k) {
@@ -488,7 +520,6 @@ void LuBasis::ftran(std::vector<double>& x, std::vector<int>* nz) {
     // it reads, and a step that solves to zero reaches nothing. Every
     // reached step above the popped one is done, so the dense sweep can
     // take over below it.
-    for (int k : frontier_) reached_[static_cast<std::size_t>(k)] = 1;
     std::make_heap(frontier_.begin(), frontier_.end());
     while (!frontier_.empty()) {
       std::pop_heap(frontier_.begin(), frontier_.end());
@@ -537,31 +568,70 @@ void LuBasis::ftran(std::vector<double>& x, std::vector<int>* nz) {
   collect_nonzeros(x, dense, nz);
 }
 
-void LuBasis::btran(std::vector<double>& y, std::vector<int>* nz) {
+void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
+                    std::vector<int>* nz) {
   ARROW_CHECK(static_cast<int>(y.size()) == m_, "btran size mismatch");
-  // Update etas transposed, reverse order (position space).
-  const int* pos = eta_pos_.data();
-  const double* val = eta_val_.data();
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double s = it->pivot_val * y[static_cast<std::size_t>(it->pivot_pos)];
-    for (int k = it->start; k < it->end; ++k) {
-      s += val[k] * y[static_cast<std::size_t>(pos[k])];
+  // Update etas transposed, newest first (position space). An eta whose
+  // inputs all hold +0.0 computes +0.0 into its pivot position, which
+  // holds +0.0 already, unless it is in neg_zero_etas_. So only those and
+  // the readers of a position that holds other than +0.0 run: the readers
+  // of the seeds, and the older readers of a position an eta writes. The
+  // pending bitmap yields them newest first; a written position joins the
+  // seeds as in the L pass of ftran().
+  if (!etas_.empty()) {
+    const int* pos = eta_pos_.data();
+    const double* val = eta_val_.data();
+    const auto queue = [&](int p, int below) {
+      for (int r = reader_head_[static_cast<std::size_t>(p)]; r >= 0;
+           r = readers_[static_cast<std::size_t>(r)].next) {
+        const int e = readers_[static_cast<std::size_t>(r)].eta;
+        if (e >= below) continue;
+        eta_pending_[static_cast<std::size_t>(e) >> 6] |= std::uint64_t{1}
+                                                           << (e & 63);
+      }
+    };
+    std::copy(neg_zero_etas_.begin(), neg_zero_etas_.end(), eta_pending_.begin());
+    const int newest = static_cast<int>(etas_.size());
+    for (int p : seeds) {
+      if (!is_positive_zero(y[static_cast<std::size_t>(p)])) queue(p, newest);
     }
-    y[static_cast<std::size_t>(it->pivot_pos)] = s;
+    for (auto word = static_cast<int>(eta_pending_.size()) - 1; word >= 0;
+         --word) {
+      std::uint64_t& bits = eta_pending_[static_cast<std::size_t>(word)];
+      while (bits != 0) {
+        const int bit = 63 - std::countl_zero(bits);
+        bits &= ~(std::uint64_t{1} << bit);
+        const int e = word * 64 + bit;
+        const Eta& eta = etas_[static_cast<std::size_t>(e)];
+        double s = eta.pivot_val * y[static_cast<std::size_t>(eta.pivot_pos)];
+        for (int k = eta.start; k < eta.end; ++k) {
+          s += val[k] * y[static_cast<std::size_t>(pos[k])];
+        }
+        double& target = y[static_cast<std::size_t>(eta.pivot_pos)];
+        if (is_positive_zero(target)) seeds.push_back(eta.pivot_pos);
+        target = s;
+        if (!is_positive_zero(s)) queue(eta.pivot_pos, e);
+      }
+    }
   }
 
   // U^T forward substitution; y is consumed as the accumulator and the
   // step values land in row space. A step whose position holds +0.0 and
   // receives no contribution yields +0.0 / diag = zero_by_row_ and
-  // scatters nothing.
+  // scatters nothing. The frontier comes from the seeds as in ftran().
   frontier_.clear();
-  for (int p = 0; p < m_; ++p) {
-    if (!is_positive_zero(y[static_cast<std::size_t>(p)])) {
-      frontier_.push_back(step_of_pos_[static_cast<std::size_t>(p)]);
-    }
+  for (int p : seeds) {
+    if (is_positive_zero(y[static_cast<std::size_t>(p)])) continue;
+    const int k = step_of_pos_[static_cast<std::size_t>(p)];
+    if (reached_[static_cast<std::size_t>(k)]) continue;
+    reached_[static_cast<std::size_t>(k)] = 1;
+    frontier_.push_back(k);
   }
   int reach = static_cast<int>(frontier_.size());
   bool dense = reach * kDenseReach > m_;
+  if (dense) {
+    for (int k : frontier_) reached_[static_cast<std::size_t>(k)] = 0;
+  }
   int dense_from = 0;  // the dense sweep's first (lowest) step
   std::copy(zero_by_row_.begin(), zero_by_row_.end(), work_.begin());
   // Solves step k and scatters its value down U row k; returns whether it
@@ -581,7 +651,6 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>* nz) {
   if (!dense) {
     // Min-heap of reached steps: a step pops only after every lower step
     // that scatters into it, and the dense sweep can take over above it.
-    for (int k : frontier_) reached_[static_cast<std::size_t>(k)] = 1;
     std::make_heap(frontier_.begin(), frontier_.end(), std::greater<>());
     while (!frontier_.empty()) {
       std::pop_heap(frontier_.begin(), frontier_.end(), std::greater<>());
@@ -642,11 +711,21 @@ bool LuBasis::update(int position, const std::vector<double>& w,
   ARROW_CHECK(position >= 0 && position < m_, "update position out of range");
   const double pivot_value = w[static_cast<std::size_t>(position)];
   if (std::abs(pivot_value) < pivot_tol) return false;
+  const int index = static_cast<int>(etas_.size());
+  const auto add_reader = [&](int p) {
+    int& head = reader_head_[static_cast<std::size_t>(p)];
+    readers_.push_back({index, head});
+    head = static_cast<int>(readers_.size()) - 1;
+  };
   Eta eta;
   eta.pivot_pos = position;
   const double inv = 1.0 / pivot_value;
   eta.pivot_val = inv;
   eta.start = static_cast<int>(eta_pos_.size());
+  add_reader(position);
+  // What transposed BTRAN computes here from all +0.0 inputs, with its
+  // operations in its order.
+  double from_zeros = inv * 0.0;
   // Ascending positions, as a dense scan would visit them: the entry order
   // fixes BTRAN's summation order through this eta.
   for (int p : nz) {
@@ -654,11 +733,20 @@ bool LuBasis::update(int position, const std::vector<double>& w,
     if (p != position && std::abs(v) > kDropTol) {
       eta_pos_.push_back(p);
       eta_val_.push_back(-v * inv);
+      from_zeros += eta_val_.back() * 0.0;
+      add_reader(p);
     }
   }
   eta.end = static_cast<int>(eta_pos_.size());
   eta_nnz_ += static_cast<std::size_t>(eta.end - eta.start) + 1;
   etas_.push_back(eta);
+  const auto words = (etas_.size() + 63) / 64;
+  neg_zero_etas_.resize(words, 0);
+  eta_pending_.resize(words, 0);
+  if (!is_positive_zero(from_zeros)) {
+    neg_zero_etas_[static_cast<std::size_t>(index) >> 6] |= std::uint64_t{1}
+                                                         << (index & 63);
+  }
   return true;
 }
 

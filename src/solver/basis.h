@@ -32,6 +32,24 @@
 // passes m/8 steps, the rest of its U pass runs as a dense sweep inside the
 // same routine, with the same bits.
 //
+// The caller names the input's nonzeros (the seeds), so no solve scans all
+// m entries for them; a caller without such a list has the solve scan for
+// it. Each solve adds the entries it turns from +0.0 into something else
+// (FTRAN's L pass, BTRAN's etas) and starts its U pass from the seeds that
+// hold other than +0.0. The max- or min-heap pops the same steps in the
+// same order from any starting permutation, and the reach that trips the
+// dense sweep counts the same steps, so the seeds change no bit.
+//
+// BTRAN's transposed etas run newest first and read positions; an eta
+// whose inputs all hold +0.0 writes +0.0 over the +0.0 at its pivot
+// position, unless its pivot value and every off-pivot value are negative,
+// when it writes -0.0. update() therefore records each position's readers
+// (the etas that read it, newest first) and flags the etas that write
+// -0.0 from +0.0 inputs. BTRAN runs only the flagged etas and the readers
+// of positions holding other than +0.0, found from the seeds and from the
+// positions the etas it runs write, so its eta pass costs time in the etas
+// its input reaches rather than in the whole eta file.
+//
 // The pivot order and the floating-point operation order are a contract:
 // they fix L, U and every FTRAN/BTRAN bit, hence every simplex pivot and
 // every pinned RunReport downstream. A change here must keep them
@@ -66,12 +84,19 @@ class LuBasis {
 
   // x := B^{-1} b. Input in row space; output in basis-position space.
   // Every entry whose bits are not +0.0 (so -0.0 too) counts as a nonzero
-  // of b. If `nz` is given it receives the positions p with x[p] != 0, in
-  // ascending order.
+  // of b, and `seeds` must list each such row at least once; it may also
+  // list rows that hold +0.0, in any order, with repeats. The solve appends
+  // to it, so the caller's list is spent. If `nz` is given it receives the
+  // positions p with x[p] != 0, in ascending order.
+  void ftran(std::vector<double>& x, std::vector<int>& seeds,
+             std::vector<int>* nz = nullptr);
+  // The same for a caller with no seed list: scans x for one.
   void ftran(std::vector<double>& x, std::vector<int>* nz = nullptr);
 
   // y := B^{-T} c. Input in basis-position space; output in row space.
-  // `nz` as for ftran(), over rows.
+  // `seeds` lists the positions of c as for ftran(); `nz` reports rows.
+  void btran(std::vector<double>& y, std::vector<int>& seeds,
+             std::vector<int>* nz = nullptr);
   void btran(std::vector<double>& y, std::vector<int>* nz = nullptr);
 
   // Replaces the basis column at `position`; `w` must be ftran() of the
@@ -119,6 +144,8 @@ class LuBasis {
   void note_count(int j);
   // Builds the solve-side indexes once all m steps are eliminated.
   void index_factors();
+  // The indexes of v whose bits are not +0.0, ascending, in scan_.
+  std::vector<int>& scan_seeds(const std::vector<double>& v);
   // Marks output index i as written by a sparse solve.
   void touch(int i);
   // Writes the ascending indexes i with v[i] != 0 to *nz (if given), from
@@ -155,6 +182,18 @@ class LuBasis {
   std::vector<Eta> etas_;
   std::vector<int> eta_pos_;     // off-pivot positions, all etas
   std::vector<double> eta_val_;  // matching values
+  // The etas that read position p, pivot or off-pivot, newest first: a
+  // list through readers_ from reader_head_[p] (-1 ends it).
+  struct Reader {
+    int eta;
+    int next;
+  };
+  std::vector<int> reader_head_;
+  std::vector<Reader> readers_;
+  // Bitmap of the etas whose transposed form writes other than +0.0 when
+  // every input is +0.0 (-0.0: pivot value and every off-pivot value
+  // negative). Readers and flags are reset by factorize().
+  std::vector<std::uint64_t> neg_zero_etas_;
   std::size_t lu_nnz_ = 0;
   std::size_t eta_nnz_ = 0;
 
@@ -164,6 +203,9 @@ class LuBasis {
   std::vector<int> frontier_;    // heap of reached, unprocessed steps
   std::vector<std::uint64_t> touched_;  // bitmap of output indexes a
                                         // sparse solve wrote
+  std::vector<std::uint64_t> eta_pending_;  // BTRAN's etas left to run;
+                                            // all zero between calls
+  std::vector<int> scan_;        // scan_seeds()' output
   // factorize()'s state, kept across calls for its capacity. The working
   // matrix is column-wise in one pool: column j's entries are
   // (w_row_, w_val_)[w_start_[j], w_start_[j] + w_len_[j]), with room for

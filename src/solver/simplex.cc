@@ -30,10 +30,13 @@
 //    product-form updates, refreshed every `refactor_interval` pivots or
 //    when the eta file grows dense; each refresh also refreshes the
 //    maintained reduced costs, bounding incremental drift;
-//  * FTRAN reports the ascending nonzero positions of w = B^{-1} A_q: the
-//    two ratio-test passes, the eta build and (through BTRAN's rows of rho)
-//    the pivot-row pass walk only those, in the order a dense scan would;
-//    the step update stays a dense branchless axpy over xb_;
+//  * FTRAN and BTRAN are seeded with their inputs' nonzeros (the entering
+//    column's rows, the leaving position), so neither scans all m. FTRAN
+//    reports the ascending nonzero positions of w = B^{-1} A_q: the two
+//    ratio-test passes, the eta build and (through BTRAN's rows of rho)
+//    the pivot-row pass walk only those, in the order a dense scan would.
+//    The step update walks them too, plus the positions whose basic value
+//    is -0.0: the only ones where the dense axpy's zero terms change a bit;
 //  * after `bland_threshold` consecutive degenerate pivots the pivot rule
 //    switches to Bland's rule until progress resumes.
 #include <algorithm>
@@ -92,6 +95,8 @@ double primal_violation(const Lp& lp, const std::vector<double>& x) {
 namespace {
 
 enum class VStat : char { kBasic, kAtLower, kAtUpper, kFree };
+
+bool is_negative_zero(double v) { return v == 0.0 && std::signbit(v); }
 
 class Simplex {
  public:
@@ -322,6 +327,12 @@ class Simplex {
     }
     inv_.ftran(rhs);
     xb_.swap(rhs);
+    neg_zero_.clear();
+    for (int p = 0; p < m_; ++p) {
+      if (is_negative_zero(xb_[static_cast<std::size_t>(p)])) {
+        neg_zero_.push_back(p);
+      }
+    }
   }
 
   double total_infeasibility() const {
@@ -459,6 +470,7 @@ class Simplex {
     // these instead of all m entries, in the same ascending order.
     std::vector<int> w_nz;
     std::vector<int> rho_nz;
+    std::vector<int> seeds;  // the solves' input nonzeros
     int stall_refactors = 0;
     const bool devex_score = opt_.pricing != Pricing::kDantzig;
     // Incremental reduced costs only work in phase 2: the phase-1 composite
@@ -525,12 +537,14 @@ class Simplex {
 
       // FTRAN: w = B^{-1} A_entering (in basis-position space).
       std::fill(w.begin(), w.end(), 0.0);
+      seeds.clear();
       for (int k = lp_.a.col_start[entering];
            k < lp_.a.col_start[entering + 1]; ++k) {
         w[static_cast<std::size_t>(lp_.a.row_index[k])] =
             lp_.a.value[static_cast<std::size_t>(k)];
+        seeds.push_back(lp_.a.row_index[k]);
       }
-      inv_.ftran(w, &w_nz);
+      inv_.ftran(w, seeds, &w_nz);
 
       // Ratio test. The entering variable moves by t >= 0 in direction
       // `dir`; basic variable at position p changes at rate -dir * w[p].
@@ -666,15 +680,27 @@ class Simplex {
       if (phase == 1) ++phase1_iterations_;
       degenerate_streak = step < 1e-10 ? degenerate_streak + 1 : 0;
 
-      // Apply the step to the basic values. A dense branchless axpy on
-      // purpose: positions with w == 0 add an exact +-0, which turns a -0.0
-      // basic value into +0.0; skipping them would keep the -0.0.
+      // Apply the step to the basic values: xb_ += w * scale, with the
+      // dense axpy's bits. Where w == 0 the term is an exact +-0, which
+      // changes only a -0.0 basic value (into +0.0, unless the term is -0.0
+      // too), so those positions are walked from neg_zero_. A sum is -0.0
+      // only if both terms are, so no -0.0 appears outside the list.
       {
         const double scale = negdir * step;
-        for (int p = 0; p < m_; ++p) {
+        for (int p : w_nz) {
           xb_[static_cast<std::size_t>(p)] +=
               w[static_cast<std::size_t>(p)] * scale;
         }
+        std::size_t kept = 0;
+        for (int p : neg_zero_) {
+          double& v = xb_[static_cast<std::size_t>(p)];
+          if (!is_negative_zero(v)) continue;
+          if (w[static_cast<std::size_t>(p)] == 0.0) {
+            v += w[static_cast<std::size_t>(p)] * scale;
+          }
+          if (is_negative_zero(v)) neg_zero_[kept++] = p;
+        }
+        neg_zero_.resize(kept);
       }
 
       if (flip_first) {
@@ -704,7 +730,8 @@ class Simplex {
       if (need_alpha) {
         std::fill(rho.begin(), rho.end(), 0.0);
         rho[static_cast<std::size_t>(leave_pos)] = 1.0;
-        inv_.btran(rho, &rho_nz);
+        seeds.assign(1, leave_pos);
+        inv_.btran(rho, seeds, &rho_nz);
         const double alpha_q = w[static_cast<std::size_t>(leave_pos)];
         const double wq = devex_w_[static_cast<std::size_t>(entering)];
         const double inv_aq2 = 1.0 / (alpha_q * alpha_q);
@@ -761,14 +788,10 @@ class Simplex {
 
       if (!inv_.update(leave_pos, w, w_nz, opt_.pivot_tol)) {
         // Stale factorization made the pivot look acceptable when it is not;
-        // rebuild and retry the whole iteration. (The refresh also discards
-        // the incremental d updates applied above for a pivot that never
-        // happened.)
-        const double scale = negdir * step;
-        for (int p = 0; p < m_; ++p) {
-          xb_[static_cast<std::size_t>(p)] -=
-              w[static_cast<std::size_t>(p)] * scale;
-        }
+        // rebuild and retry the whole iteration. The refactorization
+        // recomputes the basic values the step moved and refreshes the
+        // incremental d updates applied above for a pivot that never
+        // happened.
         if (++stall_refactors > 3) return LpStatus::kNumericalError;
         if (!refactorize()) return LpStatus::kNumericalError;
         dual_fresh = false;
@@ -776,8 +799,12 @@ class Simplex {
       }
       basis_[static_cast<std::size_t>(leave_pos)] = entering;
       vstat_[static_cast<std::size_t>(entering)] = VStat::kBasic;
-      xb_[static_cast<std::size_t>(leave_pos)] =
-          entering_start + static_cast<double>(dir) * step;
+      double& entering_value = xb_[static_cast<std::size_t>(leave_pos)];
+      const bool listed = is_negative_zero(entering_value);
+      entering_value = entering_start + static_cast<double>(dir) * step;
+      if (!listed && is_negative_zero(entering_value)) {
+        neg_zero_.push_back(leave_pos);
+      }
       lb_basic_[static_cast<std::size_t>(leave_pos)] =
           lp_.lower[static_cast<std::size_t>(entering)];
       ub_basic_[static_cast<std::size_t>(leave_pos)] =
@@ -875,6 +902,9 @@ class Simplex {
   std::vector<int> basis_;
   std::vector<VStat> vstat_;
   std::vector<double> xb_;
+  // Every position p with xb_[p] == -0.0, and after a basis change
+  // perhaps the leaving position that no longer is: the next step drops it.
+  std::vector<int> neg_zero_;
   std::vector<double> rhs_work_;   // recompute_basic_values() buffer
   std::vector<double> lb_basic_;   // bounds of basic variables by position
   std::vector<double> ub_basic_;

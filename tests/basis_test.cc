@@ -592,44 +592,86 @@ int count_neg_zeros(const std::vector<double>& v) {
   }));
 }
 
+// The simplex hands each solve the indexes of its input's nonzeros; a
+// caller without them gets them from a scan. Runs ftran() (or btran()) on v
+// both ways, the seed list built as a caller might hand it over: every
+// index that holds other than +0.0, some twice, plus a few random indexes
+// that may hold +0.0, shuffled. Both must give the same bits and the same
+// nonzero list; v receives the result and *nz (if given) the list.
+void solve_both(LuBasis& basis, bool forward, std::vector<double>& v,
+                util::Rng& order, std::vector<int>* nz = nullptr) {
+  const int m = static_cast<int>(v.size());
+  std::vector<int> seeds;
+  for (int i = 0; i < m; ++i) {
+    const double d = v[static_cast<std::size_t>(i)];
+    if (d == 0.0 && !std::signbit(d)) continue;
+    seeds.push_back(i);
+    if (order.bernoulli(0.3)) seeds.push_back(i);
+  }
+  for (int extra = order.uniform_int(0, 3); extra > 0; --extra) {
+    seeds.push_back(order.uniform_int(0, m - 1));
+  }
+  for (int i = static_cast<int>(seeds.size()) - 1; i > 0; --i) {
+    std::swap(seeds[static_cast<std::size_t>(i)],
+              seeds[static_cast<std::size_t>(order.uniform_int(0, i))]);
+  }
+  auto seeded = v;
+  std::vector<int> scanned_nz, seeded_nz;
+  if (forward) {
+    basis.ftran(v, &scanned_nz);
+    basis.ftran(seeded, seeds, &seeded_nz);
+  } else {
+    basis.btran(v, &scanned_nz);
+    basis.btran(seeded, seeds, &seeded_nz);
+  }
+  EXPECT_EQ(std::memcmp(v.data(), seeded.data(), v.size() * sizeof(double)),
+            0)
+      << (forward ? "ftran" : "btran") << ": seeded and scanned bits differ";
+  EXPECT_EQ(scanned_nz, seeded_nz);
+  if (nz != nullptr) *nz = scanned_nz;
+}
+
 SolvePin solve_pin(LuBasis& basis, int m, util::Rng& rng) {
   SolvePin pin{0, 0, 0, 0};
+  // Seed lists draw from their own generator, so the pinned inputs are
+  // the same whether or not they are built.
+  util::Rng order(static_cast<std::uint64_t>(m));
   for (int s = 0; s < 16; ++s) {
     auto x = sparse_vector(rng, m, rng.uniform_int(1, 5), false);
-    basis.ftran(x);
+    solve_both(basis, true, x, order);
     pin.ftran_cols = mix(pin.ftran_cols, bit_hash(x));
     pin.neg_zero_entries += count_neg_zeros(x);
   }
   // Around the point where a solve may switch to a dense sweep.
   for (int nnz : {m / 8 - 1, m / 8, m / 8 + 1}) {
     auto x = sparse_vector(rng, m, nnz, false);
-    basis.ftran(x);
+    solve_both(basis, true, x, order);
     pin.ftran_cols = mix(pin.ftran_cols, bit_hash(x));
     auto y = sparse_vector(rng, m, nnz, false);
-    basis.btran(y);
+    solve_both(basis, false, y, order);
     pin.btran_units = mix(pin.btran_units, bit_hash(y));
   }
   for (int s = 0; s < 16; ++s) {
     std::vector<double> y(static_cast<std::size_t>(m), 0.0);
     y[static_cast<std::size_t>(rng.uniform_int(0, m - 1))] = 1.0;
-    basis.btran(y);
+    solve_both(basis, false, y, order);
     pin.btran_units = mix(pin.btran_units, bit_hash(y));
     pin.neg_zero_entries += count_neg_zeros(y);
   }
   for (int s = 0; s < 8; ++s) {
     auto x = sparse_vector(rng, m, rng.uniform_int(1, 6), true);
-    basis.ftran(x);
+    solve_both(basis, true, x, order);
     pin.signed_zero = mix(pin.signed_zero, bit_hash(x));
     auto y = sparse_vector(rng, m, rng.uniform_int(1, 6), true);
-    basis.btran(y);
+    solve_both(basis, false, y, order);
     pin.signed_zero = mix(pin.signed_zero, bit_hash(y));
   }
   // Only -0.0 entries.
   std::vector<double> z(static_cast<std::size_t>(m), 0.0);
   z[static_cast<std::size_t>(rng.uniform_int(0, m - 1))] = -0.0;
   auto zy = z;
-  basis.ftran(z);
-  basis.btran(zy);
+  solve_both(basis, true, z, order);
+  solve_both(basis, false, zy, order);
   pin.signed_zero = mix(mix(pin.signed_zero, bit_hash(z)), bit_hash(zy));
   return pin;
 }
@@ -653,10 +695,11 @@ void expect_solve_pins(const std::vector<LuBasis::Column>& cols,
   EXPECT_GT(got.neg_zero_entries, 0) << "no negative pivot left a -0.0";
 
   std::uint64_t eta_hash = 0;
+  util::Rng order(seed);
   for (int done = 0; done < 8;) {
     auto w = sparse_vector(rng, m, rng.uniform_int(1, 5), false);
     std::vector<int> w_nz;
-    basis.ftran(w, &w_nz);
+    solve_both(basis, true, w, order, &w_nz);
     int pos = 0;
     for (int p = 1; p < m; ++p) {
       if (std::abs(w[static_cast<std::size_t>(p)]) >
@@ -751,12 +794,13 @@ TEST(LuBasisPinned, EtasWriteNegativeZeroFromZeroInputs) {
   const auto cols = cyclic_block(rng, m, 12, 4, 0.5);
   LuBasis basis;
   ASSERT_TRUE(basis.factorize(m, cols, 1e-8));
+  util::Rng order(1506);
   const auto enter = [&](const std::vector<std::pair<int, double>>& column,
                          int pos) {
     std::vector<double> w(static_cast<std::size_t>(m), 0.0);
     for (const auto& [r, v] : column) w[static_cast<std::size_t>(r)] = v;
     std::vector<int> w_nz;
-    basis.ftran(w, &w_nz);
+    solve_both(basis, true, w, order, &w_nz);
     ASSERT_TRUE(basis.update(pos, w, w_nz, 1e-8));
   };
   // Eta 0 reads position 25 with a positive value: -0.0 there makes it
@@ -773,7 +817,7 @@ TEST(LuBasisPinned, EtasWriteNegativeZeroFromZeroInputs) {
   for (int p = 0; p < m; ++p) {
     std::vector<double> y(static_cast<std::size_t>(m), 0.0);
     y[static_cast<std::size_t>(p)] = 1.0;
-    basis.btran(y);
+    solve_both(basis, false, y, order);
     units = mix(units, bit_hash(y));
     neg_zeros += count_neg_zeros(y);
     if (p != 5) continue;
@@ -807,25 +851,49 @@ TEST(LuBasis, SolvesReportExactAscendingNonzeros) {
     EXPECT_EQ(nz, want);
   };
   std::vector<int> nz;
+  util::Rng order(1507);
   for (int round = 0; round < 2; ++round) {
     for (int nnz : {1, 3, 6, m / 8, m / 8 + 1, m}) {
       auto x = sparse_vector(rng, m, nnz, true);
-      basis.ftran(x, &nz);
+      solve_both(basis, true, x, order, &nz);
       expect_exact(x, nz);
       auto y = sparse_vector(rng, m, nnz, true);
-      basis.btran(y, &nz);
+      solve_both(basis, false, y, order, &nz);
       expect_exact(y, nz);
     }
     // Second round through an eta file.
     for (int done = 0; done < 6;) {
       auto w = sparse_vector(rng, m, 3, false);
-      basis.ftran(w, &nz);
+      solve_both(basis, true, w, order, &nz);
       if (nz.empty()) continue;
       const int pos = nz[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(nz.size()) - 1))];
       if (basis.update(pos, w, nz, 1e-8)) ++done;
     }
   }
+}
+
+TEST(LuBasis, SeededFtranSkipsAnLWriteThatCancels) {
+  // Column 0 pivots on row 0 with multiplier 1/2 in row 1, so FTRAN's L
+  // pass computes x[1] = 1 - 0.5 * 2 = +0.0 for b = column 0. Row 1 is in
+  // the seeds (as an input nonzero and as a written row) but holds +0.0
+  // when the U pass starts, so it seeds no step, as a scan would find.
+  LuBasis basis;
+  ASSERT_TRUE(
+      basis.factorize(3, {{{0, 2.0}, {1, 1.0}}, {{0, 1.0}, {1, 4.0}}, {{2, 1.0}}},
+                      1e-10));
+  std::vector<double> x = {2.0, 1.0, 0.0};
+  std::vector<int> seeds = {1, 0};
+  std::vector<int> nz;
+  basis.ftran(x, seeds, &nz);
+  EXPECT_EQ(x[0], 1.0);
+  EXPECT_EQ(x[1], 0.0);
+  EXPECT_FALSE(std::signbit(x[1]));
+  EXPECT_EQ(nz, std::vector<int>{0});
+  std::vector<double> scanned = {2.0, 1.0, 0.0};
+  util::Rng order(1508);
+  solve_both(basis, true, scanned, order);
+  EXPECT_EQ(std::memcmp(x.data(), scanned.data(), sizeof(double) * 3), 0);
 }
 
 TEST(LinExpr, OperatorAlgebra) {
