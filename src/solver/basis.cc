@@ -590,7 +590,8 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
                                                            << (e & 63);
       }
     };
-    std::copy(neg_zero_etas_.begin(), neg_zero_etas_.end(), eta_pending_.begin());
+    std::copy(neg_zero_etas_.begin(), neg_zero_etas_.end(),
+              eta_pending_.begin());
     const int newest = static_cast<int>(etas_.size());
     for (int p : seeds) {
       if (!is_positive_zero(y[static_cast<std::size_t>(p)])) queue(p, newest);

@@ -31,7 +31,8 @@
 //    when the eta file grows dense; each refresh also refreshes the
 //    maintained reduced costs, bounding incremental drift;
 //  * FTRAN and BTRAN are seeded with their inputs' nonzeros (the entering
-//    column's rows, the leaving position), so neither scans all m. FTRAN
+//    column's rows, the leaving position, the basic costs the pricing
+//    pass sets), so a pivot's solves scan no m-vector for them. FTRAN
 //    reports the ascending nonzero positions of w = B^{-1} A_q: the two
 //    ratio-test passes, the eta build and (through BTRAN's rows of rho)
 //    the pivot-row pass walk only those, in the order a dense scan would.
@@ -356,6 +357,7 @@ class Simplex {
   // contribution is an exact +-0) is the only difference, and it cannot
   // change any pricing comparison.
   void full_price(int phase) {
+    seeds_.clear();
     for (int p = 0; p < m_; ++p) {
       double c;
       if (phase == 1) {
@@ -371,8 +373,9 @@ class Simplex {
         c = lp_.cost[static_cast<std::size_t>(basis_[static_cast<std::size_t>(p)])];
       }
       y_[static_cast<std::size_t>(p)] = c;
+      if (c != 0.0 || std::signbit(c)) seeds_.push_back(p);
     }
-    inv_.btran(y_);
+    inv_.btran(y_, seeds_);
     if (phase == 1) {
       std::fill(d_.begin(), d_.end(), 0.0);
     } else {
@@ -470,7 +473,6 @@ class Simplex {
     // these instead of all m entries, in the same ascending order.
     std::vector<int> w_nz;
     std::vector<int> rho_nz;
-    std::vector<int> seeds;  // the solves' input nonzeros
     int stall_refactors = 0;
     const bool devex_score = opt_.pricing != Pricing::kDantzig;
     // Incremental reduced costs only work in phase 2: the phase-1 composite
@@ -537,14 +539,14 @@ class Simplex {
 
       // FTRAN: w = B^{-1} A_entering (in basis-position space).
       std::fill(w.begin(), w.end(), 0.0);
-      seeds.clear();
+      seeds_.clear();
       for (int k = lp_.a.col_start[entering];
            k < lp_.a.col_start[entering + 1]; ++k) {
         w[static_cast<std::size_t>(lp_.a.row_index[k])] =
             lp_.a.value[static_cast<std::size_t>(k)];
-        seeds.push_back(lp_.a.row_index[k]);
+        seeds_.push_back(lp_.a.row_index[k]);
       }
-      inv_.ftran(w, seeds, &w_nz);
+      inv_.ftran(w, seeds_, &w_nz);
 
       // Ratio test. The entering variable moves by t >= 0 in direction
       // `dir`; basic variable at position p changes at rate -dir * w[p].
@@ -730,8 +732,8 @@ class Simplex {
       if (need_alpha) {
         std::fill(rho.begin(), rho.end(), 0.0);
         rho[static_cast<std::size_t>(leave_pos)] = 1.0;
-        seeds.assign(1, leave_pos);
-        inv_.btran(rho, seeds, &rho_nz);
+        seeds_.assign(1, leave_pos);
+        inv_.btran(rho, seeds_, &rho_nz);
         const double alpha_q = w[static_cast<std::size_t>(leave_pos)];
         const double wq = devex_w_[static_cast<std::size_t>(entering)];
         const double inv_aq2 = 1.0 / (alpha_q * alpha_q);
@@ -910,6 +912,7 @@ class Simplex {
   std::vector<double> ub_basic_;
   std::vector<double> devex_w_;
   std::vector<double> y_;          // dual work vector for pricing
+  std::vector<int> seeds_;         // the next solve's input nonzeros
   std::vector<double> d_;          // reduced costs (maintained in inc mode)
   // Improving nonbasic columns (improving_dir != 0) in no particular order,
   // and each column's slot in cand_ (-1 when absent).

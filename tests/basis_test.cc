@@ -879,9 +879,8 @@ TEST(LuBasis, SeededFtranSkipsAnLWriteThatCancels) {
   // the seeds (as an input nonzero and as a written row) but holds +0.0
   // when the U pass starts, so it seeds no step, as a scan would find.
   LuBasis basis;
-  ASSERT_TRUE(
-      basis.factorize(3, {{{0, 2.0}, {1, 1.0}}, {{0, 1.0}, {1, 4.0}}, {{2, 1.0}}},
-                      1e-10));
+  ASSERT_TRUE(basis.factorize(
+      3, {{{0, 2.0}, {1, 1.0}}, {{0, 1.0}, {1, 4.0}}, {{2, 1.0}}}, 1e-10));
   std::vector<double> x = {2.0, 1.0, 0.0};
   std::vector<int> seeds = {1, 0};
   std::vector<int> nz;
