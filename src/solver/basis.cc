@@ -63,8 +63,7 @@ bool LuBasis::factorize_columns(int m, const Entries& entries,
   etas_.clear();
   eta_pos_.clear();
   eta_val_.clear();
-  reader_head_.assign(sm, -1);
-  readers_.clear();
+  reader_mask_.clear();
   neg_zero_etas_.clear();
   eta_pending_.clear();
   lu_nnz_ = 0;
@@ -581,13 +580,20 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
   if (!etas_.empty()) {
     const int* pos = eta_pos_.data();
     const double* val = eta_val_.data();
+    const auto m = static_cast<std::size_t>(m_);
+    // Marks the readers of position p with an index below `below`.
     const auto queue = [&](int p, int below) {
-      for (int r = reader_head_[static_cast<std::size_t>(p)]; r >= 0;
-           r = readers_[static_cast<std::size_t>(r)].next) {
-        const int e = readers_[static_cast<std::size_t>(r)].eta;
-        if (e >= below) continue;
-        eta_pending_[static_cast<std::size_t>(e) >> 6] |= std::uint64_t{1}
-                                                           << (e & 63);
+      const int top = below >> 6;
+      for (int word = 0; word < top; ++word) {
+        eta_pending_[static_cast<std::size_t>(word)] |=
+            reader_mask_[static_cast<std::size_t>(word) * m +
+                         static_cast<std::size_t>(p)];
+      }
+      if ((below & 63) != 0) {
+        eta_pending_[static_cast<std::size_t>(top)] |=
+            reader_mask_[static_cast<std::size_t>(top) * m +
+                         static_cast<std::size_t>(p)] &
+            ((std::uint64_t{1} << (below & 63)) - 1);
       }
     };
     std::copy(neg_zero_etas_.begin(), neg_zero_etas_.end(),
@@ -713,17 +719,16 @@ bool LuBasis::update(int position, const std::vector<double>& w,
   const double pivot_value = w[static_cast<std::size_t>(position)];
   if (std::abs(pivot_value) < pivot_tol) return false;
   const int index = static_cast<int>(etas_.size());
-  const auto add_reader = [&](int p) {
-    int& head = reader_head_[static_cast<std::size_t>(p)];
-    readers_.push_back({index, head});
-    head = static_cast<int>(readers_.size()) - 1;
-  };
+  const auto m = static_cast<std::size_t>(m_);
+  const std::size_t block = static_cast<std::size_t>(index >> 6) * m;
+  if (reader_mask_.size() < block + m) reader_mask_.resize(block + m, 0);
+  const std::uint64_t bit = std::uint64_t{1} << (index & 63);
   Eta eta;
   eta.pivot_pos = position;
   const double inv = 1.0 / pivot_value;
   eta.pivot_val = inv;
   eta.start = static_cast<int>(eta_pos_.size());
-  add_reader(position);
+  reader_mask_[block + static_cast<std::size_t>(position)] |= bit;
   // What transposed BTRAN computes here from all +0.0 inputs, with its
   // operations in its order.
   double from_zeros = inv * 0.0;
@@ -735,7 +740,7 @@ bool LuBasis::update(int position, const std::vector<double>& w,
       eta_pos_.push_back(p);
       eta_val_.push_back(-v * inv);
       from_zeros += eta_val_.back() * 0.0;
-      add_reader(p);
+      reader_mask_[block + static_cast<std::size_t>(p)] |= bit;
     }
   }
   eta.end = static_cast<int>(eta_pos_.size());
@@ -745,8 +750,7 @@ bool LuBasis::update(int position, const std::vector<double>& w,
   neg_zero_etas_.resize(words, 0);
   eta_pending_.resize(words, 0);
   if (!is_positive_zero(from_zeros)) {
-    neg_zero_etas_[static_cast<std::size_t>(index) >> 6] |= std::uint64_t{1}
-                                                         << (index & 63);
+    neg_zero_etas_[static_cast<std::size_t>(index) >> 6] |= bit;
   }
   return true;
 }

@@ -44,8 +44,8 @@
 // whose inputs all hold +0.0 writes +0.0 over the +0.0 at its pivot
 // position, unless its pivot value and every off-pivot value are negative,
 // when it writes -0.0. update() therefore records each position's readers
-// (the etas that read it, newest first) and flags the etas that write
-// -0.0 from +0.0 inputs. BTRAN runs only the flagged etas and the readers
+// (a bitmap of the etas that read it) and flags the etas that write -0.0
+// from +0.0 inputs. BTRAN runs only the flagged etas and the readers
 // of positions holding other than +0.0, found from the seeds and from the
 // positions the etas it runs write, so its eta pass costs time in the etas
 // its input reaches rather than in the whole eta file.
@@ -182,14 +182,10 @@ class LuBasis {
   std::vector<Eta> etas_;
   std::vector<int> eta_pos_;     // off-pivot positions, all etas
   std::vector<double> eta_val_;  // matching values
-  // The etas that read position p, pivot or off-pivot, newest first: a
-  // list through readers_ from reader_head_[p] (-1 ends it).
-  struct Reader {
-    int eta;
-    int next;
-  };
-  std::vector<int> reader_head_;
-  std::vector<Reader> readers_;
+  // The etas that read each position, pivot or off-pivot, as bitmaps over
+  // eta indexes: bit e % 64 of reader_mask_[(e / 64) * m + p] is set when
+  // eta e reads position p. One block of m words per 64 etas.
+  std::vector<std::uint64_t> reader_mask_;
   // Bitmap of the etas whose transposed form writes other than +0.0 when
   // every input is +0.0 (-0.0: pivot value and every off-pivot value
   // negative). Readers and flags are reset by factorize().
