@@ -487,17 +487,20 @@ void LuBasis::ftran(std::vector<double>& x, std::vector<int>& seeds,
   // diag = zero_by_pos_; every other step is seeded here or reached from
   // one that is. The seeds' rows that hold other than +0.0 give the
   // frontier, each step once; the heap pops the same steps in the same
-  // order whatever order they arrive in.
+  // order whatever order they arrive in. A frontier past m/8 steps goes
+  // dense at once, so the rest of the seeds are not needed.
   frontier_.clear();
+  bool dense = false;
   for (int i : seeds) {
     if (is_positive_zero(x[static_cast<std::size_t>(i)])) continue;
     const int k = step_of_row_[static_cast<std::size_t>(i)];
     if (reached_[static_cast<std::size_t>(k)]) continue;
     reached_[static_cast<std::size_t>(k)] = 1;
     frontier_.push_back(k);
+    dense = static_cast<int>(frontier_.size()) * kDenseReach > m_;
+    if (dense) break;
   }
   int reach = static_cast<int>(frontier_.size());
-  bool dense = reach * kDenseReach > m_;
   if (dense) {
     for (int k : frontier_) reached_[static_cast<std::size_t>(k)] = 0;
   }
@@ -627,15 +630,17 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
   // receives no contribution yields +0.0 / diag = zero_by_row_ and
   // scatters nothing. The frontier comes from the seeds as in ftran().
   frontier_.clear();
+  bool dense = false;
   for (int p : seeds) {
     if (is_positive_zero(y[static_cast<std::size_t>(p)])) continue;
     const int k = step_of_pos_[static_cast<std::size_t>(p)];
     if (reached_[static_cast<std::size_t>(k)]) continue;
     reached_[static_cast<std::size_t>(k)] = 1;
     frontier_.push_back(k);
+    dense = static_cast<int>(frontier_.size()) * kDenseReach > m_;
+    if (dense) break;
   }
   int reach = static_cast<int>(frontier_.size());
-  bool dense = reach * kDenseReach > m_;
   if (dense) {
     for (int k : frontier_) reached_[static_cast<std::size_t>(k)] = 0;
   }
