@@ -3,10 +3,12 @@
 // The bench re-executes itself twice (std::system on argv[0]) against a
 // scratch ARROW_BASIS_DIR-style directory:
 //
-//   cold    first process; empty directory, every TE solve starts from the
-//           all-slack basis, the run saves its final bases on exit;
-//   warm    second process; loads the cold run's file, seeds its
-//           ScopedWarmStartCache from it and must finish the identical
+//   cold    first process; empty directory, so only the run's own session
+//           cache warm-starts its later periods (its first solves start
+//           from the all-slack basis); the run saves its final bases on
+//           exit;
+//   warm    second process; loads the cold run's file, seeds its session's
+//           warm-start cache from it and must finish the identical
 //           workload in fewer total simplex pivots (that is the gate);
 //   corrupt third process; runs after the parent flips a byte in the middle
 //           of the store file. load() must reject it and the run must

@@ -2,8 +2,9 @@
 // TickEngine under a hard 50 ms per-tick budget, fed a stream of shifting
 // traffic matrices with a fiber cut and repair mid-stream. This measures
 // the serving path the socket front end dispatches into — demand rebind +
-// incremental re-solve off the persistent warm-start cache — without
-// socket noise.
+// re-solve from the previous tick's bases, through the session's warm-start
+// cache (open in every session, no basis store needed) — without socket
+// noise.
 //
 // Reported (BENCH_serve_latency.json): p50/p99/worst tick-to-plan, the rung
 // distribution, deadline overruns, and the cut's restoration latency.
@@ -14,7 +15,10 @@
 //   * the cut and repair are both handled with the plan stream intact;
 //   * tick-to-plan stays bounded: a tick may lose at most the budget plus
 //     one un-interruptible LP attempt — generous slack for ASan/CI, but a
-//     regression to un-deadlined solving still trips it.
+//     regression to un-deadlined solving still trips it;
+//   * ticks warm-start: once a tick has landed on the primary rung, every
+//     later primary tick starts at least one LP from the cache (its
+//     warm_start_hits grow), so a tick never re-solves cold.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -82,6 +86,9 @@ int main() {
   bool ok = true;
   std::vector<double> tick_s;
   int overruns = 0;
+  int prev_hits = 0;
+  bool primary_seen = false;
+  int cold_primary_ticks = 0;  // primary after a primary, no warm start
   double restoration_latency_s = -1.0;
   for (int i = 0; i < ticks; ++i) {
     const auto res = engine.tick(tms[static_cast<std::size_t>(i) % tms.size()]);
@@ -93,6 +100,12 @@ int main() {
     }
     tick_s.push_back(res.seconds);
     if (res.deadline_overrun) ++overruns;
+    const int hits = engine.report().warm_start_hits;
+    if (res.rung == ctrl::Rung::kPrimary) {
+      if (primary_seen && hits == prev_hits) ++cold_primary_ticks;
+      primary_seen = true;
+    }
+    prev_hits = hits;
 
     // Mid-stream failure event: cut after a third of the ticks, splice
     // after two thirds — the surrounding ticks must keep landing.
@@ -149,6 +162,15 @@ int main() {
     ok = false;
   }
 
+  // Gate 3: ticks after the first re-solve from the cache, not cold.
+  if (cold_primary_ticks > 0 || (ticks > 1 && report.warm_start_hits == 0)) {
+    std::fprintf(stderr,
+                 "FAIL: %d primary ticks after the first solved cold "
+                 "(%d warm-start hits)\n",
+                 cold_primary_ticks, report.warm_start_hits);
+    ok = false;
+  }
+
   const double p50 = percentile(tick_s, 0.50);
   const double p99 = percentile(tick_s, 0.99);
   std::printf("tick-to-plan over %zu ticks (budget %.0fms): p50 %.1fms, "
@@ -159,7 +181,8 @@ int main() {
   for (const auto& [rung, count] : report.ladder) {
     if (count > 0) std::printf(" %s %d", rung.c_str(), count);
   }
-  std::printf("; restoration latency %.1fs\n", restoration_latency_s);
+  std::printf("; restoration latency %.1fs; %d warm-start hits\n",
+              restoration_latency_s, report.warm_start_hits);
 
   bench::BenchJson out("serve_latency");
   out.set("threads", util::default_thread_count());

@@ -112,13 +112,13 @@ struct ControllerConfig {
   std::function<bool()> cancel;
 
   // Opt-in persistent warm-start store (e.g. &solver::BasisStore::global()).
-  // When set, the run wraps its solves in a solver::ScopedWarmStartCache
-  // seeded from the store's bases for this (topology, scenario set) and
-  // absorbs the run's final bases back on exit — the next run over the same
-  // network starts every TE solve from this run's optimal vertex. Left null
-  // (the default) the controller's pivot trajectory is untouched: replaying
-  // a run with the same seed reproduces it bit-for-bit, which a shared
-  // mutable store would break.
+  // Every run chains its TE periods through its session's own warm-start
+  // cache, which starts empty, so replaying a run with the same seed
+  // reproduces it bit-for-bit. When set, the store seeds that cache with
+  // its bases for this (topology, scenario set) and absorbs the run's final
+  // bases back on exit — the next run over the same network starts every
+  // TE solve from this run's optimal vertex, which a replay cannot rely on
+  // (the store is shared and mutable).
   solver::BasisStore* basis_store = nullptr;
 
   // Directory for the on-disk basis store (extends warm starts across
@@ -209,8 +209,8 @@ struct ControllerReport {
   std::vector<double> restoration_latency_s;
 
   // --- warm-start traffic ----------------------------------------------------
-  // Hits/stores of the run's ScopedWarmStartCache and the BasisStore
-  // seed/absorb counts (all zero when no store is configured).
+  // Hits/stores of the session's warm-start cache, and the BasisStore
+  // seed/absorb counts (zero when no store is configured).
   int warm_start_hits = 0;
   int warm_start_stores = 0;
   int basis_seeded = 0;

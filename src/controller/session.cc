@@ -59,13 +59,13 @@ Session::Session(const ControllerConfig& config, const topo::Network& net,
   caps_ = scheme_->capabilities();
   num_scenarios_ = static_cast<int>(scenarios.size());
 
-  // Persistent warm starts (opt-in): prepare() seeds a cache from the
-  // store's bases for this exact (topology, scenario set); close() absorbs
-  // the run's final bases back. The hashes key on structure, not demands,
-  // so runs over different traffic matrices share vertices as long as the
-  // network and scenario set match. A basis directory extends the store
-  // across processes; with no in-process store configured the disk file
-  // gets a run-local one. The journal is opt-in the same way.
+  // Persistent warm starts (opt-in): prepare() seeds the session's cache
+  // from the store's bases for this exact (topology, scenario set); close()
+  // absorbs the run's final bases back. The hashes key on structure, not
+  // demands, so runs over different traffic matrices share vertices as long
+  // as the network and scenario set match. A basis directory extends the
+  // store across processes; with no in-process store configured the disk
+  // file gets a run-local one. The journal is opt-in the same way.
   const std::string basis_dir = env_or(config.basis_dir, "ARROW_BASIS_DIR");
   journal_dir_ = env_or(config.journal_dir, "ARROW_JOURNAL_DIR");
   store_ = config.basis_store;
@@ -95,17 +95,17 @@ void Session::prepare(std::span<te::TeInput> inputs) {
   te::TeInput& input = inputs.front();
   primary_ = &input;
   recover_journal(input);
-  // The offline RWA stage runs before the warm-start cache opens, so its
-  // LPs stay out of the cache and the basis file at every thread count.
+  // The offline RWA stage runs before the warm-start cache is installed, so
+  // its LPs stay out of the cache and the basis file at every thread count.
   // RWA reads no demands and calibration draws no rng, so calibration can
   // follow it.
   if (caps_.needs_prepared) {
     prepared_ = te::prepare_arrow(input, config_.arrow, rng_, pool());
     repair_rwa(input);
   }
+  const solver::ScopedWarmStart warm(warm_);
   if (store_ != nullptr) {
-    warm_.emplace();
-    tally_->basis_seeded = store_->seed(topo_h_, scen_h_, *warm_);
+    tally_->basis_seeded = store_->seed(topo_h_, scen_h_, warm_);
   }
   calibrate(inputs);
   if (caps_.needs_prepared) {
@@ -249,6 +249,7 @@ LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
         config_.retry_backoff,
         util::Rng::stream_seed(backoff_base_,
                                static_cast<std::uint64_t>(tally_->te_runs)));
+    const solver::ScopedWarmStart warm(warm_);
     out = solve_with_ladder(*scheme_, input, prepared_, last_good,
                             rcache_ ? &*rcache_ : nullptr, pool(), deadline,
                             &backoff);
@@ -277,10 +278,10 @@ LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
 void Session::close() {
   if (closed_ || primary_ == nullptr) return;
   closed_ = true;
+  tally_->warm_start_hits = warm_.hits();
+  tally_->warm_start_stores = warm_.stores();
   if (store_ != nullptr) {
-    tally_->warm_start_hits = warm_->hits();
-    tally_->warm_start_stores = warm_->stores();
-    tally_->basis_absorbed = store_->absorb(topo_h_, scen_h_, *warm_);
+    tally_->basis_absorbed = store_->absorb(topo_h_, scen_h_, warm_);
     // save_shared merges under a file lock, so processes sharing one
     // basis_dir all keep their entries. A failed save keeps the previous
     // file intact; the next run just warm-starts from older bases.
@@ -317,10 +318,8 @@ void Session::fill_run_report(obs::RunReport* rr) const {
     rr->journal_write_errors = journal_->write_errors();
   }
   static_cast<obs::SolveWork&>(*rr) = t.solve_work;
-  if (warm_) {
-    rr->warm_start_hits = warm_->hits();
-    rr->warm_start_stores = warm_->stores();
-  }
+  rr->warm_start_hits = warm_.hits();
+  rr->warm_start_stores = warm_.stores();
   rr->basis_seeded = t.basis_seeded;
   rr->basis_absorbed = t.basis_absorbed;
   if (store_ != nullptr) rr->basis_evictions = store_->evictions();
@@ -358,6 +357,7 @@ schemes::CutRepair Session::cut(topo::FiberId fiber,
                                 const te::TeSolution& plan) {
   const schemes::CutContext ctx{input, plan, active, plan_for_cut(fiber),
                                 fiber, &prepared_, &rng_};
+  const solver::ScopedWarmStart warm(warm_);
   schemes::CutRepair repair = scheme_->on_cut(ctx);
   if (repair.planned) {
     ++tally_->cuts_with_plan;

@@ -9,9 +9,9 @@
 //
 //   * the offline stage: ARROW_BASIS_DIR / ARROW_JOURNAL_DIR resolution,
 //     journal recovery (hash and tunnel-shape checks) into the carry-forward
-//     seed, prepare_arrow with per-scenario RWA repair, BasisStore load and
-//     seed into a warm-start cache that lives as long as the session, the
-//     calibration ladder, and the RestorabilityCache;
+//     seed, prepare_arrow with per-scenario RWA repair, the session's
+//     warm-start cache (seeded from a BasisStore when one is configured),
+//     the calibration ladder, and the RestorabilityCache;
 //   * one TE period: the degradation ladder with the scheme created from
 //     schemes::Registry by name, journaling and last-good tracking;
 //   * the cut path: the scenario lookup and the scheme's on_cut, the only
@@ -89,9 +89,7 @@ class Session {
   // The rest of the offline stage, once the flow/tunnel shape is fixed.
   // `inputs` share one network and scenario set; inputs[0] is checked
   // against the journal, prepared and calibrated, and every input is scaled
-  // to demand_factor(). Opens the session's (scoped) warm-start cache, so
-  // solver guards live at this call must outlive the session. inputs[0]
-  // must outlive the session.
+  // to demand_factor(). inputs[0] must outlive the session.
   void prepare(std::span<te::TeInput> inputs);
 
   // Serves the next TE period on `input`: the ladder under te_budget_s,
@@ -151,13 +149,15 @@ class Session {
   std::string journal_dir_;
   std::uint64_t topo_h_ = 0;
   std::uint64_t scen_h_ = 0;
-  // Opened by prepare() only when a basis store is configured
-  // (ControllerConfig::basis_store / basis_dir / ARROW_BASIS_DIR); it then
-  // lives for the rest of the run, so period N+1 starts from period N's
-  // optimal vertex. Without a store it stays empty and every period solves
-  // cold. Scoped: it serves solves on the thread that prepared the session
-  // (the daemon's single poll loop) and the pool work that thread fans out.
-  std::optional<solver::ScopedWarmStartCache> warm_;
+  // The session's warm-start cache: installed around prepare()'s
+  // calibration and restorability stage, solve() and cut() only, so period
+  // N+1 starts from period N's optimal vertex while solves outside the
+  // session's calls neither read nor fill it. It starts empty in every
+  // session and the session's solves run in a fixed order, so a replay is
+  // bit-for-bit. A basis store (ControllerConfig::basis_store / basis_dir /
+  // ARROW_BASIS_DIR) only seeds it in prepare() and absorbs it in close().
+  // Pool work fanned out during a call inherits it.
+  solver::WarmStartCache warm_;
   std::optional<StateJournal> journal_;
 
   const te::TeInput* primary_ = nullptr;  // set by prepare()

@@ -96,7 +96,7 @@ struct RunReport : SolveWork {
   int journal_writes = 0;
   int journal_write_errors = 0;
 
-  // Warm-start traffic of the run's ScopedWarmStartCache and BasisStore.
+  // Warm-start traffic of the run's session cache and BasisStore.
   int warm_start_hits = 0;
   int warm_start_stores = 0;
   int basis_seeded = 0;

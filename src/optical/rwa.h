@@ -44,12 +44,6 @@ struct LinkRestoration {
     for (const auto& p : paths) s += p.fractional_waves * p.gbps;
     return s;
   }
-  // Capacity-weighted mean datarate of the restored waves (the "modulation"
-  // multiplier of Algorithm 1 line 12); falls back to the original rate.
-  double effective_gbps() const {
-    const double w = fractional_waves();
-    return w > 1e-9 ? fractional_gbps() / w : original_gbps;
-  }
 };
 
 struct RwaResult {

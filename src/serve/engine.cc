@@ -25,7 +25,6 @@ TickEngine::TopologyResult TickEngine::set_topology(topo::Network net) {
   // daemon then behaves like a fresh start on the new network.
   if (session_ != nullptr) {
     drain();
-    // Gone before the next session opens its (scoped) warm-start cache.
     session_.reset();
     current_.reset();
     input_.reset();

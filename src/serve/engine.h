@@ -9,13 +9,12 @@
 // TickEngine keeps only what is the daemon's own:
 //
 //   * the clock: set_topology samples scenarios and opens the session
-//     (basis store load and seed); the first tick fixes the tunnel shape and
-//     runs the rest of the offline stage (journal recovery, calibration,
-//     restoration plans with RWA repair); every tick runs the ladder with
-//     last-good carry-forward state surviving between ticks and, when a
-//     basis store is configured (basis_store / basis_dir / ARROW_BASIS_DIR),
-//     the warm-start cache carried across them — without one every tick
-//     solves cold;
+//     (basis store load); the first tick fixes the tunnel shape and runs
+//     the rest of the offline stage (journal recovery, basis store seed,
+//     calibration, restoration plans with RWA repair); every tick runs the
+//     ladder with last-good carry-forward state and the session's
+//     warm-start cache surviving between ticks, so tick N+1 starts from
+//     tick N's bases;
 //   * cuts answered at once by the session's cut path (the scheme's
 //     on_cut): an optical answer's timeline is credited at convergence (no
 //     restoration ramp to integrate), an IP-layer repair's rewoven plan is

@@ -91,7 +91,7 @@ bool Server::start() {
 }
 
 bool Server::stopping() const {
-  if (stop_.load(std::memory_order_relaxed)) return true;
+  if (stop_) return true;
   return config_.stop_check && config_.stop_check();
 }
 
@@ -256,7 +256,7 @@ void Server::process_client(Client& c) {
     bool close_conn = false;
     bool stop_server = false;
     c.out += handle_line(line, &close_conn, &stop_server);
-    if (stop_server) stop_.store(true, std::memory_order_relaxed);
+    if (stop_server) stop_ = true;
     if (close_conn) {
       c.close_after_flush = true;
       break;

@@ -10,13 +10,11 @@
 // Shutdown paths all drain the engine (journal end_run, shared basis save,
 // final RunReport) before run() returns:
 //   * a client sends {"op": "shutdown"},
-//   * request_stop() is called (another thread),
 //   * the stop_check hook returns true (arrowctl's SIGTERM flag — polled
 //     every poll timeout, so a signal interrupts an idle daemon within
 //     ~100 ms).
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -51,9 +49,6 @@ class Server {
   // Serves until a stop is requested, then drains the engine and returns.
   void run();
 
-  // Thread-safe stop request; run() notices within one poll timeout.
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
-
   // Executes one already-parsed request line against the engine and returns
   // the reply (NDJSON line, or a full HTTP response for GET lines). Sets
   // `close_conn` for HTTP replies and `stop_server` for shutdown. Exposed
@@ -78,7 +73,7 @@ class Server {
   int listen_fd_ = -1;
   int port_ = -1;
   std::string error_;
-  std::atomic<bool> stop_{false};
+  bool stop_ = false;  // a shutdown op arrived
   std::vector<Client> clients_;
 };
 

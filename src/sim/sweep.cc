@@ -137,7 +137,8 @@ SweepResult run_sweep(const topo::Network& net,
   std::vector<te::ArrowPrepared> prepared(static_cast<std::size_t>(M));
   // Restorability flags per matrix, shared by the matrix's ARROW and
   // ARROW-Naive chains at every scale (the flags depend on tunnels and
-  // tickets, not demands, so demand scaling leaves them valid).
+  // tickets, not demands, so demand scaling leaves them valid). Each also
+  // keeps the matrix's Phase I LP between the ARROW chain's scales.
   std::vector<std::optional<te::RestorabilityCache>> caches(
       static_cast<std::size_t>(M));
   inputs.reserve(static_cast<std::size_t>(M));

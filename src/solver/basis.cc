@@ -416,20 +416,29 @@ bool is_positive_zero(double v) {
 }
 }  // namespace
 
-std::vector<int>& LuBasis::scan_seeds(const std::vector<double>& v) {
-  scan_.clear();
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (!is_positive_zero(v[i])) scan_.push_back(static_cast<int>(i));
-  }
-  return scan_;
+void LuBasis::ftran(std::vector<double>& x, std::vector<int>* nz) {
+  solve_ftran(x, nullptr, nz);
 }
 
-void LuBasis::ftran(std::vector<double>& x, std::vector<int>* nz) {
-  ftran(x, scan_seeds(x), nz);
+void LuBasis::ftran(std::vector<double>& x, std::vector<int>& seeds,
+                    std::vector<int>* nz) {
+  solve_ftran(x, &seeds, nz);
 }
 
 void LuBasis::btran(std::vector<double>& y, std::vector<int>* nz) {
-  btran(y, scan_seeds(y), nz);
+  solve_btran(y, nullptr, nz);
+}
+
+void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
+                    std::vector<int>* nz) {
+  solve_btran(y, &seeds, nz);
+}
+
+bool LuBasis::reach_step(int k) {
+  if (reached_[static_cast<std::size_t>(k)]) return false;
+  reached_[static_cast<std::size_t>(k)] = 1;
+  frontier_.push_back(k);
+  return static_cast<int>(frontier_.size()) * kDenseReach > m_;
 }
 
 void LuBasis::touch(int i) {
@@ -462,13 +471,13 @@ void LuBasis::collect_nonzeros(const std::vector<double>& v, bool dense,
 // Every FTRAN step below performs the dense sweep's floating-point
 // operations in the dense sweep's order; only steps that provably write
 // what a dense sweep writes there are skipped.
-void LuBasis::ftran(std::vector<double>& x, std::vector<int>& seeds,
-                    std::vector<int>* nz) {
+void LuBasis::solve_ftran(std::vector<double>& x, std::vector<int>* seeds,
+                          std::vector<int>* nz) {
   ARROW_CHECK(static_cast<int>(x.size()) == m_, "ftran size mismatch");
   // L pass in elimination order (row space); steps without multipliers
   // change nothing. A row it writes joins the seeds when it leaves +0.0;
   // a row that holds anything else is listed already, by the caller or
-  // when it left +0.0.
+  // when it left +0.0. Without a seed list every row is a seed.
   for (int k : l_steps_) {
     const double v =
         x[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])];
@@ -477,7 +486,7 @@ void LuBasis::ftran(std::vector<double>& x, std::vector<int>& seeds,
          e < l_start_[static_cast<std::size_t>(k) + 1]; ++e) {
       const int r = l_row_[static_cast<std::size_t>(e)];
       double& xr = x[static_cast<std::size_t>(r)];
-      if (is_positive_zero(xr)) seeds.push_back(r);
+      if (seeds != nullptr && is_positive_zero(xr)) seeds->push_back(r);
       xr -= l_val_[static_cast<std::size_t>(e)] * v;
     }
   }
@@ -491,14 +500,16 @@ void LuBasis::ftran(std::vector<double>& x, std::vector<int>& seeds,
   // dense at once, so the rest of the seeds are not needed.
   frontier_.clear();
   bool dense = false;
-  for (int i : seeds) {
-    if (is_positive_zero(x[static_cast<std::size_t>(i)])) continue;
-    const int k = step_of_row_[static_cast<std::size_t>(i)];
-    if (reached_[static_cast<std::size_t>(k)]) continue;
-    reached_[static_cast<std::size_t>(k)] = 1;
-    frontier_.push_back(k);
-    dense = static_cast<int>(frontier_.size()) * kDenseReach > m_;
-    if (dense) break;
+  const auto seed_row = [&](int i) {
+    return !is_positive_zero(x[static_cast<std::size_t>(i)]) &&
+           reach_step(step_of_row_[static_cast<std::size_t>(i)]);
+  };
+  if (seeds != nullptr) {
+    for (int i : *seeds) {
+      if ((dense = seed_row(i))) break;
+    }
+  } else {
+    for (int i = 0; i < m_ && !dense; ++i) dense = seed_row(i);
   }
   int reach = static_cast<int>(frontier_.size());
   if (dense) {
@@ -570,8 +581,8 @@ void LuBasis::ftran(std::vector<double>& x, std::vector<int>& seeds,
   collect_nonzeros(x, dense, nz);
 }
 
-void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
-                    std::vector<int>* nz) {
+void LuBasis::solve_btran(std::vector<double>& y, std::vector<int>* seeds,
+                          std::vector<int>* nz) {
   ARROW_CHECK(static_cast<int>(y.size()) == m_, "btran size mismatch");
   // Update etas transposed, newest first (position space). An eta whose
   // inputs all hold +0.0 computes +0.0 into its pivot position, which
@@ -579,7 +590,8 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
   // the readers of a position that holds other than +0.0 run: the readers
   // of the seeds, and the older readers of a position an eta writes. The
   // pending bitmap yields them newest first; a written position joins the
-  // seeds as in the L pass of ftran().
+  // seeds as in the L pass of ftran(). Without a seed list every position
+  // is a seed.
   if (!etas_.empty()) {
     const int* pos = eta_pos_.data();
     const double* val = eta_val_.data();
@@ -602,8 +614,13 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
     std::copy(neg_zero_etas_.begin(), neg_zero_etas_.end(),
               eta_pending_.begin());
     const int newest = static_cast<int>(etas_.size());
-    for (int p : seeds) {
+    const auto queue_seed = [&](int p) {
       if (!is_positive_zero(y[static_cast<std::size_t>(p)])) queue(p, newest);
+    };
+    if (seeds != nullptr) {
+      for (int p : *seeds) queue_seed(p);
+    } else {
+      for (int p = 0; p < m_; ++p) queue_seed(p);
     }
     for (auto word = static_cast<int>(eta_pending_.size()) - 1; word >= 0;
          --word) {
@@ -618,7 +635,9 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
           s += val[k] * y[static_cast<std::size_t>(pos[k])];
         }
         double& target = y[static_cast<std::size_t>(eta.pivot_pos)];
-        if (is_positive_zero(target)) seeds.push_back(eta.pivot_pos);
+        if (seeds != nullptr && is_positive_zero(target)) {
+          seeds->push_back(eta.pivot_pos);
+        }
         target = s;
         if (!is_positive_zero(s)) queue(eta.pivot_pos, e);
       }
@@ -631,14 +650,16 @@ void LuBasis::btran(std::vector<double>& y, std::vector<int>& seeds,
   // scatters nothing. The frontier comes from the seeds as in ftran().
   frontier_.clear();
   bool dense = false;
-  for (int p : seeds) {
-    if (is_positive_zero(y[static_cast<std::size_t>(p)])) continue;
-    const int k = step_of_pos_[static_cast<std::size_t>(p)];
-    if (reached_[static_cast<std::size_t>(k)]) continue;
-    reached_[static_cast<std::size_t>(k)] = 1;
-    frontier_.push_back(k);
-    dense = static_cast<int>(frontier_.size()) * kDenseReach > m_;
-    if (dense) break;
+  const auto seed_pos = [&](int p) {
+    return !is_positive_zero(y[static_cast<std::size_t>(p)]) &&
+           reach_step(step_of_pos_[static_cast<std::size_t>(p)]);
+  };
+  if (seeds != nullptr) {
+    for (int p : *seeds) {
+      if ((dense = seed_pos(p))) break;
+    }
+  } else {
+    for (int p = 0; p < m_ && !dense; ++p) dense = seed_pos(p);
   }
   int reach = static_cast<int>(frontier_.size());
   if (dense) {

@@ -144,8 +144,16 @@ class LuBasis {
   void note_count(int j);
   // Builds the solve-side indexes once all m steps are eliminated.
   void index_factors();
-  // The indexes of v whose bits are not +0.0, ascending, in scan_.
-  std::vector<int>& scan_seeds(const std::vector<double>& v);
+  // The bodies of the ftran()/btran() overloads. Without a seed list
+  // (seeds == nullptr) every index of the input is a seed, read straight
+  // from the input wherever a list would be walked.
+  void solve_ftran(std::vector<double>& x, std::vector<int>* seeds,
+                   std::vector<int>* nz);
+  void solve_btran(std::vector<double>& y, std::vector<int>* seeds,
+                   std::vector<int>* nz);
+  // Adds step k to the U pass's frontier unless it is reached already;
+  // true once the frontier passes the dense-sweep threshold.
+  bool reach_step(int k);
   // Marks output index i as written by a sparse solve.
   void touch(int i);
   // Writes the ascending indexes i with v[i] != 0 to *nz (if given), from
@@ -201,7 +209,6 @@ class LuBasis {
                                         // sparse solve wrote
   std::vector<std::uint64_t> eta_pending_;  // BTRAN's etas left to run;
                                             // all zero between calls
-  std::vector<int> scan_;        // scan_seeds()' output
   // factorize()'s state, kept across calls for its capacity. The working
   // matrix is column-wise in one pool: column j's entries are
   // (w_row_, w_val_)[w_start_[j], w_start_[j] + w_len_[j]), with room for

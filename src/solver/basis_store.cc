@@ -114,7 +114,7 @@ bool BasisStore::load(const Key& key, Basis* out) const {
 }
 
 int BasisStore::seed(std::uint64_t topo_hash, std::uint64_t scenario_hash,
-                     ScopedWarmStartCache& cache) const {
+                     WarmStartCache& cache) const {
   std::lock_guard<std::mutex> lock(mu_);
   // Entries with one (topo, scenario) prefix are contiguous under Key's
   // lexicographic order; scan from the prefix's lower bound.
@@ -139,7 +139,7 @@ int BasisStore::seed(std::uint64_t topo_hash, std::uint64_t scenario_hash,
 }
 
 int BasisStore::absorb(std::uint64_t topo_hash, std::uint64_t scenario_hash,
-                       const ScopedWarmStartCache& cache) {
+                       const WarmStartCache& cache) {
   std::lock_guard<std::mutex> lock(mu_);
   int n = 0;
   for (const auto& [wk, basis] : cache.entries()) {

@@ -1,13 +1,13 @@
 // Persistent warm-start basis store.
 //
-// ScopedWarmStartCache (lp.h) chains warm starts within one scope — one
-// sweep chain, one controller run — and dies with it. The BasisStore is the
-// layer above: a thread-safe map from (topology hash, scenario-set hash,
-// LP shape) to the last optimal basis seen for that LP, surviving across
-// controller runs in one process. A run seeds its ScopedWarmStartCache from
-// the store on entry and absorbs the cache's final bases back on exit, so
-// the second run over the same network starts every TE solve from the first
-// run's optimal vertex.
+// A WarmStartCache (lp.h) chains warm starts within one owner — one sweep
+// chain, one controller run or daemon session — and dies with it. The
+// BasisStore is the layer above: a thread-safe map from (topology hash,
+// scenario-set hash, LP shape) to the last optimal basis seen for that LP,
+// surviving across controller runs in one process. A run seeds its
+// WarmStartCache from the store on entry and absorbs the cache's final
+// bases back on exit, so the second run over the same network starts every
+// TE solve from the first run's optimal vertex.
 //
 // Keys hash the *structure* that determines LP geometry (topology wiring and
 // capacities via topo::structure_hash, the failure scenario set via
@@ -68,12 +68,12 @@ class BasisStore {
   // Copies every basis stored under (topo_hash, scenario_hash) into `cache`
   // via preload (not counted as stores). Returns the number seeded.
   int seed(std::uint64_t topo_hash, std::uint64_t scenario_hash,
-           ScopedWarmStartCache& cache) const;
+           WarmStartCache& cache) const;
 
   // Persists every entry of `cache` under (topo_hash, scenario_hash),
   // overwriting same-shaped entries. Returns the number absorbed.
   int absorb(std::uint64_t topo_hash, std::uint64_t scenario_hash,
-             const ScopedWarmStartCache& cache);
+             const WarmStartCache& cache);
 
   std::size_t size() const;
   void clear();

@@ -152,9 +152,10 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options = {},
 // it, however deep in the call stack the Model lives. Nesting is allowed —
 // the innermost guard wins and the previous one is restored on destruction.
 //
-// One context, four guards: ScopedSimplexOverride, ScopedWarmStartCache,
-// ScopedBasisTag and ScopedSolveDeadline each install a SolveContext — a copy
-// of the enclosing one with its own field set — in util's task-context slot
+// One context, four guards: ScopedSimplexOverride, ScopedWarmStart (and
+// ScopedWarmStartCache, which owns the cache it installs), ScopedBasisTag
+// and ScopedSolveDeadline each install a SolveContext — a copy of the
+// enclosing one with its own field set — in util's task-context slot
 // (util/parallel.h). util::ThreadPool carries that slot onto its workers, so
 // these four follow work fanned out with submit()/parallel_for: a solve on a
 // worker sees exactly the override, cache, tag and deadlines of the code
@@ -162,14 +163,14 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options = {},
 // under them. ScopedSolveObserver is the exception: it stays per-thread
 // (see below).
 
-class ScopedWarmStartCache;
+class WarmStartCache;
 class ScopedSolveDeadline;
 
 // The ambient state the four propagating guards install. Read it through
-// the guards' static active() accessors.
+// the static active() accessors.
 struct SolveContext {
   const SimplexOptions* simplex_override = nullptr;
-  ScopedWarmStartCache* warm_cache = nullptr;
+  WarmStartCache* warm_cache = nullptr;
   std::uint64_t basis_tag = 0;
   ScopedSolveDeadline* deadline = nullptr;  // innermost deadline guard
   const void* enclosing = nullptr;  // the slot's value before this one
@@ -251,29 +252,29 @@ class ScopedBasisTag {
   SolveContext context_;
 };
 
-// Ambient warm-start cache. While in scope, every solve_lp() looks up a
-// stored basis keyed by the LP's (rows, cols) shape and the active
-// ScopedBasisTag before falling back to the all-slack start, and stores its
-// final basis back after an optimal finish. A chain of same-shaped re-solves
-// — the evaluation sweep's demand scale grid, where each scale's TE LP
-// differs from the previous one only in bounds and rhs — then warm-starts
-// link to link with zero plumbing through the TE layer. Shape collisions
-// between *different* untagged models are harmless: a mismatched basis is
-// just a poor starting vertex, and phase 1 (or the cold retry) restores
-// correctness.
+// A warm-start cache: one basis per (shape, tag), keyed by the LP's (rows,
+// cols) and the active ScopedBasisTag. While a guard below installs it,
+// every solve_lp() looks up a stored basis before falling back to the
+// all-slack start, and stores its final basis back after an optimal finish.
+// A chain of same-shaped re-solves — the evaluation sweep's demand scale
+// grid, or a session's TE periods, where each LP differs from the previous
+// one only in bounds and rhs — then warm-starts link to link with zero
+// plumbing through the TE layer. Shape collisions between *different*
+// untagged models are harmless: a mismatched basis is just a poor starting
+// vertex, and phase 1 (or the cold retry) restores correctness.
 //
 // Thread-safety: find/store/preload are serialized by an internal mutex, so
 // pool workers that inherited the cache may solve concurrently; find copies
 // the basis out under the lock. entries()/hits()/stores() are snapshot
 // accessors — call them after parallel work has quiesced.
-class ScopedWarmStartCache {
+class WarmStartCache {
  public:
-  ScopedWarmStartCache();
-  ~ScopedWarmStartCache();
-  ScopedWarmStartCache(const ScopedWarmStartCache&) = delete;
-  ScopedWarmStartCache& operator=(const ScopedWarmStartCache&) = delete;
+  WarmStartCache() = default;
+  WarmStartCache(const WarmStartCache&) = delete;
+  WarmStartCache& operator=(const WarmStartCache&) = delete;
 
-  static ScopedWarmStartCache* active();
+  // The installed cache (nullptr when none).
+  static WarmStartCache* active();
 
   // Copies the entry into *out and counts a hit when one exists.
   bool find(int rows, int cols, std::uint64_t tag, Basis* out);
@@ -295,7 +296,30 @@ class ScopedWarmStartCache {
   std::map<WarmKey, Basis> entries_;
   int hits_ = 0;
   int stores_ = 0;
+};
+
+// Installs an existing cache for the guard's scope. A cache that outlives
+// its scopes — ctrl::Session's, one per run — is installed around each of
+// its owner's calls only, so solves between them neither read nor fill it.
+class ScopedWarmStart {
+ public:
+  explicit ScopedWarmStart(WarmStartCache& cache);
+  ~ScopedWarmStart();
+  ScopedWarmStart(const ScopedWarmStart&) = delete;
+  ScopedWarmStart& operator=(const ScopedWarmStart&) = delete;
+
+ private:
   SolveContext context_;
+};
+
+// A cache installed for exactly its own lifetime: one sweep chain, one
+// test.
+class ScopedWarmStartCache : public WarmStartCache {
+ public:
+  ScopedWarmStartCache() : install_(*this) {}
+
+ private:
+  ScopedWarmStart install_;
 };
 
 // Imposes a wall-clock deadline on every solve_lp() in scope, and counts the

@@ -80,6 +80,12 @@ void Model::set_bounds(VarId v, double lb, double ub) {
   vars_[static_cast<std::size_t>(v.index)].ub = ub;
 }
 
+void Model::set_rhs(int constraint_index, double rhs) {
+  ARROW_CHECK(constraint_index >= 0 &&
+              constraint_index < static_cast<int>(rows_.size()));
+  rows_[static_cast<std::size_t>(constraint_index)].rhs = rhs;
+}
+
 int Model::num_integer_vars() const {
   int n = 0;
   for (const auto& v : vars_) {
@@ -270,7 +276,7 @@ SolveResult Model::solve_mip() {
       timed_out = true;
       break;
     }
-    if (res.bb_nodes >= node_limit_) {
+    if (res.bb_nodes >= kNodeLimit) {
       hit_node_limit = true;
       break;
     }

@@ -66,6 +66,8 @@ class Model {
 
   // Tightens a variable's bounds (also how branch-and-bound branches).
   void set_bounds(VarId v, double lb, double ub);
+  // Replaces the right-hand side of the i-th constraint (insertion order).
+  void set_rhs(int constraint_index, double rhs);
 
   // --- solving -------------------------------------------------------------
   // warm_start: optional starting basis for the LP path (shape mismatch or
@@ -93,8 +95,6 @@ class Model {
   std::uint64_t fingerprint() const;
 
   SimplexOptions& simplex_options() { return simplex_options_; }
-  // Branch-and-bound node budget for MIPs.
-  void set_node_limit(int limit) { node_limit_ = limit; }
 
  private:
   struct VarData {
@@ -117,7 +117,7 @@ class Model {
   std::vector<RowData> rows_;
   bool maximize_ = false;
   SimplexOptions simplex_options_;
-  int node_limit_ = 200000;
+  static constexpr int kNodeLimit = 200000;  // branch-and-bound node budget
 
   SolveResult result_;
   std::vector<double> solution_;  // structural variable values

@@ -1004,16 +1004,17 @@ ScopedSolveObserver::~ScopedSolveObserver() {
 
 SolveObserver* ScopedSolveObserver::active() { return active_solve_observer; }
 
-ScopedWarmStartCache::ScopedWarmStartCache() : context_(nested_context()) {
-  context_.warm_cache = this;
+ScopedWarmStart::ScopedWarmStart(WarmStartCache& cache)
+    : context_(nested_context()) {
+  context_.warm_cache = &cache;
   util::set_task_context(&context_);
 }
 
-ScopedWarmStartCache::~ScopedWarmStartCache() {
+ScopedWarmStart::~ScopedWarmStart() {
   util::set_task_context(context_.enclosing);
 }
 
-ScopedWarmStartCache* ScopedWarmStartCache::active() {
+WarmStartCache* WarmStartCache::active() {
   return current_context().warm_cache;
 }
 
@@ -1056,7 +1057,7 @@ ScopedBasisTag::~ScopedBasisTag() {
 
 std::uint64_t ScopedBasisTag::active() { return current_context().basis_tag; }
 
-bool ScopedWarmStartCache::find(int rows, int cols, std::uint64_t tag,
+bool WarmStartCache::find(int rows, int cols, std::uint64_t tag,
                                 Basis* out) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(WarmKey{rows, cols, tag});
@@ -1066,14 +1067,14 @@ bool ScopedWarmStartCache::find(int rows, int cols, std::uint64_t tag,
   return true;
 }
 
-void ScopedWarmStartCache::store(int rows, int cols, Basis basis,
+void WarmStartCache::store(int rows, int cols, Basis basis,
                                  std::uint64_t tag) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_[WarmKey{rows, cols, tag}] = std::move(basis);
   ++stores_;
 }
 
-void ScopedWarmStartCache::preload(int rows, int cols, Basis basis,
+void WarmStartCache::preload(int rows, int cols, Basis basis,
                                    std::uint64_t tag) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_[WarmKey{rows, cols, tag}] = std::move(basis);
@@ -1093,7 +1094,7 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
   // can therefore never loosen a budget imposed by an enclosing scope.
   opt.deadline = util::Deadline::earlier(opt.deadline,
                                          ScopedSolveDeadline::active_deadline());
-  ScopedWarmStartCache* cache = context.warm_cache;
+  WarmStartCache* cache = context.warm_cache;
   const Basis* warm = warm_start;
   Basis cached;
   if (warm == nullptr && cache != nullptr &&

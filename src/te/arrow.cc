@@ -157,14 +157,9 @@ TeSolution phase2(const TeInput& input, const ArrowPrepared& prepared,
   return sol;
 }
 
-struct SlackGroup {
-  std::vector<solver::VarId> dp, dm;  // parallel to failed_links
-};
-
 struct Phase1Model {
   solver::Model model;
   BaseVars vars;
-  std::vector<std::vector<SlackGroup>> slack;  // [q][z]
 };
 
 // Builds the Phase I LP (Table 2). Union restorability flags come from
@@ -183,7 +178,6 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
   solver::Model& model = out->model;
   out->vars = add_base(model, input);
   const BaseVars& vars = out->vars;
-  out->slack.assign(static_cast<std::size_t>(Q), {});
 
   struct ScenarioRows {
     std::vector<solver::LinExpr> cover;      // per affected flow of q
@@ -241,21 +235,16 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
   for (int q = 0; q < Q; ++q) {
     const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
     const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
-    out->slack[static_cast<std::size_t>(q)].resize(static_cast<std::size_t>(Z));
     for (const auto& expr : rows[static_cast<std::size_t>(q)].cover) {
       model.add_constr(expr, solver::Sense::kGe, 0.0);
     }
     for (int z = 0; z < Z; ++z) {
       const auto& ticket = ticket_or_naive(
           prepared, naive, q, tickets.tickets.empty() ? -1 : z);
-      auto& group =
-          out->slack[static_cast<std::size_t>(q)][static_cast<std::size_t>(z)];
       for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
         const double r = ticket.gbps[li];
         const auto dp = model.add_var(0.0, solver::kInf, -params.slack_penalty);
         const auto dm = model.add_var(0.0, solver::kInf, 0.0);
-        group.dp.push_back(dp);
-        group.dm.push_back(dm);
         solver::LinExpr row = rows[static_cast<std::size_t>(q)].link_load[li];
         row.add_term(dp, -1.0);
         row.add_term(dm, 1.0);
@@ -449,6 +438,64 @@ const RestorabilityCache* shared_or_local(
 
 }  // namespace
 
+// The monolithic Phase I LP a RestorabilityCache keeps between solves.
+struct ResidentPhase1 {
+  double slack_penalty = 0.0;  // the ArrowParams field the model reads
+  Phase1Model p1;
+
+  // Solves Phase I on the LP resident in `cache` — built on first use or
+  // when slack_penalty changed, else re-bound to `input`'s demands and
+  // capacities — and copies the allocation into *alloc when optimal.
+  // Holds the cache's lock throughout.
+  static Phase1Result solve(const TeInput& input,
+                            const ArrowPrepared& prepared,
+                            const ArrowParams& params, util::ThreadPool& pool,
+                            const RestorabilityCache& cache,
+                            std::vector<std::vector<double>>* alloc) {
+    std::lock_guard<std::mutex> lock(cache.phase1_mu_);
+    auto& resident = cache.phase1_;
+    if (resident == nullptr || resident->slack_penalty != params.slack_penalty) {
+      resident = std::make_unique<ResidentPhase1>();
+      resident->slack_penalty = params.slack_penalty;
+      build_phase1(input, prepared, cache.naive_tickets(), params, pool,
+                   &cache, &resident->p1);
+    } else {
+      resident->bind(input);
+    }
+    Phase1Model& p1 = resident->p1;
+    const auto t0 = Clock::now();
+    solver::SolveResult res;
+    {
+      OBS_SPAN("phase1_solve");
+      res = p1.model.solve();
+    }
+    Phase1Result out;
+    out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    out.objective = res.objective;
+    out += res;
+    out.optimal = res.optimal();
+    if (out.optimal) *alloc = extract_alloc(p1.model, p1.vars);
+    return out;
+  }
+
+  // Rewrites what add_base read from the input beyond its structure: the
+  // admission bounds b_f <= d_f and the capacity rows' rhs.
+  void bind(const TeInput& input) {
+    const BaseVars& vars = p1.vars;
+    ARROW_CHECK(vars.b.size() == static_cast<std::size_t>(input.num_flows()),
+                "resident Phase I LP built for another flow set");
+    for (std::size_t f = 0; f < vars.b.size(); ++f) {
+      p1.model.set_bounds(vars.b[f], 0.0, input.flows()[f].demand_gbps);
+    }
+    const auto& links = input.net().ip_links;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (vars.capacity_row[i] >= 0) {
+        p1.model.set_rhs(vars.capacity_row[i], links[i].capacity_gbps());
+      }
+    }
+  }
+};
+
 std::vector<char> restorable_flags(const TeInput& input, int q,
                                    const ticket::TicketSet& tickets,
                                    const ticket::LotteryTicket& ticket) {
@@ -527,6 +574,8 @@ RestorabilityCache::RestorabilityCache(const TeInput& input,
 RestorabilityCache::RestorabilityCache(const TeInput& input,
                                        const ArrowPrepared& prepared)
     : RestorabilityCache(input, prepared, util::global_pool()) {}
+
+RestorabilityCache::~RestorabilityCache() = default;
 
 const std::vector<char>& RestorabilityCache::flags(int q, int z) const {
   const PerScenario& ps = per_scenario_[static_cast<std::size_t>(q)];
@@ -692,23 +741,12 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
               "prepared/scenario mismatch");
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
-  Phase1Model p1;
-  build_phase1(input, prepared, cache->naive_tickets(), params, pool, cache,
-               &p1);
-  const auto t0 = Clock::now();
-  solver::SolveResult res;
-  {
-    OBS_SPAN("phase1_solve");
-    res = p1.model.solve();
+  std::vector<std::vector<double>> alloc;
+  Phase1Result out =
+      ResidentPhase1::solve(input, prepared, params, pool, *cache, &alloc);
+  if (out.optimal) {
+    out.winners = pick_winners(input, prepared, *cache, params, alloc, pool);
   }
-  Phase1Result out;
-  out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  out.objective = res.objective;
-  out += res;
-  if (!res.optimal()) return out;
-  out.optimal = true;
-  const auto alloc = extract_alloc(p1.model, p1.vars);
-  out.winners = pick_winners(input, prepared, *cache, params, alloc, pool);
   return out;
 }
 

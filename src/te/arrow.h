@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "te/input.h"
@@ -18,6 +20,8 @@
 #include "util/parallel.h"
 
 namespace arrow::te {
+
+struct ResidentPhase1;
 
 // Phase I decomposition knobs (see solve_phase1_decomposed below).
 struct DecompositionParams {
@@ -98,12 +102,26 @@ std::vector<char> restorable_flags(const TeInput& input, int q,
 // them from scratch (Phase I alone did Q * Z full passes). The per-scenario
 // entries are built in parallel on the pool; each slot is written by exactly
 // one body, so the cache is bit-identical at any thread count.
+//
+// The flags are a function of structure alone — tunnels, scenarios and
+// tickets — so every input the cache serves must share that structure with
+// the one it was built from; only demands (and link capacities) may differ.
+// On that same structure the cache also keeps the monolithic Phase I LP
+// (Table 2): the first solve_phase1 against the cache builds it, and every
+// later one rewrites only its demand bounds and capacity rhs before solving
+// — O(F + E) instead of a rebuild. The LP it solves is byte-equal to a fresh
+// build's. It is keyed on ArrowParams::slack_penalty, the one parameter the
+// model reads, and solves against one cache run one at a time (the sweep's
+// chains share a cache).
 class RestorabilityCache {
  public:
   RestorabilityCache(const TeInput& input, const ArrowPrepared& prepared,
                      util::ThreadPool& pool);
   // Convenience overload on the process-wide pool (util::global_pool()).
   RestorabilityCache(const TeInput& input, const ArrowPrepared& prepared);
+  ~RestorabilityCache();
+  RestorabilityCache(const RestorabilityCache&) = delete;
+  RestorabilityCache& operator=(const RestorabilityCache&) = delete;
 
   // Flags for candidate z of scenario q. A z outside [0, Z) selects the
   // naive RWA-floor plan (mirrors the -1 convention of
@@ -128,6 +146,8 @@ class RestorabilityCache {
   }
 
  private:
+  friend struct ResidentPhase1;  // arrow.cc
+
   struct PerScenario {
     std::vector<std::vector<char>> per_ticket;  // [z][flat tunnel]
     std::vector<char> naive;                    // z = -1 [flat tunnel]
@@ -135,6 +155,9 @@ class RestorabilityCache {
   };
   std::vector<PerScenario> per_scenario_;
   std::vector<ticket::LotteryTicket> naive_tickets_;
+  // The resident monolithic Phase I LP, built lazily (null until then).
+  mutable std::mutex phase1_mu_;
+  mutable std::unique_ptr<ResidentPhase1> phase1_;
 };
 
 // Phase I + winner post-processing + Phase II. When `cache` is null a
@@ -162,7 +185,9 @@ struct Phase1Result : obs::SolveWork {
   double seconds = 0.0;
 };
 
-// Dispatches on params.decomposition.enabled.
+// Dispatches on params.decomposition.enabled. The monolithic path solves
+// the LP resident in `cache` (see RestorabilityCache); without one it
+// builds a private cache and LP for this call.
 Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
                           const ArrowParams& params, util::ThreadPool& pool,
                           const RestorabilityCache* cache = nullptr);
@@ -176,7 +201,7 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
 // optimality cuts are appended serially in scenario order; the loop ends
 // when no row is missing. The master is the only LP the loop solves; its
 // solves carry one warm-start tag (kMasterBasisTag), so its bases chain
-// across sweep scales and controller ticks via ScopedWarmStartCache and
+// across sweep scales and controller ticks via the warm-start cache and
 // BasisStore. All control flow is a pure function of master solutions
 // computed on the calling thread, so the trajectory — and the final
 // allocation — is bit-identical at any thread count. A non-optimal master

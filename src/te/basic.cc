@@ -47,23 +47,28 @@ BaseVars add_base(solver::Model& model, const TeInput& input,
     sum -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
     model.add_constr(sum, solver::Sense::kGe, 0.0);
   }
-  add_capacity_rows(model, input, vars.a);
+  vars.capacity_row = add_capacity_rows(model, input, vars.a);
   return vars;
 }
 
-void add_capacity_rows(solver::Model& model, const TeInput& input,
-                       const std::vector<std::vector<solver::VarId>>& a) {
-  for (const auto& link : input.net().ip_links) {
+std::vector<int> add_capacity_rows(
+    solver::Model& model, const TeInput& input,
+    const std::vector<std::vector<solver::VarId>>& a) {
+  const auto& links = input.net().ip_links;
+  std::vector<int> rows(links.size(), -1);
+  for (std::size_t i = 0; i < links.size(); ++i) {
     solver::LinExpr load;
-    for (const auto& lt : input.tunnels_on_link(link.id)) {
+    for (const auto& lt : input.tunnels_on_link(links[i].id)) {
       load.add_term(
           a[static_cast<std::size_t>(lt.flow)][static_cast<std::size_t>(lt.ti)],
           1.0);
     }
     if (!load.terms().empty()) {
-      model.add_constr(load, solver::Sense::kLe, link.capacity_gbps());
+      rows[i] = model.num_constrs();
+      model.add_constr(load, solver::Sense::kLe, links[i].capacity_gbps());
     }
   }
+  return rows;
 }
 
 TeSolution extract_solution(const solver::Model& model, const TeInput& input,

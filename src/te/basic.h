@@ -19,10 +19,12 @@
 namespace arrow::te {
 
 // Allocation variables of the skeleton: b[f] admitted bandwidth (empty for
-// schemes without one), a[f][ti] tunnel allocation.
+// schemes without one), a[f][ti] tunnel allocation, and the constraint index
+// of each IP link's capacity row (-1 where no tunnel crosses the link).
 struct BaseVars {
   std::vector<solver::VarId> b;
   std::vector<std::vector<solver::VarId>> a;
+  std::vector<int> capacity_row;
 };
 
 // Constraints (1)-(3) / (7)-(9) of Tables 2/3, maximizing sum_f b_f: per
@@ -36,9 +38,11 @@ BaseVars add_base(solver::Model& model, const TeInput& input,
 
 // Healthy capacity rows sum_{t crosses e} a_t <= c_e, one per IP link that
 // some tunnel crosses, in link order. Walks the link -> tunnel index, which
-// visits tunnels in (flow, ti) order.
-void add_capacity_rows(solver::Model& model, const TeInput& input,
-                       const std::vector<std::vector<solver::VarId>>& a);
+// visits tunnels in (flow, ti) order. Returns each link's row index (-1:
+// no row).
+std::vector<int> add_capacity_rows(
+    solver::Model& model, const TeInput& input,
+    const std::vector<std::vector<solver::VarId>>& a);
 
 // Reads a solved model back: scheme, status, objective, `seconds`, solver
 // counters, then (when optimal) alloc from vars.a and admitted from vars.b.

@@ -113,7 +113,7 @@ TeSolution solve_teavar(const TeInput& input, const TeaVarParams& params) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto res = model.solve();
   TeSolution sol = extract_solution(
-      model, input, BaseVars{{}, a}, "TeaVaR", res,
+      model, input, BaseVars{{}, a, {}}, "TeaVaR", res,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count());
   if (!sol.optimal) return sol;

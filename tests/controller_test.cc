@@ -1,12 +1,16 @@
 // Tests for the event-driven WAN controller simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "controller/controller.h"
 #include "controller/ladder.h"
@@ -194,6 +198,41 @@ TEST_F(ControllerFixture, RunReportMatchesGoldenForEveryScheme) {
       std::ofstream(name + ".actual") << actual;
       ADD_FAILURE() << name << " differs; actual written to " << name
                     << ".actual";
+    }
+  }
+}
+
+// Every session chains its periods through its warm-start cache, so the
+// golden runs above warm-start their later periods. A warm start may land
+// on another optimal vertex, never on another optimum: each warm-started
+// LP of those runs, re-solved cold, reaches the same objective within
+// solver tolerance.
+TEST_F(ControllerFixture, WarmStartedSolvesMatchTheirColdObjectives) {
+  util::Rng trace_rng(27);
+  const auto trace =
+      sample_failure_trace(net_, config_.horizon_s, 48.0, trace_rng);
+  for (const std::string s : {"ARROW", "ARROW-Naive", "FFC-1", "TeaVaR",
+                              "ReWeave-Local"}) {
+    config_.scheme = s;
+    std::vector<std::pair<solver::Lp, double>> warm;
+    {
+      solver::ScopedSolveObserver capture(
+          [&](const solver::Lp& lp, solver::LpSolution& sol) {
+            if (sol.warm_started && sol.status == solver::LpStatus::kOptimal) {
+              warm.emplace_back(lp, sol.objective);
+            }
+          });
+      util::Rng rng(22);
+      run_controller(net_, tms_, trace, config_, rng);
+    }
+    ASSERT_FALSE(warm.empty()) << s;
+    for (const auto& [lp, objective] : warm) {
+      const solver::LpSolution cold = solver::solve_lp(lp);
+      ASSERT_EQ(cold.status, solver::LpStatus::kOptimal) << s;
+      EXPECT_FALSE(cold.warm_started) << s;
+      EXPECT_NEAR(cold.objective, objective,
+                  1e-7 * std::max(1.0, std::abs(objective)))
+          << s;
     }
   }
 }

@@ -5,12 +5,14 @@
 // therefore bit-identical TE solutions — at any thread count, with the
 // cache shared or rebuilt locally. The single-thread private-cache build is
 // the baseline every other configuration is compared against.
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "solver/lp.h"
 #include "te/arrow.h"
 #include "te/basic.h"
 #include "topo/builders.h"
@@ -200,6 +202,101 @@ TEST_F(RestorabilityFixture, SolveArrowNaiveIsBuildConfigurationInvariant) {
                    solve_arrow_naive(*input_, prepared_, params_, p8));
   expect_identical(before,
                    solve_arrow_naive(*input_, prepared_, params_, &shared));
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expect_byte_equal(const solver::Lp& a, const solver::Lp& b) {
+  EXPECT_TRUE(same_bits(a.cost, b.cost));
+  EXPECT_TRUE(same_bits(a.lower, b.lower));
+  EXPECT_TRUE(same_bits(a.upper, b.upper));
+  EXPECT_TRUE(same_bits(a.rhs, b.rhs));
+  EXPECT_EQ(a.a.rows, b.a.rows);
+  EXPECT_EQ(a.a.cols, b.a.cols);
+  EXPECT_EQ(a.a.col_start, b.a.col_start);
+  EXPECT_EQ(a.a.row_index, b.a.row_index);
+  EXPECT_TRUE(same_bits(a.a.value, b.a.value));
+}
+
+// The one LP a monolithic solve_phase1 runs, and its solution.
+struct Phase1Capture {
+  Phase1Result result;
+  solver::Lp lp;
+  solver::LpSolution sol;
+};
+
+Phase1Capture capture_phase1(const TeInput& input,
+                             const ArrowPrepared& prepared,
+                             const ArrowParams& params,
+                             const RestorabilityCache& cache) {
+  util::ThreadPool pool(1);
+  Phase1Capture out;
+  int solves = 0;
+  solver::ScopedSolveObserver capture(
+      [&](const solver::Lp& lp, solver::LpSolution& sol) {
+        ++solves;
+        out.lp = lp;
+        out.sol = sol;
+      });
+  out.result = solve_phase1(input, prepared, params, pool, &cache);
+  EXPECT_EQ(solves, 1);
+  return out;
+}
+
+void expect_same_solve(const Phase1Capture& a, const Phase1Capture& b) {
+  expect_byte_equal(a.lp, b.lp);
+  EXPECT_EQ(a.sol.status, b.sol.status);
+  EXPECT_TRUE(same_bits(a.sol.x, b.sol.x));
+  EXPECT_EQ(a.sol.objective, b.sol.objective);
+  EXPECT_EQ(a.sol.iterations, b.sol.iterations);
+  EXPECT_EQ(a.result.optimal, b.result.optimal);
+  EXPECT_EQ(a.result.objective, b.result.objective);
+  EXPECT_EQ(a.result.winners, b.result.winners);
+}
+
+// A cache keeps its monolithic Phase I LP: later solves rewrite only the
+// demand bounds and capacity rhs. What they solve must be byte-equal to a
+// fresh cache's build for the same demands, with the same solution bits,
+// and a second slack_penalty on the same cache must rebuild.
+TEST_F(RestorabilityFixture, ResidentPhase1LpMatchesAFreshBuild) {
+  util::Rng rng(52);
+  traffic::TrafficParams tp;
+  tp.num_matrices = 1;
+  TeInput second = *input_;
+  second.set_demands(traffic::generate_traffic(net_, tp, rng)[0]);
+  second.scale_demands(0.7 * max_satisfiable_scale(second));
+
+  const RestorabilityCache resident(*input_, prepared_);
+  const Phase1Capture first =
+      capture_phase1(*input_, prepared_, params_, resident);
+  ASSERT_TRUE(first.result.optimal);
+  const Phase1Capture rebound =
+      capture_phase1(second, prepared_, params_, resident);
+  ASSERT_TRUE(rebound.result.optimal);
+  EXPECT_FALSE(same_bits(first.lp.upper, rebound.lp.upper));
+  {
+    const RestorabilityCache fresh(second, prepared_);
+    expect_same_solve(rebound,
+                      capture_phase1(second, prepared_, params_, fresh));
+  }
+
+  ArrowParams other = params_;
+  other.slack_penalty = 2.0 * params_.slack_penalty;
+  const Phase1Capture repriced =
+      capture_phase1(second, prepared_, other, resident);
+  EXPECT_FALSE(same_bits(repriced.lp.cost, rebound.lp.cost));
+  {
+    const RestorabilityCache fresh(second, prepared_);
+    expect_same_solve(repriced,
+                      capture_phase1(second, prepared_, other, fresh));
+  }
+  // Back on the first demands and penalty, the first solve again.
+  expect_same_solve(first,
+                    capture_phase1(*input_, prepared_, params_, resident));
 }
 
 TEST(RestorabilitySmall, SolveArrowIlpIsBuildConfigurationInvariant) {

@@ -31,7 +31,9 @@
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "solver/basis_store.h"
 #include "solver/lp.h"
+#include "solver/model.h"
 #include "te/arrow.h"
 #include "topo/builders.h"
 #include "topo/io.h"
@@ -360,6 +362,79 @@ TEST(ServeEngine, PxtCutSwitchesOntoItsTrails) {
   EXPECT_EQ(report.unplanned_cuts, 0);
   EXPECT_EQ(report.local_repairs, 0);
   engine.drain();
+}
+
+// Every session warm-starts its ticks from the previous tick's bases, and
+// its cache is installed only inside the session's own calls: with a basis
+// store configured, an unrelated LP solved on the daemon's thread after a
+// tick neither starts from the cache nor adds to it.
+TEST(ServeEngine, WarmStartCacheIsScopedToTheSessionsCalls) {
+  solver::BasisStore store;
+  serve::EngineConfig config = test_config();
+  config.ctrl.basis_store = &store;
+  serve::TickEngine engine(config);
+  const topo::Network net = test_net();
+  ASSERT_TRUE(engine.set_topology(net).ok);
+  ASSERT_TRUE(engine.tick(test_tm(net, 7)).ok);
+  ASSERT_TRUE(engine.tick(test_tm(net, 8)).ok);
+  const obs::RunReport before = engine.report();
+  EXPECT_GT(before.warm_start_hits, 0);
+  EXPECT_EQ(solver::WarmStartCache::active(), nullptr);
+
+  // Solved twice: inside a live cache the second solve would warm-start.
+  for (int pass = 0; pass < 2; ++pass) {
+    solver::Model model;
+    model.set_maximize();
+    const auto x = model.add_var(0.0, 4.0, 1.0);
+    const auto y = model.add_var(0.0, 3.0, 2.0);
+    model.add_constr(solver::LinExpr(x) + solver::LinExpr(y),
+                     solver::Sense::kLe, 5.0);
+    const solver::SolveResult res = model.solve();
+    ASSERT_TRUE(res.optimal());
+    EXPECT_FALSE(res.warm_started) << "pass " << pass;
+  }
+  const obs::RunReport after = engine.report();
+  EXPECT_EQ(after.warm_start_hits, before.warm_start_hits);
+  EXPECT_EQ(after.warm_start_stores, before.warm_start_stores);
+  engine.drain();
+}
+
+// Two engines fed the same tick/cut/repair sequence serve the same plans to
+// the bit (each tick's journaled plan) and the same RunReport: the session
+// cache starts empty and its solves run in a fixed order.
+TEST(ServeEngine, SameRequestSequenceReplaysBitForBit) {
+  const topo::Network net = test_net();
+  std::vector<std::string> journals;
+  std::vector<std::string> reports;
+  for (int run = 0; run < 2; ++run) {
+    serve::EngineConfig config = test_config();
+    config.ctrl.journal_dir =
+        temp_dir("arrow_serve_replay_" + std::to_string(run));
+    std::filesystem::remove(
+        ctrl::StateJournal::file_in(config.ctrl.journal_dir));
+    serve::TickEngine engine(config);
+    ASSERT_TRUE(engine.set_topology(net).ok);
+    std::string journal;
+    const auto tick = [&](std::uint64_t tm_seed) {
+      ASSERT_TRUE(engine.tick(test_tm(net, tm_seed)).ok);
+      const auto bytes = util::read_file(
+          ctrl::StateJournal::file_in(config.ctrl.journal_dir));
+      ASSERT_TRUE(bytes.has_value());
+      journal += *bytes;
+    };
+    tick(7);
+    tick(8);
+    ASSERT_TRUE(engine.cut(0).ok);
+    tick(9);
+    ASSERT_TRUE(engine.repair(0));
+    tick(7);
+    EXPECT_GT(engine.report().warm_start_hits, 0);
+    journals.push_back(journal);
+    reports.push_back(engine.report().to_json());
+    engine.drain();
+  }
+  EXPECT_TRUE(journals[0] == journals[1]);
+  EXPECT_EQ(reports[0], reports[1]);
 }
 
 TEST(ServeEngine, RefusesOutOfOrderRequests) {
