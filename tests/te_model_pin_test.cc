@@ -6,10 +6,12 @@
 //
 // Covered on B4 and IBM at fixed seeds: max-throughput, the demand-scale
 // calibration LP, FFC-1, FFC-2, TeaVaR, ARROW (Phase I then Phase II),
-// ARROW-Naive, ReWeave's global re-solve and ReWeave-Local's repair
-// (including its global fallback when the local LP falls short). The ARROW
-// artifacts are built on an inline ThreadPool(1) so every LP of interest
-// runs on the observing thread.
+// ARROW-Naive, every master round of ARROW's decomposed Phase I,
+// ReWeave's global re-solve and ReWeave-Local's repair (including its
+// global fallback when the local LP falls short). The ARROW artifacts are
+// built on an inline ThreadPool(1) so every LP of interest runs on the
+// observing thread. On B4 the Model::fingerprint of ARROW's three built but
+// unsolved models (Phase I, Phase II, the exact ILP) is pinned as well.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -124,6 +126,13 @@ struct Workload {
           std::vector<int>(static_cast<std::size_t>(input->num_scenarios()), 0),
           pool, &cache);
     });
+    // The decomposed Phase I solves only its master, once per round; the
+    // rounds pin the lazily added cover rows and optimality cuts.
+    te::ArrowParams decomposed = arrow_params;
+    decomposed.decomposition.enabled = true;
+    lps["ARROW-Decomposed"] = capture([&] {
+      te::solve_phase1(*input, prepared, decomposed, pool, &cache);
+    });
     // Three scenarios each: the re-solves differ only in the dead-tunnel
     // mask, the repairs in which flows the cut touches.
     lps["ReWeave-Global"] = capture([&] {
@@ -164,15 +173,56 @@ void expect_pinned(const Workload& w, const Pins& pins) {
   EXPECT_EQ(pins.size(), w.lps.size());
 }
 
+// Model::fingerprint of ARROW's built models: Phase I, Phase II against
+// each scenario's ticket 0 and the exact ILP, whose big-M rows no solve
+// above reaches.
+std::map<std::string, std::uint64_t> build_fingerprints(Workload& w) {
+  const std::vector<int> ticket0(
+      static_cast<std::size_t>(w.input->num_scenarios()), 0);
+  return {
+      {"phase1", te::build_phase1_model(*w.input, w.prepared, w.arrow_params,
+                                        w.pool)
+                     .model_fingerprint},
+      {"phase2", te::build_phase2_model(*w.input, w.prepared, ticket0,
+                                        w.arrow_params, w.pool)
+                     .model_fingerprint},
+      {"ilp", te::build_arrow_ilp_model(*w.input, w.prepared, w.arrow_params,
+                                        w.pool)
+                  .model_fingerprint},
+  };
+}
+
+void expect_fingerprints(Workload& w,
+                         const std::map<std::string, std::uint64_t>& pins) {
+  for (const auto& [model, fp] : build_fingerprints(w)) {
+    const auto it = pins.find(model);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016llxull",
+                  static_cast<unsigned long long>(fp));
+    EXPECT_TRUE(it != pins.end() && it->second == fp)
+        << model << " model moved; now {\"" << model << "\", " << buf << "},";
+  }
+}
+
 // A refactor of the model builders (te::add_base, add_capacity_rows and
 // the schemes' own rows) must keep every hash. A change that moves one must
 // say which variable, bound or row moved and why.
 TEST(TeModelPin, B4) {
-  const Workload w(topo::build_b4(), 2021, 0.001, 6);
+  Workload w(topo::build_b4(), 2021, 0.001, 6);
   expect_pinned(w, Pins{
       {"ARROW",
        {0x61cad6c0a4ae5a1bull,
         0x2af2df2042bad446ull}},
+      {"ARROW-Decomposed",
+       {0xa199ecea6399fdafull,
+        0xcced7aa7df75986full,
+        0x19bdb1d1789a336cull,
+        0xcd5d3a8068e5ce76ull,
+        0x01c06575e54d0690ull,
+        0x036f93991f63ecb0ull,
+        0x392acda107df4b5dull,
+        0xa10e499cdd386ec6ull,
+        0xd934ddf6af39489aull}},
       {"ARROW-Naive", {0x2af2df2042bad446ull}},
       {"ARROW-Ticket0", {0x56fd7eafa40d53ccull}},
       {"FFC-1", {0x716c636d3c93748dull}},
@@ -192,6 +242,11 @@ TEST(TeModelPin, B4) {
       {"TeaVaR", {0xec9a03a1fa0505cfull}},
       {"calibration", {0x595cdf15f34e729eull}},
   });
+  expect_fingerprints(w, {
+      {"ilp", 0x6b2bedd99b6d6d3eull},
+      {"phase1", 0xc40eaa758d143735ull},
+      {"phase2", 0x9c01a86a7de116a3ull},
+  });
 }
 
 TEST(TeModelPin, Ibm) {
@@ -200,6 +255,17 @@ TEST(TeModelPin, Ibm) {
       {"ARROW",
        {0x23fdf7d74120f607ull,
         0xe30dd08f33718802ull}},
+      {"ARROW-Decomposed",
+       {0x19eee4db3aaf1f1eull,
+        0x064b983fd0710ad1ull,
+        0xce682c6731a7cd42ull,
+        0xaca5aae707f9baa9ull,
+        0x9fff80b8121fc6f2ull,
+        0x59297ac186196b5dull,
+        0x9d6b4ac2de0c34d6ull,
+        0x742e24911bea0cbeull,
+        0xa042062419892b0aull,
+        0x4f8ba569485ff349ull}},
       {"ARROW-Naive", {0xe30dd08f33718802ull}},
       {"ARROW-Ticket0", {0x5613c511d2233043ull}},
       {"FFC-1", {0x6b8489ad92697996ull}},
