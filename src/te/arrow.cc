@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 
 #include "obs/metrics.h"
@@ -17,16 +16,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-const ticket::LotteryTicket& ticket_or_naive(
-    const ArrowPrepared& prepared, const std::vector<ticket::LotteryTicket>& naive,
-    int q, int z) {
-  if (z >= 0 &&
-      z < static_cast<int>(
-              prepared.tickets[static_cast<std::size_t>(q)].tickets.size())) {
-    return prepared.tickets[static_cast<std::size_t>(q)]
-        .tickets[static_cast<std::size_t>(z)];
-  }
-  return naive[static_cast<std::size_t>(q)];
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
 std::vector<ticket::LotteryTicket> make_naive_tickets(const ArrowPrepared& prepared) {
@@ -38,85 +29,160 @@ std::vector<ticket::LotteryTicket> make_naive_tickets(const ArrowPrepared& prepa
   return out;
 }
 
-struct Phase2Model {
+// Candidate z of scenario q; a z outside [0, Z) selects the naive RWA-floor
+// plan, the same -1 convention as RestorabilityCache::flags.
+const ticket::LotteryTicket& ticket_or_naive(const ArrowPrepared& prepared,
+                                             const RestorabilityCache& cache,
+                                             int q, int z) {
+  const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)].tickets;
+  if (z >= 0 && z < static_cast<int>(tickets.size())) {
+    return tickets[static_cast<std::size_t>(z)];
+  }
+  return cache.naive_ticket(q);
+}
+
+// One ARROW model — Phase I, Phase II or the exact ILP — and the base
+// variables add_base created in it.
+struct ArrowModel {
   solver::Model model;
   BaseVars vars;
 };
 
+// Cover row of affected flow f in scenario q: -b_f plus a_{f,t} of every
+// tunnel alive in q or restorable under `flags`, so that "row >= 0" says
+// residual and restored tunnels carry b_f. It is (4) of Phase I, (10) of
+// Phase II and (31) of the ILP before its selector term; only the flags
+// differ between them.
+solver::LinExpr cover_row(const TeInput& input, const BaseVars& vars, int q,
+                          const std::vector<char>& flags, int f) {
+  solver::LinExpr row;
+  row.add_term(vars.b[static_cast<std::size_t>(f)], -1.0);
+  const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
+  for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
+    const int flat = input.tunnel_index(f, static_cast<int>(ti));
+    if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
+        flags[static_cast<std::size_t>(flat)]) {
+      row.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
+    }
+  }
+  return row;
+}
+
+// Load on failed link e from the tunnels restorable under `flags`, in
+// tunnels_on_link order: the left side of (5), (11) and (32), and of the
+// decomposition master's optimality cuts.
+solver::LinExpr link_load_row(const TeInput& input, const BaseVars& vars,
+                              const std::vector<char>& flags,
+                              topo::IpLinkId e) {
+  solver::LinExpr row;
+  for (const auto& lt : input.tunnels_on_link(e)) {
+    if (flags[static_cast<std::size_t>(lt.flat)]) {
+      row.add_term(vars.a[static_cast<std::size_t>(lt.flow)]
+                         [static_cast<std::size_t>(lt.ti)],
+                   1.0);
+    }
+  }
+  return row;
+}
+
+struct ScenarioRows {
+  std::vector<solver::LinExpr> cover;      // per affected flow of q
+  std::vector<solver::LinExpr> link_load;  // per failed link of q
+};
+
+// Every cover and failed-link load row of scenario q under `flags`. The
+// builders generate these on a pool into per-q slots, then append them
+// serially in fixed q order: the flags are a pure function of the inputs and
+// each body writes only its own slot, so variable order, row order and row
+// contents are bit-identical at any thread count.
+ScenarioRows scenario_rows(const TeInput& input, const BaseVars& vars, int q,
+                           const ticket::TicketSet& tickets,
+                           const std::vector<char>& flags) {
+  ScenarioRows r;
+  r.cover.reserve(input.affected_flows(q).size());
+  for (int f : input.affected_flows(q)) {
+    r.cover.push_back(cover_row(input, vars, q, flags, f));
+  }
+  r.link_load.reserve(tickets.failed_links.size());
+  for (topo::IpLinkId e : tickets.failed_links) {
+    r.link_load.push_back(link_load_row(input, vars, flags, e));
+  }
+  return r;
+}
+
+// Builds the Phase I LP (Table 2) on the union restorability flags. Cover
+// row (4) uses the union across tickets: Phase I plans against the
+// restoration the *winning* ticket will provide, and the per-ticket slack
+// rows (5) measure how far each candidate is from supporting that plan. (A
+// per-ticket hard (4) would make throughput fall as |Z| grows, contradicting
+// Fig. 14.)
+void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
+                  const ArrowParams& params, const RestorabilityCache& cache,
+                  util::ThreadPool& pool, ArrowModel* out) {
+  OBS_SPAN("phase1_build");
+  const int Q = input.num_scenarios();
+  solver::Model& model = out->model;
+  out->vars = add_base(model, input);
+  std::vector<ScenarioRows> rows(static_cast<std::size_t>(Q));
+  pool.parallel_for(0, Q, [&](int q) {
+    rows[static_cast<std::size_t>(q)] =
+        scenario_rows(input, out->vars, q,
+                      prepared.tickets[static_cast<std::size_t>(q)],
+                      cache.union_flags(q));
+  });
+  // (5) with slacks per candidate ticket: whatever part of the shared load
+  // exceeds r_e^{z,q} must spill into dp. The ReLU penalty on dp makes the
+  // LP set dp = max(0, load - r) exactly, so after the solve dp measures
+  // each ticket's unsupported allocation. The M^{z,q} = alpha * sum_e r
+  // budget of constraint (6) is enforced during winner post-processing
+  // (a hard per-ticket budget row would let one bad candidate render the
+  // whole Phase I infeasible under the shared allocation).
+  for (int q = 0; q < Q; ++q) {
+    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
+    const ScenarioRows& r = rows[static_cast<std::size_t>(q)];
+    for (const auto& expr : r.cover) {
+      model.add_constr(expr, solver::Sense::kGe, 0.0);
+    }
+    const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
+    for (int z = 0; z < Z; ++z) {
+      const auto& ticket = ticket_or_naive(prepared, cache, q, z);
+      for (std::size_t li = 0; li < r.link_load.size(); ++li) {
+        const auto dp = model.add_var(0.0, solver::kInf, -params.slack_penalty);
+        const auto dm = model.add_var(0.0, solver::kInf, 0.0);
+        solver::LinExpr row = r.link_load[li];
+        row.add_term(dp, -1.0);
+        row.add_term(dm, 1.0);
+        model.add_constr(row, solver::Sense::kLe, ticket.gbps[li]);
+      }
+    }
+  }
+}
+
 // Builds the Phase II LP (Table 3) against a chosen ticket per scenario
-// (z = -1 selects the naive RWA ticket). Per-scenario cover (10) and
-// restored-capacity (11) expressions are generated on `pool` into per-q
-// slots — flags from `cache` when one is shared, recomputed inside the body
-// otherwise (restorable_flags is pure) — then appended serially in fixed q
-// order. Same protocol as build_phase1: each body writes only its own slot,
-// so row order and contents are bit-identical at any thread count.
+// (z = -1 selects the naive RWA ticket): cover rows (10), and load rows (11)
+// within the winner's restored capacity r*.
 void build_phase2(const TeInput& input, const ArrowPrepared& prepared,
-                  const std::vector<ticket::LotteryTicket>& naive,
                   const std::vector<int>& winners,
-                  const RestorabilityCache* cache, util::ThreadPool& pool,
-                  Phase2Model* out) {
+                  const RestorabilityCache& cache, util::ThreadPool& pool,
+                  ArrowModel* out) {
   OBS_SPAN("phase2_build");
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
   out->vars = add_base(model, input);
-  const BaseVars& vars = out->vars;
-
-  struct ScenarioRows {
-    std::vector<solver::LinExpr> cover;      // per affected flow of q
-    std::vector<solver::LinExpr> link_load;  // per failed link of q
-  };
   std::vector<ScenarioRows> rows(static_cast<std::size_t>(Q));
   pool.parallel_for(0, Q, [&](int q) {
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    std::vector<char> fresh;
-    if (cache == nullptr) {
-      fresh = restorable_flags(
-          input, q, tickets,
-          ticket_or_naive(prepared, naive, q,
-                          winners[static_cast<std::size_t>(q)]));
-    }
-    const std::vector<char>& restorable =
-        cache != nullptr
-            ? cache->flags(q, winners[static_cast<std::size_t>(q)])
-            : fresh;
-    ScenarioRows& r = rows[static_cast<std::size_t>(q)];
-    // (10): residual + restorable tunnels cover b_f.
-    r.cover.reserve(input.affected_flows(q).size());
-    for (int f : input.affected_flows(q)) {
-      solver::LinExpr expr;
-      const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
-      for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-        const int flat = input.tunnel_index(f, static_cast<int>(ti));
-        if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
-            restorable[static_cast<std::size_t>(flat)]) {
-          expr.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
-        }
-      }
-      expr -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
-      r.cover.push_back(std::move(expr));
-    }
-    // (11): restorable tunnels fit within restored capacity r*.
-    r.link_load.resize(tickets.failed_links.size());
-    for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
-      for (const auto& lt : input.tunnels_on_link(tickets.failed_links[li])) {
-        if (restorable[static_cast<std::size_t>(lt.flat)]) {
-          r.link_load[li].add_term(
-              vars.a[static_cast<std::size_t>(lt.flow)]
-                    [static_cast<std::size_t>(lt.ti)],
-              1.0);
-        }
-      }
-    }
+    const std::size_t qi = static_cast<std::size_t>(q);
+    rows[qi] = scenario_rows(input, out->vars, q, prepared.tickets[qi],
+                             cache.flags(q, winners[qi]));
   });
   for (int q = 0; q < Q; ++q) {
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const auto& ticket = ticket_or_naive(
-        prepared, naive, q, winners[static_cast<std::size_t>(q)]);
-    ScenarioRows& r = rows[static_cast<std::size_t>(q)];
-    for (auto& expr : r.cover) {
+    const auto& ticket = ticket_or_naive(prepared, cache, q,
+                                         winners[static_cast<std::size_t>(q)]);
+    const ScenarioRows& r = rows[static_cast<std::size_t>(q)];
+    for (const auto& expr : r.cover) {
       model.add_constr(expr, solver::Sense::kGe, 0.0);
     }
-    for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
+    for (std::size_t li = 0; li < r.link_load.size(); ++li) {
       if (!r.link_load[li].terms().empty()) {
         model.add_constr(r.link_load[li], solver::Sense::kLe,
                          ticket.gbps[li]);
@@ -125,216 +191,43 @@ void build_phase2(const TeInput& input, const ArrowPrepared& prepared,
   }
 }
 
-// Phase II build + solve + solution extraction.
-TeSolution phase2(const TeInput& input, const ArrowPrepared& prepared,
-                  const std::vector<ticket::LotteryTicket>& naive,
-                  const std::vector<int>& winners, const char* scheme,
-                  double extra_seconds,
-                  const RestorabilityCache* cache, util::ThreadPool& pool) {
-  const int Q = input.num_scenarios();
-  Phase2Model p2;
-  build_phase2(input, prepared, naive, winners, cache, pool, &p2);
-  solver::Model& model = p2.model;
-  BaseVars& vars = p2.vars;
-
-  const auto t0 = Clock::now();
-  OBS_SPAN("phase2_solve");
-  const auto res = model.solve();
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count() + extra_seconds;
-  TeSolution sol = extract_solution(model, input, vars, scheme, res, seconds);
-  sol.winner = winners;
-  sol.restored.resize(static_cast<std::size_t>(Q));
-  for (int q = 0; q < Q; ++q) {
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const auto& ticket = ticket_or_naive(prepared, naive, q,
-                                         winners[static_cast<std::size_t>(q)]);
-    for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
-      sol.restored[static_cast<std::size_t>(q)][tickets.failed_links[li]] =
-          ticket.gbps[li];
-    }
-  }
-  return sol;
-}
-
-struct Phase1Model {
-  solver::Model model;
-  BaseVars vars;
-};
-
-// Builds the Phase I LP (Table 2). Union restorability flags come from
-// `cache` (required) and the per-scenario cover + link-load expressions are
-// generated in parallel on `pool` into per-q slots, then appended serially
-// in fixed q order — the flags are a pure function of the inputs and each
-// body writes only its own slot, so variable order, row order and row
-// contents are bit-identical at any thread count.
-void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
-                  const std::vector<ticket::LotteryTicket>& naive,
-                  const ArrowParams& params, util::ThreadPool& pool,
-                  const RestorabilityCache* cache, Phase1Model* out) {
-  OBS_SPAN("phase1_build");
-  ARROW_CHECK(cache != nullptr, "build_phase1 requires a restorability cache");
+// Builds the exact selection ILP (Table 9) and returns its binary selectors
+// [q][z]. Rows (31) and (32) are each candidate's scenario rows, generated
+// per q as in build_phase1; their big-M selector terms reference variables
+// that do not exist yet, so they are added in the serial append, which
+// creates the selectors in that same fixed (q, z) order. add_constr
+// canonicalizes term order, so appending the big-M term last changes
+// nothing, and the model is bit-identical at any thread count.
+std::vector<std::vector<solver::VarId>> build_ilp(
+    const TeInput& input, const ArrowPrepared& prepared,
+    const RestorabilityCache& cache, util::ThreadPool& pool,
+    ArrowModel* out) {
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
   out->vars = add_base(model, input);
-  const BaseVars& vars = out->vars;
-
-  struct ScenarioRows {
-    std::vector<solver::LinExpr> cover;      // per affected flow of q
-    std::vector<solver::LinExpr> link_load;  // per failed link of q
-  };
-  std::vector<ScenarioRows> rows(static_cast<std::size_t>(Q));
-  pool.parallel_for(0, Q, [&](int q) {
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const auto& restorable_any = cache->union_flags(q);
-    ScenarioRows& r = rows[static_cast<std::size_t>(q)];
-    // (4): residual + restorable (under the best candidate) tunnels cover
-    // b_f. Constraint (4) uses the union across tickets: Phase I plans
-    // against the restoration the *winning* ticket will provide, and the
-    // per-ticket slack rows (5) measure how far each candidate is from
-    // supporting that plan. (A per-ticket hard (4) would make throughput
-    // fall as |Z| grows, contradicting Fig. 14.)
-    r.cover.reserve(input.affected_flows(q).size());
-    for (int f : input.affected_flows(q)) {
-      solver::LinExpr expr;
-      const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
-      for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-        const int flat = input.tunnel_index(f, static_cast<int>(ti));
-        if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
-            restorable_any[static_cast<std::size_t>(flat)]) {
-          expr.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
-        }
-      }
-      expr -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
-      r.cover.push_back(std::move(expr));
-    }
-    // Shared load expressions: allocation of union-restorable tunnels
-    // crossing each failed link. Under a candidate ticket z, whatever part
-    // of this load exceeds r_e^{z,q} must spill into the slack Delta.
-    r.link_load.resize(tickets.failed_links.size());
-    for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
-      for (const auto& lt : input.tunnels_on_link(tickets.failed_links[li])) {
-        if (restorable_any[static_cast<std::size_t>(lt.flat)]) {
-          r.link_load[li].add_term(
-              vars.a[static_cast<std::size_t>(lt.flow)]
-                    [static_cast<std::size_t>(lt.ti)],
-              1.0);
-        }
-      }
-    }
-  });
-  // Serial append in q order: slack variables and rows land in exactly the
-  // positions an all-serial build gives them.
-  //
-  // (5) with slacks per candidate ticket. The ReLU penalty on dp makes the
-  // LP set dp = max(0, load - r) exactly, so after the solve dp measures
-  // each ticket's unsupported allocation. The M^{z,q} = alpha * sum_e r
-  // budget of constraint (6) is enforced during winner post-processing
-  // (a hard per-ticket budget row would let one bad candidate render the
-  // whole Phase I infeasible under the shared allocation).
-  for (int q = 0; q < Q; ++q) {
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
-    for (const auto& expr : rows[static_cast<std::size_t>(q)].cover) {
-      model.add_constr(expr, solver::Sense::kGe, 0.0);
-    }
-    for (int z = 0; z < Z; ++z) {
-      const auto& ticket = ticket_or_naive(
-          prepared, naive, q, tickets.tickets.empty() ? -1 : z);
-      for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
-        const double r = ticket.gbps[li];
-        const auto dp = model.add_var(0.0, solver::kInf, -params.slack_penalty);
-        const auto dm = model.add_var(0.0, solver::kInf, 0.0);
-        solver::LinExpr row = rows[static_cast<std::size_t>(q)].link_load[li];
-        row.add_term(dp, -1.0);
-        row.add_term(dm, 1.0);
-        model.add_constr(row, solver::Sense::kLe, r);
-      }
-    }
-  }
-}
-
-struct IlpModel {
-  solver::Model model;
-  BaseVars vars;
-  std::vector<std::vector<solver::VarId>> select;  // [q][z]
-};
-
-// Builds the exact selection ILP (Table 9). Restorability flags come from
-// `cache` (required), as in build_phase1. The per-(q, z) cover (31) and
-// restored-capacity (32) expressions — minus their big-M selector terms,
-// which reference variables that do not exist yet — are generated on `pool`
-// into per-q slots, then appended serially in fixed (q, z) order with the
-// binary selectors created in that same order. Selector var ids, row order
-// and row contents are therefore deterministic (add_constr canonicalizes
-// term order, so appending the big-M term last changes nothing), and the
-// model is bit-identical at any thread count.
-void build_ilp(const TeInput& input, const ArrowPrepared& prepared,
-               const std::vector<ticket::LotteryTicket>& naive,
-               const RestorabilityCache* cache, util::ThreadPool& pool,
-               IlpModel* out) {
-  ARROW_CHECK(cache != nullptr, "build_ilp requires a restorability cache");
-  const int Q = input.num_scenarios();
-  solver::Model& model = out->model;
-  out->vars = add_base(model, input);
-  const BaseVars& vars = out->vars;
-  out->select.assign(static_cast<std::size_t>(Q), {});
-
-  struct TicketRows {
-    std::vector<solver::LinExpr> cover;  // per affected flow, sans -M x
-    std::vector<solver::LinExpr> load;   // per failed link, sans +M x
-  };
-  std::vector<std::vector<TicketRows>> rows(static_cast<std::size_t>(Q));
+  std::vector<std::vector<ScenarioRows>> rows(static_cast<std::size_t>(Q));
   pool.parallel_for(0, Q, [&](int q) {
     const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
     const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
     auto& per_z = rows[static_cast<std::size_t>(q)];
-    per_z.resize(static_cast<std::size_t>(Z));
+    per_z.reserve(static_cast<std::size_t>(Z));
     for (int z = 0; z < Z; ++z) {
-      const int zi = tickets.tickets.empty() ? -1 : z;
-      const std::vector<char>& restorable = cache->flags(q, zi);
-      TicketRows& r = per_z[static_cast<std::size_t>(z)];
-      // (31): cover constraint relaxed unless ticket z is selected.
-      r.cover.reserve(input.affected_flows(q).size());
-      for (int f : input.affected_flows(q)) {
-        solver::LinExpr expr;
-        const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
-        for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-          const int flat = input.tunnel_index(f, static_cast<int>(ti));
-          if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
-              restorable[static_cast<std::size_t>(flat)]) {
-            expr.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
-          }
-        }
-        expr -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
-        r.cover.push_back(std::move(expr));
-      }
-      // (32): restored-capacity constraint relaxed unless selected.
-      r.load.resize(tickets.failed_links.size());
-      for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
-        for (const auto& lt :
-             input.tunnels_on_link(tickets.failed_links[li])) {
-          if (restorable[static_cast<std::size_t>(lt.flat)]) {
-            r.load[li].add_term(vars.a[static_cast<std::size_t>(lt.flow)]
-                                      [static_cast<std::size_t>(lt.ti)],
-                                1.0);
-          }
-        }
-      }
+      per_z.push_back(
+          scenario_rows(input, out->vars, q, tickets, cache.flags(q, z)));
     }
   });
+  std::vector<std::vector<solver::VarId>> select(static_cast<std::size_t>(Q));
   for (int q = 0; q < Q; ++q) {
     const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
     solver::LinExpr one;
-    for (int z = 0; z < Z; ++z) {
+    for (std::size_t z = 0; z < rows[static_cast<std::size_t>(q)].size(); ++z) {
       const auto x = model.add_binary(0.0);
-      out->select[static_cast<std::size_t>(q)].push_back(x);
+      select[static_cast<std::size_t>(q)].push_back(x);
       one.add_term(x, 1.0);
-      const int zi = tickets.tickets.empty() ? -1 : z;
-      const auto& ticket = ticket_or_naive(prepared, naive, q, zi);
-      TicketRows& r =
-          rows[static_cast<std::size_t>(q)][static_cast<std::size_t>(z)];
+      const auto& ticket =
+          ticket_or_naive(prepared, cache, q, static_cast<int>(z));
+      ScenarioRows& r = rows[static_cast<std::size_t>(q)][z];
+      // (31): cover relaxed unless ticket z is selected.
       std::size_t ci = 0;
       for (int f : input.affected_flows(q)) {
         const double big_m =
@@ -343,17 +236,73 @@ void build_ilp(const TeInput& input, const ArrowPrepared& prepared,
         expr.add_term(x, -big_m);
         model.add_constr(expr, solver::Sense::kGe, -big_m);
       }
+      // (32): restored capacity relaxed unless selected.
       for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
         const topo::IpLinkId e = tickets.failed_links[li];
         const double big_m =
             input.net().ip_links[static_cast<std::size_t>(e)].capacity_gbps();
-        solver::LinExpr load = std::move(r.load[li]);
+        solver::LinExpr load = std::move(r.link_load[li]);
         load.add_term(x, big_m);
         model.add_constr(load, solver::Sense::kLe, ticket.gbps[li] + big_m);
       }
     }
     model.add_constr(one, solver::Sense::kEq, 1.0);  // (33)
   }
+  return select;
+}
+
+// TeSolution::restored: each scenario's failed links at the capacity its
+// winner (sol->winner, -1 = naive plan) restores.
+void fill_restored(const ArrowPrepared& prepared,
+                   const RestorabilityCache& cache, TeSolution* sol) {
+  sol->restored.resize(sol->winner.size());
+  for (std::size_t q = 0; q < sol->winner.size(); ++q) {
+    const auto& failed = prepared.tickets[q].failed_links;
+    const auto& ticket = ticket_or_naive(prepared, cache, static_cast<int>(q),
+                                         sol->winner[q]);
+    for (std::size_t li = 0; li < failed.size(); ++li) {
+      sol->restored[q][failed[li]] = ticket.gbps[li];
+    }
+  }
+}
+
+// The caller's shared cache, else a private one built into `local`. The
+// cache (and its index) never change the model — only how fast it is
+// assembled.
+const RestorabilityCache* shared_or_local(
+    const TeInput& input, const ArrowPrepared& prepared,
+    util::ThreadPool& pool, const RestorabilityCache* cache,
+    std::optional<RestorabilityCache>& local) {
+  return cache != nullptr ? cache : &local.emplace(input, prepared, pool);
+}
+
+// Phase II build + solve + solution extraction.
+TeSolution phase2(const TeInput& input, const ArrowPrepared& prepared,
+                  const std::vector<int>& winners, const char* scheme,
+                  double extra_seconds, const RestorabilityCache* cache,
+                  util::ThreadPool& pool) {
+  std::optional<RestorabilityCache> local;
+  cache = shared_or_local(input, prepared, pool, cache, local);
+  ArrowModel p2;
+  build_phase2(input, prepared, winners, *cache, pool, &p2);
+  const auto t0 = Clock::now();
+  OBS_SPAN("phase2_solve");
+  const auto res = p2.model.solve();
+  TeSolution sol = extract_solution(p2.model, input, p2.vars, scheme, res,
+                                    seconds_since(t0) + extra_seconds);
+  sol.winner = winners;
+  fill_restored(prepared, *cache, &sol);
+  return sol;
+}
+
+// Build cost since t0 and fingerprint of a built, unsolved model.
+ModelBuildStats build_stats(Clock::time_point t0, const solver::Model& model) {
+  ModelBuildStats stats;
+  stats.build_seconds = seconds_since(t0);
+  stats.vars = model.num_vars();
+  stats.rows = model.num_constrs();
+  stats.model_fingerprint = model.fingerprint();
+  return stats;
 }
 
 // ---- Phase I decomposition helpers -----------------------------------------
@@ -426,22 +375,12 @@ std::vector<int> pick_winners(const TeInput& input,
   return winners;
 }
 
-// The caller's shared cache, else a private one built into `local`. The
-// cache (and its index) never change the model — only how fast it is
-// assembled.
-const RestorabilityCache* shared_or_local(
-    const TeInput& input, const ArrowPrepared& prepared,
-    util::ThreadPool& pool, const RestorabilityCache* cache,
-    std::optional<RestorabilityCache>& local) {
-  return cache != nullptr ? cache : &local.emplace(input, prepared, pool);
-}
-
 }  // namespace
 
 // The monolithic Phase I LP a RestorabilityCache keeps between solves.
 struct ResidentPhase1 {
   double slack_penalty = 0.0;  // the ArrowParams field the model reads
-  Phase1Model p1;
+  ArrowModel p1;
 
   // Solves Phase I on the LP resident in `cache` — built on first use or
   // when slack_penalty changed, else re-bound to `input`'s demands and
@@ -457,12 +396,11 @@ struct ResidentPhase1 {
     if (resident == nullptr || resident->slack_penalty != params.slack_penalty) {
       resident = std::make_unique<ResidentPhase1>();
       resident->slack_penalty = params.slack_penalty;
-      build_phase1(input, prepared, cache.naive_tickets(), params, pool,
-                   &cache, &resident->p1);
+      build_phase1(input, prepared, params, cache, pool, &resident->p1);
     } else {
       resident->bind(input);
     }
-    Phase1Model& p1 = resident->p1;
+    ArrowModel& p1 = resident->p1;
     const auto t0 = Clock::now();
     solver::SolveResult res;
     {
@@ -470,7 +408,7 @@ struct ResidentPhase1 {
       res = p1.model.solve();
     }
     Phase1Result out;
-    out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    out.seconds = seconds_since(t0);
     out.objective = res.objective;
     out += res;
     out.optimal = res.optimal();
@@ -500,41 +438,23 @@ std::vector<char> restorable_flags(const TeInput& input, int q,
                                    const ticket::TicketSet& tickets,
                                    const ticket::LotteryTicket& ticket) {
   std::vector<char> flags(static_cast<std::size_t>(input.total_tunnels()), 0);
-  std::map<topo::IpLinkId, double> restored;
-  for (std::size_t i = 0; i < tickets.failed_links.size(); ++i) {
-    restored[tickets.failed_links[i]] = ticket.gbps[i];
+  const auto set_on = [&](topo::IpLinkId e, char value) {
+    for (const auto& lt : input.tunnels_on_link(e)) {
+      flags[static_cast<std::size_t>(lt.flat)] = value;
+    }
+  };
+  // The dead tunnels are exactly those on q's failed links. Of these, a
+  // tunnel crossing a link the ticket restores no capacity on, or a failed
+  // link the ticket does not list, stays down.
+  const auto& failed = input.failed_links(q);
+  for (topo::IpLinkId e : failed) set_on(e, 1);
+  for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
+    if (ticket.gbps[li] <= 1e-9) set_on(tickets.failed_links[li], 0);
   }
-  for (int f = 0; f < input.num_flows(); ++f) {
-    const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
-    for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-      if (input.tunnel_alive(f, static_cast<int>(ti), q)) continue;
-      bool ok = true;
-      for (int e : tunnels[ti].links) {
-        const auto it = restored.find(e);
-        if (it != restored.end() && it->second <= 1e-9) {
-          ok = false;
-          break;
-        }
-        // A failed link not in the ticket's list cannot happen: the ticket
-        // covers exactly the scenario's failed links. A link absent from
-        // `restored` is healthy in q.
-        if (it == restored.end()) {
-          bool failed = false;
-          for (int fe : input.failed_links(q)) {
-            if (fe == e) {
-              failed = true;
-              break;
-            }
-          }
-          if (failed) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (ok) {
-        flags[static_cast<std::size_t>(input.tunnel_index(f, static_cast<int>(ti)))] = 1;
-      }
+  for (topo::IpLinkId e : failed) {
+    if (std::find(tickets.failed_links.begin(), tickets.failed_links.end(),
+                  e) == tickets.failed_links.end()) {
+      set_on(e, 0);
     }
   }
   return flags;
@@ -587,13 +507,6 @@ const std::vector<char>& RestorabilityCache::flags(int q, int z) const {
 
 const std::vector<char>& RestorabilityCache::union_flags(int q) const {
   return per_scenario_[static_cast<std::size_t>(q)].any;
-}
-
-bool tunnel_restorable(const TeInput& input, int f, int ti, int q,
-                       const ticket::TicketSet& tickets,
-                       const ticket::LotteryTicket& ticket) {
-  const auto flags = restorable_flags(input, q, tickets, ticket);
-  return flags[static_cast<std::size_t>(input.tunnel_index(f, ti))] != 0;
 }
 
 void prepare_arrow_scenario(const TeInput& input, int q,
@@ -657,18 +570,11 @@ Phase1BuildStats build_phase1_model(const TeInput& input,
                                     util::ThreadPool& pool,
                                     const RestorabilityCache* cache) {
   const auto t0 = Clock::now();
-  const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
-  Phase1Model p1;
-  build_phase1(input, prepared, naive, params, pool, cache, &p1);
-  Phase1BuildStats stats;
-  stats.build_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  stats.vars = p1.model.num_vars();
-  stats.rows = p1.model.num_constrs();
-  stats.model_fingerprint = p1.model.fingerprint();
-  return stats;
+  ArrowModel p1;
+  build_phase1(input, prepared, params, *cache, pool, &p1);
+  return build_stats(t0, p1.model);
 }
 
 int select_phase1_winner(const std::vector<double>& slack_totals,
@@ -761,14 +667,10 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
               "prepared/scenario mismatch");
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
-  const auto& naive = cache->naive_tickets();
 
   Phase1Result out;
   out.decomposed = true;
   const auto t0 = Clock::now();
-  const auto elapsed = [&] {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
 
   // Master: shared allocation plus one penalty variable theta_q >= f_q(a)
   // per scenario, where f_q is the scenario's true slack total
@@ -810,57 +712,37 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
     out.objective = mres.objective;
     out += mres;
     if (!mres.optimal()) {
-      out.seconds = elapsed();
+      out.seconds = seconds_since(t0);
       return out;  // optimal stays false: same contract as the monolithic LP
     }
 
     alloc = extract_alloc(master, vars);
-    std::vector<double> bvals(vars.b.size());
-    for (std::size_t f = 0; f < vars.b.size(); ++f) {
-      bvals[f] = master.value(vars.b[f]);
-    }
     std::vector<double> thetav(theta.size());
     for (std::size_t q = 0; q < theta.size(); ++q) {
       thetav[q] = master.value(theta[q]);
     }
 
     // Pricing fan-out: every decision below is a closed-form function of the
-    // master solution extracted above, so the appended rows — and with them
-    // the whole trajectory — are bit-identical at any thread count.
+    // master solution, so the appended rows — and with them the whole
+    // trajectory — are bit-identical at any thread count.
     std::vector<PerScenario> ps(static_cast<std::size_t>(Q));
     pool.parallel_for(0, Q, [&](int q) {
       const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
       const auto& any = cache->union_flags(q);
       PerScenario& s = ps[static_cast<std::size_t>(q)];
 
-      // Violated cover rows (4), same union-restorable filter as
-      // build_phase1.
+      // Violated cover rows (4) of build_phase1, valued at the master
+      // point in row term order: -b_f, then the tunnels.
       const auto& affected = input.affected_flows(q);
       const auto& present = cover_present[static_cast<std::size_t>(q)];
       for (std::size_t i = 0; i < affected.size(); ++i) {
         if (present[i]) continue;
-        const int f = affected[i];
-        const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
-        double lhs = -bvals[static_cast<std::size_t>(f)];
-        for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-          const int flat = input.tunnel_index(f, static_cast<int>(ti));
-          if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
-              any[static_cast<std::size_t>(flat)]) {
-            lhs += alloc[static_cast<std::size_t>(f)][ti];
-          }
-        }
+        solver::LinExpr row = cover_row(input, vars, q, any, affected[i]);
+        double lhs = row.constant();
+        for (const auto& [v, c] : row.terms()) lhs += c * master.value(v);
         if (lhs < -1e-9) {
-          solver::LinExpr expr;
-          for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-            const int flat = input.tunnel_index(f, static_cast<int>(ti));
-            if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
-                any[static_cast<std::size_t>(flat)]) {
-              expr.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
-            }
-          }
-          expr -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
           s.new_cover_idx.push_back(i);
-          s.new_cover.push_back(std::move(expr));
+          s.new_cover.push_back(std::move(row));
         }
       }
 
@@ -880,8 +762,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
       std::vector<int> cnt(L, 0);
       double cut_rhs = 0.0;
       for (int z = 0; z < Z; ++z) {
-        const auto& ticket = ticket_or_naive(prepared, naive, q,
-                                             tickets.tickets.empty() ? -1 : z);
+        const auto& ticket = ticket_or_naive(prepared, *cache, q, z);
         for (std::size_t li = 0; li < L; ++li) {
           if (loads[li] - ticket.gbps[li] > 0.0) {
             true_penalty += loads[li] - ticket.gbps[li];
@@ -895,14 +776,8 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
         solver::LinExpr cut{theta[static_cast<std::size_t>(q)]};
         for (std::size_t li = 0; li < L; ++li) {
           if (cnt[li] == 0) continue;
-          for (const auto& lt :
-               input.tunnels_on_link(tickets.failed_links[li])) {
-            if (any[static_cast<std::size_t>(lt.flat)]) {
-              cut.add_term(vars.a[static_cast<std::size_t>(lt.flow)]
-                                 [static_cast<std::size_t>(lt.ti)],
-                           -static_cast<double>(cnt[li]));
-            }
-          }
+          cut += -static_cast<double>(cnt[li]) *
+                 link_load_row(input, vars, any, tickets.failed_links[li]);
         }
         s.add_cut = true;
         s.cut = std::move(cut);
@@ -931,7 +806,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
       break;
     }
   }
-  out.seconds = elapsed();
+  out.seconds = seconds_since(t0);
   if (!converged) return out;  // max_rounds backstop hit: not solved
 
   out.optimal = true;
@@ -966,8 +841,8 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
   }
 
   // ---- Phase II -----------------------------------------------------------
-  TeSolution sol = phase2(input, prepared, cache->naive_tickets(), p1.winners,
-                          "ARROW", p1.seconds, cache, pool);
+  TeSolution sol =
+      phase2(input, prepared, p1.winners, "ARROW", p1.seconds, cache, pool);
   sol += p1;  // include Phase I's share
   return sol;
 }
@@ -982,10 +857,8 @@ TeSolution solve_arrow_naive(const TeInput& input,
                              const ArrowParams& /*params*/,
                              util::ThreadPool& pool,
                              const RestorabilityCache* cache) {
-  const auto naive = make_naive_tickets(prepared);
   std::vector<int> winners(static_cast<std::size_t>(input.num_scenarios()), -1);
-  return phase2(input, prepared, naive, winners, "ARROW-Naive", 0.0, cache,
-                pool);
+  return phase2(input, prepared, winners, "ARROW-Naive", 0.0, cache, pool);
 }
 
 TeSolution solve_arrow_naive(const TeInput& input,
@@ -1002,9 +875,7 @@ TeSolution solve_arrow_with_winners(const TeInput& input,
                                     const RestorabilityCache* cache) {
   ARROW_CHECK(static_cast<int>(winners.size()) == input.num_scenarios(),
               "winner count mismatch");
-  const auto naive = make_naive_tickets(prepared);
-  return phase2(input, prepared, naive, winners, "ARROW-Fixed", 0.0, cache,
-                pool);
+  return phase2(input, prepared, winners, "ARROW-Fixed", 0.0, cache, pool);
 }
 
 TeSolution solve_arrow_with_winners(const TeInput& input,
@@ -1019,41 +890,27 @@ TeSolution solve_arrow_ilp(const TeInput& input, const ArrowPrepared& prepared,
                            const ArrowParams& /*params*/,
                            util::ThreadPool& pool,
                            const RestorabilityCache* cache) {
-  const int Q = input.num_scenarios();
-  const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
-  IlpModel ilp;
-  build_ilp(input, prepared, naive, cache, pool, &ilp);
-  solver::Model& model = ilp.model;
-  BaseVars& vars = ilp.vars;
-  std::vector<std::vector<solver::VarId>>& select = ilp.select;
+  ArrowModel ilp;
+  const auto select = build_ilp(input, prepared, *cache, pool, &ilp);
 
   const auto t0 = Clock::now();
-  const auto res = model.solve();
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  TeSolution sol =
-      extract_solution(model, input, vars, "ARROW-ILP", res, seconds);
+  const auto res = ilp.model.solve();
+  TeSolution sol = extract_solution(ilp.model, input, ilp.vars, "ARROW-ILP",
+                                    res, seconds_since(t0));
   if (!sol.optimal) return sol;
-  sol.winner.assign(static_cast<std::size_t>(Q), -1);
-  sol.restored.resize(static_cast<std::size_t>(Q));
-  for (int q = 0; q < Q; ++q) {
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    for (std::size_t z = 0; z < select[static_cast<std::size_t>(q)].size(); ++z) {
-      if (model.value(select[static_cast<std::size_t>(q)][z]) > 0.5) {
-        sol.winner[static_cast<std::size_t>(q)] =
-            tickets.tickets.empty() ? -1 : static_cast<int>(z);
+  sol.winner.assign(select.size(), -1);
+  for (std::size_t q = 0; q < select.size(); ++q) {
+    for (std::size_t z = 0; z < select[q].size(); ++z) {
+      if (ilp.model.value(select[q][z]) > 0.5) {
+        sol.winner[q] =
+            prepared.tickets[q].tickets.empty() ? -1 : static_cast<int>(z);
         break;
       }
     }
-    const auto& ticket = ticket_or_naive(prepared, naive, q,
-                                         sol.winner[static_cast<std::size_t>(q)]);
-    for (std::size_t li = 0; li < tickets.failed_links.size(); ++li) {
-      sol.restored[static_cast<std::size_t>(q)][tickets.failed_links[li]] =
-          ticket.gbps[li];
-    }
   }
+  fill_restored(prepared, *cache, &sol);
   return sol;
 }
 
@@ -1072,18 +929,11 @@ ModelBuildStats build_phase2_model(const TeInput& input,
   ARROW_CHECK(static_cast<int>(winners.size()) == input.num_scenarios(),
               "winner count mismatch");
   const auto t0 = Clock::now();
-  const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
-  Phase2Model p2;
-  build_phase2(input, prepared, naive, winners, cache, pool, &p2);
-  ModelBuildStats stats;
-  stats.build_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  stats.vars = p2.model.num_vars();
-  stats.rows = p2.model.num_constrs();
-  stats.model_fingerprint = p2.model.fingerprint();
-  return stats;
+  ArrowModel p2;
+  build_phase2(input, prepared, winners, *cache, pool, &p2);
+  return build_stats(t0, p2.model);
 }
 
 ModelBuildStats build_arrow_ilp_model(const TeInput& input,
@@ -1093,18 +943,11 @@ ModelBuildStats build_arrow_ilp_model(const TeInput& input,
                                       const RestorabilityCache* cache) {
   OBS_SPAN("ilp_build");
   const auto t0 = Clock::now();
-  const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
-  IlpModel ilp;
-  build_ilp(input, prepared, naive, cache, pool, &ilp);
-  ModelBuildStats stats;
-  stats.build_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  stats.vars = ilp.model.num_vars();
-  stats.rows = ilp.model.num_constrs();
-  stats.model_fingerprint = ilp.model.fingerprint();
-  return stats;
+  ArrowModel ilp;
+  build_ilp(input, prepared, *cache, pool, &ilp);
+  return build_stats(t0, ilp.model);
 }
 
 }  // namespace arrow::te

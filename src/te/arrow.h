@@ -90,18 +90,20 @@ void prepare_arrow_scenario(const TeInput& input, int q,
 // Per-(scenario, ticket) restorability flags for every flattened tunnel:
 // flags[input.tunnel_index(f, ti)] != 0 iff tunnel (f, ti) is dead in q and
 // every failed link it crosses has restored capacity > 0 under `ticket`
-// (§3.3 "Phase I input parameters"). Pure function of its arguments; the
-// RestorabilityCache below memoizes it per (q, z).
+// (§3.3 "Phase I input parameters"); a failed link the ticket does not list
+// restores nothing. Visits only the tunnels on q's failed links. Pure
+// function of its arguments; the RestorabilityCache below memoizes it per
+// (q, z).
 std::vector<char> restorable_flags(const TeInput& input, int q,
                                    const ticket::TicketSet& tickets,
                                    const ticket::LotteryTicket& ticket);
 
 // Restorability flags computed once per (scenario, candidate ticket) and
 // shared by Phase I, winner post-processing, Phase II, the exact ILP and the
-// controller's degradation ladder — previously each call site recomputed
-// them from scratch (Phase I alone did Q * Z full passes). The per-scenario
-// entries are built in parallel on the pool; each slot is written by exactly
-// one body, so the cache is bit-identical at any thread count.
+// controller's degradation ladder, together with the naive RWA-floor ticket
+// per scenario that z = -1 selects. The per-scenario entries are built in
+// parallel on the pool; each slot is written by exactly one body, so the
+// cache is bit-identical at any thread count.
 //
 // The flags are a function of structure alone — tunnels, scenarios and
 // tickets — so every input the cache serves must share that structure with
@@ -134,9 +136,6 @@ class RestorabilityCache {
   // The deterministic RWA-floor ticket per scenario (what z = -1 selects).
   const ticket::LotteryTicket& naive_ticket(int q) const {
     return naive_tickets_[static_cast<std::size_t>(q)];
-  }
-  const std::vector<ticket::LotteryTicket>& naive_tickets() const {
-    return naive_tickets_;
   }
 
   int num_scenarios() const { return static_cast<int>(per_scenario_.size()); }
@@ -314,12 +313,5 @@ ModelBuildStats build_arrow_ilp_model(const TeInput& input,
                                       const ArrowParams& params,
                                       util::ThreadPool& pool,
                                       const RestorabilityCache* cache = nullptr);
-
-// Is tunnel (f, ti) restorable under scenario q and the given ticket? True
-// iff the tunnel is dead in q and every failed link it crosses has restored
-// capacity > 0 (§3.3 "Phase I input parameters").
-bool tunnel_restorable(const TeInput& input, int f, int ti, int q,
-                       const ticket::TicketSet& tickets,
-                       const ticket::LotteryTicket& ticket);
 
 }  // namespace arrow::te

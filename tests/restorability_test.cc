@@ -1,11 +1,14 @@
 // Tests for the shared RestorabilityCache and the model-build path
 // (link->tunnel incidence index + parallel Phase I/II/ILP row generation):
 // the cache must agree flag-for-flag with fresh restorable_flags
-// computations, and the builds must produce bit-identical models — and
-// therefore bit-identical TE solutions — at any thread count, with the
-// cache shared or rebuilt locally. The single-thread private-cache build is
-// the baseline every other configuration is compared against.
+// computations, restorable_flags' walk over q's failed links must agree
+// with a full scan of every tunnel, and the builds must produce
+// bit-identical models — and therefore bit-identical TE solutions — at any
+// thread count, with the cache shared or rebuilt locally. The single-thread
+// private-cache build is the baseline every other configuration is compared
+// against.
 #include <cstring>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -82,6 +85,120 @@ TEST_F(RestorabilityFixture, CachedFlagsMatchFreshComputation) {
     EXPECT_EQ(cache.flags(q, -1), naive_fresh) << "q=" << q;
     EXPECT_EQ(cache.flags(q, cache.num_tickets(q)), naive_fresh) << "q=" << q;
   }
+}
+
+// Oracle for restorable_flags: the full scan it replaced, which checks every
+// dead tunnel link by link against a map of the ticket's restored capacity.
+std::vector<char> full_scan_flags(const TeInput& input, int q,
+                                  const ticket::TicketSet& tickets,
+                                  const ticket::LotteryTicket& ticket) {
+  std::vector<char> flags(static_cast<std::size_t>(input.total_tunnels()), 0);
+  std::map<topo::IpLinkId, double> restored;
+  for (std::size_t i = 0; i < tickets.failed_links.size(); ++i) {
+    restored[tickets.failed_links[i]] = ticket.gbps[i];
+  }
+  for (int f = 0; f < input.num_flows(); ++f) {
+    const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
+    for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
+      if (input.tunnel_alive(f, static_cast<int>(ti), q)) continue;
+      bool ok = true;
+      for (int e : tunnels[ti].links) {
+        const auto it = restored.find(e);
+        if (it != restored.end() && it->second <= 1e-9) {
+          ok = false;
+          break;
+        }
+        if (it == restored.end()) {
+          bool failed = false;
+          for (int fe : input.failed_links(q)) failed = failed || fe == e;
+          if (failed) {
+            ok = false;
+            break;
+          }
+        }
+      }
+      if (ok) {
+        flags[static_cast<std::size_t>(
+            input.tunnel_index(f, static_cast<int>(ti)))] = 1;
+      }
+    }
+  }
+  return flags;
+}
+
+int count_set(const std::vector<char>& flags) {
+  int n = 0;
+  for (char c : flags) n += c != 0;
+  return n;
+}
+
+// The walk agrees with the scan for every (q, z) and the naive plan, and on
+// two hand-made tickets of the first scenario whose naive plan restores a
+// tunnel across its first failed link: one restoring 0 Gbps on that link,
+// one whose failed_links omits it. Both must clear at least one tunnel, or
+// they would not exercise the clearing branches.
+void expect_walk_matches_scan(const TeInput& input,
+                              const ArrowPrepared& prepared) {
+  bool hand_made = false;
+  for (int q = 0; q < input.num_scenarios(); ++q) {
+    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
+    for (const auto& t : tickets.tickets) {
+      EXPECT_EQ(restorable_flags(input, q, tickets, t),
+                full_scan_flags(input, q, tickets, t))
+          << "q=" << q;
+    }
+    const auto naive =
+        ticket::naive_ticket(prepared.rwa[static_cast<std::size_t>(q)]);
+    const auto naive_flags = restorable_flags(input, q, tickets, naive);
+    EXPECT_EQ(naive_flags, full_scan_flags(input, q, tickets, naive))
+        << "q=" << q;
+
+    if (hand_made || tickets.failed_links.empty()) continue;
+    bool restores_first = false;
+    for (const auto& lt : input.tunnels_on_link(tickets.failed_links[0])) {
+      restores_first =
+          restores_first || naive_flags[static_cast<std::size_t>(lt.flat)];
+    }
+    if (!restores_first) continue;
+    hand_made = true;
+
+    ticket::LotteryTicket zero = naive;
+    zero.gbps[0] = 0.0;
+    const auto zero_flags = restorable_flags(input, q, tickets, zero);
+    EXPECT_EQ(zero_flags, full_scan_flags(input, q, tickets, zero));
+    EXPECT_LT(count_set(zero_flags), count_set(naive_flags));
+
+    ticket::TicketSet omitted = tickets;
+    omitted.failed_links.erase(omitted.failed_links.begin());
+    ticket::LotteryTicket shorter = naive;
+    shorter.gbps.erase(shorter.gbps.begin());
+    const auto omitted_flags = restorable_flags(input, q, omitted, shorter);
+    EXPECT_EQ(omitted_flags, full_scan_flags(input, q, omitted, shorter));
+    EXPECT_LT(count_set(omitted_flags), count_set(naive_flags));
+  }
+  EXPECT_TRUE(hand_made) << "no scenario restores a tunnel on a failed link";
+}
+
+TEST_F(RestorabilityFixture, FailedLinkWalkMatchesFullScan) {
+  expect_walk_matches_scan(*input_, prepared_);
+}
+
+TEST(RestorabilityIbm, FailedLinkWalkMatchesFullScan) {
+  const topo::Network net = topo::build_ibm();
+  util::Rng rng(7);
+  traffic::TrafficParams tp;
+  tp.num_matrices = 1;
+  const auto matrices = traffic::generate_traffic(net, tp, rng);
+  scenario::ScenarioParams sp;
+  sp.probability_cutoff = 0.005;
+  auto set = scenario::generate_scenarios(net, sp, rng);
+  const auto scenarios = scenario::remove_disconnecting(net, set.scenarios);
+  TunnelParams tun;
+  tun.tunnels_per_flow = 6;
+  const TeInput input(net, matrices[0], scenarios, tun);
+  ArrowParams params;
+  params.tickets.num_tickets = 4;
+  expect_walk_matches_scan(input, prepare_arrow(input, params, rng));
 }
 
 TEST_F(RestorabilityFixture, UnionIsOrOfPerTicketFlags) {
