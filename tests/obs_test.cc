@@ -340,40 +340,104 @@ TEST(SolveWork, PlusEqualsSumsEveryField) {
 
 // ---- RunReport -------------------------------------------------------------
 
+// Every field set to a distinct non-default value, so a key that is
+// dropped, swapped with another or read into the wrong member shows.
 obs::RunReport sample_report() {
   obs::RunReport r;
   r.run_id = "unit";
   r.scheme = "ARROW";
   r.traffic_matrices = 4;
   r.scenarios = 17;
-  r.te_runs = 4;
-  r.ladder = {{"primary", 3}, {"relaxed-retry", 1}, {"ffc-fallback", 0},
-              {"carry-forward", 0}, {"ecmp", 0}};
+  r.te_runs = 5;
+  r.ladder = {{"primary", 3}, {"relaxed-retry", 1}, {"ffc-fallback", 35},
+              {"carry-forward", 36}, {"ecmp", 37}};
   r.degraded_periods = 2;
-  r.deadline_overruns = 1;
+  r.deadline_overruns = 11;
+  r.solver_timeouts = 12;
+  r.backoff_retries = 14;
+  r.canceled = true;
+  r.journal_recovered = true;
+  r.journal_prior_in_flight = true;
+  r.journal_writes = 19;
+  r.journal_write_errors = 21;
   r.simplex_iterations = 12345;
   r.pricing_candidates = 98765;
   r.decomposition_rounds = 7;
   r.decomposition_cuts = 13;
   r.warm_start_hits = 6;
   r.warm_start_stores = 9;
-  r.basis_seeded = 2;
-  r.basis_absorbed = 3;
-  r.basis_evictions = 1;
-  r.cuts_handled = 5;
-  r.cuts_with_plan = 4;
-  r.unplanned_cuts = 1;
-  r.emergency_restorations = 1;
-  r.rwa_repairs = 2;
-  r.rwa_scenarios_lost = 1;
+  r.basis_seeded = 22;
+  r.basis_absorbed = 23;
+  r.basis_evictions = 24;
+  r.basis_save_errors = 25;
+  r.cuts_handled = 26;
+  r.cuts_with_plan = 27;
+  r.unplanned_cuts = 28;
+  r.emergency_restorations = 29;
+  r.rwa_repairs = 30;
+  r.rwa_scenarios_lost = 31;
   r.calibration_degraded = true;
-  r.restorations = 5;
+  r.local_repairs = 32;
+  r.local_repair_fallbacks = 33;
+  r.local_repair_pivots = 4567;
+  r.local_repair_seconds = 0.125;
+  r.restorations = 34;
   r.restoration_p50_s = 8.25;
   r.restoration_p90_s = 9.5;
-  r.restoration_p99_s = 10.0;
-  r.restoration_max_s = 10.0;
+  r.restoration_p99_s = 10.75;
+  r.restoration_max_s = 12.5;
   r.availability = 0.99987;
   return r;
+}
+
+// sample_report().to_json(), byte for byte: the key order, the nested
+// ladder and latency objects and the number formats.
+constexpr const char* kSampleReportJson = R"({
+  "version": 7,
+  "run_id": "unit",
+  "scheme": "ARROW",
+  "traffic_matrices": 4,
+  "scenarios": 17,
+  "te_runs": 5,
+  "ladder": {"primary": 3, "relaxed-retry": 1, "ffc-fallback": 35, "carry-forward": 36, "ecmp": 37},
+  "degraded_periods": 2,
+  "deadline_overruns": 11,
+  "solver_timeouts": 12,
+  "backoff_retries": 14,
+  "canceled": true,
+  "journal_recovered": true,
+  "journal_prior_in_flight": true,
+  "journal_writes": 19,
+  "journal_write_errors": 21,
+  "simplex_iterations": 12345,
+  "pricing_candidates": 98765,
+  "decomposition_rounds": 7,
+  "decomposition_cuts": 13,
+  "warm_start_hits": 6,
+  "warm_start_stores": 9,
+  "basis_seeded": 22,
+  "basis_absorbed": 23,
+  "basis_evictions": 24,
+  "basis_save_errors": 25,
+  "cuts_handled": 26,
+  "cuts_with_plan": 27,
+  "unplanned_cuts": 28,
+  "emergency_restorations": 29,
+  "rwa_repairs": 30,
+  "rwa_scenarios_lost": 31,
+  "calibration_degraded": true,
+  "local_repairs": 32,
+  "local_repair_fallbacks": 33,
+  "local_repair_pivots": 4567,
+  "local_repair_seconds": 0.125,
+  "restorations": 34,
+  "restoration_latency_s": {"p50": 8.25, "p90": 9.5, "p99": 10.75, "max": 12.5},
+  "availability": 0.99987
+}
+)";
+
+TEST(RunReport, ToJsonIsPinned) {
+  EXPECT_EQ(sample_report().to_json(), kSampleReportJson);
 }
 
 TEST(RunReport, JsonRoundTripPreservesEveryField) {
@@ -393,6 +457,13 @@ TEST(RunReport, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(out.degraded_periods, in.degraded_periods);
   EXPECT_EQ(out.deadline_overruns, in.deadline_overruns);
+  EXPECT_EQ(out.solver_timeouts, in.solver_timeouts);
+  EXPECT_EQ(out.backoff_retries, in.backoff_retries);
+  EXPECT_EQ(out.canceled, in.canceled);
+  EXPECT_EQ(out.journal_recovered, in.journal_recovered);
+  EXPECT_EQ(out.journal_prior_in_flight, in.journal_prior_in_flight);
+  EXPECT_EQ(out.journal_writes, in.journal_writes);
+  EXPECT_EQ(out.journal_write_errors, in.journal_write_errors);
   EXPECT_EQ(out.simplex_iterations, in.simplex_iterations);
   EXPECT_EQ(out.pricing_candidates, in.pricing_candidates);
   EXPECT_EQ(out.decomposition_rounds, in.decomposition_rounds);
@@ -402,6 +473,7 @@ TEST(RunReport, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(out.basis_seeded, in.basis_seeded);
   EXPECT_EQ(out.basis_absorbed, in.basis_absorbed);
   EXPECT_EQ(out.basis_evictions, in.basis_evictions);
+  EXPECT_EQ(out.basis_save_errors, in.basis_save_errors);
   EXPECT_EQ(out.cuts_handled, in.cuts_handled);
   EXPECT_EQ(out.cuts_with_plan, in.cuts_with_plan);
   EXPECT_EQ(out.unplanned_cuts, in.unplanned_cuts);
@@ -409,6 +481,10 @@ TEST(RunReport, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(out.rwa_repairs, in.rwa_repairs);
   EXPECT_EQ(out.rwa_scenarios_lost, in.rwa_scenarios_lost);
   EXPECT_EQ(out.calibration_degraded, in.calibration_degraded);
+  EXPECT_EQ(out.local_repairs, in.local_repairs);
+  EXPECT_EQ(out.local_repair_fallbacks, in.local_repair_fallbacks);
+  EXPECT_EQ(out.local_repair_pivots, in.local_repair_pivots);
+  EXPECT_DOUBLE_EQ(out.local_repair_seconds, in.local_repair_seconds);
   EXPECT_EQ(out.restorations, in.restorations);
   EXPECT_DOUBLE_EQ(out.restoration_p50_s, in.restoration_p50_s);
   EXPECT_DOUBLE_EQ(out.restoration_p90_s, in.restoration_p90_s);

@@ -223,6 +223,89 @@ TEST(ServeEngine, ReWeaveCutFastPathDrill) {
   engine.drain();
 }
 
+// The daemon's RunReport after a fixed B4 tick/cut/repair sequence under
+// ReWeave-Local, pinned byte for byte: the ladder, the cut counts, the
+// local repair counters (local and global fallback alike) and the sampled
+// availability. A rewoven plan's latency includes its repair's wall-clock
+// solve time, so local_repair_seconds and the restoration latency
+// percentiles are zeroed before the comparison.
+TEST(ServeEngine, ReWeaveRunReportIsPinned) {
+  serve::EngineConfig config = test_config();
+  config.ctrl.scheme = "ReWeave-Local";
+  config.ctrl.demand_scale = 0.3;
+  const topo::Network net = topo::build_b4();
+  serve::TickEngine engine(config);
+  ASSERT_TRUE(engine.set_topology(net).ok);
+  ASSERT_TRUE(engine.tick(test_tm(net, 7)).ok);
+  ASSERT_TRUE(engine.cut(0).ok);
+  ASSERT_TRUE(engine.repair(0));
+  ASSERT_TRUE(engine.cut(3).ok);
+  ASSERT_TRUE(engine.cut(7).ok);
+  ASSERT_TRUE(engine.tick(test_tm(net, 8)).ok);
+  ASSERT_TRUE(engine.repair(3));
+  ASSERT_TRUE(engine.repair(7));
+  ASSERT_TRUE(engine.tick(test_tm(net, 9)).ok);
+  ASSERT_TRUE(engine.cut(11).ok);
+
+  obs::RunReport report = engine.report();
+  EXPECT_GT(report.local_repairs, 0);
+  EXPECT_GT(report.local_repair_fallbacks, 0);
+  EXPECT_GT(report.local_repair_pivots, 0);
+  EXPECT_GT(report.local_repair_seconds, 0.0);
+  EXPECT_GT(report.restoration_p50_s, 0.0);
+  EXPECT_LE(report.restoration_p50_s, report.restoration_p90_s);
+  EXPECT_LE(report.restoration_p90_s, report.restoration_p99_s);
+  EXPECT_LE(report.restoration_p99_s, report.restoration_max_s);
+  report.local_repair_seconds = 0.0;
+  report.restoration_p50_s = 0.0;
+  report.restoration_p90_s = 0.0;
+  report.restoration_p99_s = 0.0;
+  report.restoration_max_s = 0.0;
+  EXPECT_EQ(report.to_json(), R"({
+  "version": 7,
+  "run_id": "run",
+  "scheme": "ReWeave-Local",
+  "traffic_matrices": 3,
+  "scenarios": 30,
+  "te_runs": 3,
+  "ladder": {"primary": 3, "relaxed-retry": 0, "ffc-fallback": 0, "carry-forward": 0, "ecmp": 0},
+  "degraded_periods": 0,
+  "deadline_overruns": 0,
+  "solver_timeouts": 0,
+  "backoff_retries": 0,
+  "canceled": false,
+  "journal_recovered": false,
+  "journal_prior_in_flight": false,
+  "journal_writes": 0,
+  "journal_write_errors": 0,
+  "simplex_iterations": 373,
+  "pricing_candidates": 83102,
+  "decomposition_rounds": 0,
+  "decomposition_cuts": 0,
+  "warm_start_hits": 4,
+  "warm_start_stores": 10,
+  "basis_seeded": 0,
+  "basis_absorbed": 0,
+  "basis_evictions": 0,
+  "basis_save_errors": 0,
+  "cuts_handled": 4,
+  "cuts_with_plan": 0,
+  "unplanned_cuts": 4,
+  "emergency_restorations": 0,
+  "rwa_repairs": 0,
+  "rwa_scenarios_lost": 0,
+  "calibration_degraded": false,
+  "local_repairs": 4,
+  "local_repair_fallbacks": 2,
+  "local_repair_pivots": 1148,
+  "local_repair_seconds": 0,
+  "restorations": 4,
+  "restoration_latency_s": {"p50": 0, "p90": 0, "p99": 0, "max": 0},
+  "availability": 0.9857151749393834
+}
+)");
+}
+
 // The most loaded fiber that shares an IP link with another fiber, and the
 // most loaded such partner: a plan for the first is a transplant donor for
 // a cut of the second.
