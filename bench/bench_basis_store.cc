@@ -96,7 +96,7 @@ int run_child(const std::string& dir, const std::string& phase) {
   if (!out) return 1;
   char line[64];
   std::snprintf(line, sizeof(line), "%lld %.17g\n", iterations,
-                report.availability());
+                report.availability);
   out << line;
   return out.good() ? 0 : 1;
 }

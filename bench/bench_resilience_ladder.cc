@@ -72,7 +72,7 @@ void BM_LadderUnderFaults(benchmark::State& state) {
                  .count();
     benchmark::DoNotOptimize(run.report.delivered_gbps_seconds);
   }
-  state.counters["availability"] = run.report.availability();
+  state.counters["availability"] = run.report.availability;
   state.counters["lp_faults"] = run.counts.lp_faults;
   state.counters["degraded_periods"] = run.report.degraded_periods;
   state.counters["rwa_repairs"] = run.report.rwa_repairs;
@@ -80,7 +80,7 @@ void BM_LadderUnderFaults(benchmark::State& state) {
       "fault_rate_" + std::to_string(state.range(0)) + "pct";
   json_rows().emplace_back(prefix + "_run_ms", run_ms);
   json_rows().emplace_back(prefix + "_availability",
-                           run.report.availability());
+                           run.report.availability);
   json_rows().emplace_back(prefix + "_lp_faults",
                            static_cast<double>(run.counts.lp_faults));
   json_rows().emplace_back(

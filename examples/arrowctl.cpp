@@ -357,7 +357,7 @@ int cmd_run(int argc, char** argv) {
   const auto report = ctrl::run_controller(net, {tm}, failures, config, rng);
 
   util::Table table({"metric", "value"});
-  table.add_row({"availability", util::Table::pct(report.availability(), 4)});
+  table.add_row({"availability", util::Table::pct(report.availability, 4)});
   table.add_row({"TE runs", std::to_string(report.te_runs)});
   table.add_row({"degraded periods", std::to_string(report.degraded_periods)});
   table.add_row(

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     const auto run =
         resilience::run_with_faults(net, tms, trace, config, fc, run_rng);
     const auto& r = run.report;
-    table.add_row({label, util::Table::pct(r.availability(), 4),
+    table.add_row({label, util::Table::pct(r.availability, 4),
                    rung_summary(r), std::to_string(r.degraded_periods),
                    std::to_string(run.counts.lp_faults) + "/" +
                        std::to_string(run.counts.solves_observed),
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
              : ctrl::to_string(r.rung_by_matrix.front()),
          std::to_string(
              r.fallback_counts[static_cast<int>(ctrl::Rung::kEcmp)]),
-         util::Table::pct(r.availability(), 4)});
+         util::Table::pct(r.availability, 4)});
   };
   restart("without journal", "");
   restart("with journal (recovered)", jdir);

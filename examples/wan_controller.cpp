@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     cfg.obs.run_id = run_id;
     util::Rng run_rng(7);  // identical stream for apples-to-apples replays
     const auto r = ctrl::run_controller(net, tms, trace, cfg, run_rng);
-    table.add_row({label, util::Table::pct(r.availability(), 4),
+    table.add_row({label, util::Table::pct(r.availability, 4),
                    util::Table::num(r.lost_gbps_seconds / 1000.0, 1),
                    util::Table::num(r.transient_loss_gbps_seconds / 1000.0, 1),
                    util::Table::num(r.worst_restoration_s, 1) + " s",

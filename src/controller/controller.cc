@@ -230,14 +230,15 @@ ControllerReport run_controller(const topo::Network& net,
   queue.run();
   session.close();
 
-  // RunReport: copied from this report's own accounting (never re-derived
-  // from global metrics — see obs/report.h), then written out if enabled.
-  obs::RunReport& rr = report.run_report;
-  session.fill_run_report(&rr);
-  rr.traffic_matrices = static_cast<int>(tms.size());
-  rr.canceled = report.canceled;
-  rr.availability = report.availability();
-  emit_run_artifacts(obs_cfg, rr);
+  // The RunReport base: this report's own accounting (never re-derived
+  // from global metrics — see obs/report.h), written out if enabled.
+  session.fill_run_report(&report);
+  report.traffic_matrices = static_cast<int>(tms.size());
+  report.availability =
+      report.offered_gbps_seconds > 0.0
+          ? report.delivered_gbps_seconds / report.offered_gbps_seconds
+          : 1.0;
+  emit_run_artifacts(obs_cfg, report);
   return report;
 }
 

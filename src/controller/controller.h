@@ -134,7 +134,7 @@ struct ControllerConfig {
   // Observability. Resolved against the environment (ARROW_OBS_DIR,
   // ARROW_TRACE) at run start; when enabled the run writes a RunReport,
   // metrics snapshots, and (with trace) a Chrome trace into obs.dir. The
-  // ControllerReport's run_report field is populated either way —
+  // ControllerReport's RunReport fields are populated either way —
   // observability is strictly read-only on solver state, so TE solutions
   // are bit-identical with it on or off.
   obs::ObsConfig obs;
@@ -147,89 +147,44 @@ struct ControllerConfig {
   std::function<double()> restoration_delay_s;
 };
 
-// One run's accounting. serve::TickEngine keeps its tally in this type too:
-// the fields mean the same there, with te_runs counting ticks and the
-// time-integrated fields left at zero.
-struct ControllerReport {
+// One run's accounting: the RunReport base holds every counter the report
+// serializes, and the loops count straight into it. serve::TickEngine
+// keeps its tally in this type too: the fields mean the same there, with
+// te_runs counting ticks and the time-integrated fields left at zero.
+struct ControllerReport : obs::RunReport {
+  // run_controller sets the base's availability to delivered / offered
+  // (1 when nothing was offered) when the horizon ends.
   double offered_gbps_seconds = 0.0;
   double delivered_gbps_seconds = 0.0;
   double lost_gbps_seconds = 0.0;
   // Loss incurred specifically while restorations were still converging
   // (between the cut and the last wavelength-up event).
   double transient_loss_gbps_seconds = 0.0;
-  int te_runs = 0;
-  int cuts_handled = 0;
-  // Cuts the scheme's on_cut answered from the precomputed plan of the
-  // single-cut scenario they match exactly. Both loops count every cut
-  // they ask on_cut about in this or unplanned_cuts; run_controller asks
-  // only for restores_optically schemes.
-  int cuts_with_plan = 0;
   double worst_restoration_s = 0.0;
 
   // --- degradation-ladder accounting ---------------------------------------
-  // TE solves served by each rung (index with static_cast<int>(Rung)).
+  // TE solves served by each rung (index with static_cast<int>(Rung)); the
+  // RunReport's ladder is built from it.
   std::array<int, kNumRungs> fallback_counts{};
   // Rung and wall-clock solve time behind each traffic matrix's solution.
   std::vector<Rung> rung_by_matrix;
   std::vector<double> solve_seconds_by_matrix;
   // Simplex pivots spent on each matrix's ladder (every attempt counts, not
-  // just the winning rung) — the controller's own accounting of what the
-  // solver returned, which the RunReport copies verbatim.
+  // just the winning rung); they sum to simplex_iterations.
   std::vector<long long> simplex_iterations_by_matrix;
-  // Solver work across every ladder attempt in the horizon, the LP solves
-  // among them that returned kTimedOut, and the backoff sleeps taken before
-  // retries (the offline stage's RWA repair backoffs included).
-  obs::SolveWork solve_work;
-  int solver_timeouts = 0;
-  int backoff_retries = 0;
-  // TE periods in the horizon served by a rung below kPrimary or by a
-  // solve that blew the te_budget_s deadline.
-  int degraded_periods = 0;
-  int deadline_overruns = 0;       // TE solves exceeding te_budget_s
-  bool calibration_degraded = false;  // calibration LP fell back to ECMP bound
-  bool canceled = false;           // config.cancel fired mid-run
-
-  // --- crash-consistency journal --------------------------------------------
-  bool journal_recovered = false;  // a prior journal's plan seeded the ladder
-  bool journal_prior_in_flight = false;  // that journal's writer died mid-run
-  int journal_writes = 0;
-  int journal_write_errors = 0;
 
   // --- restoration robustness ----------------------------------------------
-  int rwa_repairs = 0;             // scenario RWA solves recovered by retry
-  int rwa_scenarios_lost = 0;      // scenario plans lost even after retries
-  int unplanned_cuts = 0;          // on_cut had no exact precomputed plan
-  // Unplanned cuts whose nearest-scenario transplant lit capacity.
-  int emergency_restorations = 0;
   int plans_dropped = 0;           // fault hook discarded an available plan
   int plans_delayed = 0;           // fault hook delayed plan installation
   int overlapping_cuts = 0;        // cut arrived while another was active
   // End-to-end latency (control-plane delay + optical convergence) of every
-  // installed restoration plan, in installation order.
+  // installed restoration plan, in installation order; the RunReport's
+  // restoration percentiles are taken from it.
   std::vector<double> restoration_latency_s;
 
-  // --- warm-start traffic ----------------------------------------------------
-  // Hits/stores of the session's warm-start cache, and the BasisStore
-  // seed/absorb counts (zero when no store is configured).
-  int warm_start_hits = 0;
-  int warm_start_stores = 0;
-  int basis_seeded = 0;
-  int basis_absorbed = 0;
-  long long basis_evictions = 0;
-  int basis_save_errors = 0;  // failed BasisStore::save (old file kept)
-
-  // Machine-readable summary of this run (always populated; written to disk
-  // only when ControllerConfig::obs resolves to enabled).
-  obs::RunReport run_report;
   // Delivered-rate staircase: (time, delivered Gbps). One point per state
   // change (TE run, cut, wavelength-up, repair).
   std::vector<std::pair<double, double>> timeline;
-
-  double availability() const {
-    return offered_gbps_seconds > 0.0
-               ? delivered_gbps_seconds / offered_gbps_seconds
-               : 1.0;
-  }
 };
 
 // Deterministic given the rng. The same failure trace can be replayed

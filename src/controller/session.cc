@@ -57,7 +57,7 @@ Session::Session(const ControllerConfig& config, const topo::Network& net,
   options.latency = config.latency;
   scheme_ = schemes::Registry::global().create(config.scheme, options);
   caps_ = scheme_->capabilities();
-  num_scenarios_ = static_cast<int>(scenarios.size());
+  tally_->scenarios = static_cast<int>(scenarios.size());
 
   // Persistent warm starts (opt-in): prepare() seeds the session's cache
   // from the store's bases for this exact (topology, scenario set); close()
@@ -256,7 +256,7 @@ LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
   }
   out.deadline_overrun =
       config_.te_budget_s > 0.0 && out.seconds > config_.te_budget_s;
-  tally_->solve_work += out.work;
+  static_cast<obs::SolveWork&>(*tally_) += out.work;
   tally_->solver_timeouts += out.solver_timeouts;
   tally_->backoff_retries += out.backoff_retries;
   tally_->fallback_counts[static_cast<std::size_t>(out.rung)] += 1;
@@ -278,8 +278,6 @@ LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
 void Session::close() {
   if (closed_ || primary_ == nullptr) return;
   closed_ = true;
-  tally_->warm_start_hits = warm_.hits();
-  tally_->warm_start_stores = warm_.stores();
   if (store_ != nullptr) {
     tally_->basis_absorbed = store_->absorb(topo_h_, scen_h_, warm_);
     // save_shared merges under a file lock, so processes sharing one
@@ -288,57 +286,39 @@ void Session::close() {
     if (!basis_file_.empty() && !store_->save_shared(basis_file_)) {
       ++tally_->basis_save_errors;
     }
-    tally_->basis_evictions = store_->evictions();
   }
-  if (journal_) {
-    journal_->end_run();  // clears the in-flight marker
-    tally_->journal_writes = journal_->writes();
-    tally_->journal_write_errors = journal_->write_errors();
+  if (journal_) journal_->end_run();  // clears the in-flight marker
+}
+
+void fill_run_report(const ControllerConfig& config,
+                     ControllerReport* report) {
+  report->run_id = config.obs.resolved().run_id;
+  report->scheme = config.scheme;
+  report->ladder.clear();
+  for (int r = 0; r < kNumRungs; ++r) {
+    report->ladder.emplace_back(
+        to_string(static_cast<Rung>(r)),
+        report->fallback_counts[static_cast<std::size_t>(r)]);
+  }
+  const auto& lat = report->restoration_latency_s;
+  report->restorations = static_cast<int>(lat.size());
+  if (!lat.empty()) {
+    report->restoration_p50_s = util::percentile(lat, 50);
+    report->restoration_p90_s = util::percentile(lat, 90);
+    report->restoration_p99_s = util::percentile(lat, 99);
+    report->restoration_max_s = *std::max_element(lat.begin(), lat.end());
   }
 }
 
-void Session::fill_run_report(obs::RunReport* rr) const {
-  const ControllerReport& t = *tally_;
-  rr->run_id = obs_.run_id;
-  rr->scheme = config_.scheme;
-  rr->scenarios = num_scenarios_;
-  rr->te_runs = t.te_runs;
-  for (int r = 0; r < kNumRungs; ++r) {
-    rr->ladder.emplace_back(to_string(static_cast<Rung>(r)),
-                            t.fallback_counts[static_cast<std::size_t>(r)]);
-  }
-  rr->degraded_periods = t.degraded_periods;
-  rr->deadline_overruns = t.deadline_overruns;
-  rr->solver_timeouts = t.solver_timeouts;
-  rr->backoff_retries = t.backoff_retries;
-  rr->journal_recovered = t.journal_recovered;
-  rr->journal_prior_in_flight = t.journal_prior_in_flight;
+void Session::fill_run_report(ControllerReport* report) const {
+  ctrl::fill_run_report(config_, report);
   if (journal_) {
-    rr->journal_writes = journal_->writes();
-    rr->journal_write_errors = journal_->write_errors();
+    report->journal_writes = journal_->writes();
+    report->journal_write_errors = journal_->write_errors();
   }
-  static_cast<obs::SolveWork&>(*rr) = t.solve_work;
-  rr->warm_start_hits = warm_.hits();
-  rr->warm_start_stores = warm_.stores();
-  rr->basis_seeded = t.basis_seeded;
-  rr->basis_absorbed = t.basis_absorbed;
-  if (store_ != nullptr) rr->basis_evictions = store_->evictions();
-  rr->basis_save_errors = t.basis_save_errors;
-  rr->cuts_handled = t.cuts_handled;
-  rr->cuts_with_plan = t.cuts_with_plan;
-  rr->unplanned_cuts = t.unplanned_cuts;
-  rr->emergency_restorations = t.emergency_restorations;
-  rr->rwa_repairs = t.rwa_repairs;
-  rr->rwa_scenarios_lost = t.rwa_scenarios_lost;
-  rr->calibration_degraded = t.calibration_degraded;
-  const auto& lat = t.restoration_latency_s;
-  rr->restorations = static_cast<int>(lat.size());
-  if (!lat.empty()) {
-    rr->restoration_p50_s = util::percentile(lat, 50);
-    rr->restoration_p90_s = util::percentile(lat, 90);
-    rr->restoration_p99_s = util::percentile(lat, 99);
-    rr->restoration_max_s = *std::max_element(lat.begin(), lat.end());
-  }
+  report->warm_start_hits = warm_.hits();
+  report->warm_start_stores = warm_.stores();
+  if (store_ != nullptr) report->basis_evictions = store_->evictions();
 }
 
 int Session::plan_for_cut(topo::FiberId fiber) const {

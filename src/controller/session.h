@@ -74,6 +74,11 @@ struct CutState {
   bool repair(topo::FiberId fiber);
 };
 
+// Fills the RunReport fields derived from the rest of `report`: run_id and
+// scheme from `config`, the ladder from fallback_counts, and the
+// restoration count and percentiles from restoration_latency_s.
+void fill_run_report(const ControllerConfig& config, ControllerReport* report);
+
 class Session {
  public:
   // Creates the scheme, then resolves the basis and journal directories and
@@ -102,9 +107,11 @@ class Session {
   // prepare().
   void close();
 
-  // Fills the RunReport fields both loops share. Journal and warm-start
-  // counts are read live, so a report taken mid-run is current.
-  void fill_run_report(obs::RunReport* rr) const;
+  // Fills `report`'s derived RunReport fields (fill_run_report below) and
+  // the live ones: journal writes, warm-start hits and stores, and basis
+  // store evictions, so a report taken mid-run is current. `report` is the
+  // tally or a copy of it.
+  void fill_run_report(ControllerReport* report) const;
 
   // Answers a cut of `fiber` through the scheme's on_cut. `active` is every
   // fiber cut now, `fiber` included; `input` and `plan` are what serves
@@ -140,7 +147,6 @@ class Session {
   std::unique_ptr<schemes::Scheme> scheme_;
   schemes::Capabilities caps_;
   obs::ObsConfig obs_;
-  int num_scenarios_ = 0;
   util::ThreadPool inline_pool_{1};
 
   std::optional<solver::BasisStore> local_store_;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <type_traits>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -33,85 +35,97 @@ ObsConfig ObsConfig::resolved() const {
 
 namespace {
 
-// Both shared with the JSON value model: format_double is std::to_chars
-// (locale-independent — "%.17g" obeyed LC_NUMERIC), and json_escape covers
-// every control character, so a surprising string cannot corrupt the file.
-std::string fmt_double(double v) { return format_double(v); }
+// The version is the one key outside RunReport::for_each_field: from_json
+// checks it before reading any field.
+constexpr const char* kVersionKey = "version";
 
-std::string escape(const std::string& s) { return json_escape(s); }
+// One field's JSON value. format_double is std::to_chars (locale-
+// independent — "%.17g" obeyed LC_NUMERIC), and json_escape covers every
+// control character, so a surprising string cannot corrupt the file.
+std::string json_value(const std::string& s) {
+  return "\"" + json_escape(s) + "\"";
+}
+std::string json_value(bool b) { return b ? "true" : "false"; }
+std::string json_value(int v) { return std::to_string(v); }
+std::string json_value(long long v) { return std::to_string(v); }
+std::string json_value(double v) { return format_double(v); }
+template <class T>
+std::string json_value(const T* v) {
+  return json_value(*v);
+}
+// A nested object: {"key": value, ...} on one line.
+template <class Members>
+std::string json_object(const Members& members) {
+  std::string out = "{";
+  for (const auto& [key, value] : members) {
+    if (out.size() > 1) out += ", ";
+    out += "\"" + json_escape(key) + "\": " + json_value(value);
+  }
+  return out + "}";
+}
+std::string json_value(const std::vector<std::pair<std::string, int>>& v) {
+  return json_object(v);
+}
+template <class T, std::size_t N>
+std::string json_value(const std::array<std::pair<const char*, T*>, N>& v) {
+  return json_object(v);
+}
+
+// A JSON number as an integer field. Out-of-range values saturate and NaN
+// reads as 0, so no input makes the conversion undefined.
+template <class T>
+T to_integer(double v) {
+  if (!(v == v)) return 0;
+  if (v <= static_cast<double>(std::numeric_limits<T>::min())) {
+    return std::numeric_limits<T>::min();
+  }
+  if (v >= static_cast<double>(std::numeric_limits<T>::max())) {
+    return std::numeric_limits<T>::max();
+  }
+  return static_cast<T>(v);
+}
+
+// Reads one field from the report object. A missing key, or one of the
+// wrong type, leaves the field at its default.
+void read_value(const JsonValue& root, const char* key, std::string& v) {
+  v = root.text(key);
+}
+void read_value(const JsonValue& root, const char* key, bool& v) {
+  if (const JsonValue* j = root.find(key)) v = j->boolean;
+}
+void read_value(const JsonValue& root, const char* key, double& v) {
+  v = root.num(key);
+}
+template <class T>
+  requires std::is_integral_v<T>
+void read_value(const JsonValue& root, const char* key, T& v) {
+  v = to_integer<T>(root.num(key));
+}
+void read_value(const JsonValue& root, const char* key,
+                std::vector<std::pair<std::string, int>>& ladder) {
+  if (const JsonValue* j = root.find(key)) {
+    for (const auto& [name, v] : j->object) {
+      if (v.is_number()) ladder.emplace_back(name, to_integer<int>(v.number));
+    }
+  }
+}
+template <std::size_t N>
+void read_value(const JsonValue& root, const char* key,
+                const std::array<std::pair<const char*, double*>, N>& members) {
+  if (const JsonValue* j = root.find(key)) {
+    for (const auto& [name, v] : members) *v = j->num(name);
+  }
+}
 
 }  // namespace
 
 std::string RunReport::to_json() const {
-  std::string out = "{\n";
-  out += "  \"version\": " + std::to_string(kVersion) + ",\n";
-  out += "  \"run_id\": \"" + escape(run_id) + "\",\n";
-  out += "  \"scheme\": \"" + escape(scheme) + "\",\n";
-  out += "  \"traffic_matrices\": " + std::to_string(traffic_matrices) + ",\n";
-  out += "  \"scenarios\": " + std::to_string(scenarios) + ",\n";
-  out += "  \"te_runs\": " + std::to_string(te_runs) + ",\n";
-  out += "  \"ladder\": {";
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    out += i == 0 ? "" : ", ";
-    out += "\"" + escape(ladder[i].first) +
-           "\": " + std::to_string(ladder[i].second);
-  }
-  out += "},\n";
-  out += "  \"degraded_periods\": " + std::to_string(degraded_periods) + ",\n";
-  out += "  \"deadline_overruns\": " + std::to_string(deadline_overruns) + ",\n";
-  out += "  \"solver_timeouts\": " + std::to_string(solver_timeouts) + ",\n";
-  out += "  \"backoff_retries\": " + std::to_string(backoff_retries) + ",\n";
-  out += std::string("  \"canceled\": ") + (canceled ? "true" : "false") +
-         ",\n";
-  out += std::string("  \"journal_recovered\": ") +
-         (journal_recovered ? "true" : "false") + ",\n";
-  out += std::string("  \"journal_prior_in_flight\": ") +
-         (journal_prior_in_flight ? "true" : "false") + ",\n";
-  out += "  \"journal_writes\": " + std::to_string(journal_writes) + ",\n";
-  out += "  \"journal_write_errors\": " + std::to_string(journal_write_errors) +
-         ",\n";
-  out += "  \"simplex_iterations\": " + std::to_string(simplex_iterations) +
-         ",\n";
-  out += "  \"pricing_candidates\": " + std::to_string(pricing_candidates) +
-         ",\n";
-  out += "  \"decomposition_rounds\": " + std::to_string(decomposition_rounds) +
-         ",\n";
-  out += "  \"decomposition_cuts\": " + std::to_string(decomposition_cuts) +
-         ",\n";
-  out += "  \"warm_start_hits\": " + std::to_string(warm_start_hits) + ",\n";
-  out += "  \"warm_start_stores\": " + std::to_string(warm_start_stores) +
-         ",\n";
-  out += "  \"basis_seeded\": " + std::to_string(basis_seeded) + ",\n";
-  out += "  \"basis_absorbed\": " + std::to_string(basis_absorbed) + ",\n";
-  out += "  \"basis_evictions\": " + std::to_string(basis_evictions) + ",\n";
-  out += "  \"basis_save_errors\": " + std::to_string(basis_save_errors) +
-         ",\n";
-  out += "  \"cuts_handled\": " + std::to_string(cuts_handled) + ",\n";
-  out += "  \"cuts_with_plan\": " + std::to_string(cuts_with_plan) + ",\n";
-  out += "  \"unplanned_cuts\": " + std::to_string(unplanned_cuts) + ",\n";
-  out += "  \"emergency_restorations\": " +
-         std::to_string(emergency_restorations) + ",\n";
-  out += "  \"rwa_repairs\": " + std::to_string(rwa_repairs) + ",\n";
-  out += "  \"rwa_scenarios_lost\": " + std::to_string(rwa_scenarios_lost) +
-         ",\n";
-  out += std::string("  \"calibration_degraded\": ") +
-         (calibration_degraded ? "true" : "false") + ",\n";
-  out += "  \"local_repairs\": " + std::to_string(local_repairs) + ",\n";
-  out += "  \"local_repair_fallbacks\": " +
-         std::to_string(local_repair_fallbacks) + ",\n";
-  out += "  \"local_repair_pivots\": " + std::to_string(local_repair_pivots) +
-         ",\n";
-  out += "  \"local_repair_seconds\": " + fmt_double(local_repair_seconds) +
-         ",\n";
-  out += "  \"restorations\": " + std::to_string(restorations) + ",\n";
-  out += "  \"restoration_latency_s\": {\"p50\": " +
-         fmt_double(restoration_p50_s) +
-         ", \"p90\": " + fmt_double(restoration_p90_s) +
-         ", \"p99\": " + fmt_double(restoration_p99_s) +
-         ", \"max\": " + fmt_double(restoration_max_s) + "},\n";
-  out += "  \"availability\": " + fmt_double(availability) + "\n";
-  out += "}\n";
-  return out;
+  std::string out = "{\n  \"" + std::string(kVersionKey) +
+                    "\": " + std::to_string(kVersion);
+  for_each_field(*this, [&out](const char* key, const auto& value) {
+    out += ",\n  \"" + std::string(key) + "\": " + json_value(value);
+  });
+  return out + "\n}\n";
 }
 
 bool RunReport::write(const std::string& path) const {
@@ -124,72 +138,11 @@ bool RunReport::write(const std::string& path) const {
 bool RunReport::from_json(const std::string& text, RunReport* out) {
   JsonValue root;
   if (!json_parse(text, &root) || !root.is_object()) return false;
-  if (static_cast<int>(root.num("version", -1)) != kVersion) return false;
+  if (to_integer<int>(root.num(kVersionKey, -1)) != kVersion) return false;
   RunReport r;
-  r.run_id = root.text("run_id");
-  r.scheme = root.text("scheme");
-  r.traffic_matrices = static_cast<int>(root.num("traffic_matrices"));
-  r.scenarios = static_cast<int>(root.num("scenarios"));
-  r.te_runs = static_cast<int>(root.num("te_runs"));
-  if (const JsonValue* ladder = root.find("ladder")) {
-    for (const auto& [name, v] : ladder->object) {
-      if (v.is_number()) {
-        r.ladder.emplace_back(name, static_cast<int>(v.number));
-      }
-    }
-  }
-  r.degraded_periods = static_cast<int>(root.num("degraded_periods"));
-  r.deadline_overruns = static_cast<int>(root.num("deadline_overruns"));
-  r.solver_timeouts = static_cast<int>(root.num("solver_timeouts"));
-  r.backoff_retries = static_cast<int>(root.num("backoff_retries"));
-  if (const JsonValue* v = root.find("canceled")) r.canceled = v->boolean;
-  if (const JsonValue* v = root.find("journal_recovered")) {
-    r.journal_recovered = v->boolean;
-  }
-  if (const JsonValue* v = root.find("journal_prior_in_flight")) {
-    r.journal_prior_in_flight = v->boolean;
-  }
-  r.journal_writes = static_cast<int>(root.num("journal_writes"));
-  r.journal_write_errors =
-      static_cast<int>(root.num("journal_write_errors"));
-  r.simplex_iterations =
-      static_cast<long long>(root.num("simplex_iterations"));
-  r.pricing_candidates =
-      static_cast<long long>(root.num("pricing_candidates"));
-  r.decomposition_rounds =
-      static_cast<long long>(root.num("decomposition_rounds"));
-  r.decomposition_cuts =
-      static_cast<long long>(root.num("decomposition_cuts"));
-  r.warm_start_hits = static_cast<int>(root.num("warm_start_hits"));
-  r.warm_start_stores = static_cast<int>(root.num("warm_start_stores"));
-  r.basis_seeded = static_cast<int>(root.num("basis_seeded"));
-  r.basis_absorbed = static_cast<int>(root.num("basis_absorbed"));
-  r.basis_evictions = static_cast<long long>(root.num("basis_evictions"));
-  r.basis_save_errors = static_cast<int>(root.num("basis_save_errors"));
-  r.cuts_handled = static_cast<int>(root.num("cuts_handled"));
-  r.cuts_with_plan = static_cast<int>(root.num("cuts_with_plan"));
-  r.unplanned_cuts = static_cast<int>(root.num("unplanned_cuts"));
-  r.emergency_restorations =
-      static_cast<int>(root.num("emergency_restorations"));
-  r.rwa_repairs = static_cast<int>(root.num("rwa_repairs"));
-  r.rwa_scenarios_lost = static_cast<int>(root.num("rwa_scenarios_lost"));
-  if (const JsonValue* v = root.find("calibration_degraded")) {
-    r.calibration_degraded = v->boolean;
-  }
-  r.local_repairs = static_cast<int>(root.num("local_repairs"));
-  r.local_repair_fallbacks =
-      static_cast<int>(root.num("local_repair_fallbacks"));
-  r.local_repair_pivots =
-      static_cast<long long>(root.num("local_repair_pivots"));
-  r.local_repair_seconds = root.num("local_repair_seconds");
-  r.restorations = static_cast<int>(root.num("restorations"));
-  if (const JsonValue* lat = root.find("restoration_latency_s")) {
-    r.restoration_p50_s = lat->num("p50");
-    r.restoration_p90_s = lat->num("p90");
-    r.restoration_p99_s = lat->num("p99");
-    r.restoration_max_s = lat->num("max");
-  }
-  r.availability = root.num("availability");
+  for_each_field(r, [&root](const char* key, auto&& field) {
+    read_value(root, key, field);
+  });
   *out = std::move(r);
   return true;
 }

@@ -6,12 +6,13 @@
 // solver's returned pivot/warm-start totals, BasisStore traffic,
 // restoration latency percentiles — serialized as versioned JSON (a
 // `"version"` field holding RunReport::kVersion) so downstream tooling can
-// evolve with the format. The numbers are copied from the run's own
-// accounting (which in turn records what the solver returned), never
-// re-derived from global metrics, so a report's counts match the solver's
-// stats exactly even when concurrent runs share the process-wide Registry.
+// evolve with the format. The numbers are the run's own accounting (which
+// in turn records what the solver returned), never re-derived from global
+// metrics, so a report's counts match the solver's stats exactly even when
+// concurrent runs share the process-wide Registry.
 #pragma once
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,7 +55,8 @@ struct ObsConfig {
 // The SolveWork base holds the solver work summed from every SolveResult
 // the TE layer returned (every ladder attempt counts, not just the winning
 // rung's): pivots and pricing work (v3), and Phase I decomposition totals
-// (v4).
+// (v4). ctrl::ControllerReport takes RunReport as its base in turn, so the
+// control loops count straight into these fields.
 struct RunReport : SolveWork {
   // v2: adds solver timeout / backoff / cancellation counts and the
   // crash-consistency journal + basis-store save-error fields.
@@ -73,43 +75,51 @@ struct RunReport : SolveWork {
   std::string run_id;
   std::string scheme;
 
-  // Workload shape.
+  // Workload shape. te_runs counts TE solves (a daemon's ticks).
   int traffic_matrices = 0;
   int scenarios = 0;
   int te_runs = 0;
 
   // Degradation-ladder outcomes: (rung name, TE solves served by it), in
-  // ladder order, plus the periods that ran degraded.
+  // ladder order, plus the periods that ran degraded: served below the
+  // primary rung or by a solve that blew the period budget.
   std::vector<std::pair<std::string, int>> ladder;
   int degraded_periods = 0;
   int deadline_overruns = 0;
   // LP solves that returned kTimedOut under the period budget, backoff
-  // sleeps taken before retries, and whether the run was canceled (graceful
-  // drain) — all from the controller's own accounting.
+  // sleeps taken before retries (the offline stage's RWA repair backoffs
+  // included), and whether the run was canceled (graceful drain).
   int solver_timeouts = 0;
   int backoff_retries = 0;
   bool canceled = false;
 
-  // Crash-consistency journal traffic (zero / false when no journal_dir).
+  // Crash-consistency journal traffic (zero / false when no journal_dir):
+  // whether a prior journal's plan seeded the ladder, and whether that
+  // journal's writer died mid-run.
   bool journal_recovered = false;
-  bool journal_prior_in_flight = false;  // predecessor died mid-run
+  bool journal_prior_in_flight = false;
   int journal_writes = 0;
   int journal_write_errors = 0;
 
-  // Warm-start traffic of the run's session cache and BasisStore.
+  // Warm-start traffic of the run's session cache and BasisStore (the
+  // store counts are zero when no store is configured).
   int warm_start_hits = 0;
   int warm_start_stores = 0;
   int basis_seeded = 0;
   int basis_absorbed = 0;
   long long basis_evictions = 0;
-  int basis_save_errors = 0;
+  int basis_save_errors = 0;  // failed BasisStore::save (old file kept)
 
-  // Restoration outcomes.
+  // Restoration outcomes. Every cut a loop asks the scheme's on_cut about
+  // counts in cuts_with_plan (answered from the precomputed plan of the
+  // single-cut scenario it matches) or in unplanned_cuts;
+  // emergency_restorations are the unplanned cuts whose nearest-scenario
+  // transplant lit capacity.
   int cuts_handled = 0;
   int cuts_with_plan = 0;
   int unplanned_cuts = 0;
   int emergency_restorations = 0;
-  int rwa_repairs = 0;
+  int rwa_repairs = 0;  // scenario RWA solves recovered by retry
   // Offline stage (v6): scenario RWA plans lost even after every repair
   // attempt, and whether calibration fell back to the ECMP bound.
   int rwa_scenarios_lost = 0;
@@ -128,10 +138,63 @@ struct RunReport : SolveWork {
 
   double availability = 0.0;
 
+  // The report's one field list: calls f(key, member) for every field, in
+  // JSON order, with `r` a RunReport or a const one. `ladder` is written
+  // as a {rung: count} object and the latency percentiles as one object of
+  // (key, member pointer) pairs; to_json and from_json both walk this list.
+  template <class Report, class F>
+  static void for_each_field(Report& r, F&& f) {
+    f("run_id", r.run_id);
+    f("scheme", r.scheme);
+    f("traffic_matrices", r.traffic_matrices);
+    f("scenarios", r.scenarios);
+    f("te_runs", r.te_runs);
+    f("ladder", r.ladder);
+    f("degraded_periods", r.degraded_periods);
+    f("deadline_overruns", r.deadline_overruns);
+    f("solver_timeouts", r.solver_timeouts);
+    f("backoff_retries", r.backoff_retries);
+    f("canceled", r.canceled);
+    f("journal_recovered", r.journal_recovered);
+    f("journal_prior_in_flight", r.journal_prior_in_flight);
+    f("journal_writes", r.journal_writes);
+    f("journal_write_errors", r.journal_write_errors);
+    f("simplex_iterations", r.simplex_iterations);
+    f("pricing_candidates", r.pricing_candidates);
+    f("decomposition_rounds", r.decomposition_rounds);
+    f("decomposition_cuts", r.decomposition_cuts);
+    f("warm_start_hits", r.warm_start_hits);
+    f("warm_start_stores", r.warm_start_stores);
+    f("basis_seeded", r.basis_seeded);
+    f("basis_absorbed", r.basis_absorbed);
+    f("basis_evictions", r.basis_evictions);
+    f("basis_save_errors", r.basis_save_errors);
+    f("cuts_handled", r.cuts_handled);
+    f("cuts_with_plan", r.cuts_with_plan);
+    f("unplanned_cuts", r.unplanned_cuts);
+    f("emergency_restorations", r.emergency_restorations);
+    f("rwa_repairs", r.rwa_repairs);
+    f("rwa_scenarios_lost", r.rwa_scenarios_lost);
+    f("calibration_degraded", r.calibration_degraded);
+    f("local_repairs", r.local_repairs);
+    f("local_repair_fallbacks", r.local_repair_fallbacks);
+    f("local_repair_pivots", r.local_repair_pivots);
+    f("local_repair_seconds", r.local_repair_seconds);
+    f("restorations", r.restorations);
+    using Percentile = std::pair<const char*, decltype(&r.restoration_p50_s)>;
+    f("restoration_latency_s",
+      std::array<Percentile, 4>{{{"p50", &r.restoration_p50_s},
+                                 {"p90", &r.restoration_p90_s},
+                                 {"p99", &r.restoration_p99_s},
+                                 {"max", &r.restoration_max_s}}});
+    f("availability", r.availability);
+  }
+
   std::string to_json() const;
   bool write(const std::string& path) const;
-  // Parses a file previously produced by to_json(). Returns false (out
-  // untouched) on malformed JSON or a version other than kVersion.
+  // Parses a file previously produced by to_json(). A missing key reads as
+  // zero / false / empty. Returns false (out untouched) on malformed JSON
+  // or a version other than kVersion.
   static bool from_json(const std::string& text, RunReport* out);
 };
 

@@ -2,11 +2,12 @@
 //
 // solver::SolveResult (one Model::solve), te::TeSolution and
 // te::Phase1Result (every solve behind one TE answer) and obs::RunReport
-// (every ladder attempt in a run) take SolveWork as a public base, and the
-// controller's per-period and per-run tallies carry one. The counters keep
-// one spelling at every layer, and each hop is a single `+=` or base
-// assignment. It lives in obs because obs is the bottom library that the
-// solver, te, controller and the report all link.
+// (every ladder attempt in a run; ctrl::ControllerReport, the run's tally,
+// is a RunReport) take SolveWork as a public base, and the per-period
+// ladder outcome carries one. The counters keep one spelling at every
+// layer, and each hop is a single `+=` or base assignment. It lives in obs
+// because obs is the bottom library that the solver, te, controller and
+// the report all link.
 #pragma once
 
 namespace arrow::obs {
@@ -31,7 +32,7 @@ struct SolveWork {
 };
 
 // A counter added to SolveWork must also be summed in operator+= (and
-// written by RunReport::to_json / from_json); this trips until it is.
+// listed in RunReport::for_each_field); this trips until it is.
 static_assert(sizeof(SolveWork) == 4 * sizeof(long long),
               "SolveWork gained a field: sum it in operator+=");
 

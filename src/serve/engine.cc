@@ -78,6 +78,7 @@ TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
   OBS_SPAN("serve_tick");
   ctrl::LadderOutcome lad = session_->solve(*input_);
 
+  ++tally_.traffic_matrices;
   out.ok = true;
   out.tick = tally_.te_runs;
   out.rung = lad.rung;
@@ -141,8 +142,8 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
   schemes::CutRepair repair =
       session_->cut(fiber, cuts_.cuts(), *input_, *current_);
   out.planned = repair.planned;
-  local_repair_seconds_ += repair.solve_seconds;
-  local_repair_pivots_ += repair.simplex_iterations;
+  tally_.local_repair_seconds += repair.solve_seconds;
+  tally_.local_repair_pivots += repair.simplex_iterations;
   // An optical answer lights its timeline; any other answer is an IP-layer
   // repair, woven inside the cut request instead of waiting for the next
   // tick.
@@ -164,12 +165,12 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
   if (rewoven) {
     // Install the repaired plan as current (not last-good: it is shaped
     // for the failure state, and the next tick re-solves from scratch).
-    ++local_repairs_;
+    ++tally_.local_repairs;
     out.local_repair = repair.local;
     out.fell_back_global = repair.fell_back_global;
     current_ = std::move(repair.plan);
     if (repair.fell_back_global) {
-      ++local_repair_fallbacks_;
+      ++tally_.local_repair_fallbacks;
       obs::Registry::global()
           .counter("arrow_serve_local_repair_fallbacks_total")
           .add();
@@ -209,21 +210,12 @@ double TickEngine::tick_p99_s() const {
 }
 
 obs::RunReport TickEngine::report() const {
-  obs::RunReport rr;
+  ctrl::ControllerReport rr = tally_;
   if (session_ != nullptr) {
     session_->fill_run_report(&rr);
   } else {  // no topology yet
-    rr.run_id = config_.ctrl.obs.resolved().run_id;
-    rr.scheme = config_.ctrl.scheme;
-    for (int r = 0; r < ctrl::kNumRungs; ++r) {
-      rr.ladder.emplace_back(ctrl::to_string(static_cast<ctrl::Rung>(r)), 0);
-    }
+    ctrl::fill_run_report(config_.ctrl, &rr);
   }
-  rr.traffic_matrices = tally_.te_runs;
-  rr.local_repairs = local_repairs_;
-  rr.local_repair_fallbacks = local_repair_fallbacks_;
-  rr.local_repair_pivots = local_repair_pivots_;
-  rr.local_repair_seconds = local_repair_seconds_;
   // Mean instantaneous delivered/offered sampled at every tick, cut, and
   // repair — the daemon has no simulated clock to integrate over.
   rr.availability =

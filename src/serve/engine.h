@@ -131,7 +131,8 @@ class TickEngine {
   topo::Network net_;
   std::vector<scenario::Scenario> scenarios_;
 
-  // Accounting in the controller's report type (te_runs counts ticks).
+  // Accounting in the controller's report type (te_runs and
+  // traffic_matrices count ticks), local repairs included.
   // tally_ and input_ are declared before session_, which points at both.
   ctrl::ControllerReport tally_;
   std::optional<te::TeInput> input_;       // built by the first tick
@@ -142,10 +143,6 @@ class TickEngine {
   // --- the daemon's own accounting ------------------------------------------
   ctrl::Rung last_rung_ = ctrl::Rung::kPrimary;
   std::vector<double> tick_seconds_;
-  int local_repairs_ = 0;
-  int local_repair_fallbacks_ = 0;
-  long long local_repair_pivots_ = 0;
-  double local_repair_seconds_ = 0.0;
   double delivered_sum_ = 0.0;  // instantaneous delivery sampled per event
   double offered_sum_ = 0.0;
   bool drained_ = false;

@@ -160,7 +160,7 @@ TEST(BasisStore, ControllerRunsPopulateAndReuseTheStore) {
   EXPECT_EQ(store.size(), after_first);
   // Warm starts must not change what the controller delivers.
   EXPECT_DOUBLE_EQ(second.offered_gbps_seconds, first.offered_gbps_seconds);
-  EXPECT_NEAR(second.availability(), first.availability(), 1e-9);
+  EXPECT_NEAR(second.availability, first.availability, 1e-9);
 }
 
 // --- on-disk persistence ----------------------------------------------------
@@ -482,7 +482,7 @@ TEST(BasisStoreDisk, ControllerWarmStartsAcrossRunsFromTheDiskFileAlone) {
   EXPECT_EQ(warm.fallback_counts[0], warm.te_runs);
   EXPECT_LT(warm_iters, cold_iters);
   EXPECT_DOUBLE_EQ(warm.offered_gbps_seconds, cold.offered_gbps_seconds);
-  EXPECT_NEAR(warm.availability(), cold.availability(), 1e-9);
+  EXPECT_NEAR(warm.availability, cold.availability, 1e-9);
 
   // Flip a byte in the middle: the third run must reject the file and replay
   // the cold run bit-for-bit — same pivots, same delivery.
@@ -493,7 +493,7 @@ TEST(BasisStoreDisk, ControllerWarmStartsAcrossRunsFromTheDiskFileAlone) {
   const auto corrupt = run_counting(&corrupt_iters);
   EXPECT_EQ(corrupt.fallback_counts[0], corrupt.te_runs);
   EXPECT_EQ(corrupt_iters, cold_iters);
-  EXPECT_DOUBLE_EQ(corrupt.availability(), cold.availability());
+  EXPECT_DOUBLE_EQ(corrupt.availability, cold.availability);
 
   // The corrupted file was overwritten by that run's save; a fourth run may
   // warm-start again.

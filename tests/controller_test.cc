@@ -49,7 +49,7 @@ TEST_F(ControllerFixture, NoFailuresMeansFullAvailabilityAtLowLoad) {
   config_.demand_scale = 0.15;  // low enough for FFC-1 to admit everything
   const auto report = run_controller(net_, tms_, {}, config_, rng);
   EXPECT_GT(report.offered_gbps_seconds, 0.0);
-  EXPECT_NEAR(report.availability(), 1.0, 1e-3);
+  EXPECT_NEAR(report.availability, 1.0, 1e-3);
   EXPECT_EQ(report.cuts_handled, 0);
   EXPECT_EQ(report.te_runs, 2);
   EXPECT_NEAR(report.lost_gbps_seconds, 0.0,
@@ -67,8 +67,8 @@ TEST_F(ControllerFixture, DeliveredNeverExceedsOffered) {
     EXPECT_LE(report.delivered_gbps_seconds,
               report.offered_gbps_seconds + 1e-6)
         << s;
-    EXPECT_GE(report.availability(), 0.0);
-    EXPECT_LE(report.availability(), 1.0 + 1e-9);
+    EXPECT_GE(report.availability, 0.0);
+    EXPECT_LE(report.availability, 1.0 + 1e-9);
   }
 }
 
@@ -174,7 +174,7 @@ TEST_F(ControllerFixture, TransientLossIsPartOfTotalLoss) {
               1e-6 * r.offered_gbps_seconds);
 }
 
-// run_report.to_json() pinned byte for byte for every scheme the controller
+// The RunReport's to_json() pinned byte for byte for every scheme the controller
 // runs, on a two-hour trace whose cuts overlap. A change to the run core
 // must leave these files untouched; on a mismatch the actual JSON is written
 // to the working directory for diffing.
@@ -193,7 +193,7 @@ TEST_F(ControllerFixture, RunReportMatchesGoldenForEveryScheme) {
     ASSERT_TRUE(in) << "missing golden file " << name;
     std::stringstream golden;
     golden << in.rdbuf();
-    const std::string actual = report.run_report.to_json();
+    const std::string actual = report.to_json();
     if (actual != golden.str()) {
       std::ofstream(name + ".actual") << actual;
       ADD_FAILURE() << name << " differs; actual written to " << name

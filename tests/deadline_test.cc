@@ -332,12 +332,6 @@ TEST_F(LadderFixture, ShrinkingBudgetDegradesButEveryPeriodIsServed) {
   EXPECT_GT(report.degraded_periods, 0);
   EXPECT_GT(report.deadline_overruns, 0);
   EXPECT_EQ(static_cast<int>(report.rung_by_matrix.size()), report.te_runs);
-
-  // Timeout accounting must flow into the RunReport exactly.
-  EXPECT_EQ(report.run_report.solver_timeouts, report.solver_timeouts);
-  EXPECT_EQ(report.run_report.backoff_retries,
-            report.backoff_retries);
-  EXPECT_EQ(report.run_report.deadline_overruns, report.deadline_overruns);
   EXPECT_FALSE(report.canceled);
 }
 
@@ -354,7 +348,6 @@ TEST_F(LadderFixture, GenerousBudgetStaysOnThePrimaryRung) {
             report.te_runs);
   EXPECT_EQ(report.solver_timeouts, 0);
   EXPECT_EQ(report.degraded_periods, 0);
-  EXPECT_EQ(report.run_report.solver_timeouts, 0);
 }
 
 TEST_F(LadderFixture, CancellationDrainsGracefully) {
@@ -368,7 +361,6 @@ TEST_F(LadderFixture, CancellationDrainsGracefully) {
 
   ASSERT_GT(report.te_runs, 1);
   EXPECT_TRUE(report.canceled);
-  EXPECT_TRUE(report.run_report.canceled);
   int served = 0;
   for (int c : report.fallback_counts) served += c;
   EXPECT_EQ(served, report.te_runs);

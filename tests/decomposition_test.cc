@@ -465,12 +465,12 @@ TEST(Decomposition, ControllerReportCarriesDecompositionTotals) {
   const auto report = ctrl::run_controller(net, tms, {}, config, rng);
   EXPECT_GT(report.te_runs, 0);
   // The decomposed Phase I ran and its totals flowed through the ladder
-  // accounting into both the report and the serialized RunReport.
-  EXPECT_GT(report.solve_work.decomposition_rounds, 0);
-  EXPECT_EQ(report.run_report.decomposition_rounds,
-            report.solve_work.decomposition_rounds);
-  EXPECT_EQ(report.run_report.decomposition_cuts,
-            report.solve_work.decomposition_cuts);
+  // accounting into the report and its serialized form.
+  EXPECT_GT(report.decomposition_rounds, 0);
+  obs::RunReport written;
+  ASSERT_TRUE(obs::RunReport::from_json(report.to_json(), &written));
+  EXPECT_EQ(written.decomposition_rounds, report.decomposition_rounds);
+  EXPECT_EQ(written.decomposition_cuts, report.decomposition_cuts);
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST(ObsDeterminism, ControllerRunBitIdenticalWithTraceOnVsOff) {
   EXPECT_EQ(off.offered_gbps_seconds, on.offered_gbps_seconds);
   EXPECT_EQ(off.delivered_gbps_seconds, on.delivered_gbps_seconds);
   EXPECT_EQ(off.lost_gbps_seconds, on.lost_gbps_seconds);
-  EXPECT_EQ(off.solve_work.simplex_iterations, on.solve_work.simplex_iterations);
+  EXPECT_EQ(off.simplex_iterations, on.simplex_iterations);
   EXPECT_EQ(off.simplex_iterations_by_matrix, on.simplex_iterations_by_matrix);
   ASSERT_EQ(off.timeline.size(), on.timeline.size());
   for (std::size_t i = 0; i < off.timeline.size(); ++i) {
@@ -143,15 +143,13 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
   ControllerFixture fx;
   fx.config.obs.run_id = "determinism_test";
   const ctrl::ControllerReport report = fx.run();
-  const obs::RunReport& rr = report.run_report;
+  const obs::RunReport& rr = report;
 
-  // Pivot counts: the RunReport total must equal the controller's ladder
+  // Pivot counts: the RunReport total is the controller's ladder
   // accounting, which sums the iterations every solve *returned*.
-  EXPECT_GT(report.solve_work.simplex_iterations, 0);
-  EXPECT_EQ(rr.simplex_iterations, report.solve_work.simplex_iterations);
-  EXPECT_EQ(rr.pricing_candidates, report.solve_work.pricing_candidates);
-  EXPECT_GT(report.solve_work.pricing_candidates, 0);
-  EXPECT_EQ(report.solve_work.simplex_iterations,
+  EXPECT_GT(rr.simplex_iterations, 0);
+  EXPECT_GT(rr.pricing_candidates, 0);
+  EXPECT_EQ(rr.simplex_iterations,
             std::accumulate(report.simplex_iterations_by_matrix.begin(),
                             report.simplex_iterations_by_matrix.end(), 0LL));
   ASSERT_EQ(report.simplex_iterations_by_matrix.size(), fx.tms.size());
@@ -159,7 +157,6 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
   EXPECT_EQ(rr.run_id, "determinism_test");
   EXPECT_EQ(rr.scheme, "ARROW");
   EXPECT_EQ(rr.traffic_matrices, static_cast<int>(fx.tms.size()));
-  EXPECT_EQ(rr.te_runs, report.te_runs);
   ASSERT_EQ(rr.ladder.size(), static_cast<std::size_t>(ctrl::kNumRungs));
   for (int r = 0; r < ctrl::kNumRungs; ++r) {
     EXPECT_EQ(rr.ladder[static_cast<std::size_t>(r)].first,
@@ -167,25 +164,13 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
     EXPECT_EQ(rr.ladder[static_cast<std::size_t>(r)].second,
               report.fallback_counts[static_cast<std::size_t>(r)]);
   }
-  EXPECT_EQ(rr.degraded_periods, report.degraded_periods);
-  EXPECT_EQ(rr.deadline_overruns, report.deadline_overruns);
-  EXPECT_EQ(rr.cuts_handled, report.cuts_handled);
-  EXPECT_EQ(rr.cuts_with_plan, report.cuts_with_plan);
-  EXPECT_EQ(rr.unplanned_cuts, report.unplanned_cuts);
-  EXPECT_EQ(rr.emergency_restorations, report.emergency_restorations);
-  EXPECT_EQ(rr.rwa_repairs, report.rwa_repairs);
-  EXPECT_EQ(rr.rwa_scenarios_lost, report.rwa_scenarios_lost);
-  EXPECT_EQ(rr.calibration_degraded, report.calibration_degraded);
-  EXPECT_EQ(rr.solver_timeouts, report.solver_timeouts);
-  EXPECT_EQ(rr.backoff_retries, report.backoff_retries);
   EXPECT_EQ(rr.restorations,
             static_cast<int>(report.restoration_latency_s.size()));
-  EXPECT_EQ(rr.availability, report.availability());
+  EXPECT_EQ(rr.availability,
+            report.delivered_gbps_seconds / report.offered_gbps_seconds);
   // No store configured: the session's own cache still chains the periods,
   // and nothing is seeded from or absorbed into a store.
-  EXPECT_EQ(rr.warm_start_hits, report.warm_start_hits);
-  EXPECT_EQ(rr.warm_start_stores, report.warm_start_stores);
-  EXPECT_GT(report.warm_start_stores, 0);
+  EXPECT_GT(rr.warm_start_stores, 0);
   EXPECT_EQ(rr.basis_seeded, 0);
   EXPECT_EQ(rr.basis_absorbed, 0);
 }
@@ -199,16 +184,10 @@ TEST(ObsDeterminism, RunReportWarmStartCountsMatchStoreTraffic) {
   EXPECT_EQ(first.basis_seeded, 0);  // store started empty
   EXPECT_GT(first.warm_start_stores, 0);
   EXPECT_GT(first.basis_absorbed, 0);
-  EXPECT_EQ(first.run_report.warm_start_hits, first.warm_start_hits);
-  EXPECT_EQ(first.run_report.warm_start_stores, first.warm_start_stores);
-  EXPECT_EQ(first.run_report.basis_seeded, first.basis_seeded);
-  EXPECT_EQ(first.run_report.basis_absorbed, first.basis_absorbed);
 
   const ctrl::ControllerReport second = fx.run();
   EXPECT_GT(second.basis_seeded, 0);  // seeded from the first run's bases
   EXPECT_GT(second.warm_start_hits, 0);
-  EXPECT_EQ(second.run_report.warm_start_hits, second.warm_start_hits);
-  EXPECT_EQ(second.run_report.basis_seeded, second.basis_seeded);
 }
 
 }  // namespace

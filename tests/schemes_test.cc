@@ -228,7 +228,7 @@ TEST(SchemeLoops, EveryRegisteredSchemeRunsUnderControllerAndDaemon) {
     EXPECT_EQ(report.te_runs, 1) << name;
     EXPECT_EQ(report.fallback_counts[0], report.te_runs) << name;
     EXPECT_EQ(report.cuts_handled, 1) << name;
-    EXPECT_EQ(report.run_report.scheme, name);
+    EXPECT_EQ(report.scheme, name);
 
     serve::EngineConfig engine_config;
     engine_config.ctrl = config;

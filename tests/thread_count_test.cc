@@ -52,7 +52,7 @@ int basis_run_child(const std::string& dir) {
       ctrl::sample_failure_trace(net, config.horizon_s, 12.0, rng);
   const auto report = ctrl::run_controller(net, tms, trace, config, rng);
   return util::write_file_atomic(dir + "/report.json",
-                                 report.run_report.to_json())
+                                 report.to_json())
              ? 0
              : 3;
 }
