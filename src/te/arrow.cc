@@ -85,31 +85,6 @@ solver::LinExpr link_load_row(const TeInput& input, const BaseVars& vars,
   return row;
 }
 
-struct ScenarioRows {
-  std::vector<solver::LinExpr> cover;      // per affected flow of q
-  std::vector<solver::LinExpr> link_load;  // per failed link of q
-};
-
-// Every cover and failed-link load row of scenario q under `flags`. The
-// builders generate these on a pool into per-q slots, then append them
-// serially in fixed q order: the flags are a pure function of the inputs and
-// each body writes only its own slot, so variable order, row order and row
-// contents are bit-identical at any thread count.
-ScenarioRows scenario_rows(const TeInput& input, const BaseVars& vars, int q,
-                           const ticket::TicketSet& tickets,
-                           const std::vector<char>& flags) {
-  ScenarioRows r;
-  r.cover.reserve(input.affected_flows(q).size());
-  for (int f : input.affected_flows(q)) {
-    r.cover.push_back(cover_row(input, vars, q, flags, f));
-  }
-  r.link_load.reserve(tickets.failed_links.size());
-  for (topo::IpLinkId e : tickets.failed_links) {
-    r.link_load.push_back(link_load_row(input, vars, flags, e));
-  }
-  return r;
-}
-
 // Builds the Phase I LP (Table 2) on the union restorability flags. Cover
 // row (4) uses the union across tickets: Phase I plans against the
 // restoration the *winning* ticket will provide, and the per-ticket slack
@@ -118,18 +93,11 @@ ScenarioRows scenario_rows(const TeInput& input, const BaseVars& vars, int q,
 // Fig. 14.)
 void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
                   const ArrowParams& params, const RestorabilityCache& cache,
-                  util::ThreadPool& pool, ArrowModel* out) {
+                  ArrowModel* out) {
   OBS_SPAN("phase1_build");
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
   out->vars = add_base(model, input);
-  std::vector<ScenarioRows> rows(static_cast<std::size_t>(Q));
-  pool.parallel_for(0, Q, [&](int q) {
-    rows[static_cast<std::size_t>(q)] =
-        scenario_rows(input, out->vars, q,
-                      prepared.tickets[static_cast<std::size_t>(q)],
-                      cache.union_flags(q));
-  });
   // (5) with slacks per candidate ticket: whatever part of the shared load
   // exceeds r_e^{z,q} must spill into dp. The ReLU penalty on dp makes the
   // LP set dp = max(0, load - r) exactly, so after the solve dp measures
@@ -139,17 +107,23 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
   // whole Phase I infeasible under the shared allocation).
   for (int q = 0; q < Q; ++q) {
     const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const ScenarioRows& r = rows[static_cast<std::size_t>(q)];
-    for (const auto& expr : r.cover) {
-      model.add_constr(expr, solver::Sense::kGe, 0.0);
+    const auto& flags = cache.union_flags(q);
+    for (int f : input.affected_flows(q)) {
+      model.add_constr(cover_row(input, out->vars, q, flags, f),
+                       solver::Sense::kGe, 0.0);
+    }
+    std::vector<solver::LinExpr> loads;
+    loads.reserve(tickets.failed_links.size());
+    for (topo::IpLinkId e : tickets.failed_links) {
+      loads.push_back(link_load_row(input, out->vars, flags, e));
     }
     const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
     for (int z = 0; z < Z; ++z) {
       const auto& ticket = ticket_or_naive(prepared, cache, q, z);
-      for (std::size_t li = 0; li < r.link_load.size(); ++li) {
+      for (std::size_t li = 0; li < loads.size(); ++li) {
         const auto dp = model.add_var(0.0, solver::kInf, -params.slack_penalty);
         const auto dm = model.add_var(0.0, solver::kInf, 0.0);
-        solver::LinExpr row = r.link_load[li];
+        solver::LinExpr row = loads[li];
         row.add_term(dp, -1.0);
         row.add_term(dm, 1.0);
         model.add_constr(row, solver::Sense::kLe, ticket.gbps[li]);
@@ -163,76 +137,55 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
 // within the winner's restored capacity r*.
 void build_phase2(const TeInput& input, const ArrowPrepared& prepared,
                   const std::vector<int>& winners,
-                  const RestorabilityCache& cache, util::ThreadPool& pool,
-                  ArrowModel* out) {
+                  const RestorabilityCache& cache, ArrowModel* out) {
   OBS_SPAN("phase2_build");
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
   out->vars = add_base(model, input);
-  std::vector<ScenarioRows> rows(static_cast<std::size_t>(Q));
-  pool.parallel_for(0, Q, [&](int q) {
-    const std::size_t qi = static_cast<std::size_t>(q);
-    rows[qi] = scenario_rows(input, out->vars, q, prepared.tickets[qi],
-                             cache.flags(q, winners[qi]));
-  });
   for (int q = 0; q < Q; ++q) {
-    const auto& ticket = ticket_or_naive(prepared, cache, q,
-                                         winners[static_cast<std::size_t>(q)]);
-    const ScenarioRows& r = rows[static_cast<std::size_t>(q)];
-    for (const auto& expr : r.cover) {
-      model.add_constr(expr, solver::Sense::kGe, 0.0);
+    const int z = winners[static_cast<std::size_t>(q)];
+    const auto& failed = prepared.tickets[static_cast<std::size_t>(q)].failed_links;
+    const auto& ticket = ticket_or_naive(prepared, cache, q, z);
+    const auto& flags = cache.flags(q, z);
+    for (int f : input.affected_flows(q)) {
+      model.add_constr(cover_row(input, out->vars, q, flags, f),
+                       solver::Sense::kGe, 0.0);
     }
-    for (std::size_t li = 0; li < r.link_load.size(); ++li) {
-      if (!r.link_load[li].terms().empty()) {
-        model.add_constr(r.link_load[li], solver::Sense::kLe,
-                         ticket.gbps[li]);
+    for (std::size_t li = 0; li < failed.size(); ++li) {
+      const solver::LinExpr load =
+          link_load_row(input, out->vars, flags, failed[li]);
+      if (!load.terms().empty()) {
+        model.add_constr(load, solver::Sense::kLe, ticket.gbps[li]);
       }
     }
   }
 }
 
 // Builds the exact selection ILP (Table 9) and returns its binary selectors
-// [q][z]. Rows (31) and (32) are each candidate's scenario rows, generated
-// per q as in build_phase1; their big-M selector terms reference variables
-// that do not exist yet, so they are added in the serial append, which
-// creates the selectors in that same fixed (q, z) order. add_constr
-// canonicalizes term order, so appending the big-M term last changes
-// nothing, and the model is bit-identical at any thread count.
+// [q][z]: per candidate, its selector, then its cover rows (31) and load
+// rows (32), each with the selector's big-M term.
 std::vector<std::vector<solver::VarId>> build_ilp(
     const TeInput& input, const ArrowPrepared& prepared,
-    const RestorabilityCache& cache, util::ThreadPool& pool,
-    ArrowModel* out) {
+    const RestorabilityCache& cache, ArrowModel* out) {
   const int Q = input.num_scenarios();
   solver::Model& model = out->model;
   out->vars = add_base(model, input);
-  std::vector<std::vector<ScenarioRows>> rows(static_cast<std::size_t>(Q));
-  pool.parallel_for(0, Q, [&](int q) {
-    const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
-    auto& per_z = rows[static_cast<std::size_t>(q)];
-    per_z.reserve(static_cast<std::size_t>(Z));
-    for (int z = 0; z < Z; ++z) {
-      per_z.push_back(
-          scenario_rows(input, out->vars, q, tickets, cache.flags(q, z)));
-    }
-  });
   std::vector<std::vector<solver::VarId>> select(static_cast<std::size_t>(Q));
   for (int q = 0; q < Q; ++q) {
     const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
+    const int Z = std::max<int>(1, static_cast<int>(tickets.tickets.size()));
     solver::LinExpr one;
-    for (std::size_t z = 0; z < rows[static_cast<std::size_t>(q)].size(); ++z) {
+    for (int z = 0; z < Z; ++z) {
       const auto x = model.add_binary(0.0);
       select[static_cast<std::size_t>(q)].push_back(x);
       one.add_term(x, 1.0);
-      const auto& ticket =
-          ticket_or_naive(prepared, cache, q, static_cast<int>(z));
-      ScenarioRows& r = rows[static_cast<std::size_t>(q)][z];
+      const auto& ticket = ticket_or_naive(prepared, cache, q, z);
+      const auto& flags = cache.flags(q, z);
       // (31): cover relaxed unless ticket z is selected.
-      std::size_t ci = 0;
       for (int f : input.affected_flows(q)) {
         const double big_m =
             input.flows()[static_cast<std::size_t>(f)].demand_gbps;
-        solver::LinExpr expr = std::move(r.cover[ci++]);
+        solver::LinExpr expr = cover_row(input, out->vars, q, flags, f);
         expr.add_term(x, -big_m);
         model.add_constr(expr, solver::Sense::kGe, -big_m);
       }
@@ -241,7 +194,7 @@ std::vector<std::vector<solver::VarId>> build_ilp(
         const topo::IpLinkId e = tickets.failed_links[li];
         const double big_m =
             input.net().ip_links[static_cast<std::size_t>(e)].capacity_gbps();
-        solver::LinExpr load = std::move(r.link_load[li]);
+        solver::LinExpr load = link_load_row(input, out->vars, flags, e);
         load.add_term(x, big_m);
         model.add_constr(load, solver::Sense::kLe, ticket.gbps[li] + big_m);
       }
@@ -284,7 +237,7 @@ TeSolution phase2(const TeInput& input, const ArrowPrepared& prepared,
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
   ArrowModel p2;
-  build_phase2(input, prepared, winners, *cache, pool, &p2);
+  build_phase2(input, prepared, winners, *cache, &p2);
   const auto t0 = Clock::now();
   OBS_SPAN("phase2_solve");
   const auto res = p2.model.solve();
@@ -388,7 +341,7 @@ struct ResidentPhase1 {
   // Holds the cache's lock throughout.
   static Phase1Result solve(const TeInput& input,
                             const ArrowPrepared& prepared,
-                            const ArrowParams& params, util::ThreadPool& pool,
+                            const ArrowParams& params,
                             const RestorabilityCache& cache,
                             std::vector<std::vector<double>>* alloc) {
     std::lock_guard<std::mutex> lock(cache.phase1_mu_);
@@ -396,7 +349,7 @@ struct ResidentPhase1 {
     if (resident == nullptr || resident->slack_penalty != params.slack_penalty) {
       resident = std::make_unique<ResidentPhase1>();
       resident->slack_penalty = params.slack_penalty;
-      build_phase1(input, prepared, params, cache, pool, &resident->p1);
+      build_phase1(input, prepared, params, cache, &resident->p1);
     } else {
       resident->bind(input);
     }
@@ -573,7 +526,7 @@ Phase1BuildStats build_phase1_model(const TeInput& input,
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
   ArrowModel p1;
-  build_phase1(input, prepared, params, *cache, pool, &p1);
+  build_phase1(input, prepared, params, *cache, &p1);
   return build_stats(t0, p1.model);
 }
 
@@ -649,7 +602,7 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
   cache = shared_or_local(input, prepared, pool, cache, local);
   std::vector<std::vector<double>> alloc;
   Phase1Result out =
-      ResidentPhase1::solve(input, prepared, params, pool, *cache, &alloc);
+      ResidentPhase1::solve(input, prepared, params, *cache, &alloc);
   if (out.optimal) {
     out.winners = pick_winners(input, prepared, *cache, params, alloc, pool);
   }
@@ -893,7 +846,7 @@ TeSolution solve_arrow_ilp(const TeInput& input, const ArrowPrepared& prepared,
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
   ArrowModel ilp;
-  const auto select = build_ilp(input, prepared, *cache, pool, &ilp);
+  const auto select = build_ilp(input, prepared, *cache, &ilp);
 
   const auto t0 = Clock::now();
   const auto res = ilp.model.solve();
@@ -932,7 +885,7 @@ ModelBuildStats build_phase2_model(const TeInput& input,
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
   ArrowModel p2;
-  build_phase2(input, prepared, winners, *cache, pool, &p2);
+  build_phase2(input, prepared, winners, *cache, &p2);
   return build_stats(t0, p2.model);
 }
 
@@ -946,7 +899,7 @@ ModelBuildStats build_arrow_ilp_model(const TeInput& input,
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
   ArrowModel ilp;
-  build_ilp(input, prepared, *cache, pool, &ilp);
+  build_ilp(input, prepared, *cache, &ilp);
   return build_stats(t0, ilp.model);
 }
 
