@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -506,6 +508,85 @@ TEST(RunReport, FromJsonRejectsWrongVersionAndGarbage) {
   v6.replace(v6.find(v7_field), v7_field.size(), "\"version\": 6,");
   EXPECT_FALSE(obs::RunReport::from_json(v6, &out));
   EXPECT_EQ(out.te_runs, 99);
+}
+
+// A number outside an integer field's range saturates (an unchecked cast
+// would be undefined), and a wrong-typed value reads as the default.
+TEST(RunReport, FromJsonSaturatesOutOfRangeIntegers) {
+  obs::RunReport out;
+  ASSERT_TRUE(obs::RunReport::from_json(
+      R"({"version": 7, "te_runs": 1e300, "scenarios": -1e300,)"
+      R"( "basis_evictions": 1e300, "cuts_handled": "3"})",
+      &out));
+  EXPECT_EQ(out.te_runs, std::numeric_limits<int>::max());
+  EXPECT_EQ(out.scenarios, std::numeric_limits<int>::min());
+  EXPECT_EQ(out.basis_evictions, std::numeric_limits<long long>::max());
+  EXPECT_EQ(out.cuts_handled, 0);
+}
+
+// Seeded mutation fuzzing of RunReport::from_json over the pinned report:
+// byte flips, truncations, duplicated spans, and deleted quotes and braces,
+// one to three per mutant. Every call returns true or false without
+// crashing (the ASan/UBSan job runs this label); a refused input leaves
+// *out untouched, and an accepted one writes JSON that reads back to the
+// same bytes.
+TEST(RunReport, FromJsonSurvivesMutatedInput) {
+  const std::string pinned = kSampleReportJson;
+  obs::RunReport sentinel = sample_report();
+  sentinel.run_id = "sentinel";
+  const std::string sentinel_json = sentinel.to_json();
+  std::mt19937_64 rng(0x5eedULL);
+  const auto below = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string text = pinned;
+    const int mutations = 1 + static_cast<int>(rng() % 3);
+    for (int m = 0; m < mutations && !text.empty(); ++m) {
+      switch (rng() % 4) {
+        case 0:  // flip one bit of one byte
+          text[below(text.size())] ^= static_cast<char>(1 << (rng() % 8));
+          break;
+        case 1:  // truncate
+          text.resize(below(text.size()));
+          break;
+        case 2: {  // duplicate a span in place
+          const std::size_t at = below(text.size());
+          const std::size_t len = 1 + below(std::min<std::size_t>(
+                                          64, text.size() - at));
+          text.insert(at, text.substr(at, len));
+          break;
+        }
+        default: {  // delete one quote or brace
+          std::vector<std::size_t> marks;
+          for (std::size_t k = 0; k < text.size(); ++k) {
+            if (text[k] == '"' || text[k] == '{' || text[k] == '}') {
+              marks.push_back(k);
+            }
+          }
+          if (!marks.empty()) text.erase(marks[below(marks.size())], 1);
+          break;
+        }
+      }
+    }
+    obs::RunReport out = sentinel;
+    if (obs::RunReport::from_json(text, &out)) {
+      ++accepted;
+      obs::RunReport again;
+      ASSERT_TRUE(obs::RunReport::from_json(out.to_json(), &again)) << text;
+      EXPECT_EQ(again.to_json(), out.to_json()) << text;
+    } else {
+      ++refused;
+      ASSERT_EQ(out.to_json(), sentinel_json) << text;
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(refused, 100);
+  std::printf("from_json mutants: %d accepted, %d refused\n", accepted,
+              refused);
 }
 
 TEST(RunReport, EmitRunArtifactsWritesEverythingEnabled) {
