@@ -1,5 +1,6 @@
 #include "obs/report.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -75,7 +76,7 @@ std::string json_value(const std::array<std::pair<const char*, T*>, N>& v) {
 // reads as 0, so no input makes the conversion undefined.
 template <class T>
 T to_integer(double v) {
-  if (!(v == v)) return 0;
+  if (std::isnan(v)) return 0;
   if (v <= static_cast<double>(std::numeric_limits<T>::min())) {
     return std::numeric_limits<T>::min();
   }

@@ -144,7 +144,8 @@ void build_phase2(const TeInput& input, const ArrowPrepared& prepared,
   out->vars = add_base(model, input);
   for (int q = 0; q < Q; ++q) {
     const int z = winners[static_cast<std::size_t>(q)];
-    const auto& failed = prepared.tickets[static_cast<std::size_t>(q)].failed_links;
+    const auto& failed =
+        prepared.tickets[static_cast<std::size_t>(q)].failed_links;
     const auto& ticket = ticket_or_naive(prepared, cache, q, z);
     const auto& flags = cache.flags(q, z);
     for (int f : input.affected_flows(q)) {

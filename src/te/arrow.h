@@ -239,9 +239,9 @@ std::vector<double> phase1_slack_totals(
     const std::vector<std::vector<double>>& alloc);
 
 // Phase II only, with the RWA-derived restoration plan as the sole ticket.
-// The pool overload fans the per-scenario row generation out; pass an inline
-// ThreadPool(1) when calling from a pool worker (see sim::run_sweep) — the
-// pool-less overload uses util::global_pool().
+// With no cache, the pool overload builds a private RestorabilityCache on
+// the pool; pass an inline ThreadPool(1) when calling from a pool worker
+// (see sim::run_sweep) — the pool-less overload uses util::global_pool().
 TeSolution solve_arrow_naive(const TeInput& input,
                              const ArrowPrepared& prepared,
                              const ArrowParams& params, util::ThreadPool& pool,
@@ -265,9 +265,8 @@ TeSolution solve_arrow_with_winners(const TeInput& input,
 
 // Exact ticket selection via binary ILP (Table 9); exponential — small
 // instances only. Used to validate the two-phase LP in tests/ablations.
-// Constraint rows (31)-(32) are generated per scenario on `pool`, with the
-// binary selectors and the serial append keeping the model bit-identical at
-// any thread count.
+// Rows (31)-(32) are built in one serial pass, each candidate's binary
+// selector first; `pool` only builds a private cache when none is given.
 TeSolution solve_arrow_ilp(const TeInput& input, const ArrowPrepared& prepared,
                            const ArrowParams& params, util::ThreadPool& pool,
                            const RestorabilityCache* cache = nullptr);

@@ -174,8 +174,8 @@ TEST_F(ControllerFixture, TransientLossIsPartOfTotalLoss) {
               1e-6 * r.offered_gbps_seconds);
 }
 
-// The RunReport's to_json() pinned byte for byte for every scheme the controller
-// runs, on a two-hour trace whose cuts overlap. A change to the run core
+// The report's to_json() pinned byte for byte for every scheme the
+// controller runs, on a two-hour trace whose cuts overlap. A change to the run core
 // must leave these files untouched; on a mismatch the actual JSON is written
 // to the working directory for diffing.
 TEST_F(ControllerFixture, RunReportMatchesGoldenForEveryScheme) {

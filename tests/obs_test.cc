@@ -585,8 +585,6 @@ TEST(RunReport, FromJsonSurvivesMutatedInput) {
   // Both outcomes are exercised.
   EXPECT_GT(accepted, 100);
   EXPECT_GT(refused, 100);
-  std::printf("from_json mutants: %d accepted, %d refused\n", accepted,
-              refused);
 }
 
 TEST(RunReport, EmitRunArtifactsWritesEverythingEnabled) {
