@@ -43,8 +43,8 @@ namespace arrow::ctrl {
 // the control loop; every TE period is attributed to exactly one rung and
 // anything below kPrimary counts as a degradation.
 enum class Rung {
-  kPrimary = 0,   // configured scheme, default solver settings
-  kRelaxedRetry,  // same scheme, Dantzig pricing + raised iteration cap
+  kPrimary = 0,   // configured scheme
+  kRelaxedRetry,  // same scheme and solver settings, a second attempt
   kFfcFallback,   // FFC-1 (failure-aware, restoration-oblivious)
   kCarryForward,  // last-good solution projected onto current demands
   kEcmp,          // bottom rung: closed-form, cannot fail

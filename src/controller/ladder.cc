@@ -1,18 +1,11 @@
 #include "controller/ladder.h"
 
+#include "solver/lp.h"
 #include "te/basic.h"
 #include "te/ffc.h"
 #include "util/clock.h"
 
 namespace arrow::ctrl {
-
-solver::SimplexOptions relaxed_simplex_options() {
-  solver::SimplexOptions opt;
-  opt.pricing = solver::Pricing::kDantzig;
-  opt.max_iterations = 500000;
-  opt.bland_threshold = 25;
-  return opt;
-}
 
 te::TeSolution carry_forward(const te::TeSolution& last_good,
                              const te::TeInput& input) {
@@ -109,7 +102,6 @@ LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
   if (!deadline.expired()) {
     back_off();
     solver::ScopedSolveDeadline guard(share(kRelaxedBudgetShare));
-    solver::ScopedSimplexOverride relax(relaxed_simplex_options());
     out.sol = scheme.solve(input, prepared, pool, cache);
     account();
     if (out.sol.optimal) return done();

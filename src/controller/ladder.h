@@ -12,7 +12,6 @@
 
 #include "controller/controller.h"
 #include "schemes/scheme.h"
-#include "solver/lp.h"
 #include "te/input.h"
 #include "util/deadline.h"
 #include "util/parallel.h"
@@ -20,18 +19,11 @@
 namespace arrow::ctrl {
 
 // Shares of the period budget the LP rungs may spend. The primary attempt
-// gets half, the relaxed retry 30%, FFC whatever is left — so even when
-// every LP rung burns its full share, the closed-form bottom rungs still
-// land a plan inside the period's deadline.
+// gets half, the retry 30%, FFC whatever is left — so even when every LP
+// rung burns its full share, the closed-form bottom rungs still land a plan
+// inside the period's deadline.
 inline constexpr double kPrimaryBudgetShare = 0.5;
 inline constexpr double kRelaxedBudgetShare = 0.3;
-
-// Solver settings for the ladder's second rung: Dantzig pricing takes a
-// different pivot trajectory than the default incremental pricing
-// (sidesteps cycling / stalling failures), the raised iteration cap
-// outlasts kIterationLimit faults, and the low Bland threshold engages the
-// anti-cycling rule early.
-solver::SimplexOptions relaxed_simplex_options();
 
 // Projects the last successfully solved TeSolution onto the current traffic
 // matrix: per-flow *splitting ratios* are carried forward and admission
@@ -61,8 +53,11 @@ void solve_bottom_rung(const te::TeInput& input,
                        const te::TeSolution* last_good, LadderOutcome* out);
 
 // Walks the degradation ladder until some rung yields a usable solution.
-// The primary and relaxed rungs run `scheme` (one instance per run, so
-// instance state such as PXT's trail plan is computed once); the FFC rung
+// The primary and retry rungs run `scheme` with the same solver settings
+// (one instance per run, so instance state such as PXT's trail plan is
+// computed once). The retry earns its place because an injected fault is
+// an independent draw, and because a solve that timed out left its basis
+// in the session's warm cache, so the retry resumes from it. The FFC rung
 // is skipped when the scheme already is FFC-1.
 // kEcmp is closed-form (no LP anywhere in solve_ecmp), so the ladder cannot
 // come back empty no matter what the solver or a fault injector does.

@@ -162,15 +162,13 @@ void Session::recover_journal(const te::TeInput& input) {
   journal_->begin_run(obs_.run_id, topo_h_, scen_h_);
 }
 
-// Calibration gets its own ladder: the LP, the LP under relaxed solver
-// settings, then the closed-form ECMP bound (conservative but fault-immune).
+// Calibration gets its own ladder: the LP, the LP once more, then the
+// closed-form ECMP bound (conservative but fault-immune).
 // A faulted calibration must not take the controller down.
 void Session::calibrate(std::span<te::TeInput> inputs) {
   bool ok = false;
   double calibration = 0.0;
   for (int attempt = 0; attempt < 2 && !ok; ++attempt) {
-    std::optional<solver::ScopedSimplexOverride> relax;
-    if (attempt > 0) relax.emplace(relaxed_simplex_options());
     calibration = te::max_satisfiable_scale(inputs.front(), &ok);
   }
   if (!ok) {
@@ -183,8 +181,8 @@ void Session::calibrate(std::span<te::TeInput> inputs) {
 
 // A solver fault inside one scenario's RWA silently strips that scenario's
 // restoration capacity (its tickets carry zero waves), so failed scenarios
-// are re-solved individually — relaxed solver settings from the second
-// attempt on — before anything relies on them. The base for the retry
+// are re-solved individually, with the same solver settings, before
+// anything relies on them. The base for the retry
 // streams is drawn whether or not anything failed, so the rng trajectory
 // downstream does not depend on how many scenarios a fault happened to hit;
 // attempt streams are counter-seeded per (scenario, attempt), so repairs of
@@ -219,8 +217,6 @@ void Session::repair_rwa(const te::TeInput& input) {
       util::Rng retry_rng(util::Rng::stream_seed(
           repair_base, static_cast<std::uint64_t>(q) * kRwaRetries +
                            static_cast<std::uint64_t>(attempt)));
-      std::optional<solver::ScopedSimplexOverride> relax;
-      if (attempt > 0) relax.emplace(relaxed_simplex_options());
       te::prepare_arrow_scenario(input, q, config_.arrow, retry_rng, rwa,
                                  tickets);
       if (rwa->optimal) {

@@ -65,9 +65,9 @@ const char* to_string(LpStatus s);
 
 enum class Pricing {
   kDantzig,      // most-negative reduced cost, fully recomputed every
-                 // iteration. The slow-but-simple cross-check oracle (and the
-                 // relaxed-retry rung): no incremental state to drift, so the
-                 // default mode is tested against it.
+                 // iteration. The slow-but-simple cross-check oracle: no
+                 // incremental state to drift, so the default mode is tested
+                 // against it.
   kIncremental,  // Devex weights + reduced costs *updated* from the pivot row
                  // after each basis change (default). Phase 2 prices from a
                  // maintained vector refreshed at every refactorization;
@@ -87,11 +87,6 @@ struct SimplexOptions {
   // Combined with any ambient ScopedSolveDeadline: the earlier expiry wins.
   util::Deadline deadline;
   int deadline_check_interval = 64;  // pivots between deadline checks
-  // Test-only: a warm-started solve reports kNumericalError after phase 1
-  // and charges one synthetic second to each phase, so the warm-retry
-  // accounting (iterations AND seconds must sum across the failed warm
-  // attempt and the cold retry) is observable deterministically.
-  bool fail_warm_start_for_test = false;
 };
 
 // Snapshot of a simplex basis: one status per computational-form column
@@ -136,6 +131,11 @@ struct LpSolution {
   // was computed or updated counts once). The pricing-work proxy: full
   // recomputation pays ~n per pivot, incremental pays ~|pivot row| per pivot.
   long long pricing_candidates = 0;
+
+  // Adds an earlier attempt's iterations, refactorizations, pricing
+  // candidates and phase clocks to this solution's: how a cold retry
+  // accounts for the failed warm attempt before it.
+  void add_attempt(const LpSolution& attempt);
 };
 
 // warm_start: optional starting basis. Ignored when its shape does not match
@@ -146,52 +146,34 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options = {},
 
 // --- ambient solve hooks ---------------------------------------------------
 //
-// Production call sites stay hook-free; a region of code (the controller's
-// degradation-ladder retry, the resilience fault-injection harness) can wrap
-// itself in a scoped guard and affect every solve_lp() that happens inside
-// it, however deep in the call stack the Model lives. Nesting is allowed —
-// the innermost guard wins and the previous one is restored on destruction.
+// Production call sites stay hook-free; a region of code (a session's
+// warm-start cache, the ladder's per-rung deadlines, the resilience
+// fault-injection harness) can wrap itself in a scoped guard and affect
+// every solve_lp() that happens inside it, however deep in the call stack
+// the Model lives. Nesting is allowed — the innermost guard wins and the
+// previous one is restored on destruction. No guard changes the caller's
+// SimplexOptions beyond folding in the ambient deadline.
 //
-// One context, four guards: ScopedSimplexOverride, ScopedWarmStart (and
-// ScopedWarmStartCache, which owns the cache it installs), ScopedBasisTag
-// and ScopedSolveDeadline each install a SolveContext — a copy of the
-// enclosing one with its own field set — in util's task-context slot
-// (util/parallel.h). util::ThreadPool carries that slot onto its workers, so
-// these four follow work fanned out with submit()/parallel_for: a solve on a
-// worker sees exactly the override, cache, tag and deadlines of the code
-// that fanned it out. Guards must therefore outlive the tasks submitted
-// under them. ScopedSolveObserver is the exception: it stays per-thread
-// (see below).
+// One context, three guards: ScopedWarmStart (and ScopedWarmStartCache,
+// which owns the cache it installs), ScopedBasisTag and ScopedSolveDeadline
+// each install a SolveContext — a copy of the enclosing one with its own
+// field set — in util's task-context slot (util/parallel.h).
+// util::ThreadPool carries that slot onto its workers, so these three
+// follow work fanned out with submit()/parallel_for: a solve on a worker
+// sees exactly the cache, tag and deadlines of the code that fanned it out.
+// Guards must therefore outlive the tasks submitted under them.
+// ScopedSolveObserver is the exception: it stays per-thread (see below).
 
 class WarmStartCache;
 class ScopedSolveDeadline;
 
-// The ambient state the four propagating guards install. Read it through
+// The ambient state the three propagating guards install. Read it through
 // the static active() accessors.
 struct SolveContext {
-  const SimplexOptions* simplex_override = nullptr;
   WarmStartCache* warm_cache = nullptr;
   std::uint64_t basis_tag = 0;
   ScopedSolveDeadline* deadline = nullptr;  // innermost deadline guard
   const void* enclosing = nullptr;  // the slot's value before this one
-};
-
-// Replaces the caller-supplied SimplexOptions for every solve in scope.
-// Used by the ladder's "relaxed retry" rung (Dantzig pricing, raised
-// iteration cap) without threading options through every TE signature.
-class ScopedSimplexOverride {
- public:
-  explicit ScopedSimplexOverride(const SimplexOptions& options);
-  ~ScopedSimplexOverride();
-  ScopedSimplexOverride(const ScopedSimplexOverride&) = delete;
-  ScopedSimplexOverride& operator=(const ScopedSimplexOverride&) = delete;
-
-  // The override in effect (nullptr when none).
-  static const SimplexOptions* active();
-
- private:
-  SimplexOptions options_;
-  SolveContext context_;
 };
 
 // Observes — and may rewrite — every LpSolution produced by solve_lp in

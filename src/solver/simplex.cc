@@ -132,14 +132,6 @@ class Simplex {
         return sol;
       }
     }
-    if (opt_.fail_warm_start_for_test && warm_started_) {
-      // Deterministic failure injection: charge one synthetic second to each
-      // phase so the warm-retry accounting (seconds must sum across the
-      // failed warm attempt and the cold retry) is observable in tests.
-      phase1_seconds_ = 1.0;
-      phase2_seconds_ = 1.0;
-      return extract(LpStatus::kNumericalError);
-    }
     // Phase wall clocks are observability only: nothing downstream of the
     // timings feeds back into pivot decisions.
     using SimplexClock = std::chrono::steady_clock;
@@ -959,38 +951,22 @@ LpSolution run_simplex(const Lp& lp, const SimplexOptions& opt,
     static obs::Counter& warm_retries =
         obs::Registry::global().counter("arrow_solver_warm_retries_total");
     warm_retries.add();
-    const int warm_iterations = sol.iterations;
-    const int warm_phase1_iterations = sol.phase1_iterations;
-    const int warm_refactorizations = sol.refactorizations;
-    const long long warm_candidates = sol.pricing_candidates;
-    const double warm_phase1_seconds = sol.phase1_seconds;
-    const double warm_phase2_seconds = sol.phase2_seconds;
-    Simplex cold(lp, opt);
-    sol = cold.run();
-    sol.iterations += warm_iterations;
-    sol.phase1_iterations += warm_phase1_iterations;
-    sol.refactorizations += warm_refactorizations;
-    sol.pricing_candidates += warm_candidates;
-    sol.phase1_seconds += warm_phase1_seconds;
-    sol.phase2_seconds += warm_phase2_seconds;
+    const LpSolution warm_attempt = std::move(sol);
+    sol = Simplex(lp, opt).run();
+    sol.add_attempt(warm_attempt);
   }
   return sol;
 }
 
 }  // namespace
 
-ScopedSimplexOverride::ScopedSimplexOverride(const SimplexOptions& options)
-    : options_(options), context_(nested_context()) {
-  context_.simplex_override = &options_;
-  util::set_task_context(&context_);
-}
-
-ScopedSimplexOverride::~ScopedSimplexOverride() {
-  util::set_task_context(context_.enclosing);
-}
-
-const SimplexOptions* ScopedSimplexOverride::active() {
-  return current_context().simplex_override;
+void LpSolution::add_attempt(const LpSolution& attempt) {
+  iterations += attempt.iterations;
+  phase1_iterations += attempt.phase1_iterations;
+  refactorizations += attempt.refactorizations;
+  pricing_candidates += attempt.pricing_candidates;
+  phase1_seconds += attempt.phase1_seconds;
+  phase2_seconds += attempt.phase2_seconds;
 }
 
 ScopedSolveObserver::ScopedSolveObserver(SolveObserver observer)
@@ -1087,11 +1063,9 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
   ARROW_CHECK(lp.a.cols == static_cast<int>(lp.upper.size()), "upper size");
   ARROW_CHECK(lp.a.rows == static_cast<int>(lp.rhs.size()), "rhs size");
   const SolveContext& context = current_context();
-  SimplexOptions opt =
-      context.simplex_override ? *context.simplex_override : options;
+  SimplexOptions opt = options;
   // The binding deadline is the earliest of the caller's and every ambient
-  // guard's — an override (which replaces the caller's options wholesale)
-  // can therefore never loosen a budget imposed by an enclosing scope.
+  // guard's.
   opt.deadline = util::Deadline::earlier(opt.deadline,
                                          ScopedSolveDeadline::active_deadline());
   WarmStartCache* cache = context.warm_cache;

@@ -238,8 +238,8 @@ TEST_F(ControllerFixture, WarmStartedSolvesMatchTheirColdObjectives) {
 }
 
 // Delegates to a real scheme after probing the pool it was handed: counts
-// fan-out bodies that ran off the caller's thread with the caller's simplex
-// override in force (the relaxed rung's condition).
+// fan-out bodies that ran off the caller's thread under the caller's rung
+// deadline (the share the ladder installs around each LP rung).
 class PoolProbe : public schemes::Scheme {
  public:
   explicit PoolProbe(std::unique_ptr<schemes::Scheme> inner)
@@ -252,27 +252,30 @@ class PoolProbe : public schemes::Scheme {
                        const te::ArrowPrepared& prepared,
                        util::ThreadPool& pool,
                        const te::RestorabilityCache* cache) override {
-    if (solver::ScopedSimplexOverride::active() != nullptr) {
+    const util::Deadline rung = solver::ScopedSolveDeadline::active_deadline();
+    if (rung.is_set()) {
       const auto caller = std::this_thread::get_id();
       pool.parallel_for(0, 16, [&](int) {
         if (std::this_thread::get_id() != caller &&
-            solver::ScopedSimplexOverride::active() != nullptr) {
-          relaxed_off_caller++;
+            solver::ScopedSolveDeadline::active_deadline().expiry_s() ==
+                rung.expiry_s()) {
+          rung_off_caller++;
         }
       });
     }
     return inner_->solve(input, prepared, pool, cache);
   }
 
-  std::atomic<int> relaxed_off_caller{0};
+  std::atomic<int> rung_off_caller{0};
 
  private:
   std::unique_ptr<schemes::Scheme> inner_;
 };
 
-// The relaxed-retry rung runs on the caller's pool: its override follows
-// the model builds onto the workers, so the period's outcome is the same on
-// eight threads as inline.
+// The relaxed-retry rung re-runs the scheme with the primary's solver
+// settings on the caller's pool: its deadline share follows the work onto
+// the workers, and the period's outcome is the same on eight threads as
+// inline.
 TEST(Ladder, RelaxedRungOnEightThreadsMatchesInline) {
   const topo::Network net = topo::build_b4();
   util::Rng rng(7);
@@ -297,16 +300,18 @@ TEST(Ladder, RelaxedRungOnEightThreadsMatchesInline) {
   const auto run = [&](util::ThreadPool& pool, int* off_caller) {
     PoolProbe scheme(schemes::Registry::global().create("ARROW", options));
     // Fail the primary rung's first LP (solved on this thread, where the
-    // observer lives) so the relaxed rung serves the period.
+    // observer lives) so the relaxed rung serves the period. The hour-long
+    // budget gives every LP rung a deadline share and never binds.
     int solves = 0;
     solver::ScopedSolveObserver fail_first(
         [&](const solver::Lp&, solver::LpSolution& solution) {
           if (solves++ == 0) solution.status = solver::LpStatus::kNumericalError;
         });
     LadderOutcome out = solve_with_ladder(scheme, input, prepared, nullptr,
-                                          &rcache, pool, util::Deadline(),
+                                          &rcache, pool,
+                                          util::Deadline::after(3600.0),
                                           nullptr);
-    *off_caller = scheme.relaxed_off_caller.load();
+    *off_caller = scheme.rung_off_caller.load();
     return out;
   };
   util::ThreadPool one(1), eight(8);

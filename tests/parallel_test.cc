@@ -51,26 +51,23 @@ TEST(ThreadPool, SingleThreadRunsInlineOnCaller) {
 // Inline mode runs every body on the caller's thread, so every hook —
 // including the per-thread observer — stays visible to the work.
 TEST(ThreadPool, InlinePoolSeesAmbientHooks) {
-  solver::SimplexOptions opt;
-  opt.max_iterations = 1234;
-  solver::ScopedSimplexOverride guard(opt);
+  solver::ScopedBasisTag tag(1234);
+  solver::ScopedSolveObserver observer(
+      [](const solver::Lp&, solver::LpSolution&) {});
   util::ThreadPool inline_pool(1);
   bool seen = false;
   inline_pool.parallel_for(0, 1, [&](int) {
-    const auto* active = solver::ScopedSimplexOverride::active();
-    seen = active != nullptr && active->max_iterations == 1234;
+    seen = solver::ScopedBasisTag::active() == 1234 &&
+           solver::ScopedSolveObserver::active() != nullptr;
   });
   EXPECT_TRUE(seen);
 }
 
-// Solver context follows the work: a task on a worker sees the override,
-// warm-start cache, basis tag and deadline chain of the thread that
-// submitted it, through parallel_for and submit alike, and a timeout noted
-// on a worker is counted on the submitting thread's deadline guards.
+// Solver context follows the work: a task on a worker sees the warm-start
+// cache, basis tag and deadline chain of the thread that submitted it,
+// through parallel_for and submit alike, and a timeout noted on a worker is
+// counted on the submitting thread's deadline guards.
 TEST(ThreadPool, WorkersInheritSolveContext) {
-  solver::SimplexOptions opt;
-  opt.max_iterations = 1234;
-  solver::ScopedSimplexOverride override_guard(opt);
   solver::ScopedWarmStartCache cache;
   solver::ScopedBasisTag tag(42);
   const util::Deadline outer = util::Deadline::after(3600.0);
@@ -79,9 +76,7 @@ TEST(ThreadPool, WorkersInheritSolveContext) {
   solver::ScopedSolveDeadline inner_guard(inner);
   const auto caller = std::this_thread::get_id();
   const auto sees_caller_context = [&] {
-    const auto* active = solver::ScopedSimplexOverride::active();
-    return active != nullptr && active->max_iterations == 1234 &&
-           solver::ScopedWarmStartCache::active() == &cache &&
+    return solver::ScopedWarmStartCache::active() == &cache &&
            solver::ScopedBasisTag::active() == 42 &&
            solver::ScopedSolveDeadline::active_deadline().expiry_s() ==
                inner.expiry_s();
@@ -122,10 +117,10 @@ TEST(ThreadPool, TaskGuardsDoNotLeakIntoLaterTasks) {
     pool.submit([&] {
           ran_on.push_back(std::this_thread::get_id());
           clean = clean && solver::ScopedBasisTag::active() == 7 &&
-                  solver::ScopedSimplexOverride::active() == nullptr &&
+                  !solver::ScopedSolveDeadline::active_deadline().is_set() &&
                   solver::ScopedWarmStartCache::active() == nullptr;
           solver::ScopedBasisTag inner(99);
-          solver::ScopedSimplexOverride relax(solver::SimplexOptions{});
+          solver::ScopedSolveDeadline deadline(util::Deadline::after(60.0));
           solver::ScopedWarmStartCache cache;
         }).get();
   }
@@ -139,7 +134,7 @@ TEST(ThreadPool, TaskGuardsDoNotLeakIntoLaterTasks) {
   std::thread([&] {
     pool.parallel_for(0, 16, [&](int) {
       if (solver::ScopedBasisTag::active() != 0 ||
-          solver::ScopedSimplexOverride::active() != nullptr) {
+          solver::ScopedSolveDeadline::active_deadline().is_set()) {
         leaked++;
       }
     });

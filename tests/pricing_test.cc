@@ -105,13 +105,15 @@ TEST_F(PricingCorpus, IncrementalPricingDoesLessWorkThanDantzig) {
 
 // Hand-built computational-form LP: structural columns first, one identity
 // slack per row appended last (the invariant Model::build_lp guarantees).
-Lp single_row_lp(double x_lb, double x_ub, double cost, double rhs) {
+// Row: x_coef * x + s = rhs.
+Lp single_row_lp(double x_lb, double x_ub, double cost, double rhs,
+                 double x_coef = 1.0) {
   Lp lp;
   lp.a.rows = 1;
   lp.a.cols = 2;
   lp.a.col_start = {0, 1, 2};
   lp.a.row_index = {0, 0};
-  lp.a.value = {1.0, 1.0};
+  lp.a.value = {x_coef, 1.0};
   lp.cost = {cost, 0.0};
   lp.lower = {x_lb, 0.0};
   lp.upper = {x_ub, kInf};
@@ -126,22 +128,44 @@ TEST(SingleRowLp, BoundsThatContradictTheRowAreInfeasible) {
 }
 
 TEST(WarmRetry, FailedWarmAttemptSecondsAreSummedIntoTheRetry) {
-  // A warm-started solve that collapses with numerical error is retried
-  // cold; the retry must ADD the failed attempt's phase clocks (1.0 s each,
-  // injected) instead of overwriting them.
-  const Lp lp = single_row_lp(0.0, 5.0, -1.0, 3.0);
-  SimplexOptions opt;
-  const LpSolution cold = solve_lp(lp, opt);
-  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+  // 4x + s = 12 at cost -1 ends on the basis {x}. Re-solved at cost +1 and
+  // rhs 28 from that basis with pivot_tol 1, the warm attempt's phase-1
+  // breakpoint is rejected and it ends in numerical error; the cold retry
+  // from the all-slack basis is optimal without a pivot.
+  const LpSolution first = solve_lp(single_row_lp(0.0, 5.0, -1.0, 12.0, 4.0));
+  ASSERT_EQ(first.status, LpStatus::kOptimal);
+  ASSERT_EQ(first.basis.status[0], BasisStatus::kBasic);
 
-  opt.fail_warm_start_for_test = true;
-  const LpSolution retried = solve_lp(lp, opt, &cold.basis);
+  const Lp lp = single_row_lp(0.0, 5.0, 1.0, 28.0, 4.0);
+  SimplexOptions opt;
+  opt.pivot_tol = 1.0;
+  const LpSolution cold = solve_lp(lp, opt);
+  const LpSolution retried = solve_lp(lp, opt, &first.basis);
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
   EXPECT_EQ(retried.status, LpStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(retried.objective, cold.objective);
-  EXPECT_GE(retried.phase1_seconds, 1.0);
-  EXPECT_GE(retried.phase2_seconds, 1.0);
+  EXPECT_EQ(retried.objective, cold.objective);
   // The retry ran cold, so the result must not claim a warm start.
   EXPECT_FALSE(retried.warm_started);
+  // The failed warm attempt's work (4 refactorizations, 8 pricing
+  // candidates, no completed pivot) is summed into the retry's.
+  EXPECT_EQ(cold.iterations, 0);
+  EXPECT_EQ(cold.refactorizations, 1);
+  EXPECT_EQ(cold.pricing_candidates, 2);
+  EXPECT_EQ(retried.iterations, 0);
+  EXPECT_EQ(retried.phase1_iterations, 0);
+  EXPECT_EQ(retried.refactorizations, 5);
+  EXPECT_EQ(retried.pricing_candidates, 10);
+
+  // Seconds are summed the same way: one synthetic second per phase on the
+  // failed attempt lands on top of the retry's own clocks.
+  LpSolution failed;
+  failed.phase1_seconds = 1.0;
+  failed.phase2_seconds = 1.0;
+  LpSolution summed = retried;
+  summed.add_attempt(failed);
+  EXPECT_EQ(summed.phase1_seconds, retried.phase1_seconds + 1.0);
+  EXPECT_EQ(summed.phase2_seconds, retried.phase2_seconds + 1.0);
+  EXPECT_EQ(summed.refactorizations, retried.refactorizations);
 }
 
 // --- Pinned pivot paths on small generated LPs -----------------------------
