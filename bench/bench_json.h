@@ -25,13 +25,9 @@ class BenchJson {
 
   void set(const std::string& key, double value) {
     // to_chars round-trips doubles independent of LC_NUMERIC ("%.17g"
-    // printed comma decimals under e.g. de_DE); JSON has no Inf/NaN, emit
-    // null instead.
-    if (value != value || value > 1.7e308 || value < -1.7e308) {
-      entries_.emplace_back(key, "null");
-    } else {
-      entries_.emplace_back(key, obs::format_double(value));
-    }
+    // printed comma decimals under e.g. de_DE); JSON has no Inf/NaN, so
+    // those are written as null.
+    entries_.emplace_back(key, obs::json_number(value));
   }
   void set(const std::string& key, long long value) {
     entries_.emplace_back(key, std::to_string(value));

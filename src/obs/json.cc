@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -210,9 +211,15 @@ struct Parser {
       return true;
     }
     // Number: std::from_chars is locale-independent — strtod honored
-    // LC_NUMERIC and misparsed "1.5" as 1 under a comma-decimal locale.
+    // LC_NUMERIC and misparsed "1.5" as 1 under a comma-decimal locale. It
+    // also reads "nan" and "inf", which are not JSON: a number must start
+    // with an optional '-' and a digit.
     const char* first = text.c_str() + pos;
     const char* last = text.c_str() + text.size();
+    const char* digit = first != last && *first == '-' ? first + 1 : first;
+    if (digit == last || *digit < '0' || *digit > '9') {
+      return fail("unexpected token");
+    }
     double v = 0.0;
     const auto [end, ec] = std::from_chars(first, last, v);
     if (end == first || ec == std::errc::invalid_argument) {
@@ -261,6 +268,10 @@ std::string format_double(double v) {
   return std::string(buf, res.ptr);
 }
 
+std::string json_number(double v) {
+  return std::isfinite(v) ? format_double(v) : "null";
+}
+
 namespace {
 
 void emit_value(const JsonValue& v, std::string* out) {
@@ -272,7 +283,7 @@ void emit_value(const JsonValue& v, std::string* out) {
       *out += v.boolean ? "true" : "false";
       return;
     case JsonValue::Type::kNumber:
-      *out += format_double(v.number);
+      *out += json_number(v.number);
       return;
     case JsonValue::Type::kString:
       *out += '"';

@@ -57,7 +57,8 @@ bool json_parse(const std::string& text, JsonValue* out,
 // UTF-8 bytes through verbatim and escape only what JSON requires (quotes,
 // backslash, control characters), so json_parse(json_emit(v)) round-trips
 // non-ASCII text byte-for-byte. Numbers use std::to_chars: shortest
-// round-trippable form, independent of LC_NUMERIC.
+// round-trippable form, independent of LC_NUMERIC; NaN and infinities are
+// written as null.
 std::string json_emit(const JsonValue& value);
 
 // The string-literal piece of json_emit: `s` with JSON escaping applied,
@@ -69,5 +70,9 @@ std::string json_escape(const std::string& s);
 // locale-independent (snprintf "%.17g" obeyed LC_NUMERIC and printed a
 // comma decimal separator under e.g. de_DE).
 std::string format_double(double v);
+
+// format_double for JSON writers: JSON has no NaN or infinity, so a
+// non-finite value is written as null.
+std::string json_number(double v);
 
 }  // namespace arrow::obs

@@ -104,7 +104,8 @@ namespace {
 
 // Shortest round-trippable representation, independent of LC_NUMERIC —
 // snprintf("%.17g") printed "1,5" under a comma-decimal locale, corrupting
-// both the Prometheus and JSON exports.
+// both the Prometheus and JSON exports. The JSON export writes json_number
+// instead: JSON has no NaN or infinity.
 std::string fmt_double(double v) { return format_double(v); }
 
 }  // namespace
@@ -148,7 +149,7 @@ std::string Registry::json_text() const {
   first = true;
   for (const auto& [name, v] : snap.gauges) {
     out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + fmt_double(v);
+    out += "    \"" + name + "\": " + json_number(v);
     first = false;
   }
   out += "\n  },\n  \"histograms\": {";
@@ -159,10 +160,10 @@ std::string Registry::json_text() const {
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (b > 0) out += ", ";
       const std::string le =
-          b < h.bounds.size() ? fmt_double(h.bounds[b]) : "\"+Inf\"";
+          b < h.bounds.size() ? json_number(h.bounds[b]) : "\"+Inf\"";
       out += "[" + le + ", " + std::to_string(h.buckets[b]) + "]";
     }
-    out += "], \"sum\": " + fmt_double(h.sum) +
+    out += "], \"sum\": " + json_number(h.sum) +
            ", \"count\": " + std::to_string(h.count) + "}";
     first = false;
   }

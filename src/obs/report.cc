@@ -40,16 +40,17 @@ namespace {
 // checks it before reading any field.
 constexpr const char* kVersionKey = "version";
 
-// One field's JSON value. format_double is std::to_chars (locale-
-// independent — "%.17g" obeyed LC_NUMERIC), and json_escape covers every
-// control character, so a surprising string cannot corrupt the file.
+// One field's JSON value. json_number is std::to_chars (locale-
+// independent — "%.17g" obeyed LC_NUMERIC) with null for NaN and
+// infinities, and json_escape covers every control character, so a
+// surprising value cannot corrupt the file.
 std::string json_value(const std::string& s) {
   return "\"" + json_escape(s) + "\"";
 }
 std::string json_value(bool b) { return b ? "true" : "false"; }
 std::string json_value(int v) { return std::to_string(v); }
 std::string json_value(long long v) { return std::to_string(v); }
-std::string json_value(double v) { return format_double(v); }
+std::string json_value(double v) { return json_number(v); }
 template <class T>
 std::string json_value(const T* v) {
   return json_value(*v);

@@ -29,6 +29,12 @@ TickEngine::TopologyResult TickEngine::set_topology(topo::Network net) {
     current_.reset();
     input_.reset();
     drained_ = false;
+    // The new run's report counts only its own ticks, cuts and deliveries.
+    tally_ = ctrl::ControllerReport{};
+    last_rung_ = ctrl::Rung::kPrimary;
+    tick_seconds_.clear();
+    delivered_sum_ = 0.0;
+    offered_sum_ = 0.0;
   }
   have_topo_ = false;
   net_ = std::move(net);
@@ -62,6 +68,13 @@ TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
   if (!have_topo_) {
     out.error = "no topology installed (send a topology op first)";
     return out;
+  }
+  for (const traffic::Demand& d : tm.demands) {
+    if (d.src < 0 || d.src >= net_.num_sites || d.dst < 0 ||
+        d.dst >= net_.num_sites) {
+      out.error = "demand site out of range";
+      return out;
+    }
   }
   const bool first = !input_;
   if (first) {

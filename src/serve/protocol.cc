@@ -1,6 +1,8 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace arrow::serve {
 
@@ -58,6 +60,17 @@ std::string error_line(const std::string& message) {
   return obs::json_emit(out) + "\n";
 }
 
+bool parse_id(const obs::JsonValue& v, int* out) {
+  if (!v.is_number() || !std::isfinite(v.number) ||
+      v.number != std::trunc(v.number) ||
+      v.number < static_cast<double>(std::numeric_limits<int>::min()) ||
+      v.number > static_cast<double>(std::numeric_limits<int>::max())) {
+    return false;
+  }
+  *out = static_cast<int>(v.number);
+  return true;
+}
+
 bool parse_demands(const obs::JsonValue& demands, traffic::TrafficMatrix* tm,
                    std::string* error) {
   if (!demands.is_array()) {
@@ -75,10 +88,10 @@ bool parse_demands(const obs::JsonValue& demands, traffic::TrafficMatrix* tm,
       return false;
     }
     traffic::Demand d;
-    d.src = static_cast<topo::SiteId>(row.array[0].number);
-    d.dst = static_cast<topo::SiteId>(row.array[1].number);
     d.gbps = row.array[2].number;
-    if (d.src < 0 || d.dst < 0 || d.src == d.dst || d.gbps < 0.0) {
+    if (!parse_id(row.array[0], &d.src) || !parse_id(row.array[1], &d.dst) ||
+        d.src < 0 || d.dst < 0 || d.src == d.dst ||
+        !std::isfinite(d.gbps) || d.gbps < 0.0) {
       if (error != nullptr) *error = "demand out of range";
       return false;
     }

@@ -41,8 +41,13 @@ obs::JsonValue jbool(bool b);
 std::string ok_line(obs::JsonValue fields);
 std::string error_line(const std::string& message);
 
+// Reads a JSON number as an int id (a site or fiber). False unless the
+// number is finite, integral and within int's range.
+bool parse_id(const obs::JsonValue& v, int* out);
+
 // Decodes a "demands": [[src, dst, gbps], ...] field into a traffic matrix.
-// Rejects non-arrays, short rows, and non-numeric cells.
+// Rejects non-arrays, short rows, non-numeric cells, ids parse_id refuses,
+// and a non-finite rate.
 bool parse_demands(const obs::JsonValue& demands, traffic::TrafficMatrix* tm,
                    std::string* error);
 

@@ -185,10 +185,10 @@ std::string Server::handle_line(const std::string& line, bool* close_conn,
 
   if (op == "cut" || op == "repair") {
     const obs::JsonValue* fiber = req.find("fiber");
-    if (fiber == nullptr || !fiber->is_number()) {
-      return error_line(op + " needs a numeric \"fiber\"");
+    topo::FiberId id = -1;
+    if (fiber == nullptr || !parse_id(*fiber, &id)) {
+      return error_line(op + " needs an integer \"fiber\"");
     }
-    const auto id = static_cast<topo::FiberId>(fiber->number);
     if (op == "repair") {
       if (!engine_.repair(id)) return error_line("fiber not cut");
       return ok_line(obs::JsonValue{});

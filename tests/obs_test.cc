@@ -315,6 +315,42 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(err.empty());
 }
 
+// std::from_chars reads nan and infinities; JSON has neither, so the reader
+// refuses them and the writers emit null in their place.
+TEST(Json, RefusesNonFiniteNumbersAndWritesThemAsNull) {
+  obs::JsonValue v;
+  EXPECT_FALSE(obs::json_parse("nan", &v));
+  EXPECT_FALSE(obs::json_parse("[inf, -infinity]", &v));
+  EXPECT_FALSE(obs::json_parse(R"({"version": 7, "availability": nan})", &v));
+  EXPECT_FALSE(obs::json_parse("-", &v));
+  EXPECT_FALSE(obs::json_parse("+1", &v));
+  ASSERT_TRUE(obs::json_parse("[-0.5, 0, 2e3]", &v));
+
+  obs::JsonValue arr;
+  arr.type = obs::JsonValue::Type::kArray;
+  for (const double x : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(), 1.5}) {
+    obs::JsonValue n;
+    n.type = obs::JsonValue::Type::kNumber;
+    n.number = x;
+    arr.array.push_back(n);
+  }
+  EXPECT_EQ(obs::json_emit(arr), "[null,null,null,1.5]");
+
+  obs::RunReport out;
+  out.te_runs = 99;  // sentinel: must stay untouched on failure
+  EXPECT_FALSE(obs::RunReport::from_json(
+      R"({"version": 7, "availability": nan})", &out));
+  EXPECT_EQ(out.te_runs, 99);
+  obs::RunReport nan_report;
+  nan_report.availability = std::numeric_limits<double>::quiet_NaN();
+  const std::string text = nan_report.to_json();
+  EXPECT_NE(text.find("\"availability\": null"), std::string::npos) << text;
+  ASSERT_TRUE(obs::RunReport::from_json(text, &out));
+  EXPECT_EQ(out.availability, 0.0);
+}
+
 // ---- SolveWork -------------------------------------------------------------
 
 TEST(SolveWork, PlusEqualsSumsEveryField) {

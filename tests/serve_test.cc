@@ -17,9 +17,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "controller/journal.h"
@@ -116,10 +118,40 @@ TEST(ServeProtocol, ParseDemandsValidates) {
   EXPECT_DOUBLE_EQ(tm.demands[0].gbps, 10.5);
 
   for (const char* bad : {"{}", "[[0, 1]]", "[[0, 0, 5]]", "[[-1, 1, 5]]",
-                          "[[0, 1, -5]]", "[[0, 1, \"x\"]]"}) {
+                          "[[0, 1, -5]]", "[[0, 1, \"x\"]]", "[[0.5, 1, 5]]",
+                          "[[0, 1e10, 5]]", "[[0, 1, 5], [-3e9, 1, 5]]"}) {
     ASSERT_TRUE(obs::json_parse(bad, &v)) << bad;
     EXPECT_FALSE(serve::parse_demands(v, &tm, &err)) << bad;
   }
+  // The JSON reader refuses nan and inf, so only a built value carries one.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& cells : std::vector<std::vector<double>>{
+           {nan, 1, 5}, {0, inf, 5}, {0, 1, nan}, {0, 1, inf}}) {
+    obs::JsonValue row;
+    row.type = obs::JsonValue::Type::kArray;
+    for (const double c : cells) row.array.push_back(serve::jnum(c));
+    v = obs::JsonValue{};
+    v.type = obs::JsonValue::Type::kArray;
+    v.array = {row};
+    EXPECT_FALSE(serve::parse_demands(v, &tm, &err));
+  }
+}
+
+TEST(ServeProtocol, ParseIdRefusesWhatAnIntCannotHold) {
+  int id = -7;
+  ASSERT_TRUE(serve::parse_id(serve::jnum(12), &id));
+  EXPECT_EQ(id, 12);
+  ASSERT_TRUE(serve::parse_id(serve::jnum(-1), &id));
+  EXPECT_EQ(id, -1);
+  for (const double bad : {0.5, -2.25, 3e9, -3e9, 1e300,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    id = -7;
+    EXPECT_FALSE(serve::parse_id(serve::jnum(bad), &id)) << bad;
+    EXPECT_EQ(id, -7) << bad;
+  }
+  EXPECT_FALSE(serve::parse_id(serve::jstr("3"), &id));
 }
 
 TEST(ServeProtocol, HttpGetDetectionAndResponseFraming) {
@@ -532,6 +564,95 @@ TEST(ServeEngine, RefusesOutOfOrderRequests) {
   EXPECT_FALSE(engine.cut(999).ok);  // no such fiber
 }
 
+// A demand naming a site the installed network does not have is refused
+// before it reaches the TeInput (whose shortest paths index by site), and
+// the engine serves the next valid tick as if it had never arrived.
+TEST(ServeEngine, RefusesDemandsForSitesOutsideTheNetwork) {
+  const topo::Network net = test_net();
+  serve::TickEngine engine(test_config());
+  ASSERT_TRUE(engine.set_topology(net).ok);
+  for (const auto& [src, dst] : std::vector<std::pair<int, int>>{
+           {0, net.num_sites}, {net.num_sites + 5, 0}, {0, 99}, {-1, 1}}) {
+    traffic::TrafficMatrix bad = test_tm(net, 7);
+    bad.demands.push_back({src, dst, 1.0});
+    const auto res = engine.tick(bad);
+    EXPECT_FALSE(res.ok) << src << "->" << dst;
+    EXPECT_EQ(res.error, "demand site out of range");
+  }
+  EXPECT_EQ(engine.ticks(), 0);
+  const auto t1 = engine.tick(test_tm(net, 7));
+  ASSERT_TRUE(t1.ok) << t1.error;
+  EXPECT_EQ(t1.tick, 1);
+  traffic::TrafficMatrix bad = test_tm(net, 8);
+  bad.demands.front().dst = net.num_sites;
+  EXPECT_FALSE(engine.tick(bad).ok);  // the input built, too
+  const auto t2 = engine.tick(test_tm(net, 8));
+  ASSERT_TRUE(t2.ok) << t2.error;
+  EXPECT_EQ(t2.tick, 2);
+}
+
+// Replacing the topology starts a fresh run: the report counts only the
+// ticks, cuts and deliveries served on the new network.
+TEST(ServeEngine, ReplacedTopologyStartsAFreshReport) {
+  const topo::Network first = test_net();
+  const topo::Network second = topo::build_b4();
+  serve::TickEngine engine(test_config());
+  ASSERT_TRUE(engine.set_topology(first).ok);
+  ASSERT_TRUE(engine.tick(test_tm(first, 7)).ok);
+  ASSERT_TRUE(engine.tick(test_tm(first, 8)).ok);
+  ASSERT_TRUE(engine.cut(0).ok);
+  ASSERT_TRUE(engine.set_topology(second).ok);
+  EXPECT_EQ(engine.ticks(), 0);
+  EXPECT_EQ(engine.tick_p50_s(), 0.0);
+  const auto t1 = engine.tick(test_tm(second, 9));
+  ASSERT_TRUE(t1.ok) << t1.error;
+  EXPECT_EQ(t1.tick, 1);
+  EXPECT_FALSE(t1.rung_regression);
+  EXPECT_EQ(engine.report().to_json(), R"({
+  "version": 7,
+  "run_id": "run",
+  "scheme": "ARROW",
+  "traffic_matrices": 1,
+  "scenarios": 17,
+  "te_runs": 1,
+  "ladder": {"primary": 1, "relaxed-retry": 0, "ffc-fallback": 0, "carry-forward": 0, "ecmp": 0},
+  "degraded_periods": 0,
+  "deadline_overruns": 0,
+  "solver_timeouts": 0,
+  "backoff_retries": 0,
+  "canceled": false,
+  "journal_recovered": false,
+  "journal_prior_in_flight": false,
+  "journal_writes": 0,
+  "journal_write_errors": 0,
+  "simplex_iterations": 805,
+  "pricing_candidates": 103987,
+  "decomposition_rounds": 0,
+  "decomposition_cuts": 0,
+  "warm_start_hits": 0,
+  "warm_start_stores": 3,
+  "basis_seeded": 0,
+  "basis_absorbed": 0,
+  "basis_evictions": 0,
+  "basis_save_errors": 0,
+  "cuts_handled": 0,
+  "cuts_with_plan": 0,
+  "unplanned_cuts": 0,
+  "emergency_restorations": 0,
+  "rwa_repairs": 0,
+  "rwa_scenarios_lost": 0,
+  "calibration_degraded": false,
+  "local_repairs": 0,
+  "local_repair_fallbacks": 0,
+  "local_repair_pivots": 0,
+  "local_repair_seconds": 0,
+  "restorations": 0,
+  "restoration_latency_s": {"p50": 0, "p90": 0, "p99": 0, "max": 0},
+  "availability": 0.9999989536613647
+}
+)");
+}
+
 // --- handle_line (socket-free server dispatch) ------------------------------
 
 class ServeDispatch : public ::testing::Test {
@@ -607,6 +728,48 @@ TEST_F(ServeDispatch, FullSessionOverDispatch) {
   ASSERT_TRUE(metrics.find("ok")->boolean);
   EXPECT_NE(metrics.text("metrics").find("arrow_serve_ticks_total"),
             std::string::npos);
+}
+
+// Malformed tick, cut and repair requests get an error reply, never a cast
+// of an unchecked number, and leave the daemon serving valid ticks.
+TEST_F(ServeDispatch, MalformedRequestsAreRefused) {
+  const std::string topo_path = temp_dir("arrow_serve_malformed") + "/net.topo";
+  topo::save_network_file(test_net(), topo_path);
+  ASSERT_TRUE(
+      call("{\"op\": \"topology\", \"path\": \"" + topo_path + "\"}")
+          .find("ok")
+          ->boolean);
+  std::string valid = "{\"op\": \"tick\", \"demands\": [";
+  for (const auto& d : test_tm(test_net(), 7).demands) {
+    if (valid.back() != '[') valid += ", ";
+    valid += "[" + std::to_string(d.src) + ", " + std::to_string(d.dst) +
+             ", " + obs::format_double(d.gbps) + "]";
+  }
+  valid += "]}";
+  for (const char* bad : {
+           R"({"op": "tick", "demands": [[0, 99, 1]]})",
+           R"({"op": "tick", "demands": [[0, 1, nan]]})",
+           R"({"op": "tick", "demands": [[0, 1.5, 1]]})",
+           R"({"op": "tick", "demands": [[0, 4294967297, 1]]})",
+           R"({"op": "cut", "fiber": 0.5})",
+           R"({"op": "cut", "fiber": 1e300})",
+           R"({"op": "cut", "fiber": -4294967296})",
+           R"({"op": "cut", "fiber": "0"})",
+           R"({"op": "repair", "fiber": 2.5})",
+           R"({"op": "repair", "fiber": inf})"}) {
+    const auto reply = call(bad);
+    ASSERT_NE(reply.find("ok"), nullptr) << bad;
+    EXPECT_FALSE(reply.find("ok")->boolean) << bad;
+    EXPECT_FALSE(reply.text("error").empty()) << bad;
+  }
+  const auto tick_reply = call(valid);
+  ASSERT_TRUE(tick_reply.find("ok")->boolean) << tick_reply.text("error");
+  EXPECT_EQ(tick_reply.find("tick")->number, 1.0);
+  EXPECT_TRUE(call("{\"op\": \"cut\", \"fiber\": 0}").find("ok")->boolean);
+  EXPECT_FALSE(call("{\"op\": \"cut\", \"fiber\": 0.0000001}")
+                   .find("ok")
+                   ->boolean);
+  EXPECT_TRUE(call(valid).find("ok")->boolean);
 }
 
 TEST_F(ServeDispatch, HttpScrapesAndShutdown) {
