@@ -100,16 +100,6 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-namespace {
-
-// Shortest round-trippable representation, independent of LC_NUMERIC —
-// snprintf("%.17g") printed "1,5" under a comma-decimal locale, corrupting
-// both the Prometheus and JSON exports. The JSON export writes json_number
-// instead: JSON has no NaN or infinity.
-std::string fmt_double(double v) { return format_double(v); }
-
-}  // namespace
-
 std::string Registry::prometheus_text() const {
   const MetricsSnapshot snap = snapshot();
   std::string out;
@@ -119,7 +109,7 @@ std::string Registry::prometheus_text() const {
   }
   for (const auto& [name, v] : snap.gauges) {
     out += "# TYPE " + name + " gauge\n";
-    out += name + " " + fmt_double(v) + "\n";
+    out += name + " " + format_double(v) + "\n";
   }
   for (const auto& [name, h] : snap.histograms) {
     out += "# TYPE " + name + " histogram\n";
@@ -127,10 +117,10 @@ std::string Registry::prometheus_text() const {
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       cum += h.buckets[b];
       const std::string le =
-          b < h.bounds.size() ? fmt_double(h.bounds[b]) : "+Inf";
+          b < h.bounds.size() ? format_double(h.bounds[b]) : "+Inf";
       out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cum) + "\n";
     }
-    out += name + "_sum " + fmt_double(h.sum) + "\n";
+    out += name + "_sum " + format_double(h.sum) + "\n";
     out += name + "_count " + std::to_string(h.count) + "\n";
   }
   return out;
