@@ -19,7 +19,6 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -140,9 +139,9 @@ struct ControllerConfig {
   obs::ObsConfig obs;
 
   // Fault hooks, normally unset (wired by resilience::FaultInjector):
-  // consulted when a restoration plan is about to be installed. `true` from
-  // drop_restoration_plan loses the plan entirely; restoration_delay_s adds
-  // control-plane latency before the reconfiguration starts.
+  // consulted by the cut handler in both loops when a cut's answer is about
+  // to be installed. `true` from drop_restoration_plan loses the answer
+  // entirely; restoration_delay_s adds control-plane latency before it.
   std::function<bool()> drop_restoration_plan;
   std::function<double()> restoration_delay_s;
 };
@@ -150,10 +149,10 @@ struct ControllerConfig {
 // One run's accounting: the RunReport base holds every counter the report
 // serializes, and the loops count straight into it. serve::TickEngine
 // keeps its tally in this type too: the fields mean the same there, with
-// te_runs counting ticks and the time-integrated fields left at zero.
+// te_runs counting ticks and the clock advancing te_interval_s per tick.
 struct ControllerReport : obs::RunReport {
-  // run_controller sets the base's availability to delivered / offered
-  // (1 when nothing was offered) when the horizon ends.
+  // Gbps-seconds integrated over the session's clock; the base's
+  // availability is delivered / offered (1 when nothing was offered).
   double offered_gbps_seconds = 0.0;
   double delivered_gbps_seconds = 0.0;
   double lost_gbps_seconds = 0.0;
@@ -181,14 +180,13 @@ struct ControllerReport : obs::RunReport {
   // installed restoration plan, in installation order; the RunReport's
   // restoration percentiles are taken from it.
   std::vector<double> restoration_latency_s;
-
-  // Delivered-rate staircase: (time, delivered Gbps). One point per state
-  // change (TE run, cut, wavelength-up, repair).
-  std::vector<std::pair<double, double>> timeline;
 };
 
-// Deterministic given the rng. The same failure trace can be replayed
-// against different schemes/configs for apples-to-apples comparison.
+// Solves every matrix once, then replays the horizon (period installs,
+// cuts, repairs) on the session's clock. Deterministic given the rng, but
+// for ReWeave-Local's restoration latencies, which hold wall-clock solve
+// time. The same failure trace can be replayed against different
+// schemes/configs for apples-to-apples comparison.
 //
 // Robustness contract: a failed or faulted TE solve never aborts the run —
 // it walks down the degradation ladder (see Rung) and the report records

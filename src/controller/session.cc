@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "obs/metrics.h"
+#include "sim/availability.h"
 #include "te/basic.h"
 #include "topo/network.h"
 #include "util/deadline.h"
@@ -31,21 +32,6 @@ std::vector<scenario::Scenario> run_scenarios(const topo::Network& net,
     raw = scenario::generate_scenarios(net, config.scenarios, rng).scenarios;
   }
   return scenario::remove_disconnecting(net, std::move(raw));
-}
-
-bool CutState::repair(topo::FiberId fiber) {
-  if (active.erase(fiber) == 0) return false;
-  auto it = restored_by_cut.find(fiber);
-  if (it != restored_by_cut.end()) {
-    for (const auto& [link, gbps] : it->second) {
-      auto rit = restored.find(link);
-      if (rit == restored.end()) continue;
-      rit->second -= gbps;
-      if (rit->second <= 1e-9) restored.erase(rit);
-    }
-    restored_by_cut.erase(it);
-  }
-  return true;
 }
 
 Session::Session(const ControllerConfig& config, const topo::Network& net,
@@ -304,6 +290,10 @@ void fill_run_report(const ControllerConfig& config,
     report->restoration_p99_s = util::percentile(lat, 99);
     report->restoration_max_s = *std::max_element(lat.begin(), lat.end());
   }
+  report->availability =
+      report->offered_gbps_seconds > 0.0
+          ? report->delivered_gbps_seconds / report->offered_gbps_seconds
+          : 1.0;
 }
 
 void Session::fill_run_report(ControllerReport* report) const {
@@ -327,20 +317,155 @@ int Session::plan_for_cut(topo::FiberId fiber) const {
   return -1;
 }
 
-schemes::CutRepair Session::cut(topo::FiberId fiber,
-                                const std::vector<topo::FiberId>& active,
-                                const te::TeInput& input,
-                                const te::TeSolution& plan) {
-  const schemes::CutContext ctx{input, plan, active, plan_for_cut(fiber),
-                                fiber, &prepared_, &rng_};
-  const solver::ScopedWarmStart warm(warm_);
-  schemes::CutRepair repair = scheme_->on_cut(ctx);
-  if (repair.planned) {
-    ++tally_->cuts_with_plan;
-  } else {
-    ++tally_->unplanned_cuts;
+void Session::integrate() {
+  const double dt = clock_.now() - integrated_to_;
+  if (dt <= 0.0) return;
+  tally_->offered_gbps_seconds += offered_rate_ * dt;
+  tally_->delivered_gbps_seconds += delivered_rate_ * dt;
+  const double lost = (offered_rate_ - delivered_rate_) * dt;
+  tally_->lost_gbps_seconds += lost;
+  if (restorations_in_flight_ > 0) {
+    tally_->transient_loss_gbps_seconds += lost;
   }
+  integrated_to_ = clock_.now();
+}
+
+void Session::serve(const te::TeInput& input, te::TeSolution plan) {
+  integrate();
+  input_ = &input;
+  plan_ = std::move(plan);
+  recompute_rates();
+}
+
+void Session::recompute_rates() {
+  const auto d = sim::state_delivery(
+      *input_, plan_, {cut_.begin(), cut_.end()}, restored_);
+  delivered_rate_ = d.delivered_gbps;
+  offered_rate_ = d.offered_gbps;
+}
+
+void Session::install(const te::TeInput& input, const LadderOutcome& period) {
+  if (period.rung != Rung::kPrimary || period.deadline_overrun) {
+    ++tally_->degraded_periods;
+  }
+  ++installs_;
+  serve(input, period.sol);
+}
+
+void Session::advance_to(double t) {
+  clock_.run_until(t);
+  integrate();
+}
+
+void Session::schedule(double t, optical::EventQueue::Handler handler) {
+  clock_.schedule(t, std::move(handler));
+}
+
+std::optional<schemes::CutRepair> Session::cut(topo::FiberId fiber) {
+  if (cut_.count(fiber) != 0) return std::nullopt;
+  if (!cut_.empty()) ++tally_->overlapping_cuts;
+  ++tally_->cuts_handled;
+  integrate();
+  cut_.insert(fiber);
+  recompute_rates();
+
+  const std::vector<topo::FiberId> cuts(cut_.begin(), cut_.end());
+  const schemes::CutContext ctx{*input_, plan_, cuts, plan_for_cut(fiber),
+                                fiber, &prepared_, &rng_};
+  schemes::CutRepair repair;
+  {
+    const solver::ScopedWarmStart warm(warm_);
+    repair = scheme_->on_cut(ctx);
+  }
+  ++(repair.planned ? tally_->cuts_with_plan : tally_->unplanned_cuts);
+  tally_->local_repair_seconds += repair.solve_seconds;
+  tally_->local_repair_pivots += repair.simplex_iterations;
+
+  // An optical answer lights its timeline under the serving plan; any other
+  // answer is an IP-layer repair that replaces the plan.
+  const bool rewoven = repair.ok && !caps_.restores_optically;
+  if (!rewoven && repair.timeline.empty()) {
+    repair.ok = false;  // nothing to light
+    return repair;
+  }
+  if (config_.drop_restoration_plan && config_.drop_restoration_plan()) {
+    ++tally_->plans_dropped;
+    repair.ok = false;
+    return repair;
+  }
+  double delay = 0.0;
+  if (config_.restoration_delay_s) {
+    delay = std::max(0.0, config_.restoration_delay_s());
+    if (delay > 0.0) ++tally_->plans_delayed;
+  }
+  const double latency = delay + repair.latency_s;
+  tally_->worst_restoration_s = std::max(tally_->worst_restoration_s, latency);
+  tally_->restoration_latency_s.push_back(latency);
+  if (repair.transplanted) ++tally_->emergency_restorations;
+
+  // The restoration window (transient loss) closes when the answer carries
+  // traffic: at the final wave-up, or when the rewoven plan lands.
+  const double now = clock_.now();
+  if (rewoven) {
+    // Shaped for this failure state, the rewoven plan serves until the
+    // next install and never becomes last-good. Its latency holds the
+    // repair's wall-clock solve time, so only the delay sets when it lands.
+    ++tally_->local_repairs;
+    if (repair.fell_back_global) ++tally_->local_repair_fallbacks;
+    if (delay > 0.0) {
+      // A period install or the fiber's repair before it lands supersedes
+      // the rewoven plan.
+      ++restorations_in_flight_;
+      clock_.schedule(now + delay, [this, fiber, installs = installs_,
+                                    plan = std::move(repair.plan)](double) {
+        if (installs == installs_ && cut_.count(fiber) != 0) {
+          serve(*input_, plan);
+        } else {
+          integrate();
+        }
+        --restorations_in_flight_;
+      });
+    } else {
+      serve(*input_, std::move(repair.plan));
+    }
+    repair.plan = te::TeSolution{};
+  } else {
+    // A wave whose cut was repaired first stays dark.
+    ++restorations_in_flight_;
+    for (const auto& p : repair.timeline) {
+      clock_.schedule(now + delay + p.t_s,
+                      [this, fiber, link = p.link, gbps = p.wave_gbps](double) {
+        if (cut_.count(fiber) == 0) return;
+        integrate();
+        restored_[link] += gbps;
+        restored_by_cut_[fiber].emplace_back(link, gbps);
+        recompute_rates();
+      });
+    }
+    clock_.schedule(now + delay + repair.latency_s, [this](double) {
+      integrate();
+      --restorations_in_flight_;
+    });
+  }
+  repair.latency_s = latency;
   return repair;
+}
+
+bool Session::repair(topo::FiberId fiber) {
+  if (cut_.erase(fiber) == 0) return false;
+  integrate();
+  auto it = restored_by_cut_.find(fiber);
+  if (it != restored_by_cut_.end()) {
+    for (const auto& [link, gbps] : it->second) {
+      auto rit = restored_.find(link);
+      if (rit == restored_.end()) continue;
+      rit->second -= gbps;
+      if (rit->second <= 1e-9) restored_.erase(rit);
+    }
+    restored_by_cut_.erase(it);
+  }
+  recompute_rates();
+  return true;
 }
 
 }  // namespace arrow::ctrl

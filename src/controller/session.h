@@ -1,11 +1,10 @@
-// The run core shared by the batch controller and the resident daemon.
+// The controller shared by the batch replay and the resident daemon.
 //
 // ARROW's deployed TE controller (paper Fig. 8) builds its restoration plans
 // offline, then re-solves every TE period and answers fiber cuts from the
 // precomputed plans. run_controller (controller.h) and serve::TickEngine
-// (serve/engine.h) are that one controller under two clocks: a simulated
-// horizon replayed through an event queue, and a socket that delivers ticks
-// and cuts. Everything but the clock lives here, once:
+// (serve/engine.h) are that one controller, fed a whole horizon up front or
+// one socket message at a time. Everything else lives here, once:
 //
 //   * the offline stage: ARROW_BASIS_DIR / ARROW_JOURNAL_DIR resolution,
 //     journal recovery (hash and tunnel-shape checks) into the carry-forward
@@ -14,10 +13,11 @@
 //     the calibration ladder, and the RestorabilityCache;
 //   * one TE period: the degradation ladder with the scheme created from
 //     schemes::Registry by name, journaling and last-good tracking;
-//   * the cut path: the scenario lookup and the scheme's on_cut, the only
-//     code that answers a fiber cut, with its planned/unplanned count;
+//   * the control loop on one event clock: plan installs, the one cut
+//     handler (the scheme's on_cut and the fault hooks), fiber repairs,
+//     and delivered/offered Gbps integrated over the clock's time;
 //   * the close step (absorb, save_shared, journal end_run) and the
-//     RunReport fields both loops share.
+//     RunReport fields both loops share, availability included.
 //
 // Accounting goes into the caller's ControllerReport (the `tally`), so each
 // loop adds only its own fields on top.
@@ -36,6 +36,7 @@
 #include "controller/controller.h"
 #include "controller/journal.h"
 #include "controller/ladder.h"
+#include "optical/event_sim.h"
 #include "schemes/scheme.h"
 #include "solver/basis_store.h"
 #include "solver/lp.h"
@@ -51,32 +52,10 @@ std::vector<scenario::Scenario> run_scenarios(const topo::Network& net,
                                               const ControllerConfig& config,
                                               util::Rng& rng);
 
-// Fiber cuts in force and the restored capacity lit on their behalf.
-struct CutState {
-  std::set<topo::FiberId> active;
-  // Currently lit restored capacity per failed IP link.
-  std::map<topo::IpLinkId, double> restored;
-  // Restored (link, gbps) contributions per active cut. Per wave, not per
-  // link, so overlapping cuts that restore the same IP link revert only
-  // their own share.
-  std::map<topo::FiberId, std::vector<std::pair<topo::IpLinkId, double>>>
-      restored_by_cut;
-
-  std::vector<topo::FiberId> cuts() const {
-    return {active.begin(), active.end()};
-  }
-  void restore(topo::FiberId owner, topo::IpLinkId link, double gbps) {
-    restored[link] += gbps;
-    restored_by_cut[owner].emplace_back(link, gbps);
-  }
-  // The fiber is spliced: its own restored share reverts (restored waves
-  // retune home). False when the fiber was not cut.
-  bool repair(topo::FiberId fiber);
-};
-
 // Fills the RunReport fields derived from the rest of `report`: run_id and
-// scheme from `config`, the ladder from fallback_counts, and the
-// restoration count and percentiles from restoration_latency_s.
+// scheme from `config`, the ladder from fallback_counts, the restoration
+// count and percentiles from restoration_latency_s, and availability as
+// delivered / offered Gbps-seconds (1 when nothing was offered).
 void fill_run_report(const ControllerConfig& config, ControllerReport* report);
 
 class Session {
@@ -113,16 +92,35 @@ class Session {
   // tally or a copy of it.
   void fill_run_report(ControllerReport* report) const;
 
-  // Answers a cut of `fiber` through the scheme's on_cut. `active` is every
-  // fiber cut now, `fiber` included; `input` and `plan` are what serves
-  // traffic. The context names the precomputed single-cut scenario for
-  // `fiber` (or none) and carries the run's rng for the optical replay.
-  // Counts the cut in cuts_with_plan when the answer came from that
-  // scenario's plan, else in unplanned_cuts. Lighting the answer, and
-  // counting a lit transplant in emergency_restorations, is the loop's.
-  schemes::CutRepair cut(topo::FiberId fiber,
-                         const std::vector<topo::FiberId>& active,
-                         const te::TeInput& input, const te::TeSolution& plan);
+  // --- the control loop, on the session's clock ----------------------------
+  // Between events the serving plan's delivered and offered Gbps integrate
+  // into the tally's Gbps-second fields.
+
+  // Makes `period`'s plan on `input` (which must outlive it) the serving
+  // plan at the clock's time. The one degraded-period rule: a period served
+  // below kPrimary, or whose solve overran te_budget_s, is degraded.
+  void install(const te::TeInput& input, const LadderOutcome& period);
+  // Runs the clock's events at or before `t`, then integrates up to `t`.
+  void advance_to(double t);
+  void schedule(double t, optical::EventQueue::Handler handler);
+  double now() const { return clock_.now(); }
+
+  // The one cut handler, at the clock's time and after an install; nullopt
+  // when `fiber` is already down. Counts the cut, asks the scheme's on_cut
+  // (with the single-cut scenario for `fiber`, or none), runs the drop and
+  // delay fault hooks and records the latency. Then it schedules an optical
+  // answer's wave-ups on the clock, or makes an IP-layer answer's rewoven
+  // plan the serving plan once the delay has passed (unless an install or
+  // the fiber's repair comes first). Returns the answer without its plan,
+  // latency_s including the delay, and `ok` false when nothing serves.
+  std::optional<schemes::CutRepair> cut(topo::FiberId fiber);
+  // The fiber is spliced at the clock's time: the waves lit for it retune
+  // home. False when it was not cut.
+  bool repair(topo::FiberId fiber);
+
+  bool installed() const { return input_ != nullptr; }
+  int active_cuts() const { return static_cast<int>(cut_.size()); }
+  double delivered_gbps() const { return delivered_rate_; }
 
   const schemes::Capabilities& capabilities() const { return caps_; }
   double demand_factor() const { return demand_factor_; }
@@ -140,6 +138,12 @@ class Session {
   void repair_rwa(const te::TeInput& input);
   // Precomputed single-cut scenario for `fiber`, or -1.
   int plan_for_cut(topo::FiberId fiber) const;
+  // Integrates the serving rates up to the clock's time.
+  void integrate();
+  // Makes `plan` on `input` the serving plan at the clock's time.
+  void serve(const te::TeInput& input, te::TeSolution plan);
+  // Re-reads the serving rates after a change of plan or cut state.
+  void recompute_rates();
 
   const ControllerConfig& config_;
   util::Rng& rng_;
@@ -173,6 +177,21 @@ class Session {
   std::optional<te::TeSolution> last_good_;  // seeds carry-forward
   std::uint64_t backoff_base_ = 0;
   bool closed_ = false;
+
+  optical::EventQueue clock_;
+  const te::TeInput* input_ = nullptr;  // serving input; null until install
+  te::TeSolution plan_;                 // serving plan
+  std::set<topo::FiberId> cut_;         // fibers down now
+  // Restored Gbps lit per failed IP link, and each cut's own (link, gbps)
+  // waves, so overlapping cuts revert only their own share.
+  std::map<topo::IpLinkId, double> restored_;
+  std::map<topo::FiberId, std::vector<std::pair<topo::IpLinkId, double>>>
+      restored_by_cut_;
+  int installs_ = 0;
+  int restorations_in_flight_ = 0;  // open windows, for transient loss
+  double integrated_to_ = 0.0;
+  double delivered_rate_ = 0.0;
+  double offered_rate_ = 0.0;
 };
 
 }  // namespace arrow::ctrl

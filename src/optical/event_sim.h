@@ -1,5 +1,6 @@
-// Minimal discrete-event simulation engine used by the physical-layer
-// restoration latency model (latency.h).
+// Minimal discrete-event simulation engine: the physical-layer restoration
+// latency model (latency.h) and the control loop's clock (ctrl::Session)
+// both run on it.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +18,20 @@ class EventQueue {
   // times run in scheduling order.
   void schedule(double time, Handler handler);
 
-  // Run all events; returns the timestamp of the last event (0 if none ran).
+  // Run all events; returns the timestamp of the last event (now() if none
+  // ran).
   double run();
+
+  // Run the events at or before `t` in time order (equal times in
+  // scheduling order, handlers' own events included); later events stay
+  // queued. The clock then reads `t`, or stays where it was if later.
+  void run_until(double t);
 
   double now() const { return now_; }
 
  private:
+  void run_next();
+
   struct Event {
     double time;
     std::uint64_t seq;

@@ -11,7 +11,7 @@
 //     unplanned cuts that exercise the emergency-restoration path.
 //
 // Everything derives from FaultConfig::seed — re-running a drill with the
-// same inputs reproduces the exact ControllerReport, timeline included.
+// same inputs reproduces the exact ControllerReport.
 #pragma once
 
 #include <vector>

@@ -37,8 +37,8 @@ struct Capabilities {
   // offline stage when the scheme sets this.
   bool needs_prepared = false;
   // on_cut() answers a cut with a wave-up timeline under the installed plan.
-  // The control loops light that timeline; run_controller asks on_cut()
-  // only for these schemes.
+  // The session's cut handler schedules that timeline on its clock; any
+  // other scheme's answer is a rewoven plan it installs instead.
   bool restores_optically = false;
   // on_cut() can weave a repaired TE plan around a failure at runtime; the
   // sweep's repair-aware evaluation keys off this.

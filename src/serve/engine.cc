@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "schemes/scheme.h"
-#include "sim/availability.h"
 #include "util/stats.h"
 
 namespace arrow::serve {
@@ -26,20 +25,16 @@ TickEngine::TopologyResult TickEngine::set_topology(topo::Network net) {
   if (session_ != nullptr) {
     drain();
     session_.reset();
-    current_.reset();
     input_.reset();
     drained_ = false;
     // The new run's report counts only its own ticks, cuts and deliveries.
     tally_ = ctrl::ControllerReport{};
     last_rung_ = ctrl::Rung::kPrimary;
     tick_seconds_.clear();
-    delivered_sum_ = 0.0;
-    offered_sum_ = 0.0;
   }
   have_topo_ = false;
   net_ = std::move(net);
   scenarios_ = ctrl::run_scenarios(net_, config_.ctrl, rng_);
-  cuts_ = ctrl::CutState{};
   try {
     session_ = std::make_unique<ctrl::Session>(config_.ctrl, net_, scenarios_,
                                                rng_, &tally_);
@@ -76,6 +71,9 @@ TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
       return out;
     }
   }
+  // The clock moves first: the previous plan serves the elapsed period,
+  // and the wave-ups queued by its cuts come up on the way.
+  session_->advance_to(session_->now() + config_.ctrl.te_interval_s);
   const bool first = !input_;
   if (first) {
     // The TeInput constructor needs a traffic matrix, and the rest of the
@@ -99,12 +97,9 @@ TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
   out.journal_recovered = first && tally_.journal_recovered;
   out.deadline_overrun = lad.deadline_overrun;
   out.rung_regression = tally_.te_runs > 1 && lad.rung > last_rung_;
-  if (lad.rung != ctrl::Rung::kPrimary || out.deadline_overrun) {
-    ++tally_.degraded_periods;
-  }
   tick_seconds_.push_back(lad.seconds);
   last_rung_ = lad.rung;
-  current_ = std::move(lad.sol);
+  session_->install(*input_, lad);
 
   // SLO metrics: tick latency distribution + rolling p50/p99 gauges, rung
   // attribution, regression alerts. All on the global registry so /metrics
@@ -124,13 +119,13 @@ TickEngine::TickResult TickEngine::tick(const traffic::TrafficMatrix& tm) {
   reg.gauge("arrow_serve_tick_p50_seconds").set(tick_p50_s());
   reg.gauge("arrow_serve_tick_p99_seconds").set(tick_p99_s());
 
-  observe_delivery();
+  publish_state();
   return out;
 }
 
 TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
   CutResult out;
-  if (!current_) {
+  if (session_ == nullptr || !session_->installed()) {
     out.error = "no plan installed yet (send a tick first)";
     return out;
   }
@@ -139,79 +134,43 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
     out.error = "fiber id out of range";
     return out;
   }
-  if (cuts_.active.count(fiber) != 0) {
+  OBS_SPAN("serve_cut");
+  const std::optional<schemes::CutRepair> answer = session_->cut(fiber);
+  if (!answer) {
     out.error = "fiber already cut";
     return out;
   }
-  OBS_SPAN("serve_cut");
-  cuts_.active.insert(fiber);
-  ++tally_.cuts_handled;
-  obs::Registry::global().counter("arrow_serve_cuts_total").add();
-  obs::Registry::global()
-      .gauge("arrow_serve_active_cuts")
-      .set(static_cast<double>(cuts_.active.size()));
   out.ok = true;
-
-  schemes::CutRepair repair =
-      session_->cut(fiber, cuts_.cuts(), *input_, *current_);
-  out.planned = repair.planned;
-  tally_.local_repair_seconds += repair.solve_seconds;
-  tally_.local_repair_pivots += repair.simplex_iterations;
-  // An optical answer lights its timeline; any other answer is an IP-layer
-  // repair, woven inside the cut request instead of waiting for the next
-  // tick.
-  const bool rewoven =
-      repair.ok && !session_->capabilities().restores_optically;
-  if (rewoven || !repair.timeline.empty()) {
-    out.restored_gbps = repair.restored_gbps;
-    out.latency_s = repair.latency_s;
-    tally_.restoration_latency_s.push_back(repair.latency_s);
+  out.planned = answer->planned;
+  auto& reg = obs::Registry::global();
+  reg.counter("arrow_serve_cuts_total").add();
+  if (answer->ok) {
+    out.restored_gbps = answer->restored_gbps;
+    out.latency_s = answer->latency_s;
   }
-  // The daemon has no event clock; restored capacity counts from the
-  // moment the plan converges (latency reported to the client).
-  for (const auto& pt : repair.timeline) {
-    cuts_.restore(fiber, pt.link, pt.wave_gbps);
-  }
-  if (repair.transplanted && !repair.timeline.empty()) {
-    ++tally_.emergency_restorations;
-  }
-  if (rewoven) {
-    // Install the repaired plan as current (not last-good: it is shaped
-    // for the failure state, and the next tick re-solves from scratch).
-    ++tally_.local_repairs;
-    out.local_repair = repair.local;
-    out.fell_back_global = repair.fell_back_global;
-    current_ = std::move(repair.plan);
-    if (repair.fell_back_global) {
-      ++tally_.local_repair_fallbacks;
-      obs::Registry::global()
-          .counter("arrow_serve_local_repair_fallbacks_total")
-          .add();
+  // An IP-layer repair: the session installed the plan it rewove.
+  if (answer->ok && !session_->capabilities().restores_optically) {
+    out.local_repair = answer->local;
+    out.fell_back_global = answer->fell_back_global;
+    reg.counter("arrow_serve_local_repairs_total").add();
+    if (out.fell_back_global) {
+      reg.counter("arrow_serve_local_repair_fallbacks_total").add();
     }
-    obs::Registry::global().counter("arrow_serve_local_repairs_total").add();
   }
-  observe_delivery();
+  publish_state();
   return out;
 }
 
 bool TickEngine::repair(topo::FiberId fiber) {
-  if (!cuts_.repair(fiber)) return false;
-  obs::Registry::global()
-      .gauge("arrow_serve_active_cuts")
-      .set(static_cast<double>(cuts_.active.size()));
-  observe_delivery();
+  if (session_ == nullptr || !session_->repair(fiber)) return false;
+  publish_state();
   return true;
 }
 
-void TickEngine::observe_delivery() {
-  if (!current_) return;
-  const auto d =
-      sim::state_delivery(*input_, *current_, cuts_.cuts(), cuts_.restored);
-  delivered_sum_ += d.delivered_gbps;
-  offered_sum_ += d.offered_gbps;
-  obs::Registry::global()
-      .gauge("arrow_serve_delivered_gbps")
-      .set(d.delivered_gbps);
+void TickEngine::publish_state() const {
+  auto& reg = obs::Registry::global();
+  reg.gauge("arrow_serve_active_cuts").set(session_->active_cuts());
+  reg.gauge("arrow_serve_delivered_gbps").set(session_->delivered_gbps());
 }
 
 double TickEngine::tick_p50_s() const {
@@ -222,17 +181,13 @@ double TickEngine::tick_p99_s() const {
   return tick_seconds_.empty() ? 0.0 : util::percentile(tick_seconds_, 99);
 }
 
-obs::RunReport TickEngine::report() const {
+ctrl::ControllerReport TickEngine::report() const {
   ctrl::ControllerReport rr = tally_;
   if (session_ != nullptr) {
     session_->fill_run_report(&rr);
   } else {  // no topology yet
     ctrl::fill_run_report(config_.ctrl, &rr);
   }
-  // Mean instantaneous delivered/offered sampled at every tick, cut, and
-  // repair — the daemon has no simulated clock to integrate over.
-  rr.availability =
-      offered_sum_ > 0.0 ? delivered_sum_ / offered_sum_ : 1.0;
   return rr;
 }
 

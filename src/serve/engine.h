@@ -1,25 +1,22 @@
 // The resident daemon's control loop: the controller's run core driven by
-// socket messages instead of a simulated clock.
+// socket messages.
 //
 // run_controller owns a whole simulated horizon — it gets every traffic
-// matrix and failure up front and replays them against an event queue. A
+// matrix and failure up front and schedules them on the session's clock. A
 // daemon gets them one socket message at a time. Both run the same
 // ctrl::Session (controller/session.h), so the offline stage, the ladder,
-// journaling, warm starts and RunReport accounting are one implementation;
-// TickEngine keeps only what is the daemon's own:
+// journaling, warm starts, the clock, the cut handler and RunReport
+// accounting are one implementation; TickEngine keeps only its own:
 //
-//   * the clock: set_topology samples scenarios and opens the session
-//     (basis store load); the first tick fixes the tunnel shape and runs
-//     the rest of the offline stage (journal recovery, basis store seed,
-//     calibration, restoration plans with RWA repair); every tick runs the
-//     ladder with last-good carry-forward state and the session's
-//     warm-start cache surviving between ticks, so tick N+1 starts from
-//     tick N's bases;
-//   * cuts answered at once by the session's cut path (the scheme's
-//     on_cut): an optical answer's timeline is credited at convergence (no
-//     restoration ramp to integrate), an IP-layer repair's rewoven plan is
-//     installed as current;
-//   * sampled availability, tick latency and the serve SLO metrics;
+//   * the message order: set_topology samples scenarios and opens the
+//     session (basis store load); the first tick fixes the tunnel shape and
+//     runs the rest of the offline stage (journal recovery, basis store
+//     seed, calibration, restoration plans with RWA repair); every tick
+//     advances the clock by ctrl.te_interval_s, then runs the ladder (tick
+//     N+1 warm-starts from tick N's bases) and installs its plan; cuts and
+//     repairs act at the clock's time, so a cut's wave-ups come up as the
+//     next tick advances the clock;
+//   * tick latency and the serve SLO metrics;
 //   * drain: the session's close (absorb, BasisStore save_shared so N
 //     daemons sharing one basis_dir merge instead of clobbering, journal
 //     end_run) plus the final RunReport.
@@ -42,10 +39,11 @@ namespace arrow::serve {
 struct EngineConfig {
   // Scheme (a schemes::Registry name), tunnel/ticket/scenario parameters,
   // per-tick budget (ctrl.te_budget_s — the daemon default is 50 ms, not
-  // the simulator's 5 minutes), journal_dir, basis_dir/basis_store,
-  // retry_backoff, demand_scale, latency model, and obs all mean exactly
-  // what they mean for run_controller. horizon_s/te_interval_s/cancel are
-  // unused — the socket is the clock.
+  // the simulator's 5 minutes), te_interval_s (the clock's advance per
+  // tick), journal_dir, basis_dir/basis_store, retry_backoff, demand_scale,
+  // latency model, fault hooks and obs all mean exactly what they mean for
+  // run_controller. horizon_s and cancel are unused — the socket decides
+  // when the run ends.
   ctrl::ControllerConfig ctrl;
   std::uint64_t seed = 42;  // scenario sampling + restoration replay rng
 
@@ -90,6 +88,7 @@ class TickEngine {
     bool ok = false;
     std::string error;
     bool planned = false;  // answered from an exact precomputed plan
+    // Zero when nothing serves (no answer, or the drop hook lost it).
     double restored_gbps = 0.0;
     double latency_s = 0.0;  // until the answer carries traffic
     // IP-layer repair (schemes that do not restore optically): the
@@ -102,9 +101,10 @@ class TickEngine {
   // fiber was not cut.
   bool repair(topo::FiberId fiber);
 
-  // RunReport snapshot of everything served so far (same field meanings as
-  // run_controller's; te_runs counts ticks). Safe to call at any time.
-  obs::RunReport report() const;
+  // Snapshot of everything served so far, in run_controller's report type
+  // with the same field meanings (te_runs counts ticks). Safe to call at
+  // any time.
+  ctrl::ControllerReport report() const;
 
   // Ends the run: journal end_run, warm-start absorb, BasisStore
   // save_shared, RunReport artifacts (when obs is enabled). Idempotent;
@@ -114,7 +114,9 @@ class TickEngine {
   // --- status (the query op) ----------------------------------------------
   bool has_topology() const { return have_topo_; }
   int ticks() const { return tally_.te_runs; }
-  int active_cuts() const { return static_cast<int>(cuts_.active.size()); }
+  int active_cuts() const {
+    return session_ != nullptr ? session_->active_cuts() : 0;
+  }
   ctrl::Rung last_rung() const { return last_rung_; }
   bool drained() const { return drained_; }
   // p50/p99 of the per-tick ladder wall clock so far (0 before any tick).
@@ -122,7 +124,8 @@ class TickEngine {
   double tick_p99_s() const;
 
  private:
-  void observe_delivery();
+  // Publishes the active-cut and delivered-Gbps gauges.
+  void publish_state() const;
 
   EngineConfig config_;
   util::Rng rng_;
@@ -135,16 +138,12 @@ class TickEngine {
   // traffic_matrices count ticks), local repairs included.
   // tally_ and input_ are declared before session_, which points at both.
   ctrl::ControllerReport tally_;
-  std::optional<te::TeInput> input_;       // built by the first tick
-  std::optional<te::TeSolution> current_;  // plan serving traffic now
+  std::optional<te::TeInput> input_;  // built by the first tick
   std::unique_ptr<ctrl::Session> session_;
-  ctrl::CutState cuts_;
 
   // --- the daemon's own accounting ------------------------------------------
   ctrl::Rung last_rung_ = ctrl::Rung::kPrimary;
   std::vector<double> tick_seconds_;
-  double delivered_sum_ = 0.0;  // instantaneous delivery sampled per event
-  double offered_sum_ = 0.0;
   bool drained_ = false;
 };
 

@@ -41,6 +41,26 @@ TEST(EventQueue, HandlersMayScheduleMoreEvents) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(EventQueue, RunUntilStopsAtItsTime) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(3.0, [&](double) { order.push_back(3); });
+  q.schedule(2.0, [&](double) { order.push_back(20); });
+  q.schedule(1.0, [&](double now) {
+    order.push_back(1);
+    q.schedule(now + 1.0, [&](double) { order.push_back(21); });
+  });
+  q.schedule(2.0, [&](double) { order.push_back(22); });
+  q.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 20, 22, 21}));
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  q.run_until(2.5);  // nothing due: the clock still moves
+  EXPECT_DOUBLE_EQ(q.now(), 2.5);
+  EXPECT_THROW(q.schedule(2.4, [](double) {}), std::logic_error);
+  EXPECT_DOUBLE_EQ(q.run(), 3.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 20, 22, 21, 3}));
+}
+
 TEST(EventQueue, RejectsPastScheduling) {
   EventQueue q;
   q.schedule(5.0, [&](double now) {

@@ -374,16 +374,12 @@ TEST_F(ResilienceFixture, FaultedRunIsBitIdenticalGivenSeed) {
   EXPECT_EQ(a.report.emergency_restorations, b.report.emergency_restorations);
   EXPECT_EQ(a.report.plans_dropped, b.report.plans_dropped);
   EXPECT_EQ(a.report.plans_delayed, b.report.plans_delayed);
-  EXPECT_DOUBLE_EQ(a.report.offered_gbps_seconds,
-                   b.report.offered_gbps_seconds);
-  EXPECT_DOUBLE_EQ(a.report.delivered_gbps_seconds,
-                   b.report.delivered_gbps_seconds);
-  ASSERT_EQ(a.report.timeline.size(), b.report.timeline.size());
-  for (std::size_t i = 0; i < a.report.timeline.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.report.timeline[i].first, b.report.timeline[i].first);
-    EXPECT_DOUBLE_EQ(a.report.timeline[i].second,
-                     b.report.timeline[i].second);
-  }
+  EXPECT_EQ(a.report.to_json(), b.report.to_json());
+  EXPECT_EQ(a.report.offered_gbps_seconds, b.report.offered_gbps_seconds);
+  EXPECT_EQ(a.report.delivered_gbps_seconds, b.report.delivered_gbps_seconds);
+  EXPECT_EQ(a.report.lost_gbps_seconds, b.report.lost_gbps_seconds);
+  EXPECT_EQ(a.report.transient_loss_gbps_seconds,
+            b.report.transient_loss_gbps_seconds);
 }
 
 // --- double-cut injection --------------------------------------------------

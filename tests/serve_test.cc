@@ -257,8 +257,8 @@ TEST(ServeEngine, ReWeaveCutFastPathDrill) {
 
 // The daemon's RunReport after a fixed B4 tick/cut/repair sequence under
 // ReWeave-Local, pinned byte for byte: the ladder, the cut counts, the
-// local repair counters (local and global fallback alike) and the sampled
-// availability. A rewoven plan's latency includes its repair's wall-clock
+// local repair counters (local and global fallback alike) and the
+// availability integrated over the clock. A rewoven plan's latency includes its repair's wall-clock
 // solve time, so local_repair_seconds and the restoration latency
 // percentiles are zeroed before the comparison.
 TEST(ServeEngine, ReWeaveRunReportIsPinned) {
@@ -333,7 +333,7 @@ TEST(ServeEngine, ReWeaveRunReportIsPinned) {
   "local_repair_seconds": 0,
   "restorations": 4,
   "restoration_latency_s": {"p50": 0, "p90": 0, "p99": 0, "max": 0},
-  "availability": 0.9857151749393834
+  "availability": 0.9999979585666955
 }
 )");
 }
@@ -451,6 +451,41 @@ TEST(ServeEngine, PlannedCutAvoidsAFiberAlreadyCut) {
     lit_by_link[point.link] += point.wave_gbps;
   }
   EXPECT_EQ(lit_by_link, expected_by_link);
+}
+
+// The daemon's cuts go through the session's cut handler, fault hooks
+// included: with drop_restoration_plan set, a planned ARROW cut lights
+// nothing, and the tick that follows delivers less than without the hook.
+TEST(ServeEngine, DroppedRestorationPlanLightsNothing) {
+  const topo::Network net = topo::build_b4();
+  const topo::FiberId fiber = overlapping_fibers(net).first;
+  double availability[2] = {0.0, 0.0};
+  for (int drop = 0; drop < 2; ++drop) {
+    serve::EngineConfig config = test_config();
+    config.ctrl.explicit_scenarios = {{{fiber}, 0.01}};
+    if (drop == 1) config.ctrl.drop_restoration_plan = [] { return true; };
+    serve::TickEngine engine(config);
+    ASSERT_TRUE(engine.set_topology(net).ok);
+    ASSERT_TRUE(engine.tick(test_tm(net, 7)).ok);
+    const auto cut = engine.cut(fiber);
+    ASSERT_TRUE(cut.ok) << cut.error;
+    EXPECT_TRUE(cut.planned);
+    ASSERT_TRUE(engine.tick(test_tm(net, 7)).ok);
+    const ctrl::ControllerReport report = engine.report();
+    EXPECT_EQ(report.cuts_with_plan, 1);
+    if (drop == 1) {
+      EXPECT_EQ(cut.restored_gbps, 0.0);
+      EXPECT_EQ(report.plans_dropped, 1);
+      EXPECT_EQ(report.restorations, 0);
+    } else {
+      EXPECT_GT(cut.restored_gbps, 0.0);
+      EXPECT_EQ(report.plans_dropped, 0);
+      EXPECT_EQ(report.restorations, 1);
+    }
+    availability[drop] = report.availability;
+    engine.drain();
+  }
+  EXPECT_LT(availability[1], availability[0]);
 }
 
 // PXT's trails are a precomputed plan: a cut of a scenario's fiber switches
@@ -592,7 +627,8 @@ TEST(ServeEngine, RefusesDemandsForSitesOutsideTheNetwork) {
 }
 
 // Replacing the topology starts a fresh run: the report counts only the
-// ticks, cuts and deliveries served on the new network.
+// ticks, cuts and deliveries served on the new network. Its one tick
+// installed a plan that has not served yet, so nothing was offered.
 TEST(ServeEngine, ReplacedTopologyStartsAFreshReport) {
   const topo::Network first = test_net();
   const topo::Network second = topo::build_b4();
@@ -648,7 +684,7 @@ TEST(ServeEngine, ReplacedTopologyStartsAFreshReport) {
   "local_repair_seconds": 0,
   "restorations": 0,
   "restoration_latency_s": {"p50": 0, "p90": 0, "p99": 0, "max": 0},
-  "availability": 0.9999989536613647
+  "availability": 1
 }
 )");
 }
