@@ -472,7 +472,7 @@ int cmd_serve(int argc, char** argv) {
   std::fflush(stdout);
   server.run();
   std::printf("drained: %d ticks, %d cuts, p99 tick %.1f ms\n", engine.ticks(),
-              engine.active_cuts(), 1000.0 * engine.tick_p99_s());
+              engine.report().cuts_handled, 1000.0 * engine.tick_p99_s());
   return 0;
 }
 

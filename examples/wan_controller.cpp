@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     table.add_row({label, util::Table::pct(r.availability, 4),
                    util::Table::num(r.lost_gbps_seconds / 1000.0, 1),
                    util::Table::num(r.transient_loss_gbps_seconds / 1000.0, 1),
-                   util::Table::num(r.worst_restoration_s, 1) + " s",
+                   util::Table::num(r.restoration_max_s, 1) + " s",
                    std::to_string(r.cuts_with_plan) + "/" +
                        std::to_string(r.cuts_handled),
                    cfg.journal_dir.empty() ? "-"

@@ -159,7 +159,6 @@ struct ControllerReport : obs::RunReport {
   // Loss incurred specifically while restorations were still converging
   // (between the cut and the last wavelength-up event).
   double transient_loss_gbps_seconds = 0.0;
-  double worst_restoration_s = 0.0;
 
   // --- degradation-ladder accounting ---------------------------------------
   // TE solves served by each rung (index with static_cast<int>(Rung)); the

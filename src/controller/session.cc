@@ -399,7 +399,6 @@ std::optional<schemes::CutRepair> Session::cut(topo::FiberId fiber) {
     if (delay > 0.0) ++tally_->plans_delayed;
   }
   const double latency = delay + repair.latency_s;
-  tally_->worst_restoration_s = std::max(tally_->worst_restoration_s, latency);
   tally_->restoration_latency_s.push_back(latency);
   if (repair.transplanted) ++tally_->emergency_restorations;
 

@@ -133,9 +133,9 @@ class Scheme {
   virtual Capabilities capabilities() const = 0;
 
   // Produce the installed plan. `prepared` and `cache` are empty/null unless
-  // capabilities().needs_prepared (the sweep only builds them on demand);
-  // `pool` follows the sweep's chain discipline — an inline pool when called
-  // from a pool worker.
+  // capabilities().needs_prepared (the sweep only builds them on demand).
+  // `pool` may be the one running the caller: a loop called from one of its
+  // workers runs inline.
   virtual te::TeSolution solve(const te::TeInput& input,
                                const te::ArrowPrepared& prepared,
                                util::ThreadPool& pool,

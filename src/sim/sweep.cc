@@ -198,10 +198,6 @@ SweepResult run_sweep(const topo::Network& net,
     const te::ArrowPrepared& prep = prepared[static_cast<std::size_t>(job.mi)];
     const auto& mcache = caches[static_cast<std::size_t>(job.mi)];
     const te::RestorabilityCache* rcache = mcache ? &*mcache : nullptr;
-    // Model builds inside a chain stay on this worker thread: the chains
-    // themselves are the parallelism, and fanning out again onto the pool
-    // that runs this chain could deadlock it.
-    util::ThreadPool chain_pool(1);
     std::optional<solver::ScopedWarmStartCache> cache;
     if (params.warm_start) cache.emplace();
     double prev_scale = 1.0;
@@ -209,7 +205,7 @@ SweepResult run_sweep(const topo::Network& net,
       input.scale_demands(params.scales[si] / prev_scale);
       prev_scale = params.scales[si];
       const te::TeSolution sol =
-          scheme->solve(input, prep, chain_pool, rcache);
+          scheme->solve(input, prep, pool, rcache);
       out.iterations += sol.simplex_iterations;
       if (!sol.optimal) {
         out.failed[si] = 1;

@@ -159,9 +159,9 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options = {},
 // each install a SolveContext — a copy of the enclosing one with its own
 // field set — in util's task-context slot (util/parallel.h).
 // util::ThreadPool carries that slot onto its workers, so these three
-// follow work fanned out with submit()/parallel_for: a solve on a worker
-// sees exactly the cache, tag and deadlines of the code that fanned it out.
-// Guards must therefore outlive the tasks submitted under them.
+// follow work fanned out with parallel_for: a solve on a worker sees exactly
+// the cache, tag and deadlines of the code that fanned it out (parallel_for
+// blocks until its bodies finish, so the guards outlive them).
 // ScopedSolveObserver is the exception: it stays per-thread (see below).
 
 class WarmStartCache;

@@ -301,20 +301,18 @@ std::vector<double> scenario_link_loads(
   return loads;
 }
 
-// Winner per scenario from a Phase I allocation, fanned out on `pool` (each
-// body writes only its own slot; the selection itself is order-independent,
-// see select_phase1_winner).
+// Winner per scenario from a Phase I allocation (the selection itself is
+// order-independent, see select_phase1_winner).
 std::vector<int> pick_winners(const TeInput& input,
                               const ArrowPrepared& prepared,
                               const RestorabilityCache& cache,
                               const ArrowParams& params,
-                              const std::vector<std::vector<double>>& alloc,
-                              util::ThreadPool& pool) {
+                              const std::vector<std::vector<double>>& alloc) {
   const int Q = input.num_scenarios();
   std::vector<int> winners(static_cast<std::size_t>(Q), -1);
-  pool.parallel_for(0, Q, [&](int q) {
+  for (int q = 0; q < Q; ++q) {
     const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-    if (tickets.tickets.empty()) return;  // fall back to naive (-1)
+    if (tickets.tickets.empty()) continue;  // fall back to naive (-1)
     const auto totals = phase1_slack_totals(input, prepared, cache, q, alloc);
     std::vector<double> gbps, budgets;
     gbps.reserve(tickets.tickets.size());
@@ -325,7 +323,7 @@ std::vector<int> pick_winners(const TeInput& input,
     }
     winners[static_cast<std::size_t>(q)] =
         select_phase1_winner(totals, gbps, budgets);
-  });
+  }
   return winners;
 }
 
@@ -605,7 +603,7 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
   Phase1Result out =
       ResidentPhase1::solve(input, prepared, params, *cache, &alloc);
   if (out.optimal) {
-    out.winners = pick_winners(input, prepared, *cache, params, alloc, pool);
+    out.winners = pick_winners(input, prepared, *cache, params, alloc);
   }
   return out;
 }
@@ -638,20 +636,12 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
     theta.push_back(master.add_var(0.0, solver::kInf, -params.slack_penalty));
   }
   // cover_present[q][i]: cover row (4) for affected flow i of scenario q is
-  // already in the master. Mutated only in the serial append section.
+  // already in the master.
   std::vector<std::vector<char>> cover_present(static_cast<std::size_t>(Q));
   for (int q = 0; q < Q; ++q) {
     cover_present[static_cast<std::size_t>(q)].assign(
         input.affected_flows(q).size(), 0);
   }
-
-  struct PerScenario {
-    std::vector<std::size_t> new_cover_idx;       // into affected_flows(q)
-    std::vector<solver::LinExpr> new_cover;       // parallel to new_cover_idx
-    bool add_cut = false;
-    solver::LinExpr cut;                          // theta_q - sum cnt*load
-    double cut_rhs = 0.0;
-  };
 
   std::vector<std::vector<double>> alloc;
   bool converged = false;
@@ -671,37 +661,34 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
     }
 
     alloc = extract_alloc(master, vars);
-    std::vector<double> thetav(theta.size());
-    for (std::size_t q = 0; q < theta.size(); ++q) {
-      thetav[q] = master.value(theta[q]);
-    }
 
-    // Pricing fan-out: every decision below is a closed-form function of the
-    // master solution, so the appended rows — and with them the whole
-    // trajectory — are bit-identical at any thread count.
-    std::vector<PerScenario> ps(static_cast<std::size_t>(Q));
-    pool.parallel_for(0, Q, [&](int q) {
+    // Pricing, in scenario order: every decision below is a closed-form
+    // function of the master solution, and add_constr leaves that solution
+    // in place, so rows appended for one scenario never steer the next.
+    bool appended = false;
+    for (int q = 0; q < Q; ++q) {
       const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
       const auto& any = cache->union_flags(q);
-      PerScenario& s = ps[static_cast<std::size_t>(q)];
 
       // Violated cover rows (4) of build_phase1, valued at the master
       // point in row term order: -b_f, then the tunnels.
       const auto& affected = input.affected_flows(q);
-      const auto& present = cover_present[static_cast<std::size_t>(q)];
+      auto& present = cover_present[static_cast<std::size_t>(q)];
       for (std::size_t i = 0; i < affected.size(); ++i) {
         if (present[i]) continue;
         solver::LinExpr row = cover_row(input, vars, q, any, affected[i]);
         double lhs = row.constant();
         for (const auto& [v, c] : row.terms()) lhs += c * master.value(v);
         if (lhs < -1e-9) {
-          s.new_cover_idx.push_back(i);
-          s.new_cover.push_back(std::move(row));
+          master.add_constr(row, solver::Sense::kGe, 0.0);
+          present[i] = 1;
+          ++out.decomposition_cuts;
+          appended = true;
         }
       }
 
       const std::size_t L = tickets.failed_links.size();
-      if (L == 0) return;  // f_q = 0 and theta_q >= 0: never violated
+      if (L == 0) continue;  // f_q = 0 and theta_q >= 0: never violated
       const auto loads = scenario_link_loads(input, *cache, q, tickets, alloc);
       const int Z =
           std::max<int>(1, static_cast<int>(tickets.tickets.size()));
@@ -725,7 +712,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
           }
         }
       }
-      if (true_penalty - thetav[static_cast<std::size_t>(q)] >
+      if (true_penalty - master.value(theta[static_cast<std::size_t>(q)]) >
           params.decomposition.tolerance) {
         solver::LinExpr cut{theta[static_cast<std::size_t>(q)]};
         for (std::size_t li = 0; li < L; ++li) {
@@ -733,24 +720,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
           cut += -static_cast<double>(cnt[li]) *
                  link_load_row(input, vars, any, tickets.failed_links[li]);
         }
-        s.add_cut = true;
-        s.cut = std::move(cut);
-        s.cut_rhs = cut_rhs;
-      }
-    });
-
-    // Serial fixed-q-order row append.
-    bool appended = false;
-    for (int q = 0; q < Q; ++q) {
-      const PerScenario& s = ps[static_cast<std::size_t>(q)];
-      for (std::size_t i = 0; i < s.new_cover.size(); ++i) {
-        master.add_constr(s.new_cover[i], solver::Sense::kGe, 0.0);
-        cover_present[static_cast<std::size_t>(q)][s.new_cover_idx[i]] = 1;
-        ++out.decomposition_cuts;
-        appended = true;
-      }
-      if (s.add_cut) {
-        master.add_constr(s.cut, solver::Sense::kGe, s.cut_rhs);
+        master.add_constr(cut, solver::Sense::kGe, cut_rhs);
         ++out.decomposition_cuts;
         appended = true;
       }
@@ -764,7 +734,7 @@ Phase1Result solve_phase1_decomposed(const TeInput& input,
   if (!converged) return out;  // max_rounds backstop hit: not solved
 
   out.optimal = true;
-  out.winners = pick_winners(input, prepared, *cache, params, alloc, pool);
+  out.winners = pick_winners(input, prepared, *cache, params, alloc);
 
   static obs::Counter& rounds_total = obs::Registry::global().counter(
       "arrow_te_decomposition_rounds_total");

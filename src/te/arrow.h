@@ -27,10 +27,10 @@ struct ResidentPhase1;
 struct DecompositionParams {
   // Off: solve_arrow builds the monolithic Table 2 LP. On: Phase I runs as a
   // coordinating master over the shared allocation, with each scenario's
-  // cover rows and slack penalty priced in parallel in closed form — same
-  // optimum, but the master only ever holds the scenario rows that actually
-  // bind, which is what scales the scenario count past what the monolithic
-  // model can hold.
+  // cover rows and slack penalty priced in closed form — same optimum, but
+  // the master only ever holds the scenario rows that actually bind, which
+  // is what scales the scenario count past what the monolithic model can
+  // hold.
   bool enabled = false;
   // Master-loop iteration cap. Each round can only add missing rows (a
   // present row is never violated again), so the loop terminates on its own;
@@ -159,10 +159,10 @@ class RestorabilityCache {
   mutable std::unique_ptr<ResidentPhase1> phase1_;
 };
 
-// Phase I + winner post-processing + Phase II. When `cache` is null a
-// RestorabilityCache is built internally on `pool`; pass one explicitly to
-// share it with other solves over the same (input, prepared) pair (e.g. the
-// controller's ladder retries).
+// Phase I + winner post-processing + Phase II. `pool` only builds a private
+// RestorabilityCache when `cache` is null; pass one explicitly to share it
+// with other solves over the same (input, prepared) pair (e.g. the
+// controller's ladder retries). Everything else runs on the calling thread.
 TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
                        const ArrowParams& params);
 TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
@@ -186,7 +186,7 @@ struct Phase1Result : obs::SolveWork {
 
 // Dispatches on params.decomposition.enabled. The monolithic path solves
 // the LP resident in `cache` (see RestorabilityCache); without one it
-// builds a private cache and LP for this call.
+// builds a private cache (on `pool`) and LP for this call.
 Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
                           const ArrowParams& params, util::ThreadPool& pool,
                           const RestorabilityCache* cache = nullptr);
@@ -194,18 +194,18 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
 // The decomposition solve (Benders-style price-and-cut). The master LP holds
 // the shared allocation variables, one penalty variable theta_q per scenario,
 // and only the scenario rows proven necessary so far. Each round solves the
-// master, then fans per-scenario pricing out on `pool`: closed-form link
-// loads from the master allocation decide which cover rows are violated and
-// how far theta_q undershoots the scenario's true penalty. Violated rows and
-// optimality cuts are appended serially in scenario order; the loop ends
-// when no row is missing. The master is the only LP the loop solves; its
-// solves carry one warm-start tag (kMasterBasisTag), so its bases chain
+// master, then prices the scenarios in order: closed-form link loads from
+// the master allocation decide which cover rows are violated and how far
+// theta_q undershoots the scenario's true penalty, and each scenario's
+// violated rows and optimality cut are appended as it is priced. The loop
+// ends when no row is missing. The master is the only LP the loop solves;
+// its solves carry one warm-start tag (kMasterBasisTag), so its bases chain
 // across sweep scales and controller ticks via the warm-start cache and
-// BasisStore. All control flow is a pure function of master solutions
-// computed on the calling thread, so the trajectory — and the final
-// allocation — is bit-identical at any thread count. A non-optimal master
-// solve fails the whole Phase I (optimal = false), the same all-or-nothing
-// contract as the monolithic solve.
+// BasisStore. All control flow is a pure function of master solutions, so
+// the trajectory — and the final allocation — is bit-identical at any
+// thread count; `pool` only builds a private cache when none is given. A
+// non-optimal master solve fails the whole Phase I (optimal = false), the
+// same all-or-nothing contract as the monolithic solve.
 Phase1Result solve_phase1_decomposed(const TeInput& input,
                                      const ArrowPrepared& prepared,
                                      const ArrowParams& params,
@@ -239,9 +239,8 @@ std::vector<double> phase1_slack_totals(
     const std::vector<std::vector<double>>& alloc);
 
 // Phase II only, with the RWA-derived restoration plan as the sole ticket.
-// With no cache, the pool overload builds a private RestorabilityCache on
-// the pool; pass an inline ThreadPool(1) when calling from a pool worker
-// (see sim::run_sweep) — the pool-less overload uses util::global_pool().
+// `pool` only builds a private RestorabilityCache when none is given (the
+// pool-less overload uses util::global_pool()).
 TeSolution solve_arrow_naive(const TeInput& input,
                              const ArrowPrepared& prepared,
                              const ArrowParams& params, util::ThreadPool& pool,

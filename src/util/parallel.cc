@@ -1,26 +1,19 @@
 #include "util/parallel.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <string>
 
 #include "obs/metrics.h"
-#include "util/check.h"
 
 namespace arrow::util {
 
 namespace {
 
-// Pool telemetry. Shared across every pool in the process (pools are
-// short-lived and interchangeable); the gauge tracks the most recent
-// observed backlog, the histogram the per-task wall time.
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g =
-      obs::Registry::global().gauge("arrow_threadpool_queue_depth");
-  return g;
-}
-
+// Pool telemetry, shared across every pool in the process (pools are
+// short-lived and interchangeable). One task is one worker's share of a
+// parallel_for; the histogram holds each share's wall time.
 obs::Counter& tasks_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("arrow_threadpool_tasks_total");
@@ -40,8 +33,10 @@ obs::Histogram& task_seconds_histogram() {
 }
 
 thread_local const void* t_task_context = nullptr;
+// The pool this thread is a worker of (nullptr on every other thread).
+thread_local const ThreadPool* t_worker_of = nullptr;
 
-// Installs a task's captured context for its lifetime on this thread.
+// Installs a loop's captured context for one share on this thread.
 class TaskContextScope {
  public:
   explicit TaskContextScope(const void* context) : saved_(t_task_context) {
@@ -63,7 +58,7 @@ void set_task_context(const void* context) { t_task_context = context; }
 
 ThreadPool::ThreadPool(int threads) {
   threads_ = threads > 0 ? threads : default_thread_count();
-  if (threads_ <= 1) return;  // inline mode: no workers, no queue
+  if (threads_ <= 1) return;  // inline mode: no workers
   workers_.reserve(static_cast<std::size_t>(threads_));
   for (int i = 0; i < threads_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -75,143 +70,78 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::record_error(std::exception_ptr error) {
-  task_exceptions_counter().add();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!first_error_) first_error_ = std::move(error);
-}
-
-std::exception_ptr ThreadPool::take_error() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::exception_ptr error = std::move(first_error_);
-  first_error_ = nullptr;
-  return error;
-}
-
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || queue_head_ < queue_.size(); });
-      if (queue_head_ >= queue_.size()) return;  // stop_ and drained
-      task = std::move(queue_[queue_head_++].body);
-      if (queue_head_ == queue_.size()) {
-        queue_.clear();
-        queue_head_ = 0;
-      }
-      ++active_;
-      queue_depth_gauge().set(
-          static_cast<double>(queue_.size() - queue_head_));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    task();  // packaged_task captures exceptions into the future
-    task_seconds_histogram().observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-    bool idle = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      idle = active_ == 0 && queue_head_ >= queue_.size();
-    }
-    if (idle) idle_cv_.notify_all();
+    work_cv_.wait(lock, [this] { return stop_ || open_shares_ > 0; });
+    if (stop_) return;
+    --open_shares_;
+    lock.unlock();
+    run_share();
+    lock.lock();
+    if (--running_shares_ == 0) done_cv_.notify_one();
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::run_share() {
   tasks_counter().add();
-  // Record a throwing task's exception with the pool before the
-  // packaged_task captures it for the future: a discarded future then
-  // still surfaces the failure at the next wait().
-  auto body = [this, context = t_task_context, task = std::move(task)] {
-    TaskContextScope scope(context);
-    try {
-      task();
-    } catch (...) {
-      record_error(std::current_exception());
-      throw;
-    }
-  };
-  std::packaged_task<void()> wrapped(std::move(body));
-  std::future<void> future = wrapped.get_future();
-  if (workers_.empty()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    wrapped();  // inline mode: run on the caller, future already settled
-    task_seconds_histogram().observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-    return future;
-  }
+  const auto t0 = std::chrono::steady_clock::now();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    ARROW_CHECK(!stop_, "submit on a stopped ThreadPool");
-    queue_.push_back(Task{std::move(wrapped)});
-    queue_depth_gauge().set(static_cast<double>(queue_.size() - queue_head_));
+    TaskContextScope scope(context_);
+    try {
+      while (!failed_.load(std::memory_order_relaxed)) {
+        const int i = next_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= end_) break;
+        (*fn_)(i);
+      }
+    } catch (...) {
+      task_exceptions_counter().add();
+      failed_.store(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
+    }
   }
-  cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::wait() {
-  if (!workers_.empty()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] {
-      return active_ == 0 && queue_head_ >= queue_.size();
-    });
-  }
-  if (std::exception_ptr error = take_error()) {
-    std::rethrow_exception(error);
-  }
+  task_seconds_histogram().observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 void ThreadPool::parallel_for(int begin, int end,
                               const std::function<void(int)>& fn) {
-  const int n = end - begin;
-  if (n <= 0) return;
-  if (workers_.empty() || n == 1) {
+  if (end <= begin) return;
+  if (workers_.empty() || t_worker_of == this) {
     for (int i = begin; i < end; ++i) fn(i);
     return;
   }
-  // Dynamic index claiming: which thread runs which index is scheduling
+  // Dynamic index claiming: which worker runs which index is scheduling
   // noise, but every index runs exactly once, so slot-writing callers are
   // deterministic regardless.
-  auto next = std::make_shared<std::atomic<int>>(begin);
-  auto failed = std::make_shared<std::atomic<bool>>(false);
-  const auto runner = [next, failed, end, &fn] {
-    while (!failed->load(std::memory_order_relaxed)) {
-      const int i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) return;
-      try {
-        fn(i);
-      } catch (...) {
-        failed->store(true, std::memory_order_relaxed);
-        throw;  // lands in this runner's future
-      }
-    }
-  };
-  std::vector<std::future<void>> futures;
-  const int runners = std::min(threads_, n);
-  futures.reserve(static_cast<std::size_t>(runners));
-  for (int r = 0; r < runners; ++r) futures.push_back(submit(runner));
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
+  std::lock_guard<std::mutex> turn(turn_mu_);
+  const int shares = std::min(threads_, end - begin);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    fn_ = &fn;
+    next_.store(begin, std::memory_order_relaxed);
+    end_ = end;
+    context_ = t_task_context;
+    failed_.store(false, std::memory_order_relaxed);
+    open_shares_ = shares;
+    running_shares_ = shares;
   }
-  if (first) {
-    // Delivered to the caller right here; drop the pool's pending copy so a
-    // later wait() does not rethrow a stale error.
-    take_error();
-    std::rethrow_exception(first);
+  work_cv_.notify_all();
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return running_shares_ == 0; });
+    error = std::move(error_);
+    error_ = nullptr;
   }
+  if (error) std::rethrow_exception(error);
 }
 
 int default_thread_count() {

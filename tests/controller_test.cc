@@ -96,7 +96,7 @@ TEST_F(ControllerFixture, ArrowRestoresWhatFfcCannot) {
 
   EXPECT_EQ(arrow_report.cuts_handled, 1);
   EXPECT_EQ(arrow_report.cuts_with_plan, 1);
-  EXPECT_GT(arrow_report.worst_restoration_s, 0.0);
+  EXPECT_GT(arrow_report.restoration_max_s, 0.0);
   // With restoration the delivered volume under the cut can only be higher
   // (same trace, same demand).
   EXPECT_GE(arrow_report.delivered_gbps_seconds,
@@ -152,8 +152,8 @@ TEST_F(ControllerFixture, NoiseLoadingShrinksTransientLoss) {
   util::Rng r2(6);
   const auto slow = run_controller(net_, tms_, trace, config_, r2);
 
-  EXPECT_LT(fast.worst_restoration_s, 60.0);
-  EXPECT_GT(slow.worst_restoration_s, 300.0);
+  EXPECT_LT(fast.restoration_max_s, 60.0);
+  EXPECT_GT(slow.restoration_max_s, 300.0);
   EXPECT_LE(fast.transient_loss_gbps_seconds,
             slow.transient_loss_gbps_seconds + 1e-6);
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -41,11 +42,12 @@ TEST(ThreadPool, EmptyAndSingletonRanges) {
 TEST(ThreadPool, SingleThreadRunsInlineOnCaller) {
   util::ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
-  std::thread::id seen_for, seen_submit;
-  pool.parallel_for(0, 1, [&](int) { seen_for = std::this_thread::get_id(); });
-  pool.submit([&] { seen_submit = std::this_thread::get_id(); }).get();
-  EXPECT_EQ(seen_for, caller);
-  EXPECT_EQ(seen_submit, caller);
+  std::vector<std::thread::id> seen;
+  const auto record = [&](int) { seen.push_back(std::this_thread::get_id()); };
+  pool.parallel_for(0, 1, record);
+  pool.parallel_for(0, 4, record);
+  ASSERT_EQ(seen.size(), 5u);
+  for (const auto& id : seen) EXPECT_EQ(id, caller);
 }
 
 // Inline mode runs every body on the caller's thread, so every hook —
@@ -63,10 +65,10 @@ TEST(ThreadPool, InlinePoolSeesAmbientHooks) {
   EXPECT_TRUE(seen);
 }
 
-// Solver context follows the work: a task on a worker sees the warm-start
-// cache, basis tag and deadline chain of the thread that submitted it,
-// through parallel_for and submit alike, and a timeout noted on a worker is
-// counted on the submitting thread's deadline guards.
+// Solver context follows the work: a body on a worker sees the warm-start
+// cache, basis tag and deadline chain of the thread that called
+// parallel_for, and a timeout noted on a worker is counted on the calling
+// thread's deadline guards.
 TEST(ThreadPool, WorkersInheritSolveContext) {
   solver::ScopedWarmStartCache cache;
   solver::ScopedBasisTag tag(42);
@@ -95,41 +97,43 @@ TEST(ThreadPool, WorkersInheritSolveContext) {
   EXPECT_EQ(inner_guard.timeouts(), kN);
   EXPECT_EQ(outer_guard.timeouts(), kN);
 
-  bool submitted_seen = false;
-  std::thread::id submitted_on;
-  pool.submit([&] {
-        submitted_seen = sees_caller_context();
-        submitted_on = std::this_thread::get_id();
-      }).get();
-  EXPECT_TRUE(submitted_seen);
-  EXPECT_NE(submitted_on, caller);
+  // A one-index loop also runs on a worker, with the same context.
+  bool single_seen = false;
+  std::thread::id single_on;
+  pool.parallel_for(0, 1, [&](int) {
+    single_seen = sees_caller_context();
+    single_on = std::this_thread::get_id();
+  });
+  EXPECT_TRUE(single_seen);
+  EXPECT_NE(single_on, caller);
 }
 
-// A guard opened inside one task is closed with it: the next task on the
-// same worker starts from its own submitter's context, and a worker between
-// tasks holds no context at all.
+// A guard opened inside one body is closed with it: the next loop on the
+// same worker starts from its own caller's context, and a worker between
+// loops holds no context at all.
 TEST(ThreadPool, TaskGuardsDoNotLeakIntoLaterTasks) {
   util::ThreadPool pool(2);
   solver::ScopedBasisTag tag(7);
   std::vector<std::thread::id> ran_on;
   bool clean = true;
   for (int i = 0; i < 8; ++i) {
-    pool.submit([&] {
-          ran_on.push_back(std::this_thread::get_id());
-          clean = clean && solver::ScopedBasisTag::active() == 7 &&
-                  !solver::ScopedSolveDeadline::active_deadline().is_set() &&
-                  solver::ScopedWarmStartCache::active() == nullptr;
-          solver::ScopedBasisTag inner(99);
-          solver::ScopedSolveDeadline deadline(util::Deadline::after(60.0));
-          solver::ScopedWarmStartCache cache;
-        }).get();
+    pool.parallel_for(0, 1, [&](int) {
+      ran_on.push_back(std::this_thread::get_id());
+      clean = clean && solver::ScopedBasisTag::active() == 7 &&
+              !solver::ScopedSolveDeadline::active_deadline().is_set() &&
+              solver::ScopedWarmStartCache::active() == nullptr;
+      solver::ScopedBasisTag inner(99);
+      solver::ScopedSolveDeadline deadline(util::Deadline::after(60.0));
+      solver::ScopedWarmStartCache cache;
+    });
   }
   EXPECT_TRUE(clean);
-  // Two workers, eight sequential tasks: some worker ran more than one.
+  // Two workers, eight successive one-index loops: some worker ran more
+  // than one.
   const std::set<std::thread::id> workers(ran_on.begin(), ran_on.end());
   EXPECT_LT(workers.size(), ran_on.size());
 
-  // Tasks submitted from a thread with no guards see none.
+  // Loops called from a thread with no guards see none.
   std::atomic<int> leaked{0};
   std::thread([&] {
     pool.parallel_for(0, 16, [&](int) {
@@ -153,9 +157,9 @@ TEST(ThreadPool, WorkersDoNotInheritTheSolveObserver) {
   pool.parallel_for(0, 8, [&](int) {
     if (solver::ScopedSolveObserver::active() != nullptr) leaked++;
   });
-  pool.submit([&] {
-        if (solver::ScopedSolveObserver::active() != nullptr) leaked++;
-      }).get();
+  pool.parallel_for(0, 1, [&](int) {
+    if (solver::ScopedSolveObserver::active() != nullptr) leaked++;
+  });
   EXPECT_EQ(leaked.load(), 0);
 }
 
@@ -174,65 +178,53 @@ TEST(ThreadPool, ParallelForRethrowsTaskException) {
   EXPECT_EQ(n.load(), 10);
 }
 
-TEST(ThreadPool, SubmitFutureRethrows) {
+// A loop called from inside a body runs inline on that body's worker, so
+// the nested call cannot wait on the workers it occupies.
+TEST(ThreadPool, NestedParallelForRunsInlineOnTheWorker) {
   util::ThreadPool pool(2);
-  auto fut = pool.submit([] { throw std::logic_error("task failed"); });
-  EXPECT_THROW(fut.get(), std::logic_error);
-}
-
-// The regression the pool-level error slot exists for: a fire-and-forget
-// submit whose future is discarded used to lose the exception entirely.
-// wait() must surface it — at every pool size, including inline mode.
-TEST(ThreadPool, WaitRethrowsDiscardedFutureException) {
-  for (int threads : {1, 2, 8}) {
-    util::ThreadPool pool(threads);
-    if (threads == 1) {
-      // Inline mode runs the task on submit; the packaged_task still
-      // captures the throw, so submit itself must not propagate it.
-      EXPECT_NO_THROW(
-          pool.submit([] { throw std::runtime_error("dropped"); }));
-    } else {
-      pool.submit([] { throw std::runtime_error("dropped"); });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error) << threads << " threads";
-    // The error was delivered and cleared: a second wait is clean and the
-    // pool stays usable.
-    EXPECT_NO_THROW(pool.wait());
-    std::atomic<int> n{0};
-    pool.parallel_for(0, 10, [&](int) { n++; });
-    EXPECT_EQ(n.load(), 10);
+  constexpr int kOuter = 6, kInner = 50;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> off_thread{0};
+  pool.parallel_for(0, kOuter, [&](int o) {
+    const auto worker = std::this_thread::get_id();
+    pool.parallel_for(0, kInner, [&](int i) {
+      hits[static_cast<std::size_t>(o * kInner + i)]++;
+      if (std::this_thread::get_id() != worker) off_thread++;
+    });
+  });
+  for (int k = 0; k < kOuter * kInner; ++k) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(k)].load(), 1) << "index " << k;
   }
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
-TEST(ThreadPool, WaitReportsFirstOfManyFailures) {
-  util::ThreadPool pool(4);
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([] { throw std::runtime_error("one of many"); });
-  }
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  EXPECT_NO_THROW(pool.wait());
-}
-
-TEST(ThreadPool, WaitWithNoWorkAndNoErrorsIsANoOp) {
+// Two threads looping on one pool at once take turns: each loop covers its
+// own indices once, under its own caller's context.
+TEST(ThreadPool, ConcurrentCallersTakeTurns) {
   util::ThreadPool pool(3);
-  EXPECT_NO_THROW(pool.wait());
-  std::atomic<int> n{0};
-  for (int i = 0; i < 8; ++i) pool.submit([&] { n++; });
-  pool.wait();
-  EXPECT_EQ(n.load(), 8);
-}
-
-TEST(ThreadPool, ParallelForDeliveryClearsThePendingError) {
-  util::ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(
-                   0, 50,
-                   [&](int i) {
-                     if (i == 7) throw std::runtime_error("loop failure");
-                   }),
-               std::runtime_error);
-  // parallel_for already delivered the exception to its caller; wait() must
-  // not replay a stale copy.
-  EXPECT_NO_THROW(pool.wait());
+  constexpr int kN = 200, kRounds = 20;
+  const auto caller = [&](std::uint64_t basis_tag, std::atomic<int>* wrong,
+                          std::vector<std::atomic<int>>* hits) {
+    solver::ScopedBasisTag tag(basis_tag);
+    for (int r = 0; r < kRounds; ++r) {
+      pool.parallel_for(0, kN, [&](int i) {
+        (*hits)[static_cast<std::size_t>(i)]++;
+        if (solver::ScopedBasisTag::active() != basis_tag) (*wrong)++;
+      });
+    }
+  };
+  std::vector<std::atomic<int>> hits_a(kN), hits_b(kN);
+  std::atomic<int> wrong_a{0}, wrong_b{0};
+  std::thread a(caller, 11, &wrong_a, &hits_a);
+  std::thread b(caller, 22, &wrong_b, &hits_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong_a.load(), 0);
+  EXPECT_EQ(wrong_b.load(), 0);
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[static_cast<std::size_t>(i)].load(), kRounds) << i;
+    EXPECT_EQ(hits_b[static_cast<std::size_t>(i)].load(), kRounds) << i;
+  }
 }
 
 TEST(ThreadPool, DefaultThreadCountHonorsEnvOverride) {
