@@ -7,7 +7,6 @@
 // thread count, with the cache shared or rebuilt locally. The single-thread
 // private-cache build is the baseline every other configuration is compared
 // against.
-#include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -15,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lp_bits.h"
 #include "solver/lp.h"
 #include "te/arrow.h"
 #include "te/basic.h"
@@ -321,23 +321,8 @@ TEST_F(RestorabilityFixture, SolveArrowNaiveIsBuildConfigurationInvariant) {
                    solve_arrow_naive(*input_, prepared_, params_, &shared));
 }
 
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-void expect_byte_equal(const solver::Lp& a, const solver::Lp& b) {
-  EXPECT_TRUE(same_bits(a.cost, b.cost));
-  EXPECT_TRUE(same_bits(a.lower, b.lower));
-  EXPECT_TRUE(same_bits(a.upper, b.upper));
-  EXPECT_TRUE(same_bits(a.rhs, b.rhs));
-  EXPECT_EQ(a.a.rows, b.a.rows);
-  EXPECT_EQ(a.a.cols, b.a.cols);
-  EXPECT_EQ(a.a.col_start, b.a.col_start);
-  EXPECT_EQ(a.a.row_index, b.a.row_index);
-  EXPECT_TRUE(same_bits(a.a.value, b.a.value));
-}
+using test::expect_byte_equal;
+using test::same_bits;
 
 // The one LP a monolithic solve_phase1 runs, and its solution.
 struct Phase1Capture {

@@ -1,8 +1,12 @@
 // Unit and property tests for the LP/MIP solver substrate.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "lp_bits.h"
 #include "solver/lp.h"
 #include "solver/model.h"
 #include "util/rng.h"
@@ -106,6 +110,88 @@ TEST(Model, DualsHaveCorrectSigns) {
   ASSERT_EQ(m.solve().status, SolveStatus::kOptimal);
   EXPECT_NEAR(m.dual(0), 3.0, 1e-6);  // marginal value of capacity
   EXPECT_NEAR(m.dual(1), 0.0, 1e-6);  // non-binding
+}
+
+// One row of every add_constr case: an unsorted expression with a variable
+// repeated three times, a pair that cancels to 0, a -0.0 coefficient and a
+// constant. Duplicates sum in order of appearance starting from +0.0
+// ((0.1 + 0.2) + 0.3 is 0.6000000000000001, not 0.6), zero sums are
+// dropped and the constant folds into the rhs. Under maximize the
+// zero-objective column lowers to a -0.0 cost.
+Model pinned_merge_model() {
+  Model m;
+  m.set_maximize();
+  const auto x = m.add_var(0, 4, 1.5);
+  const auto y = m.add_var(-1, 3, 0);
+  const auto z = m.add_var(0, kInf, 2);
+  const auto w = m.add_var(-kInf, 1, -1);
+  LinExpr e;
+  e.add_term(z, 0.1);
+  e.add_term(w, 0.7);
+  e.add_term(x, 2.0);
+  e.add_term(z, 0.2);
+  e.add_term(y, -0.0);
+  e.add_term(w, -0.7);
+  e.add_term(z, 0.3);
+  e += 2.5;
+  m.add_constr(e, Sense::kLe, 10);
+  LinExpr f = 3.0 * LinExpr(y) + LinExpr(x);
+  f.add_term(y, -0.0);
+  m.add_constr(f, Sense::kGe, -1);
+  m.add_constr(LinExpr(w) + LinExpr(z) - 0.5, Sense::kEq, 1);
+  return m;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+// What the solver sees of pinned_merge_model, bit for bit, and its
+// fingerprint.
+TEST(ModelPins, AddConstrMergesUnsortedTerms) {
+  Model m = pinned_merge_model();
+  ASSERT_EQ(m.num_constrs(), 3);
+  EXPECT_EQ(m.fingerprint(), 0x50d4a2ba0d645aacULL);
+  Lp seen;
+  int solves = 0;
+  {
+    ScopedSolveObserver capture([&](const Lp& lp, LpSolution&) {
+      ++solves;
+      seen = lp;
+    });
+    m.solve();
+  }
+  ASSERT_EQ(solves, 1);
+  EXPECT_EQ(seen.a.rows, 3);
+  EXPECT_EQ(seen.a.cols, 7);
+  EXPECT_EQ(seen.a.col_start, (std::vector<int>{0, 2, 3, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(seen.a.row_index, (std::vector<int>{0, 1, 1, 0, 2, 2, 0, 1, 2}));
+  constexpr std::uint64_t kOne = 0x3ff0000000000000ULL;
+  constexpr std::uint64_t kPosInf = 0x7ff0000000000000ULL;
+  constexpr std::uint64_t kNegInf = 0xfff0000000000000ULL;
+  EXPECT_EQ(bits_of(seen.a.value),
+            (std::vector<std::uint64_t>{0x4000000000000000ULL, kOne,
+                                        0x4008000000000000ULL,
+                                        0x3fe3333333333334ULL, kOne, kOne,
+                                        kOne, kOne, kOne}));
+  EXPECT_EQ(bits_of(seen.cost),
+            (std::vector<std::uint64_t>{0xbff8000000000000ULL,
+                                        0x8000000000000000ULL,
+                                        0xc000000000000000ULL, kOne, 0, 0,
+                                        0}));
+  EXPECT_EQ(bits_of(seen.lower),
+            (std::vector<std::uint64_t>{0, 0xbff0000000000000ULL, 0, kNegInf,
+                                        0, kNegInf, 0}));
+  EXPECT_EQ(bits_of(seen.upper),
+            (std::vector<std::uint64_t>{0x4010000000000000ULL,
+                                        0x4008000000000000ULL, kPosInf, kOne,
+                                        kPosInf, 0, 0}));
+  EXPECT_EQ(bits_of(seen.rhs),
+            (std::vector<std::uint64_t>{0x401e000000000000ULL,
+                                        0xbff0000000000000ULL,
+                                        0x3ff8000000000000ULL}));
 }
 
 TEST(Mip, Knapsack) {
