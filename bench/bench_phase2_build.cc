@@ -8,9 +8,13 @@
 // produce bit-identical models — verified via Model::fingerprint at 1/2/8
 // threads with the cache shared and rebuilt — and a solve cross-check
 // confirms the identical models also yield identical ARROW-Naive solutions.
+// It also times the rebind of the cache's resident Phase II LP on new
+// demands against a fresh build, and requires the same fingerprint.
 //
 // Environment knobs: ARROW_BENCH_FAST=1 shrinks to the IBM topology for
 // CI-speed runs (bench-smoke). Results land in BENCH_phase2_build.json.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -135,6 +139,44 @@ int main() {
   if (ok) {
     std::printf("model fingerprint %s identical at 1/2/8 threads, cache "
                 "shared and rebuilt\n", fp);
+  }
+
+  // --- resident rebind vs fresh build --------------------------------------
+  // A re-solve on new demands with the same winners rebinds the cache's
+  // resident Phase II LP instead of building one; the rebound model must be
+  // the one a fresh build of those demands makes. Medians of five each.
+  {
+    te::TeInput rescaled = input;
+    rescaled.scale_demands(0.9);
+    te::resident_phase2_model(input, prepared, winners, cache);  // park it
+    std::vector<double> fresh_ms, rebind_ms;
+    std::uint64_t fresh_fp = 0;
+    for (int k = 0; k < 5; ++k) {
+      const te::TeInput& at = k % 2 == 0 ? rescaled : input;
+      const te::ModelBuildStats fresh =
+          te::build_phase2_model(at, prepared, winners, params, pool1, &cache);
+      const te::ModelBuildStats rebind =
+          te::resident_phase2_model(at, prepared, winners, cache);
+      if (k == 0) fresh_fp = fresh.model_fingerprint;
+      if (rebind.model_fingerprint != fresh.model_fingerprint) {
+        std::fprintf(stderr,
+                     "FAIL: resident rebind %d is not bit-identical to a "
+                     "fresh build of the same demands\n", k);
+        ok = false;
+      }
+      fresh_ms.push_back(fresh.build_seconds * 1e3);
+      rebind_ms.push_back(rebind.build_seconds * 1e3);
+    }
+    if (fresh_fp == base.model_fingerprint) {
+      std::fprintf(stderr, "FAIL: rescaled demands left the model unchanged\n");
+      ok = false;
+    }
+    std::sort(fresh_ms.begin(), fresh_ms.end());
+    std::sort(rebind_ms.begin(), rebind_ms.end());
+    out.set("fresh_build_ms", fresh_ms[2]);
+    out.set("resident_rebind_ms", rebind_ms[2]);
+    std::printf("resident rebind: %.3f ms vs %.1f ms fresh build (medians of "
+                "5, fingerprints identical)\n", rebind_ms[2], fresh_ms[2]);
   }
 
   // --- solution bit-identity (ARROW-Naive = Phase II with naive winners) ---

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <queue>
 
 #include "obs/metrics.h"
@@ -37,53 +36,78 @@ const char* to_string(SolveStatus s) {
   return "unknown";
 }
 
-VarId Model::add_var(double lb, double ub, double obj_coeff, std::string name,
-                     VarType type) {
+VarId Model::add_var(double lb, double ub, double obj_coeff, VarType type) {
   ARROW_CHECK(lb <= ub, "variable bounds crossed");
   if (type == VarType::kBinary) {
     lb = std::max(lb, 0.0);
     ub = std::min(ub, 1.0);
   }
-  vars_.push_back(VarData{lb, ub, obj_coeff, type, std::move(name)});
+  vars_.push_back(VarData{lb, ub, obj_coeff, type});
+  lp_stale_ = true;
   return VarId{static_cast<std::int32_t>(vars_.size() - 1)};
 }
 
-void Model::add_constr(const LinExpr& lhs, Sense sense, double rhs,
-                       std::string name) {
-  RowData row;
-  row.sense = sense;
-  row.rhs = rhs - lhs.constant();
-  row.name = std::move(name);
-  // Merge duplicate variables.
-  std::map<int, double> merged;
+void Model::add_constr(const LinExpr& lhs, Sense sense, double rhs) {
+  merge_.clear();
   for (const auto& [v, c] : lhs.terms()) {
     ARROW_CHECK(v.valid() && v.index < static_cast<int>(vars_.size()),
                 "constraint references unknown variable");
-    merged[v.index] += c;
+    merge_.push_back(Term{v.index, static_cast<int>(merge_.size()), c});
   }
-  row.terms.reserve(merged.size());
-  for (const auto& [v, c] : merged) {
-    if (c != 0.0) row.terms.emplace_back(v, c);
+  // Sort by variable (duplicates in order of appearance), then sum each run
+  // from +0.0 and keep the nonzero sums.
+  std::sort(merge_.begin(), merge_.end(), [](const Term& a, const Term& b) {
+    return a.var != b.var ? a.var < b.var : a.seq < b.seq;
+  });
+  for (std::size_t k = 0; k < merge_.size();) {
+    const int v = merge_[k].var;
+    double sum = 0.0;
+    for (; k < merge_.size() && merge_[k].var == v; ++k) sum += merge_[k].coeff;
+    if (sum != 0.0) {
+      row_var_.push_back(v);
+      row_coeff_.push_back(sum);
+    }
   }
-  rows_.push_back(std::move(row));
+  row_start_.push_back(static_cast<int>(row_var_.size()));
+  row_sense_.push_back(sense);
+  row_rhs_.push_back(rhs - lhs.constant());
+  lp_stale_ = true;
 }
 
 void Model::set_objective_coeff(VarId v, double coeff) {
   ARROW_CHECK(v.valid() && v.index < static_cast<int>(vars_.size()));
-  vars_[static_cast<std::size_t>(v.index)].obj = coeff;
+  const auto j = static_cast<std::size_t>(v.index);
+  vars_[j].obj = coeff;
+  if (!lp_stale_) lp_.cost[j] = (maximize_ ? -1.0 : 1.0) * coeff;
+}
+
+void Model::set_maximize() {
+  maximize_ = true;
+  lp_stale_ = true;
+}
+
+void Model::set_minimize() {
+  maximize_ = false;
+  lp_stale_ = true;
 }
 
 void Model::set_bounds(VarId v, double lb, double ub) {
   ARROW_CHECK(v.valid() && v.index < static_cast<int>(vars_.size()));
   ARROW_CHECK(lb <= ub, "variable bounds crossed");
-  vars_[static_cast<std::size_t>(v.index)].lb = lb;
-  vars_[static_cast<std::size_t>(v.index)].ub = ub;
+  const auto j = static_cast<std::size_t>(v.index);
+  vars_[j].lb = lb;
+  vars_[j].ub = ub;
+  if (!lp_stale_) {
+    lp_.lower[j] = lb;
+    lp_.upper[j] = ub;
+  }
 }
 
 void Model::set_rhs(int constraint_index, double rhs) {
-  ARROW_CHECK(constraint_index >= 0 &&
-              constraint_index < static_cast<int>(rows_.size()));
-  rows_[static_cast<std::size_t>(constraint_index)].rhs = rhs;
+  ARROW_CHECK(constraint_index >= 0 && constraint_index < num_constrs());
+  const auto i = static_cast<std::size_t>(constraint_index);
+  row_rhs_[i] = rhs;
+  if (!lp_stale_) lp_.rhs[i] = rhs;
 }
 
 int Model::num_integer_vars() const {
@@ -94,11 +118,6 @@ int Model::num_integer_vars() const {
   return n;
 }
 
-const std::string& Model::var_name(VarId v) const {
-  ARROW_CHECK(v.valid() && v.index < static_cast<int>(vars_.size()));
-  return vars_[static_cast<std::size_t>(v.index)].name;
-}
-
 std::uint64_t Model::fingerprint() const {
   util::Fnv1a h;
   h.u64(maximize_ ? 1 : 0);
@@ -106,87 +125,83 @@ std::uint64_t Model::fingerprint() const {
   for (const auto& v : vars_) {
     h.f64(v.lb).f64(v.ub).f64(v.obj).i32(static_cast<std::int32_t>(v.type));
   }
-  h.i64(static_cast<std::int64_t>(rows_.size()));
-  for (const auto& r : rows_) {
-    h.i64(static_cast<std::int64_t>(r.terms.size()));
-    for (const auto& [vi, c] : r.terms) h.i32(vi).f64(c);
-    h.i32(static_cast<std::int32_t>(r.sense)).f64(r.rhs);
+  h.i64(static_cast<std::int64_t>(row_rhs_.size()));
+  for (std::size_t i = 0; i < row_rhs_.size(); ++i) {
+    h.i64(row_start_[i + 1] - row_start_[i]);
+    for (int k = row_start_[i]; k < row_start_[i + 1]; ++k) {
+      h.i32(row_var_[static_cast<std::size_t>(k)])
+          .f64(row_coeff_[static_cast<std::size_t>(k)]);
+    }
+    h.i32(static_cast<std::int32_t>(row_sense_[i])).f64(row_rhs_[i]);
   }
   return h.value();
 }
 
-Lp Model::build_lp(const std::vector<double>& lb_override,
-                   const std::vector<double>& ub_override) const {
-  const int nv = static_cast<int>(vars_.size());
-  const int m = static_cast<int>(rows_.size());
+void Model::lower() {
+  if (!lp_stale_) return;
+  const int nv = num_vars();
+  const int m = num_constrs();
   const int n = nv + m;  // structural + one slack per row
-  Lp lp;
+  Lp& lp = lp_;
   lp.a.rows = m;
   lp.a.cols = n;
   lp.cost.assign(static_cast<std::size_t>(n), 0.0);
   lp.lower.assign(static_cast<std::size_t>(n), 0.0);
   lp.upper.assign(static_cast<std::size_t>(n), 0.0);
-  lp.rhs.resize(static_cast<std::size_t>(m));
+  lp.rhs = row_rhs_;
 
   const double sign = maximize_ ? -1.0 : 1.0;
-  for (int j = 0; j < nv; ++j) {
-    lp.cost[static_cast<std::size_t>(j)] =
-        sign * vars_[static_cast<std::size_t>(j)].obj;
-    lp.lower[static_cast<std::size_t>(j)] =
-        lb_override[static_cast<std::size_t>(j)];
-    lp.upper[static_cast<std::size_t>(j)] =
-        ub_override[static_cast<std::size_t>(j)];
+  for (std::size_t j = 0; j < vars_.size(); ++j) {
+    lp.cost[j] = sign * vars_[j].obj;
+    lp.lower[j] = vars_[j].lb;
+    lp.upper[j] = vars_[j].ub;
   }
   for (int i = 0; i < m; ++i) {
-    const RowData& row = rows_[static_cast<std::size_t>(i)];
-    lp.rhs[static_cast<std::size_t>(i)] = row.rhs;
-    const int slack = nv + i;
-    switch (row.sense) {
+    const auto slack = static_cast<std::size_t>(nv + i);
+    switch (row_sense_[static_cast<std::size_t>(i)]) {
       case Sense::kLe:
-        lp.lower[static_cast<std::size_t>(slack)] = 0.0;
-        lp.upper[static_cast<std::size_t>(slack)] = kInf;
+        lp.lower[slack] = 0.0;
+        lp.upper[slack] = kInf;
         break;
       case Sense::kGe:
-        lp.lower[static_cast<std::size_t>(slack)] = -kInf;
-        lp.upper[static_cast<std::size_t>(slack)] = 0.0;
+        lp.lower[slack] = -kInf;
+        lp.upper[slack] = 0.0;
         break;
       case Sense::kEq:
-        lp.lower[static_cast<std::size_t>(slack)] = 0.0;
-        lp.upper[static_cast<std::size_t>(slack)] = 0.0;
+        lp.lower[slack] = 0.0;
+        lp.upper[slack] = 0.0;
         break;
     }
   }
 
   // CSC assembly: structural columns from the rows, then identity slacks.
-  std::vector<int> col_count(static_cast<std::size_t>(n), 0);
-  for (const RowData& row : rows_) {
-    for (const auto& [v, c] : row.terms) {
-      (void)c;
-      ++col_count[static_cast<std::size_t>(v)];
-    }
+  // col_start first counts each column's entries one slot ahead, then
+  // becomes their prefix sum.
+  auto& col_start = lp.a.col_start;
+  col_start.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (int v : row_var_) ++col_start[static_cast<std::size_t>(v) + 1];
+  for (int i = 0; i < m; ++i) col_start[static_cast<std::size_t>(nv + i) + 1] = 1;
+  for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
+    col_start[j + 1] += col_start[j];
   }
-  for (int i = 0; i < m; ++i) col_count[static_cast<std::size_t>(nv + i)] = 1;
-  lp.a.col_start.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int j = 0; j < n; ++j) {
-    lp.a.col_start[static_cast<std::size_t>(j) + 1] =
-        lp.a.col_start[static_cast<std::size_t>(j)] +
-        col_count[static_cast<std::size_t>(j)];
-  }
-  const int nnz = lp.a.col_start.back();
+  const int nnz = col_start.back();
   lp.a.row_index.assign(static_cast<std::size_t>(nnz), 0);
   lp.a.value.assign(static_cast<std::size_t>(nnz), 0.0);
-  std::vector<int> fill(lp.a.col_start.begin(), lp.a.col_start.end() - 1);
+  std::vector<int> fill(col_start.begin(), col_start.end() - 1);
   for (int i = 0; i < m; ++i) {
-    for (const auto& [v, c] : rows_[static_cast<std::size_t>(i)].terms) {
-      const int k = fill[static_cast<std::size_t>(v)]++;
-      lp.a.row_index[static_cast<std::size_t>(k)] = i;
-      lp.a.value[static_cast<std::size_t>(k)] = c;
+    const auto row = static_cast<std::size_t>(i);
+    for (int k = row_start_[row]; k < row_start_[row + 1]; ++k) {
+      const int at =
+          fill[static_cast<std::size_t>(row_var_[static_cast<std::size_t>(k)])]++;
+      lp.a.row_index[static_cast<std::size_t>(at)] = i;
+      lp.a.value[static_cast<std::size_t>(at)] =
+          row_coeff_[static_cast<std::size_t>(k)];
     }
-    const int k = fill[static_cast<std::size_t>(nv + i)]++;
-    lp.a.row_index[static_cast<std::size_t>(k)] = i;
-    lp.a.value[static_cast<std::size_t>(k)] = 1.0;
+    const int at = fill[static_cast<std::size_t>(nv + i)]++;
+    lp.a.row_index[static_cast<std::size_t>(at)] = i;
+    lp.a.value[static_cast<std::size_t>(at)] = 1.0;
   }
-  return lp;
+  lp_stale_ = false;
 }
 
 SolveResult Model::solve(const Basis* warm_start) {
@@ -197,13 +212,8 @@ SolveResult Model::solve(const Basis* warm_start) {
     nodes.add(static_cast<std::uint64_t>(result_.bb_nodes));
     return result_;
   }
-  std::vector<double> lb(vars_.size()), ub(vars_.size());
-  for (std::size_t j = 0; j < vars_.size(); ++j) {
-    lb[j] = vars_[j].lb;
-    ub[j] = vars_[j].ub;
-  }
-  const Lp lp = build_lp(lb, ub);
-  const LpSolution sol = solve_lp(lp, simplex_options_, warm_start);
+  lower();
+  const LpSolution sol = solve_lp(lp_, simplex_options_, warm_start);
   SolveResult res;
   res += work_of(sol);
   res.basis = sol.basis;
@@ -221,7 +231,7 @@ SolveResult Model::solve(const Basis* warm_start) {
     case LpStatus::kTimedOut: res.status = SolveStatus::kTimedOut; break;
   }
   solution_.assign(vars_.size(), 0.0);
-  duals_.assign(rows_.size(), 0.0);
+  duals_.assign(row_rhs_.size(), 0.0);
   if (res.status == SolveStatus::kOptimal) {
     for (std::size_t j = 0; j < vars_.size(); ++j) solution_[j] = sol.x[j];
     res.objective = 0.0;
@@ -229,7 +239,7 @@ SolveResult Model::solve(const Basis* warm_start) {
       res.objective += vars_[j].obj * solution_[j];
     }
     const double sign = maximize_ ? -1.0 : 1.0;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
+    for (std::size_t i = 0; i < row_rhs_.size(); ++i) {
       duals_[i] = sign * sol.dual[i];
     }
   }
@@ -254,6 +264,10 @@ SolveResult Model::solve_mip() {
     root.ub[j] = vars_[j].ub;
   }
   root.bound = -kInf;
+  // The nodes rewrite lp_'s structural bounds; it counts as stale until the
+  // model's own bounds are back (so a throwing node solve leaves it stale).
+  lower();
+  lp_stale_ = true;
 
   std::priority_queue<Node> open;
   open.push(std::move(root));
@@ -285,8 +299,10 @@ SolveResult Model::solve_mip() {
     if (node.bound >= incumbent_obj - 1e-9) continue;  // pruned by bound
     ++res.bb_nodes;
 
-    const Lp lp = build_lp(node.lb, node.ub);
-    const LpSolution sol = solve_lp(lp, simplex_options_);
+    // Each node solves the resident LP under its own structural bounds.
+    std::copy(node.lb.begin(), node.lb.end(), lp_.lower.begin());
+    std::copy(node.ub.begin(), node.ub.end(), lp_.upper.begin());
+    const LpSolution sol = solve_lp(lp_, simplex_options_);
     res += work_of(sol);
     if (sol.status == LpStatus::kInfeasible) continue;
     if (sol.status == LpStatus::kUnbounded) {
@@ -351,8 +367,13 @@ SolveResult Model::solve_mip() {
     }
   }
 
+  for (std::size_t j = 0; j < vars_.size(); ++j) {
+    lp_.lower[j] = vars_[j].lb;
+    lp_.upper[j] = vars_[j].ub;
+  }
+  lp_stale_ = false;
   solution_.assign(vars_.size(), 0.0);
-  duals_.assign(rows_.size(), 0.0);
+  duals_.assign(row_rhs_.size(), 0.0);
   if (root_unbounded) {
     res.status = SolveStatus::kUnbounded;
   } else if (!incumbent_x.empty()) {

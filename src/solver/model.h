@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/solve_work.h"
@@ -54,15 +53,16 @@ class Model {
 
   // --- construction -------------------------------------------------------
   VarId add_var(double lb, double ub, double obj_coeff,
-                std::string name = {}, VarType type = VarType::kContinuous);
-  VarId add_binary(double obj_coeff, std::string name = {}) {
-    return add_var(0.0, 1.0, obj_coeff, std::move(name), VarType::kBinary);
+                VarType type = VarType::kContinuous);
+  VarId add_binary(double obj_coeff) {
+    return add_var(0.0, 1.0, obj_coeff, VarType::kBinary);
   }
-  void add_constr(const LinExpr& lhs, Sense sense, double rhs,
-                  std::string name = {});
+  // Duplicate variables in `lhs` are summed in their order of appearance,
+  // terms that sum to zero are dropped, and lhs.constant() moves to the rhs.
+  void add_constr(const LinExpr& lhs, Sense sense, double rhs);
   void set_objective_coeff(VarId v, double coeff);
-  void set_maximize() { maximize_ = true; }
-  void set_minimize() { maximize_ = false; }
+  void set_maximize();
+  void set_minimize();
 
   // Tightens a variable's bounds (also how branch-and-bound branches).
   void set_bounds(VarId v, double lb, double ub);
@@ -73,6 +73,11 @@ class Model {
   // warm_start: optional starting basis for the LP path (shape mismatch or
   // numerical trouble falls back to the all-slack start; see solve_lp).
   // Ignored for MIPs — branch-and-bound manages its own node solves.
+  //
+  // The model is lowered to its computational-form Lp once and kept between
+  // solves: set_bounds, set_rhs and set_objective_coeff write through to it,
+  // while add_var, add_constr, set_maximize and set_minimize mark it stale,
+  // and the next solve lowers the whole model again.
   SolveResult solve(const Basis* warm_start = nullptr);
 
   // --- solution access ------------------------------------------------------
@@ -83,9 +88,8 @@ class Model {
 
   // --- introspection ---------------------------------------------------------
   int num_vars() const { return static_cast<int>(vars_.size()); }
-  int num_constrs() const { return static_cast<int>(rows_.size()); }
+  int num_constrs() const { return static_cast<int>(row_rhs_.size()); }
   int num_integer_vars() const;
-  const std::string& var_name(VarId v) const;
 
   // FNV-1a hash over the objective sense, every variable (bounds, objective,
   // type) and every row (terms, sense, rhs). Two models with the same
@@ -100,24 +104,33 @@ class Model {
   struct VarData {
     double lb, ub, obj;
     VarType type;
-    std::string name;
   };
-  struct RowData {
-    std::vector<std::pair<int, double>> terms;  // (var index, coeff), merged
-    Sense sense;
-    double rhs;
-    std::string name;
+  // One add_constr term while its row is merged.
+  struct Term {
+    int var;
+    int seq;  // position in the LinExpr: keeps duplicates in order
+    double coeff;
   };
 
-  Lp build_lp(const std::vector<double>& lb_override,
-              const std::vector<double>& ub_override) const;
+  // Lowers the model into lp_ when it is stale.
+  void lower();
   SolveResult solve_mip();
 
   std::vector<VarData> vars_;
-  std::vector<RowData> rows_;
+  // Every row in one flat row-major block: row i's merged terms, sorted by
+  // variable, are [row_start_[i], row_start_[i + 1]) of row_var_/row_coeff_.
+  std::vector<int> row_start_{0};
+  std::vector<int> row_var_;
+  std::vector<double> row_coeff_;
+  std::vector<Sense> row_sense_;
+  std::vector<double> row_rhs_;
+  std::vector<Term> merge_;  // add_constr's scratch, reused across rows
   bool maximize_ = false;
   SimplexOptions simplex_options_;
   static constexpr int kNodeLimit = 200000;  // branch-and-bound node budget
+
+  Lp lp_;                 // the lowered model (valid unless lp_stale_)
+  bool lp_stale_ = true;
 
   SolveResult result_;
   std::vector<double> solution_;  // structural variable values

@@ -48,6 +48,76 @@ struct ArrowModel {
   BaseVars vars;
 };
 
+}  // namespace
+
+// A TE LP kept in a RestorabilityCache slot between solves (see
+// RestorabilityCache in arrow.h).
+struct ResidentLp {
+  // What the build read beyond the cache's structure: the slack penalty for
+  // Phase I, the winner per scenario for Phase II.
+  struct Key {
+    double slack_penalty = 0.0;
+    std::vector<int> winners;
+    bool operator==(const Key&) const = default;
+  };
+  Key key;
+  ArrowModel lp;
+
+  static RestorabilityCache::Slot& phase1(const RestorabilityCache& cache) {
+    return cache.phase1_;
+  }
+  static RestorabilityCache::Slot& phase2(const RestorabilityCache& cache) {
+    return cache.phase2_;
+  }
+
+  // Takes the LP parked in `slot`: rebound to `input` when it was built
+  // under `key`, else replaced by build(&lp). The slot stays empty until
+  // park(), so a concurrent solve on it builds its own instead of waiting.
+  template <typename Build>
+  static std::unique_ptr<ResidentLp> check_out(RestorabilityCache::Slot& slot,
+                                               Key key, const TeInput& input,
+                                               Build build) {
+    std::unique_ptr<ResidentLp> out;
+    {
+      std::lock_guard<std::mutex> lock(slot.mu);
+      out = std::move(slot.lp);
+    }
+    if (out != nullptr && out->key == key) {
+      out->bind(input);
+      return out;
+    }
+    out = std::make_unique<ResidentLp>();
+    out->key = std::move(key);
+    build(&out->lp);
+    return out;
+  }
+
+  static void park(RestorabilityCache::Slot& slot,
+                   std::unique_ptr<ResidentLp> lp) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    slot.lp = std::move(lp);
+  }
+
+  // Rewrites what add_base read from the input beyond its structure: the
+  // admission bounds b_f <= d_f and the capacity rows' rhs.
+  void bind(const TeInput& input) {
+    const BaseVars& vars = lp.vars;
+    ARROW_CHECK(vars.b.size() == static_cast<std::size_t>(input.num_flows()),
+                "resident TE LP built for another flow set");
+    for (std::size_t f = 0; f < vars.b.size(); ++f) {
+      lp.model.set_bounds(vars.b[f], 0.0, input.flows()[f].demand_gbps);
+    }
+    const auto& links = input.net().ip_links;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (vars.capacity_row[i] >= 0) {
+        lp.model.set_rhs(vars.capacity_row[i], links[i].capacity_gbps());
+      }
+    }
+  }
+};
+
+namespace {
+
 // Cover row of affected flow f in scenario q: -b_f plus a_{f,t} of every
 // tunnel alive in q or restorable under `flags`, so that "row >= 0" says
 // residual and restored tunnels carry b_f. It is (4) of Phase I, (10) of
@@ -230,20 +300,32 @@ const RestorabilityCache* shared_or_local(
   return cache != nullptr ? cache : &local.emplace(input, prepared, pool);
 }
 
-// Phase II build + solve + solution extraction.
+// Checks the cache's Phase II LP out for `winners` (see ResidentLp).
+std::unique_ptr<ResidentLp> check_out_phase2(const TeInput& input,
+                                             const ArrowPrepared& prepared,
+                                             const std::vector<int>& winners,
+                                             const RestorabilityCache& cache) {
+  return ResidentLp::check_out(
+      ResidentLp::phase2(cache), {.slack_penalty = 0.0, .winners = winners},
+      input, [&](ArrowModel* out) {
+        build_phase2(input, prepared, winners, cache, out);
+      });
+}
+
+// Phase II on the LP resident in the cache + solution extraction.
 TeSolution phase2(const TeInput& input, const ArrowPrepared& prepared,
                   const std::vector<int>& winners, const char* scheme,
                   double extra_seconds, const RestorabilityCache* cache,
                   util::ThreadPool& pool) {
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
-  ArrowModel p2;
-  build_phase2(input, prepared, winners, *cache, &p2);
+  auto p2 = check_out_phase2(input, prepared, winners, *cache);
   const auto t0 = Clock::now();
   OBS_SPAN("phase2_solve");
-  const auto res = p2.model.solve();
-  TeSolution sol = extract_solution(p2.model, input, p2.vars, scheme, res,
-                                    seconds_since(t0) + extra_seconds);
+  const auto res = p2->lp.model.solve();
+  TeSolution sol = extract_solution(p2->lp.model, input, p2->lp.vars, scheme,
+                                    res, seconds_since(t0) + extra_seconds);
+  ResidentLp::park(ResidentLp::phase2(*cache), std::move(p2));
   sol.winner = winners;
   fill_restored(prepared, *cache, &sol);
   return sol;
@@ -328,63 +410,6 @@ std::vector<int> pick_winners(const TeInput& input,
 }
 
 }  // namespace
-
-// The monolithic Phase I LP a RestorabilityCache keeps between solves.
-struct ResidentPhase1 {
-  double slack_penalty = 0.0;  // the ArrowParams field the model reads
-  ArrowModel p1;
-
-  // Solves Phase I on the LP resident in `cache` — built on first use or
-  // when slack_penalty changed, else re-bound to `input`'s demands and
-  // capacities — and copies the allocation into *alloc when optimal.
-  // Holds the cache's lock throughout.
-  static Phase1Result solve(const TeInput& input,
-                            const ArrowPrepared& prepared,
-                            const ArrowParams& params,
-                            const RestorabilityCache& cache,
-                            std::vector<std::vector<double>>* alloc) {
-    std::lock_guard<std::mutex> lock(cache.phase1_mu_);
-    auto& resident = cache.phase1_;
-    if (resident == nullptr || resident->slack_penalty != params.slack_penalty) {
-      resident = std::make_unique<ResidentPhase1>();
-      resident->slack_penalty = params.slack_penalty;
-      build_phase1(input, prepared, params, cache, &resident->p1);
-    } else {
-      resident->bind(input);
-    }
-    ArrowModel& p1 = resident->p1;
-    const auto t0 = Clock::now();
-    solver::SolveResult res;
-    {
-      OBS_SPAN("phase1_solve");
-      res = p1.model.solve();
-    }
-    Phase1Result out;
-    out.seconds = seconds_since(t0);
-    out.objective = res.objective;
-    out += res;
-    out.optimal = res.optimal();
-    if (out.optimal) *alloc = extract_alloc(p1.model, p1.vars);
-    return out;
-  }
-
-  // Rewrites what add_base read from the input beyond its structure: the
-  // admission bounds b_f <= d_f and the capacity rows' rhs.
-  void bind(const TeInput& input) {
-    const BaseVars& vars = p1.vars;
-    ARROW_CHECK(vars.b.size() == static_cast<std::size_t>(input.num_flows()),
-                "resident Phase I LP built for another flow set");
-    for (std::size_t f = 0; f < vars.b.size(); ++f) {
-      p1.model.set_bounds(vars.b[f], 0.0, input.flows()[f].demand_gbps);
-    }
-    const auto& links = input.net().ip_links;
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (vars.capacity_row[i] >= 0) {
-        p1.model.set_rhs(vars.capacity_row[i], links[i].capacity_gbps());
-      }
-    }
-  }
-};
 
 std::vector<char> restorable_flags(const TeInput& input, int q,
                                    const ticket::TicketSet& tickets,
@@ -599,9 +624,26 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
               "prepared/scenario mismatch");
   std::optional<RestorabilityCache> local;
   cache = shared_or_local(input, prepared, pool, cache, local);
+  auto& slot = ResidentLp::phase1(*cache);
+  auto p1 = ResidentLp::check_out(
+      slot, {.slack_penalty = params.slack_penalty, .winners = {}}, input,
+      [&](ArrowModel* out) {
+        build_phase1(input, prepared, params, *cache, out);
+      });
+  const auto t0 = Clock::now();
+  solver::SolveResult res;
+  {
+    OBS_SPAN("phase1_solve");
+    res = p1->lp.model.solve();
+  }
+  Phase1Result out;
+  out.seconds = seconds_since(t0);
+  out.objective = res.objective;
+  out += res;
+  out.optimal = res.optimal();
   std::vector<std::vector<double>> alloc;
-  Phase1Result out =
-      ResidentPhase1::solve(input, prepared, params, *cache, &alloc);
+  if (out.optimal) alloc = extract_alloc(p1->lp.model, p1->lp.vars);
+  ResidentLp::park(slot, std::move(p1));
   if (out.optimal) {
     out.winners = pick_winners(input, prepared, *cache, params, alloc);
   }
@@ -858,6 +900,19 @@ ModelBuildStats build_phase2_model(const TeInput& input,
   ArrowModel p2;
   build_phase2(input, prepared, winners, *cache, &p2);
   return build_stats(t0, p2.model);
+}
+
+ModelBuildStats resident_phase2_model(const TeInput& input,
+                                      const ArrowPrepared& prepared,
+                                      const std::vector<int>& winners,
+                                      const RestorabilityCache& cache) {
+  ARROW_CHECK(static_cast<int>(winners.size()) == input.num_scenarios(),
+              "winner count mismatch");
+  const auto t0 = Clock::now();
+  auto p2 = check_out_phase2(input, prepared, winners, cache);
+  const ModelBuildStats stats = build_stats(t0, p2->lp.model);
+  ResidentLp::park(ResidentLp::phase2(cache), std::move(p2));
+  return stats;
 }
 
 ModelBuildStats build_arrow_ilp_model(const TeInput& input,

@@ -21,7 +21,7 @@
 
 namespace arrow::te {
 
-struct ResidentPhase1;
+struct ResidentLp;
 
 // Phase I decomposition knobs (see solve_phase1_decomposed below).
 struct DecompositionParams {
@@ -109,12 +109,15 @@ std::vector<char> restorable_flags(const TeInput& input, int q,
 // tickets — so every input the cache serves must share that structure with
 // the one it was built from; only demands (and link capacities) may differ.
 // On that same structure the cache also keeps the monolithic Phase I LP
-// (Table 2): the first solve_phase1 against the cache builds it, and every
-// later one rewrites only its demand bounds and capacity rhs before solving
-// — O(F + E) instead of a rebuild. The LP it solves is byte-equal to a fresh
-// build's. It is keyed on ArrowParams::slack_penalty, the one parameter the
-// model reads, and solves against one cache run one at a time (the sweep's
-// chains share a cache).
+// (Table 2) and the Phase II LP (Table 3) resident between solves: a solve
+// rebuilds its phase's LP only when what the build read beyond the
+// structure differs — ArrowParams::slack_penalty for Phase I, the winner per
+// scenario for Phase II — and otherwise rewrites only the demand bounds and
+// capacity rhs, O(F + E) instead of a rebuild. The LP it solves is byte-equal
+// to a fresh build's. A solve checks its phase's LP out of the cache and
+// parks it back afterwards; a concurrent solve of the same phase finds the
+// slot empty and builds its own, so solves never wait on one another (the
+// sweep's chains share a cache).
 class RestorabilityCache {
  public:
   RestorabilityCache(const TeInput& input, const ArrowPrepared& prepared,
@@ -145,7 +148,7 @@ class RestorabilityCache {
   }
 
  private:
-  friend struct ResidentPhase1;  // arrow.cc
+  friend struct ResidentLp;  // arrow.cc
 
   struct PerScenario {
     std::vector<std::vector<char>> per_ticket;  // [z][flat tunnel]
@@ -154,9 +157,14 @@ class RestorabilityCache {
   };
   std::vector<PerScenario> per_scenario_;
   std::vector<ticket::LotteryTicket> naive_tickets_;
-  // The resident monolithic Phase I LP, built lazily (null until then).
-  mutable std::mutex phase1_mu_;
-  mutable std::unique_ptr<ResidentPhase1> phase1_;
+  // Where a resident LP is parked between solves (null until the first
+  // solve, and while a solve has it checked out).
+  struct Slot {
+    std::mutex mu;
+    std::unique_ptr<ResidentLp> lp;
+  };
+  mutable Slot phase1_;
+  mutable Slot phase2_;
 };
 
 // Phase I + winner post-processing + Phase II. `pool` only builds a private
@@ -304,6 +312,16 @@ ModelBuildStats build_phase2_model(const TeInput& input,
                                    const ArrowParams& params,
                                    util::ThreadPool& pool,
                                    const RestorabilityCache* cache = nullptr);
+
+// Phase II as `cache` keeps it resident (see RestorabilityCache): checked
+// out of the cache — built when none is parked or it was built for other
+// winners, else rebound to `input`'s demands and capacities — measured,
+// fingerprinted and parked back. A second call with the same winners times
+// the rebind a re-solve pays instead of a build.
+ModelBuildStats resident_phase2_model(const TeInput& input,
+                                      const ArrowPrepared& prepared,
+                                      const std::vector<int>& winners,
+                                      const RestorabilityCache& cache);
 
 // Exact binary-ILP selection (Table 9).
 ModelBuildStats build_arrow_ilp_model(const TeInput& input,

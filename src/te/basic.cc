@@ -129,7 +129,7 @@ double max_satisfiable_scale(const TeInput& input, bool* ok) {
   solver::Model model;
   model.set_maximize();
   const int F = input.num_flows();
-  const auto s = model.add_var(0.0, solver::kInf, 1.0, "scale");
+  const auto s = model.add_var(0.0, solver::kInf, 1.0);
   std::vector<std::vector<solver::VarId>> a(static_cast<std::size_t>(F));
   for (int f = 0; f < F; ++f) {
     a[static_cast<std::size_t>(f)].resize(

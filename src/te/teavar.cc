@@ -31,7 +31,7 @@ TeSolution solve_teavar(const TeInput& input, const TeaVarParams& params) {
   }
   // Losses live in [0, 1], so VaR and the CVaR excesses can be boxed — the
   // tight bounds noticeably reduce simplex wandering on this degenerate LP.
-  const auto alpha = model.add_var(0.0, 1.0, 1.0, "VaR");
+  const auto alpha = model.add_var(0.0, 1.0, 1.0);
   // s_q for the healthy scenario + each failure scenario.
   const double cvar_coeff = 1.0 / (1.0 - params.beta);
   std::vector<solver::VarId> s(static_cast<std::size_t>(Q) + 1);

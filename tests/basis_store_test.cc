@@ -97,8 +97,8 @@ TEST(BasisStore, SecondScopeWarmStartsFromFirstScopesBasis) {
   const auto solve_once = [] {
     Model m;
     m.set_maximize();
-    const auto x = m.add_var(0.0, 10.0, 1.0, "x");
-    const auto y = m.add_var(0.0, 10.0, 2.0, "y");
+    const auto x = m.add_var(0.0, 10.0, 1.0);
+    const auto y = m.add_var(0.0, 10.0, 2.0);
     LinExpr sum;
     sum.add_term(x, 1.0);
     sum.add_term(y, 1.0);

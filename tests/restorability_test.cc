@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -399,6 +400,115 @@ TEST_F(RestorabilityFixture, ResidentPhase1LpMatchesAFreshBuild) {
   // Back on the first demands and penalty, the first solve again.
   expect_same_solve(first,
                     capture_phase1(*input_, prepared_, params_, resident));
+}
+
+// The one LP a Phase II solve runs, and its solution.
+struct Phase2Capture {
+  TeSolution result;
+  solver::Lp lp;
+  solver::LpSolution sol;
+};
+
+Phase2Capture capture_phase2(const TeInput& input,
+                             const ArrowPrepared& prepared,
+                             const std::vector<int>& winners,
+                             const RestorabilityCache& cache) {
+  util::ThreadPool pool(1);
+  Phase2Capture out;
+  int solves = 0;
+  solver::ScopedSolveObserver capture(
+      [&](const solver::Lp& lp, solver::LpSolution& sol) {
+        ++solves;
+        out.lp = lp;
+        out.sol = sol;
+      });
+  out.result = solve_arrow_with_winners(input, prepared, winners, pool, &cache);
+  EXPECT_EQ(solves, 1);
+  return out;
+}
+
+Phase2Capture fresh_phase2(const TeInput& input, const ArrowPrepared& prepared,
+                           const std::vector<int>& winners) {
+  const RestorabilityCache fresh(input, prepared);
+  return capture_phase2(input, prepared, winners, fresh);
+}
+
+void expect_same_phase2(const Phase2Capture& a, const Phase2Capture& b) {
+  expect_byte_equal(a.lp, b.lp);
+  EXPECT_EQ(a.sol.status, b.sol.status);
+  EXPECT_TRUE(same_bits(a.sol.x, b.sol.x));
+  EXPECT_EQ(a.sol.objective, b.sol.objective);
+  EXPECT_EQ(a.sol.iterations, b.sol.iterations);
+  expect_identical(a.result, b.result);
+}
+
+// The cache keeps its Phase II LP too, keyed on the winners: the same
+// winners on new demands rebind it, other winners (all-naive included)
+// rebuild it, and every solve is byte-equal to a fresh cache's, with the
+// same solution bits — also with two threads solving on one cache at once.
+TEST_F(RestorabilityFixture, ResidentPhase2LpMatchesAFreshBuild) {
+  util::Rng rng(53);
+  traffic::TrafficParams tp;
+  tp.num_matrices = 1;
+  TeInput second = *input_;
+  second.set_demands(traffic::generate_traffic(net_, tp, rng)[0]);
+  second.scale_demands(0.7 * max_satisfiable_scale(second));
+
+  const std::size_t Q = static_cast<std::size_t>(input_->num_scenarios());
+  const std::vector<int> naive(Q, -1);
+  // mixed: the first candidate on even scenarios; other: the last one on
+  // odd scenarios; the naive plan elsewhere.
+  std::vector<int> mixed(Q, -1), other(Q, -1);
+  for (std::size_t q = 0; q < Q; ++q) {
+    const int Z = static_cast<int>(prepared_.tickets[q].tickets.size());
+    if (Z == 0) continue;
+    if (q % 2 == 0) {
+      mixed[q] = 0;
+    } else {
+      other[q] = Z - 1;
+    }
+  }
+  util::ThreadPool p1(1);
+  ASSERT_NE(
+      build_phase2_model(second, prepared_, mixed, params_, p1)
+          .model_fingerprint,
+      build_phase2_model(second, prepared_, other, params_, p1)
+          .model_fingerprint);
+
+  const RestorabilityCache resident(*input_, prepared_);
+  const Phase2Capture first =
+      capture_phase2(*input_, prepared_, mixed, resident);
+  ASSERT_TRUE(first.result.optimal);
+  expect_same_phase2(first, fresh_phase2(*input_, prepared_, mixed));
+  const Phase2Capture rebound =
+      capture_phase2(second, prepared_, mixed, resident);
+  ASSERT_TRUE(rebound.result.optimal);
+  EXPECT_FALSE(same_bits(first.lp.upper, rebound.lp.upper));
+  expect_same_phase2(rebound, fresh_phase2(second, prepared_, mixed));
+  expect_same_phase2(capture_phase2(second, prepared_, other, resident),
+                     fresh_phase2(second, prepared_, other));
+  expect_same_phase2(capture_phase2(second, prepared_, naive, resident),
+                     fresh_phase2(second, prepared_, naive));
+  // Back on the first demands and winners, the first solve again.
+  expect_same_phase2(first,
+                     capture_phase2(*input_, prepared_, mixed, resident));
+
+  // Two threads, each with its own demands and winners, taking turns on
+  // one cache's Phase II slot.
+  const Phase2Capture want_mixed = first;
+  const Phase2Capture want_naive = fresh_phase2(second, prepared_, naive);
+  const RestorabilityCache shared(*input_, prepared_);
+  std::thread worker([&] {
+    for (int k = 0; k < 4; ++k) {
+      expect_same_phase2(capture_phase2(*input_, prepared_, mixed, shared),
+                         want_mixed);
+    }
+  });
+  for (int k = 0; k < 4; ++k) {
+    expect_same_phase2(capture_phase2(second, prepared_, naive, shared),
+                       want_naive);
+  }
+  worker.join();
 }
 
 TEST(RestorabilitySmall, SolveArrowIlpIsBuildConfigurationInvariant) {

@@ -17,8 +17,8 @@ namespace {
 TEST(Model, SimpleMaximization) {
   Model m;
   m.set_maximize();
-  const auto x = m.add_var(0, kInf, 3, "x");
-  const auto y = m.add_var(0, kInf, 2, "y");
+  const auto x = m.add_var(0, kInf, 3);
+  const auto y = m.add_var(0, kInf, 2);
   m.add_constr(LinExpr(x) + LinExpr(y), Sense::kLe, 4);
   m.add_constr(LinExpr(x) + 3.0 * LinExpr(y), Sense::kLe, 6);
   const auto res = m.solve();
@@ -30,8 +30,8 @@ TEST(Model, SimpleMaximization) {
 
 TEST(Model, EqualityAndBounds) {
   Model m;
-  const auto x = m.add_var(0, 10, 1, "x");
-  const auto y = m.add_var(0, 10, 1, "y");
+  const auto x = m.add_var(0, 10, 1);
+  const auto y = m.add_var(0, 10, 1);
   m.add_constr(LinExpr(x) + LinExpr(y), Sense::kGe, 2);
   m.add_constr(LinExpr(x) - LinExpr(y), Sense::kEq, 0.5);
   const auto res = m.solve();
@@ -59,8 +59,8 @@ TEST(Model, DetectsUnbounded) {
 
 TEST(Model, FreeVariables) {
   Model m;
-  const auto x = m.add_var(-kInf, kInf, 0, "x");
-  const auto y = m.add_var(-kInf, 100, 1, "y");
+  const auto x = m.add_var(-kInf, kInf, 0);
+  const auto y = m.add_var(-kInf, 100, 1);
   m.add_constr(LinExpr(y) - LinExpr(x), Sense::kGe, -3);
   m.add_constr(LinExpr(y) + LinExpr(x), Sense::kGe, 3);
   const auto res = m.solve();
@@ -71,7 +71,7 @@ TEST(Model, FreeVariables) {
 
 TEST(Model, NegativeLowerBounds) {
   Model m;
-  const auto x = m.add_var(-5, 5, 1, "x");
+  const auto x = m.add_var(-5, 5, 1);
   m.add_constr(LinExpr(x), Sense::kGe, -3);
   const auto res = m.solve();
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
@@ -81,8 +81,8 @@ TEST(Model, NegativeLowerBounds) {
 TEST(Model, FixedVariable) {
   Model m;
   m.set_maximize();
-  const auto x = m.add_var(2, 2, 1, "x");
-  const auto y = m.add_var(0, kInf, 1, "y");
+  const auto x = m.add_var(2, 2, 1);
+  const auto y = m.add_var(0, kInf, 1);
   m.add_constr(LinExpr(x) + LinExpr(y), Sense::kLe, 7);
   const auto res = m.solve();
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
@@ -93,7 +93,7 @@ TEST(Model, FixedVariable) {
 TEST(Model, NoConstraints) {
   Model m;
   m.set_maximize();
-  const auto x = m.add_var(0, 4, 2, "x");
+  const auto x = m.add_var(0, 4, 2);
   const auto res = m.solve();
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(m.value(x), 4.0, 1e-9);
@@ -194,6 +194,102 @@ TEST(ModelPins, AddConstrMergesUnsortedTerms) {
                                         0x3ff8000000000000ULL}));
 }
 
+// The Lps one solve() hands the simplex, in order.
+std::vector<Lp> lowered_lps(Model& m) {
+  std::vector<Lp> seen;
+  ScopedSolveObserver capture(
+      [&](const Lp& lp, LpSolution&) { seen.push_back(lp); });
+  m.solve();
+  return seen;
+}
+
+Model lowered_once_base() {
+  Model m;
+  m.set_maximize();
+  const auto x = m.add_var(0, 4, 1);
+  const auto y = m.add_var(0, kInf, 2);
+  const auto z = m.add_var(-1, 3, 0.5);
+  m.add_constr(LinExpr(x) + LinExpr(y) + LinExpr(z), Sense::kLe, 6);
+  m.add_constr(LinExpr(y) - 2.0 * LinExpr(z), Sense::kGe, -2);
+  m.add_constr(LinExpr(x) + LinExpr(z), Sense::kEq, 2);
+  return m;
+}
+
+// Each edit between two solves of one model, in order: the ones that write
+// through to the resident Lp, then the ones that mark it stale.
+const std::vector<void (*)(Model&)>& lowered_once_edits() {
+  static const std::vector<void (*)(Model&)> edits = {
+      [](Model& m) { m.set_bounds(VarId{1}, 0.5, 2); },
+      [](Model& m) { m.set_rhs(0, 7); },
+      // Under maximize a zero objective lowers to a -0.0 cost.
+      [](Model& m) { m.set_objective_coeff(VarId{0}, 0.0); },
+      [](Model& m) { m.set_minimize(); },
+      [](Model& m) { m.add_var(0, 3, -1); },
+      [](Model& m) {
+        m.add_constr(LinExpr(VarId{3}) - LinExpr(VarId{1}), Sense::kLe, 1);
+      },
+      [](Model& m) { m.set_bounds(VarId{3}, 0, 1); },
+  };
+  return edits;
+}
+
+// One model solved after every edit sees, each time, the Lp a model built
+// fresh with the same edits lowers on its first solve.
+TEST(ModelLoweredOnce, EditsBetweenSolvesMatchAFreshBuild) {
+  Model resident = lowered_once_base();
+  ASSERT_EQ(lowered_lps(resident).size(), 1u);
+  const auto& edits = lowered_once_edits();
+  for (std::size_t k = 0; k < edits.size(); ++k) {
+    SCOPED_TRACE(k);
+    edits[k](resident);
+    Model fresh = lowered_once_base();
+    for (std::size_t e = 0; e <= k; ++e) edits[e](fresh);
+    const auto seen = lowered_lps(resident);
+    const auto want = lowered_lps(fresh);
+    ASSERT_EQ(seen.size(), 1u);
+    ASSERT_EQ(want.size(), 1u);
+    test::expect_byte_equal(seen[0], want[0]);
+    EXPECT_EQ(resident.fingerprint(), fresh.fingerprint());
+  }
+}
+
+// Branch-and-bound solves each node under its own bounds: the node Lps
+// differ, each is the Lp a fresh model with that node's bounds lowers, and
+// the model's own bounds are back once the search ends.
+TEST(ModelLoweredOnce, MipNodesLowerTheirOwnBounds) {
+  auto knapsack = [] {
+    Model m;
+    m.set_maximize();
+    const auto a = m.add_var(0, 3, 5, VarType::kInteger);
+    const auto b = m.add_var(0, 3, 4, VarType::kInteger);
+    const auto c = m.add_var(0, 1, 3, VarType::kContinuous);
+    m.add_constr(2.0 * LinExpr(a) + 3.0 * LinExpr(b) + LinExpr(c), Sense::kLe,
+                 7.5);
+    m.add_constr(LinExpr(a) - LinExpr(b), Sense::kLe, 1.5);
+    return m;
+  };
+  Model mip = knapsack();
+  const auto nodes = lowered_lps(mip);
+  ASSERT_GT(nodes.size(), 2u);
+  bool branched = false;
+  for (const Lp& node : nodes) {
+    branched = branched || !test::same_bits(node.lower, nodes[0].lower) ||
+               !test::same_bits(node.upper, nodes[0].upper);
+    Model fresh = knapsack();
+    for (int j = 0; j < fresh.num_vars(); ++j) {
+      fresh.set_bounds(VarId{j}, node.lower[static_cast<std::size_t>(j)],
+                       node.upper[static_cast<std::size_t>(j)]);
+    }
+    const auto root = lowered_lps(fresh);
+    ASSERT_FALSE(root.empty());
+    test::expect_byte_equal(node, root[0]);
+  }
+  EXPECT_TRUE(branched);
+  const auto again = lowered_lps(mip);
+  ASSERT_EQ(again.size(), nodes.size());
+  test::expect_byte_equal(again[0], nodes[0]);
+}
+
 TEST(Mip, Knapsack) {
   Model m;
   m.set_maximize();
@@ -211,7 +307,7 @@ TEST(Mip, Knapsack) {
 TEST(Mip, IntegerVariablesRespectBounds) {
   Model m;
   m.set_maximize();
-  const auto x = m.add_var(0, 7.5, 1, "x", VarType::kInteger);
+  const auto x = m.add_var(0, 7.5, 1, VarType::kInteger);
   m.add_constr(LinExpr(x), Sense::kLe, 6.4);
   const auto res = m.solve();
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
@@ -220,7 +316,7 @@ TEST(Mip, IntegerVariablesRespectBounds) {
 
 TEST(Mip, InfeasibleIntegerProblem) {
   Model m;
-  const auto x = m.add_var(0, 1, 1, "x", VarType::kInteger);
+  const auto x = m.add_var(0, 1, 1, VarType::kInteger);
   m.add_constr(LinExpr(x), Sense::kGe, 0.4);
   m.add_constr(LinExpr(x), Sense::kLe, 0.6);
   EXPECT_EQ(m.solve().status, SolveStatus::kInfeasible);
