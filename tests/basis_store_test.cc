@@ -10,6 +10,7 @@
 #include <string>
 
 #include "controller/controller.h"
+#include "file_bytes.h"
 #include "solver/basis_store.h"
 #include "solver/lp.h"
 #include "solver/model.h"
@@ -242,6 +243,43 @@ TEST(BasisStoreDisk, SaveLoadRoundTrip) {
   ASSERT_TRUE(merged.load({11, 22, 3, 7}, &out));
   EXPECT_EQ(out.status, make_basis(7, BasisStatus::kBasic).status);
   ASSERT_TRUE(merged.load({99, 99, 1, 2}, &out));
+}
+
+// The exact bytes of a multi-entry file: header, entry count, every key
+// (a tagged one included), mixed status vectors and the checksum trailer.
+// Any change to the file format must fail here.
+TEST(BasisStoreDisk, FileBytesArePinned) {
+  const std::string path = scratch_file("basis_pinned.bin");
+  std::filesystem::remove(path);
+  BasisStore store;
+  Basis mixed;
+  mixed.status = {BasisStatus::kBasic, BasisStatus::kNonbasicLower,
+                  BasisStatus::kNonbasicUpper, BasisStatus::kNonbasicFree,
+                  BasisStatus::kBasic};
+  store.store({0x0123456789abcdefULL, 0xfedcba9876543210ULL, 3, 5}, mixed);
+  store.store({0x0123456789abcdefULL, 0xfedcba9876543210ULL, 3, 5, 0x4d},
+              make_basis(5, BasisStatus::kNonbasicUpper));
+  store.store({7, 8, 1, 2}, make_basis(2, BasisStatus::kBasic));
+  ASSERT_TRUE(store.save(path));
+  // Per entry: topo hash, scenario hash, rows, cols, tag, status count,
+  // statuses. Entries are in key order.
+  EXPECT_EQ(arrow::testing::to_hex(read_all(path)),
+            "41524253" "02000000" "0300000000000000"  // magic, version, count
+            "0700000000000000" "0800000000000000" "01000000" "02000000"
+            "0000000000000000" "0200000000000000" "0202"
+            "efcdab8967452301" "1032547698badcfe" "03000000" "05000000"
+            "0000000000000000" "0500000000000000" "0200010302"
+            "efcdab8967452301" "1032547698badcfe" "03000000" "05000000"
+            "4d00000000000000" "0500000000000000" "0101010101"
+            "bc71934a2740ac05");  // FNV-1a trailer
+
+  BasisStore loaded;
+  ASSERT_TRUE(loaded.load(path));
+  EXPECT_EQ(loaded.size(), 3u);
+  Basis out;
+  ASSERT_TRUE(
+      loaded.load({0x0123456789abcdefULL, 0xfedcba9876543210ULL, 3, 5}, &out));
+  EXPECT_EQ(out.status, mixed.status);
 }
 
 TEST(BasisStoreDisk, EmptyStoreRoundTrips) {

@@ -18,6 +18,7 @@
 // an environment-variable child mode, which gtest_main cannot provide.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -27,6 +28,7 @@
 
 #include "controller/controller.h"
 #include "controller/journal.h"
+#include "file_bytes.h"
 #include "resilience/chaos.h"
 #include "resilience/harness.h"
 #include "topo/builders.h"
@@ -130,6 +132,39 @@ TEST(Journal, RoundTripsStateAndAccumulates) {
   EXPECT_TRUE(got.has_plan);
   EXPECT_EQ(j.writes(), 3);
   EXPECT_EQ(j.write_errors(), 0);
+}
+
+// The exact bytes of a journal with a plan: header, flags, run id, hashes,
+// the plan (a -0.0 admitted rate and an empty tunnel list included) and the
+// checksum trailer. Any change to the file format must fail here.
+TEST(Journal, FileBytesArePinned) {
+  const std::string path = temp_path("pinned.bin");
+  std::filesystem::remove(path);
+  ctrl::StateJournal j(path);
+  ASSERT_TRUE(j.begin_run("pin-run", 0x0123456789abcdefULL,
+                          0xfedcba9876543210ULL));
+  ctrl::JournalPlan plan;
+  plan.scheme = "ARROW";
+  plan.admitted = {12.5, -0.0};
+  plan.alloc = {{10.0, 2.5}, {}};
+  ASSERT_TRUE(j.record_plan(plan));
+  EXPECT_EQ(testing::to_hex(read_raw(path)),
+            "41524a4c" "01000000"                      // magic, version
+            "03"                                       // in_flight|has_plan
+            "0700000000000000" "70696e2d72756e"        // run id
+            "efcdab8967452301" "1032547698badcfe"      // topo, scenario hash
+            "0500000000000000" "4152524f57"            // scheme
+            "0200000000000000"                         // flows
+            "0000000000002940" "0200000000000000"      // 12.5, 2 tunnels
+            "0000000000002440" "0000000000000440"      // 10.0, 2.5
+            "0000000000000080" "0000000000000000"      // -0.0, 0 tunnels
+            "33d194e2faf0c53b");                       // FNV-1a trailer
+
+  const ctrl::JournalState got = ctrl::StateJournal(path).load();
+  EXPECT_TRUE(got.in_flight);
+  EXPECT_EQ(got.run_id, "pin-run");
+  EXPECT_EQ(got.plan.alloc, plan.alloc);
+  EXPECT_TRUE(std::signbit(got.plan.admitted[1]));
 }
 
 // --- corruption degrades to the empty state ---------------------------------
