@@ -1,13 +1,10 @@
-// Tests for the util substrate: RNG, statistics, table/CSV formatting.
+// Tests for the util substrate: RNG, statistics, table formatting.
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -214,29 +211,6 @@ TEST(Table, NumberHelpers) {
   EXPECT_EQ(Table::num(1.2345, 2), "1.23");
   EXPECT_EQ(Table::mult(2.04, 1), "2.0x");
   EXPECT_EQ(Table::pct(0.9999, 2), "99.99%");
-}
-
-TEST(Csv, WritesEscapedRows) {
-  const std::string path = ::testing::TempDir() + "/arrow_csv_test.csv";
-  {
-    CsvWriter w(path, {"x", "note"});
-    w.add_row({"1", "plain"});
-    w.add_row({"2", "with,comma"});
-    w.add_row({"3", "with\"quote"});
-  }
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string content = ss.str();
-  EXPECT_NE(content.find("x,note"), std::string::npos);
-  EXPECT_NE(content.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(content.find("\"with\"\"quote\""), std::string::npos);
-}
-
-TEST(Csv, RejectsColumnMismatch) {
-  const std::string path = ::testing::TempDir() + "/arrow_csv_test2.csv";
-  CsvWriter w(path, {"only"});
-  EXPECT_THROW(w.add_row({"a", "b"}), std::logic_error);
 }
 
 }  // namespace
