@@ -433,9 +433,7 @@ int cmd_serve(int argc, char** argv) {
   // Startup capability log: which cut fast path this daemon will take.
   const auto caps =
       schemes::Registry::global().capabilities(config.ctrl.scheme);
-  std::printf("scheme %s: optical restoration %s, local repair %s\n",
-              config.ctrl.scheme.c_str(),
-              caps.restores_optically ? "on" : "off",
+  std::printf("scheme %s: local repair %s\n", config.ctrl.scheme.c_str(),
               caps.supports_local_repair ? "on (cut fast path active)"
                                          : "off");
 

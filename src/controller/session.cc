@@ -370,8 +370,9 @@ std::optional<schemes::CutRepair> Session::cut(topo::FiberId fiber) {
   recompute_rates();
 
   const std::vector<topo::FiberId> cuts(cut_.begin(), cut_.end());
-  const schemes::CutContext ctx{*input_, plan_, cuts, plan_for_cut(fiber),
-                                fiber, &prepared_, &rng_};
+  const te::RestorabilityCache* cache = rcache_ ? &*rcache_ : nullptr;
+  const schemes::CutContext ctx{*input_, plan_,      cuts,  plan_for_cut(fiber),
+                                fiber,   &prepared_, cache, &rng_};
   schemes::CutRepair repair;
   {
     const solver::ScopedWarmStart warm(warm_);
@@ -383,7 +384,8 @@ std::optional<schemes::CutRepair> Session::cut(topo::FiberId fiber) {
 
   // An optical answer lights its timeline under the serving plan; any other
   // answer is an IP-layer repair that replaces the plan.
-  const bool rewoven = repair.ok && !caps_.restores_optically;
+  const bool rewoven =
+      repair.ok && (repair.local || repair.fell_back_global);
   if (!rewoven && repair.timeline.empty()) {
     repair.ok = false;  // nothing to light
     return repair;

@@ -122,7 +122,6 @@ class Session {
   int active_cuts() const { return static_cast<int>(cut_.size()); }
   double delivered_gbps() const { return delivered_rate_; }
 
-  const schemes::Capabilities& capabilities() const { return caps_; }
   double demand_factor() const { return demand_factor_; }
   const obs::ObsConfig& obs() const { return obs_; }
 

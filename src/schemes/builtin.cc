@@ -17,18 +17,6 @@ namespace arrow::schemes {
 
 namespace {
 
-// Restoration plan of scenario q under `plan`: its Phase I winner ticket
-// when the plan carries one, else the naive RWA plan (ARROW-Naive and the
-// fallback rungs carry no winners, but restoration must still go out).
-ticket::LotteryTicket ticket_for(const te::ArrowPrepared& prepared,
-                                 std::size_t q, const te::TeSolution& plan) {
-  const auto& tickets = prepared.tickets[q].tickets;
-  const int w = q < plan.winner.size() ? plan.winner[q] : -1;
-  return (w >= 0 && w < static_cast<int>(tickets.size()))
-             ? tickets[static_cast<std::size_t>(w)]
-             : ticket::naive_ticket(prepared.rwa[q]);
-}
-
 // Donor for a cut with no exact plan: the scenario whose failed IP links
 // overlap `failed_now` most (Jaccard); ties prefer fewer cut fibers (plans
 // transplant more cleanly), then the lower index. -1 when no scenario with
@@ -71,7 +59,9 @@ int nearest_scenario(const te::TeInput& input,
 CutRepair restore_optically(const CutContext& ctx,
                             const optical::LatencyParams& latency) {
   CutRepair repair;
-  if (ctx.prepared == nullptr || ctx.rng == nullptr) return repair;
+  if (ctx.prepared == nullptr || ctx.cache == nullptr || ctx.rng == nullptr) {
+    return repair;
+  }
   const auto& net = ctx.input.net();
   const auto& rwa = ctx.prepared->rwa;
   const bool planned = ctx.scenario >= 0;
@@ -87,8 +77,14 @@ CutRepair restore_optically(const CutContext& ctx,
     if (q < 0) return repair;
   }
   const auto& donor = rwa[static_cast<std::size_t>(q)].links;
-  const ticket::LotteryTicket ticket =
-      ticket_for(*ctx.prepared, static_cast<std::size_t>(q), ctx.plan);
+  // Its Phase I winner ticket when the plan carries one, else the naive
+  // RWA plan (ARROW-Naive and the fallback rungs carry no winners, but
+  // restoration must still go out).
+  const ticket::LotteryTicket& ticket = te::ticket_or_naive(
+      *ctx.prepared, *ctx.cache, q,
+      static_cast<std::size_t>(q) < ctx.plan.winner.size()
+          ? ctx.plan.winner[static_cast<std::size_t>(q)]
+          : -1);
   std::vector<optical::LinkRestoration> links;
   std::vector<std::vector<int>> want;
   for (std::size_t li = 0; li < donor.size(); ++li) {
@@ -140,7 +136,6 @@ class ArrowScheme final : public Scheme {
   Capabilities capabilities() const override {
     Capabilities caps;
     caps.needs_prepared = true;
-    caps.restores_optically = true;
     return caps;
   }
   te::TeSolution solve(const te::TeInput& input,

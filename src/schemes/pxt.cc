@@ -103,11 +103,7 @@ class PxtScheme final : public Scheme {
 
   const std::string& name() const override { return name_; }
 
-  Capabilities capabilities() const override {
-    Capabilities caps;
-    caps.restores_optically = true;
-    return caps;
-  }
+  Capabilities capabilities() const override { return {}; }
 
   te::TeSolution solve(const te::TeInput& input, const te::ArrowPrepared&,
                        util::ThreadPool&,
@@ -130,7 +126,6 @@ class PxtScheme final : public Scheme {
     // every trail wave comes up at once.
     repair.ok = true;
     repair.planned = true;
-    repair.local = true;
     repair.latency_s = options_.pxt.detection_s + options_.pxt.switchover_s;
     for (const auto& [link, gbps] : trails_->restored[q]) {
       repair.restored_gbps += gbps;

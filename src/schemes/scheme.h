@@ -4,12 +4,13 @@
 // related-work entrants — implements one interface: solve() produces the
 // installed plan, on_cut() answers a failure at runtime, and capability
 // flags tell the callers what the scheme can do (does it consume ARROW's
-// offline artifacts? does it carry a per-scenario optical restoration plan?
-// can it weave a localized repair at cut time?). sim::run_sweep dispatches
-// through the registry instead of a hard-coded if-chain, so adding a
-// competitor is one register_scheme call, not a sweep edit. on_cut() is the
-// only code that answers a fiber cut: both control loops (run_controller
-// and serve::TickEngine) reach it through ctrl::Session::cut.
+// offline artifacts? can it weave a localized repair at cut time?).
+// sim::run_sweep dispatches through the registry instead of a hard-coded
+// if-chain, so adding a competitor is one register_scheme call, not a sweep
+// edit. on_cut() is the only code that answers a fiber cut: both control
+// loops (run_controller and serve::TickEngine) reach it through
+// ctrl::Session::cut. Whether an answer is an IP-layer repair or an optical
+// one is read off the answer itself (CutRepair::local / fell_back_global).
 #pragma once
 
 #include <functional>
@@ -36,10 +37,6 @@ struct Capabilities {
   // RestorabilityCache). The sweep and ctrl::Session only pay for the
   // offline stage when the scheme sets this.
   bool needs_prepared = false;
-  // on_cut() answers a cut with a wave-up timeline under the installed plan.
-  // The session's cut handler schedules that timeline on its clock; any
-  // other scheme's answer is a rewoven plan it installs instead.
-  bool restores_optically = false;
   // on_cut() can weave a repaired TE plan around a failure at runtime; the
   // sweep's repair-aware evaluation keys off this.
   bool supports_local_repair = false;
@@ -96,8 +93,10 @@ struct CutContext {
   int scenario = -1;
   // The fiber just cut (-1 when the sweep scores a whole scenario).
   topo::FiberId fiber = -1;
-  // ARROW's offline artifacts (needs_prepared schemes).
+  // ARROW's offline artifacts and the restorability cache built on them
+  // (needs_prepared schemes).
   const te::ArrowPrepared* prepared = nullptr;
+  const te::RestorabilityCache* cache = nullptr;
   // The replay stream: forked once per optical plan simulated, so the
   // loop's own draws stay in step. Required by the optically restoring
   // schemes; they answer nothing without it.
@@ -111,10 +110,12 @@ struct CutRepair {
   bool ok = false;
   bool planned = false;       // answered from ctx.scenario's precomputed plan
   bool transplanted = false;  // answered from the nearest scenario's plan
+  // What kind of answer this is. An IP-layer repair sets one of these two
+  // and carries the rewoven plan to install; an optical answer sets neither,
+  // leaves `plan` empty — the installed plan stays — and restores under it
+  // by its timeline.
   bool local = false;             // localized repair sufficed
   bool fell_back_global = false;  // local repair degraded to a global solve
-  // IP-layer repairs: the rewoven plan to install. Optical answers leave it
-  // empty — the installed plan stays, and the timeline restores under it.
   te::TeSolution plan;
   // Optical answers: the wave-up events, t_s after the cut; each lights
   // wave_gbps on link. Empty when no surrogate wave survives.

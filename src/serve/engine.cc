@@ -149,7 +149,7 @@ TickEngine::CutResult TickEngine::cut(topo::FiberId fiber) {
     out.latency_s = answer->latency_s;
   }
   // An IP-layer repair: the session installed the plan it rewove.
-  if (answer->ok && !session_->capabilities().restores_optically) {
+  if (answer->ok && (answer->local || answer->fell_back_global)) {
     out.local_repair = answer->local;
     out.fell_back_global = answer->fell_back_global;
     reg.counter("arrow_serve_local_repairs_total").add();

@@ -29,8 +29,15 @@ std::vector<ticket::LotteryTicket> make_naive_tickets(const ArrowPrepared& prepa
   return out;
 }
 
-// Candidate z of scenario q; a z outside [0, Z) selects the naive RWA-floor
-// plan, the same -1 convention as RestorabilityCache::flags.
+// One ARROW model — Phase I, Phase II or the exact ILP — and the base
+// variables add_base created in it.
+struct ArrowModel {
+  solver::Model model;
+  BaseVars vars;
+};
+
+}  // namespace
+
 const ticket::LotteryTicket& ticket_or_naive(const ArrowPrepared& prepared,
                                              const RestorabilityCache& cache,
                                              int q, int z) {
@@ -40,15 +47,6 @@ const ticket::LotteryTicket& ticket_or_naive(const ArrowPrepared& prepared,
   }
   return cache.naive_ticket(q);
 }
-
-// One ARROW model — Phase I, Phase II or the exact ILP — and the base
-// variables add_base created in it.
-struct ArrowModel {
-  solver::Model model;
-  BaseVars vars;
-};
-
-}  // namespace
 
 // A TE LP kept in a RestorabilityCache slot between solves (see
 // RestorabilityCache in arrow.h).

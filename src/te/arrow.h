@@ -167,6 +167,14 @@ class RestorabilityCache {
   mutable Slot phase2_;
 };
 
+// Candidate z of scenario q: a z outside [0, Z) selects the naive RWA-floor
+// ticket `cache` keeps (the -1 convention of RestorabilityCache::flags and
+// TeSolution::winner). The one place that rule lives: the TE models and the
+// cut-time optical restoration both read their ticket through it.
+const ticket::LotteryTicket& ticket_or_naive(const ArrowPrepared& prepared,
+                                             const RestorabilityCache& cache,
+                                             int q, int z);
+
 // Phase I + winner post-processing + Phase II. `pool` only builds a private
 // RestorabilityCache when `cache` is null; pass one explicitly to share it
 // with other solves over the same (input, prepared) pair (e.g. the

@@ -72,15 +72,12 @@ TEST(SchemeRegistry, CreateRoundTripsNamesAndCapabilities) {
     EXPECT_EQ(scheme->name(), name);
   }
   EXPECT_TRUE(registry.capabilities("ARROW").needs_prepared);
-  EXPECT_TRUE(registry.capabilities("ARROW").restores_optically);
   EXPECT_FALSE(registry.capabilities("ARROW").supports_local_repair);
   EXPECT_TRUE(registry.capabilities("ARROW-Naive").needs_prepared);
   EXPECT_FALSE(registry.capabilities("FFC-1").needs_prepared);
-  EXPECT_FALSE(registry.capabilities("ECMP").restores_optically);
   EXPECT_TRUE(
       registry.capabilities("ReWeave-Local").supports_local_repair);
   EXPECT_FALSE(registry.capabilities("ReWeave-Local").needs_prepared);
-  EXPECT_TRUE(registry.capabilities("PXT").restores_optically);
 }
 
 TEST(SchemeRegistry, UnknownSchemeErrorListsRegisteredNames) {
@@ -430,7 +427,8 @@ TEST(Pxt, SchemeSolveCarriesTrailRestorationIntoTheEvaluator) {
     const auto repair = pxt->on_cut(ctx);
     EXPECT_TRUE(repair.ok);
     EXPECT_TRUE(repair.planned);
-    EXPECT_TRUE(repair.local);
+    // An optical answer, not an IP-layer repair.
+    EXPECT_FALSE(repair.local);
     EXPECT_EQ(repair.simplex_iterations, 0);
     const schemes::PxtParams defaults;
     EXPECT_DOUBLE_EQ(repair.latency_s,

@@ -424,9 +424,10 @@ TEST(ServeEngine, PlannedCutAvoidsAFiberAlreadyCut) {
   const te::TeSolution plan = te::solve_arrow(input, prepared, params.arrow);
   ASSERT_TRUE(plan.optimal);
   const std::vector<topo::FiberId> cuts = {kHeld, kCut};
+  const te::RestorabilityCache cache(input, prepared);
   const auto arrow_scheme = schemes::Registry::global().create("ARROW");
   const schemes::CutRepair repair = arrow_scheme->on_cut(
-      {input, plan, cuts, /*scenario=*/1, kCut, &prepared, &rng});
+      {input, plan, cuts, /*scenario=*/1, kCut, &prepared, &cache, &rng});
   ASSERT_TRUE(repair.ok);
   EXPECT_TRUE(repair.planned);
 
