@@ -30,10 +30,6 @@
 #include "traffic/traffic.h"
 #include "util/deadline.h"
 
-namespace arrow::solver {
-class BasisStore;
-}
-
 namespace arrow::ctrl {
 
 // Degradation ladder for TE solves (most- to least-capable). A production
@@ -110,24 +106,18 @@ struct ControllerConfig {
   // a graceful drain, not an abort.
   std::function<bool()> cancel;
 
-  // Opt-in persistent warm-start store (e.g. &solver::BasisStore::global()).
-  // Every run chains its TE periods through its session's own warm-start
-  // cache, which starts empty, so replaying a run with the same seed
-  // reproduces it bit-for-bit. When set, the store seeds that cache with
-  // its bases for this (topology, scenario set) and absorbs the run's final
-  // bases back on exit — the next run over the same network starts every
-  // TE solve from this run's optimal vertex, which a replay cannot rely on
-  // (the store is shared and mutable).
-  solver::BasisStore* basis_store = nullptr;
-
-  // Directory for the on-disk basis store (extends warm starts across
-  // *processes*). When non-empty — or when the ARROW_BASIS_DIR environment
-  // variable is set, which this field overrides — the run loads
-  // solver::BasisStore::file_in(dir) into the store before seeding and saves
-  // the store back after absorbing. Pairs with `basis_store` when one is
-  // given; with `basis_store` null, a run-local store is used so the disk
-  // file alone carries the warm starts. A missing, truncated or corrupted
-  // file degrades to a cold start — never to an error or a changed solution.
+  // Directory for the persistent warm-start basis store. Every run chains
+  // its TE periods through its session's own warm-start cache, which starts
+  // empty, so replaying a run with the same seed reproduces it bit-for-bit.
+  // When this is non-empty — or when the ARROW_BASIS_DIR environment
+  // variable is set, which this field overrides — the session loads
+  // solver::BasisStore::file_in(dir), seeds that cache with the file's
+  // bases for this (topology, scenario set), and absorbs the run's final
+  // bases back and saves on exit: the next run over the same network, in
+  // this process or another, starts every TE solve from this run's optimal
+  // vertex, which a replay cannot rely on (the file is shared and mutable).
+  // A missing, truncated or corrupted file degrades to a cold start — never
+  // to an error or a changed solution. Layout: docs/file-formats.md.
   std::string basis_dir;
 
   // Observability. Resolved against the environment (ARROW_OBS_DIR,

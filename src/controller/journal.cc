@@ -1,170 +1,59 @@
 #include "controller/journal.h"
 
-#include <cstring>
-
 #include "obs/metrics.h"
 #include "util/clock.h"
 #include "util/fs.h"
-#include "util/hash.h"
 
 namespace arrow::ctrl {
 
 namespace {
 
-// On-disk layout (all integers little-endian, fixed width):
+// File "ARJL" version 1 (util/fs.h's checksummed layout; the fields are in
+// docs/file-formats.md). The payload:
 //
-//   bytes 0..3    magic "ARJL"
-//   bytes 4..7    format version (u32, currently 1)
-//   byte  8       flags (bit0 = in_flight, bit1 = has_plan)
-//   run id        u64 length + bytes
+//   flags         u8 (bit0 = in_flight, bit1 = has_plan)
+//   run id        string
 //   topo hash     u64
 //   scenario hash u64
 //   plan (only when has_plan):
-//     scheme      u64 length + bytes
+//     scheme      string
 //     flows       u64 count, then per flow:
 //                   admitted f64, tunnel count u64, that many alloc f64s
-//   trailer:      FNV-1a 64-bit checksum (u64) over every preceding byte
-//
-// Same trust model as the basis store: the checksum catches truncation and
-// bit rot; the bounds-checked reader below keeps a valid-checksum file from
-// a future (or hostile) version from smuggling garbage into the state.
-constexpr char kMagic[4] = {'A', 'R', 'J', 'L'};
-constexpr std::uint32_t kVersion = 1;
-constexpr unsigned char kFlagInFlight = 1u << 0;
-constexpr unsigned char kFlagHasPlan = 1u << 1;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
-
-// Bounds-checked cursor with a sticky ok flag (same shape as BasisStore's).
-struct Reader {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool take(std::size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  unsigned char u8() {
-    if (!take(1)) return 0;
-    return data[pos++];
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (!ok || n > size - pos) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data + pos),
-                  static_cast<std::size_t>(n));
-    pos += static_cast<std::size_t>(n);
-    return s;
-  }
-};
+constexpr util::FileFormat kFormat{{'A', 'R', 'J', 'L'}, 1};
+constexpr std::uint8_t kFlagInFlight = 1u << 0;
+constexpr std::uint8_t kFlagHasPlan = 1u << 1;
 
 std::string serialize(const JournalState& state) {
   std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  put_u32(buf, kVersion);
-  unsigned char flags = 0;
+  std::uint8_t flags = 0;
   if (state.in_flight) flags |= kFlagInFlight;
   if (state.has_plan) flags |= kFlagHasPlan;
-  buf.push_back(static_cast<char>(flags));
-  put_str(buf, state.run_id);
-  put_u64(buf, state.topo_hash);
-  put_u64(buf, state.scenario_hash);
+  util::put_u8(buf, flags);
+  util::put_str(buf, state.run_id);
+  util::put_u64(buf, state.topo_hash);
+  util::put_u64(buf, state.scenario_hash);
   if (state.has_plan) {
-    put_str(buf, state.plan.scheme);
-    put_u64(buf, state.plan.alloc.size());
+    util::put_str(buf, state.plan.scheme);
+    util::put_u64(buf, state.plan.alloc.size());
     for (std::size_t f = 0; f < state.plan.alloc.size(); ++f) {
-      put_f64(buf, f < state.plan.admitted.size() ? state.plan.admitted[f]
-                                                  : 0.0);
-      put_u64(buf, state.plan.alloc[f].size());
-      for (double a : state.plan.alloc[f]) put_f64(buf, a);
+      util::put_f64(buf, f < state.plan.admitted.size()
+                             ? state.plan.admitted[f]
+                             : 0.0);
+      util::put_u64(buf, state.plan.alloc[f].size());
+      for (double a : state.plan.alloc[f]) util::put_f64(buf, a);
     }
   }
-  put_u64(buf, util::Fnv1a().bytes(buf.data(), buf.size()).value());
   return buf;
 }
 
 }  // namespace
 
 JournalState StateJournal::load() const {
-  JournalState empty;
-  const auto bytes = util::read_file(path_);
-  if (!bytes) return empty;
-  const std::string& buf = *bytes;
-  // Shortest valid file: header + flags + empty run id + hashes + checksum.
-  if (buf.size() < sizeof(kMagic) + 4 + 1 + 8 + 8 + 8 + 8) return empty;
-
-  const std::uint64_t want =
-      util::Fnv1a().bytes(buf.data(), buf.size() - 8).value();
-  Reader r{reinterpret_cast<const unsigned char*>(buf.data()), buf.size()};
-  Reader trailer = r;
-  trailer.pos = buf.size() - 8;
-  if (trailer.u64() != want) return empty;
-  r.size = buf.size() - 8;  // everything before the checksum
-
-  if (!r.take(sizeof(kMagic)) ||
-      std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0) {
-    return empty;
-  }
-  r.pos += sizeof(kMagic);
-  if (r.u32() != kVersion) return empty;  // future format: cold start
-
+  const auto payload = util::read_checksummed_file(path_, kFormat);
+  if (!payload) return {};
+  util::ByteReader r(*payload);
   JournalState state;
-  const unsigned char flags = r.u8();
+  const std::uint8_t flags = r.u8();
   state.in_flight = (flags & kFlagInFlight) != 0;
   state.has_plan = (flags & kFlagHasPlan) != 0;
   state.run_id = r.str();
@@ -173,21 +62,20 @@ JournalState StateJournal::load() const {
   if (state.has_plan) {
     state.plan.scheme = r.str();
     const std::uint64_t flows = r.u64();
-    if (!r.ok || flows > (r.size - r.pos) / 16u) return empty;
+    if (!r.ok() || flows > r.remaining() / 16u) return {};
     state.plan.admitted.reserve(static_cast<std::size_t>(flows));
     state.plan.alloc.reserve(static_cast<std::size_t>(flows));
     for (std::uint64_t f = 0; f < flows; ++f) {
       state.plan.admitted.push_back(r.f64());
       const std::uint64_t tunnels = r.u64();
-      if (!r.ok || tunnels > (r.size - r.pos) / 8u) return empty;
+      if (!r.ok() || tunnels > r.remaining() / 8u) return {};
       std::vector<double> alloc;
       alloc.reserve(static_cast<std::size_t>(tunnels));
       for (std::uint64_t t = 0; t < tunnels; ++t) alloc.push_back(r.f64());
       state.plan.alloc.push_back(std::move(alloc));
     }
   }
-  // Trailing garbage before the checksum means a field count lied.
-  if (!r.ok || r.pos != r.size) return empty;
+  if (!r.done()) return {};
   return state;
 }
 
@@ -220,7 +108,8 @@ bool StateJournal::flush() {
   static obs::Histogram& seconds =
       reg.histogram("arrow_journal_write_seconds");
   const double t0 = util::mono_now_s();
-  const bool ok = util::write_file_atomic(path_, serialize(state_));
+  const bool ok =
+      util::write_checksummed_file(path_, kFormat, serialize(state_));
   seconds.observe(util::mono_now_s() - t0);
   if (ok) {
     ++writes_;

@@ -5,8 +5,9 @@
 // all the way to cold ECMP. The StateJournal write-ahead-logs the small
 // durable core of controller state — the last-good plan (splitting ratios
 // projectable onto any demand matrix, see carry_forward) plus an in-flight
-// run marker — with the same checksummed temp+rename discipline as
-// BasisStore, so a survivor recovers straight into the carry-forward rung.
+// run marker — in the checksummed file layout it shares with the BasisStore
+// (util/fs.h, docs/file-formats.md), written by temp file + rename, so a
+// survivor recovers straight into the carry-forward rung.
 //
 // What is journaled and why:
 //   * in_flight marker: set by begin_run, cleared by end_run. A journal that
@@ -20,9 +21,10 @@
 //     journaled — they index into a scenario set the dead process sampled,
 //     which the survivor cannot validate.
 //
-// Corruption policy (mirrors BasisStore): missing file, truncation, bit rot,
-// torn write, or a future format version all load as the empty state — a
-// cold start, never an error and never garbage state.
+// Corruption policy (shared with the BasisStore, docs/file-formats.md):
+// missing file, truncation, bit rot, torn write, a lying count or a future
+// format version all load as the empty state — a cold start, never an
+// error and never garbage state.
 #pragma once
 
 #include <cstdint>

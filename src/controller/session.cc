@@ -45,29 +45,23 @@ Session::Session(const ControllerConfig& config, const topo::Network& net,
   caps_ = scheme_->capabilities();
   tally_->scenarios = static_cast<int>(scenarios.size());
 
-  // Persistent warm starts (opt-in): prepare() seeds the session's cache
-  // from the store's bases for this exact (topology, scenario set); close()
-  // absorbs the run's final bases back. The hashes key on structure, not
-  // demands, so runs over different traffic matrices share vertices as long
-  // as the network and scenario set match. A basis directory extends the
-  // store across processes; with no in-process store configured the disk
-  // file gets a run-local one. The journal is opt-in the same way.
+  // Persistent warm starts (opt-in): with a basis directory the session
+  // owns a store loaded from its file; prepare() seeds the session's cache
+  // from the store's bases for this exact (topology, scenario set) and
+  // close() absorbs the run's final bases back and saves. The hashes key on
+  // structure, not demands, so runs over different traffic matrices share
+  // vertices as long as the network and scenario set match. The journal is
+  // opt-in the same way.
   const std::string basis_dir = env_or(config.basis_dir, "ARROW_BASIS_DIR");
   journal_dir_ = env_or(config.journal_dir, "ARROW_JOURNAL_DIR");
-  store_ = config.basis_store;
-  if (store_ == nullptr && !basis_dir.empty()) {
-    local_store_.emplace();
-    store_ = &*local_store_;
-  }
-  if (store_ != nullptr || !journal_dir_.empty()) {
+  if (!basis_dir.empty() || !journal_dir_.empty()) {
     topo_h_ = topo::structure_hash(net);
     scen_h_ = scenario::set_hash(scenarios);
   }
-  if (store_ != nullptr) {
-    if (!basis_dir.empty()) {
-      basis_file_ = solver::BasisStore::file_in(basis_dir);
-      store_->load(basis_file_);  // false = cold start
-    }
+  if (!basis_dir.empty()) {
+    basis_file_ = solver::BasisStore::file_in(basis_dir);
+    store_.emplace();
+    store_->load(basis_file_);  // false = cold start
   }
 }
 
@@ -90,7 +84,7 @@ void Session::prepare(std::span<te::TeInput> inputs) {
     repair_rwa(input);
   }
   const solver::ScopedWarmStart warm(warm_);
-  if (store_ != nullptr) {
+  if (store_) {
     tally_->basis_seeded = store_->seed(topo_h_, scen_h_, warm_);
   }
   calibrate(inputs);
@@ -260,12 +254,12 @@ LadderOutcome Session::solve(const te::TeInput& input, bool drain) {
 void Session::close() {
   if (closed_ || primary_ == nullptr) return;
   closed_ = true;
-  if (store_ != nullptr) {
+  if (store_) {
     tally_->basis_absorbed = store_->absorb(topo_h_, scen_h_, warm_);
-    // save_shared merges under a file lock, so processes sharing one
-    // basis_dir all keep their entries. A failed save keeps the previous
-    // file intact; the next run just warm-starts from older bases.
-    if (!basis_file_.empty() && !store_->save_shared(basis_file_)) {
+    // save merges under a file lock, so processes sharing one basis_dir
+    // all keep their entries. A failed save keeps the previous file intact;
+    // the next run just warm-starts from older bases.
+    if (!store_->save(basis_file_)) {
       ++tally_->basis_save_errors;
     }
   }
@@ -304,7 +298,7 @@ void Session::fill_run_report(ControllerReport* report) const {
   }
   report->warm_start_hits = warm_.hits();
   report->warm_start_stores = warm_.stores();
-  if (store_ != nullptr) report->basis_evictions = store_->evictions();
+  if (store_) report->basis_evictions = store_->evictions();
 }
 
 int Session::plan_for_cut(topo::FiberId fiber) const {

@@ -9,14 +9,14 @@
 //   * the offline stage: ARROW_BASIS_DIR / ARROW_JOURNAL_DIR resolution,
 //     journal recovery (hash and tunnel-shape checks) into the carry-forward
 //     seed, prepare_arrow with per-scenario RWA repair, the session's
-//     warm-start cache (seeded from a BasisStore when one is configured),
+//     warm-start cache (seeded from the basis directory's BasisStore),
 //     the calibration ladder, and the RestorabilityCache;
 //   * one TE period: the degradation ladder with the scheme created from
 //     schemes::Registry by name, journaling and last-good tracking;
 //   * the control loop on one event clock: plan installs, the one cut
 //     handler (the scheme's on_cut and the fault hooks), fiber repairs,
 //     and delivered/offered Gbps integrated over the clock's time;
-//   * the close step (absorb, save_shared, journal end_run) and the
+//   * the close step (absorb, BasisStore save, journal end_run) and the
 //     RunReport fields both loops share, availability included.
 //
 // Accounting goes into the caller's ControllerReport (the `tally`), so each
@@ -81,8 +81,8 @@ class Session {
   // Journals the plan and updates last-good when a solving rung served it.
   LadderOutcome solve(const te::TeInput& input, bool drain = false);
 
-  // Absorbs the run's bases into the store and saves them with
-  // save_shared, then ends the journal run. Idempotent; a no-op before
+  // Absorbs the run's bases into the store and saves it to the basis
+  // directory, then ends the journal run. Idempotent; a no-op before
   // prepare().
   void close();
 
@@ -152,8 +152,8 @@ class Session {
   obs::ObsConfig obs_;
   util::ThreadPool inline_pool_{1};
 
-  std::optional<solver::BasisStore> local_store_;
-  solver::BasisStore* store_ = nullptr;
+  // Set exactly when a basis directory is (basis_dir or ARROW_BASIS_DIR).
+  std::optional<solver::BasisStore> store_;
   std::string basis_file_;
   std::string journal_dir_;
   std::uint64_t topo_h_ = 0;
@@ -163,8 +163,8 @@ class Session {
   // N+1 starts from period N's optimal vertex while solves outside the
   // session's calls neither read nor fill it. It starts empty in every
   // session and the session's solves run in a fixed order, so a replay is
-  // bit-for-bit. A basis store (ControllerConfig::basis_store / basis_dir /
-  // ARROW_BASIS_DIR) only seeds it in prepare() and absorbs it in close().
+  // bit-for-bit. The basis store (basis_dir / ARROW_BASIS_DIR) only seeds
+  // it in prepare() and absorbs it in close().
   // Pool work fanned out during a call inherits it.
   solver::WarmStartCache warm_;
   std::optional<StateJournal> journal_;

@@ -17,7 +17,7 @@
 //     repairs act at the clock's time, so a cut's wave-ups come up as the
 //     next tick advances the clock;
 //   * tick latency and the serve SLO metrics;
-//   * drain: the session's close (absorb, BasisStore save_shared so N
+//   * drain: the session's close (absorb, BasisStore save so N
 //     daemons sharing one basis_dir merge instead of clobbering, journal
 //     end_run) plus the final RunReport.
 //
@@ -40,7 +40,7 @@ struct EngineConfig {
   // Scheme (a schemes::Registry name), tunnel/ticket/scenario parameters,
   // per-tick budget (ctrl.te_budget_s — the daemon default is 50 ms, not
   // the simulator's 5 minutes), te_interval_s (the clock's advance per
-  // tick), journal_dir, basis_dir/basis_store, retry_backoff, demand_scale,
+  // tick), journal_dir, basis_dir, retry_backoff, demand_scale,
   // latency model, fault hooks and obs all mean exactly what they mean for
   // run_controller. horizon_s and cancel are unused — the socket decides
   // when the run ends.
@@ -107,7 +107,7 @@ class TickEngine {
   ctrl::ControllerReport report() const;
 
   // Ends the run: journal end_run, warm-start absorb, BasisStore
-  // save_shared, RunReport artifacts (when obs is enabled). Idempotent;
+  // save, RunReport artifacts (when obs is enabled). Idempotent;
   // called by the server on shutdown and by the destructor as a backstop.
   void drain();
 

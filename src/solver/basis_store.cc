@@ -1,99 +1,30 @@
 #include "solver/basis_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iterator>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "util/fs.h"
-#include "util/hash.h"
 
 namespace arrow::solver {
 
 namespace {
 
-// On-disk layout (all integers little-endian, fixed width):
+// File "ARBS" version 2 (util/fs.h's checksummed layout; the fields are in
+// docs/file-formats.md). The payload:
 //
-//   bytes 0..3    magic "ARBS"
-//   bytes 4..7    format version (u32, currently 2)
-//   bytes 8..15   entry count (u64)
+//   entry count   u64
 //   per entry:    topo_hash u64, scenario_hash u64, rows i32, cols i32,
 //                 tag u64, status count u64, then that many status bytes
 //                 (each 0..3)
-//   trailer:      FNV-1a 64-bit checksum (u64) over every preceding byte
 //
 // v2 added the per-entry WarmKey tag (the Phase I decomposition keys its
-// master bases by tag). A v1 file — or any other version —
-// is rejected by load() and the run degrades to a cold start, the documented
-// contract for every unexpected file.
-//
-// The checksum makes truncation and bit rot detectable without trusting any
-// length field; the per-entry bounds checks below make a *valid-checksum*
-// file from a future version (or a hostile one) unable to write garbage
-// statuses into the store.
-constexpr char kMagic[4] = {'A', 'R', 'B', 'S'};
-constexpr std::uint32_t kVersion = 2;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-// Cursor over an untrusted byte buffer: every read checks bounds and flips
-// `ok` sticky-false on overrun, so the parser below can read linearly and
-// check once per entry.
-struct Reader {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool take(std::size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-};
+// master bases by tag). A v1 file — or any other version — is rejected by
+// load() and the run degrades to a cold start, the documented contract for
+// every unexpected file.
+constexpr util::FileFormat kFormat{{'A', 'R', 'B', 'S'}, 2};
 
 }  // namespace
 
@@ -160,64 +91,58 @@ int BasisStore::absorb(std::uint64_t topo_hash, std::uint64_t scenario_hash,
   return n;
 }
 
-bool BasisStore::save(const std::string& path) const {
-  std::string buf;
+bool BasisStore::save(const std::string& path) {
+  // The lock serializes the whole read-merge-write cycle across processes;
+  // without it, the re-load below could race another saver's rename and the
+  // merge would still drop entries. A failed lock degrades to best-effort.
+  util::FileLock lock(path + ".lock");
+  load(path);
+  std::string payload;
   long long pruned = 0;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    // LRU cap: when the store outgrows max_disk_entries_, only the most
+    std::lock_guard<std::mutex> guard(mu_);
+    // LRU cap: when the store outgrows kMaxDiskEntries, only the most
     // recently used entries reach the file (the format carries no recency,
     // so the pruning decision lives here, not in the file). The in-memory
     // map keeps everything — a long-lived process loses nothing.
     std::vector<const std::map<Key, Entry>::value_type*> keep;
     keep.reserve(entries_.size());
     for (const auto& kv : entries_) keep.push_back(&kv);
-    if (max_disk_entries_ > 0 && keep.size() > max_disk_entries_) {
+    if (keep.size() > kMaxDiskEntries) {
       std::sort(keep.begin(), keep.end(), [](const auto* a, const auto* b) {
         return a->second.last_use > b->second.last_use;
       });
-      pruned = static_cast<long long>(keep.size() - max_disk_entries_);
-      keep.resize(max_disk_entries_);
+      pruned = static_cast<long long>(keep.size() - kMaxDiskEntries);
+      keep.resize(kMaxDiskEntries);
       // Deterministic file layout: back to key order after the recency cut.
       std::sort(keep.begin(), keep.end(), [](const auto* a, const auto* b) {
         return a->first < b->first;
       });
-      // Eviction accounting is deferred until the write actually lands: a
-      // failed save evicts nothing (the old file, with the old entry set, is
-      // still the truth on disk).
     }
-    buf.append(kMagic, sizeof(kMagic));
-    put_u32(buf, kVersion);
-    put_u64(buf, static_cast<std::uint64_t>(keep.size()));
+    util::put_u64(payload, static_cast<std::uint64_t>(keep.size()));
     for (const auto* kv : keep) {
       const Key& key = kv->first;
-      const Basis& basis = kv->second.basis;
-      put_u64(buf, key.topo_hash);
-      put_u64(buf, key.scenario_hash);
-      put_i32(buf, key.rows);
-      put_i32(buf, key.cols);
-      put_u64(buf, key.tag);
-      put_u64(buf, static_cast<std::uint64_t>(basis.status.size()));
-      for (BasisStatus s : basis.status) {
-        buf.push_back(static_cast<char>(s));
+      util::put_u64(payload, key.topo_hash);
+      util::put_u64(payload, key.scenario_hash);
+      util::put_i32(payload, key.rows);
+      util::put_i32(payload, key.cols);
+      util::put_u64(payload, key.tag);
+      util::put_u64(payload, kv->second.basis.status.size());
+      for (BasisStatus s : kv->second.basis.status) {
+        util::put_u8(payload, static_cast<std::uint8_t>(s));
       }
     }
   }
-  put_u64(buf, util::Fnv1a().bytes(buf.data(), buf.size()).value());
-
-  // Write-to-temp + rename (util::write_file_atomic): readers only ever see
-  // the old file or the complete new one. The pid suffix keeps concurrent
-  // writers (two controller processes sharing ARROW_BASIS_DIR) off each
-  // other's temp files; rename picks an arbitrary winner, which is fine —
-  // either file is a complete, valid store.
-  if (!util::write_file_atomic(path, buf)) {
+  if (!util::write_checksummed_file(path, kFormat, payload)) {
     static obs::Counter& save_errors = obs::Registry::global().counter(
         "arrow_basis_store_save_errors_total");
     save_errors.add();
     return false;
   }
+  // Evictions count only once the write lands: a failed save evicts nothing
+  // (the old file, with the old entry set, is still the truth on disk).
   if (pruned > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> guard(mu_);
     evictions_ += pruned;
     static obs::Counter& evicted = obs::Registry::global().counter(
         "arrow_basis_store_evictions_total");
@@ -226,45 +151,10 @@ bool BasisStore::save(const std::string& path) const {
   return true;
 }
 
-bool BasisStore::save_shared(const std::string& path) {
-  // The lock serializes the whole read-merge-write cycle across processes;
-  // without it, the re-load below could race another saver's rename and the
-  // merge would still drop entries. A failed lock degrades to best-effort.
-  util::FileLock lock(path + ".lock");
-  // Memory wins: this process's absorbed bases are fresher than whatever an
-  // earlier saver left under the same key, but every key only *they* have
-  // is merged in and written back out.
-  load_internal(path, /*file_wins=*/false);
-  return save(path);
-}
-
 bool BasisStore::load(const std::string& path) {
-  return load_internal(path, /*file_wins=*/true);
-}
-
-bool BasisStore::load_internal(const std::string& path, bool file_wins) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  if (in.bad()) return false;
-  // Shortest valid file: header + checksum, zero entries.
-  if (buf.size() < sizeof(kMagic) + 4 + 8 + 8) return false;
-
-  const std::uint64_t want =
-      util::Fnv1a().bytes(buf.data(), buf.size() - 8).value();
-  Reader r{reinterpret_cast<const unsigned char*>(buf.data()), buf.size()};
-  Reader trailer = r;
-  trailer.pos = buf.size() - 8;
-  if (trailer.u64() != want) return false;
-  r.size = buf.size() - 8;  // everything before the checksum
-
-  if (!r.take(sizeof(kMagic)) ||
-      std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0) {
-    return false;
-  }
-  r.pos += sizeof(kMagic);
-  if (r.u32() != kVersion) return false;
+  const auto payload = util::read_checksummed_file(path, kFormat);
+  if (!payload) return false;
+  util::ByteReader r(*payload);
   const std::uint64_t count = r.u64();
 
   // Parse into a staging map first: the store mutates only after the whole
@@ -277,31 +167,27 @@ bool BasisStore::load_internal(const std::string& path, bool file_wins) {
     key.rows = r.i32();
     key.cols = r.i32();
     key.tag = r.u64();
-    const std::uint64_t n = r.u64();
-    if (!r.ok || key.rows < 0 || key.cols < 0 || n > r.size - r.pos) {
-      return false;
-    }
+    const std::string_view status = r.bytes(r.u64());
+    if (!r.ok() || key.rows < 0 || key.cols < 0) return false;
     Basis basis;
-    basis.status.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const unsigned char s = r.data[r.pos + static_cast<std::size_t>(j)];
+    basis.status.reserve(status.size());
+    for (const char c : status) {
+      const auto s = static_cast<unsigned char>(c);
       if (s > static_cast<unsigned char>(BasisStatus::kNonbasicFree)) {
         return false;
       }
       basis.status.push_back(static_cast<BasisStatus>(s));
     }
-    r.pos += static_cast<std::size_t>(n);
     staged[key] = std::move(basis);
   }
-  // Trailing garbage before the checksum means the count lied.
-  if (!r.ok || r.pos != r.size) return false;
+  if (!r.done()) return false;
 
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, basis] : staged) {
-    if (!file_wins && entries_.find(key) != entries_.end()) continue;
+    if (entries_.find(key) != entries_.end()) continue;  // memory wins
     Entry& entry = entries_[key];
     entry.basis = std::move(basis);
-    touch(entry);  // key order: file entries start oldest-first
+    touch(entry);
   }
   static obs::Counter& loads =
       obs::Registry::global().counter("arrow_basis_store_file_loads_total");
@@ -323,24 +209,9 @@ void BasisStore::clear() {
   entries_.clear();
 }
 
-void BasisStore::set_max_disk_entries(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_disk_entries_ = n;
-}
-
-std::size_t BasisStore::max_disk_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_disk_entries_;
-}
-
 long long BasisStore::evictions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return evictions_;
-}
-
-BasisStore& BasisStore::global() {
-  static BasisStore store;
-  return store;
 }
 
 }  // namespace arrow::solver

@@ -1,8 +1,11 @@
 #include "util/fs.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include "util/hash.h"
 
 #ifdef _WIN32
 #include <process.h>
@@ -172,6 +175,120 @@ std::optional<std::string> read_file(const std::string& path) {
   buf << in.rdbuf();
   if (in.bad()) return std::nullopt;
   return buf.str();
+}
+
+namespace {
+
+// Checksummed-file framing: magic + version, then the FNV-1a trailer.
+constexpr std::size_t kHeaderBytes = 4 + 4;
+constexpr std::size_t kTrailerBytes = 8;
+
+void put_little_endian(std::string& out, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+}  // namespace
+
+void put_u8(std::string& out, std::uint8_t v) { put_little_endian(out, v, 1); }
+
+void put_u32(std::string& out, std::uint32_t v) {
+  put_little_endian(out, v, 4);
+}
+
+void put_u64(std::string& out, std::uint64_t v) {
+  put_little_endian(out, v, 8);
+}
+
+void put_i32(std::string& out, std::int32_t v) {
+  put_u32(out, static_cast<std::uint32_t>(v));
+}
+
+void put_f64(std::string& out, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  put_u64(out, bits);
+}
+
+void put_str(std::string& out, std::string_view s) {
+  put_u64(out, s.size());
+  out.append(s);
+}
+
+bool ByteReader::take(std::uint64_t n) {
+  if (!ok_ || remaining() < n) {
+    ok_ = false;
+    return false;
+  }
+  return true;
+}
+
+std::uint64_t ByteReader::little_endian(int width) {
+  if (!take(static_cast<std::uint64_t>(width))) return 0;
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
+         << (8 * i);
+  }
+  return v;
+}
+
+std::uint8_t ByteReader::u8() {
+  return static_cast<std::uint8_t>(little_endian(1));
+}
+
+std::uint32_t ByteReader::u32() {
+  return static_cast<std::uint32_t>(little_endian(4));
+}
+
+std::uint64_t ByteReader::u64() { return little_endian(8); }
+
+double ByteReader::f64() {
+  const std::uint64_t bits = u64();
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::string ByteReader::str() { return std::string(bytes(u64())); }
+
+std::string_view ByteReader::bytes(std::uint64_t n) {
+  if (!take(n)) return {};
+  const std::string_view out = data_.substr(pos_, static_cast<std::size_t>(n));
+  pos_ += static_cast<std::size_t>(n);
+  return out;
+}
+
+bool write_checksummed_file(const std::string& path, const FileFormat& format,
+                            std::string_view payload) {
+  std::string buf;
+  buf.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
+  buf.append(format.magic, sizeof(format.magic));
+  put_u32(buf, format.version);
+  buf.append(payload);
+  put_u64(buf, Fnv1a().bytes(buf.data(), buf.size()).value());
+  return write_file_atomic(path, buf);
+}
+
+std::optional<std::string> read_checksummed_file(const std::string& path,
+                                                 const FileFormat& format) {
+  std::optional<std::string> buf = read_file(path);
+  if (!buf || buf->size() < kHeaderBytes + kTrailerBytes) return std::nullopt;
+  const std::size_t body = buf->size() - kTrailerBytes;
+  ByteReader trailer(std::string_view(*buf).substr(body));
+  if (trailer.u64() != Fnv1a().bytes(buf->data(), body).value()) {
+    return std::nullopt;
+  }
+  ByteReader header(*buf);
+  if (header.bytes(sizeof(format.magic)) !=
+          std::string_view(format.magic, sizeof(format.magic)) ||
+      header.u32() != format.version) {
+    return std::nullopt;
+  }
+  buf->resize(body);
+  buf->erase(0, kHeaderBytes);
+  return buf;
 }
 
 }  // namespace arrow::util

@@ -15,8 +15,11 @@
 // torn case by checksum.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace arrow::util {
 
@@ -72,10 +75,80 @@ inline bool write_file_atomic(const std::string& path,
 // Whole file as bytes; nullopt when missing or unreadable.
 std::optional<std::string> read_file(const std::string& path);
 
+// --- checksummed binary files -----------------------------------------------
+// The one layout of every persistent binary artifact (the state journal and
+// the basis store; docs/file-formats.md):
+//
+//   bytes 0..3    magic (4 bytes, names the format)
+//   bytes 4..7    format version (u32)
+//   payload       the format's own fields
+//   trailer       FNV-1a 64-bit checksum (u64) over every preceding byte
+//
+// All integers are little-endian and fixed width. The checksum catches
+// truncation, bit rot and torn writes without trusting any length field; a
+// payload parser reads through ByteReader, whose bounds checks keep a
+// valid-checksum file from a future or hostile writer from smuggling
+// garbage in.
+
+struct FileFormat {
+  char magic[4];
+  std::uint32_t version;
+};
+
+// Payload encoders: append the value little-endian (f64 as its IEEE-754
+// bits; a string as its u64 length, then its bytes).
+void put_u8(std::string& out, std::uint8_t v);
+void put_u32(std::string& out, std::uint32_t v);
+void put_u64(std::string& out, std::uint64_t v);
+void put_i32(std::string& out, std::int32_t v);
+void put_f64(std::string& out, double v);
+void put_str(std::string& out, std::string_view s);
+
+// Cursor over untrusted bytes: every read checks bounds and, on overrun,
+// returns zero/empty and flips ok() sticky-false, so a parser reads
+// linearly and checks once.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view bytes) : data_(bytes) {}
+
+  std::uint8_t u8();
+  std::uint32_t u32();
+  std::uint64_t u64();
+  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
+  double f64();
+  std::string str();
+  // The next n raw bytes.
+  std::string_view bytes(std::uint64_t n);
+
+  bool ok() const { return ok_; }
+  std::size_t remaining() const { return data_.size() - pos_; }
+  // Every byte read and no overrun: a count that lied leaves bytes over.
+  bool done() const { return ok_ && pos_ == data_.size(); }
+
+ private:
+  bool take(std::uint64_t n);
+  std::uint64_t little_endian(int width);
+
+  std::string_view data_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
+
+// Frames `payload` with `format`'s header and the checksum trailer and
+// writes it with write_file_atomic.
+bool write_checksummed_file(const std::string& path, const FileFormat& format,
+                            std::string_view payload);
+
+// The payload of a file write_checksummed_file wrote in `format`; nullopt
+// when the file is missing or unreadable, shorter than header + trailer,
+// fails its checksum, or carries another magic or version.
+std::optional<std::string> read_checksummed_file(const std::string& path,
+                                                 const FileFormat& format);
+
 // Advisory inter-process mutex over a lock file: the constructor opens
 // (creating if needed) `path` and takes a blocking exclusive flock(2); the
 // destructor releases it. Guards read-merge-write cycles on files shared by
-// several processes (solver::BasisStore::save_shared) — rename alone keeps a
+// several processes (solver::BasisStore::save) — rename alone keeps a
 // file untorn but lets the last writer silently drop everyone else's merge.
 // The lock file is left in place on release; unlinking it would race with a
 // waiter that already opened the same inode.

@@ -86,10 +86,6 @@ TEST(BasisStore, AbsorbPersistsCacheEntries) {
   EXPECT_EQ(out.status.size(), 16u);
 }
 
-TEST(BasisStore, GlobalIsASingleton) {
-  EXPECT_EQ(&BasisStore::global(), &BasisStore::global());
-}
-
 // A small LP solved in one scope leaves its basis in the store; the next
 // scope's identically-shaped solve warm-starts from it and lands on the same
 // optimum.
@@ -127,8 +123,8 @@ TEST(BasisStore, SecondScopeWarmStartsFromFirstScopesBasis) {
   }
 }
 
-// Controller opt-in plumbing: a run with config.basis_store set populates
-// the store, and a second run over the same network still solves every
+// Controller opt-in plumbing: a run with a basis directory populates the
+// store file, and a second run over the same network still solves every
 // matrix on the primary rung while reusing the persisted bases.
 TEST(BasisStore, ControllerRunsPopulateAndReuseTheStore) {
   const topo::Network net = topo::build_b4();
@@ -145,20 +141,27 @@ TEST(BasisStore, ControllerRunsPopulateAndReuseTheStore) {
   config.scenarios.probability_cutoff = 0.002;
   config.demand_scale = 0.3;
 
-  BasisStore store;
-  config.basis_store = &store;
+  const std::string dir = ::testing::TempDir() + "basis_dir_reuse";
+  std::filesystem::create_directories(dir);
+  std::filesystem::remove(BasisStore::file_in(dir));
+  config.basis_dir = dir;
+  const auto stored = [&dir] {
+    BasisStore store;
+    store.load(BasisStore::file_in(dir));
+    return store.size();
+  };
   util::Rng r1(5);
   const auto first = ctrl::run_controller(net, tms, {}, config, r1);
   EXPECT_EQ(first.fallback_counts[0], first.te_runs);
-  EXPECT_GT(store.size(), 0u);
+  EXPECT_GT(stored(), 0u);
 
-  const std::size_t after_first = store.size();
+  const std::size_t after_first = stored();
   util::Rng r2(5);
   const auto second = ctrl::run_controller(net, tms, {}, config, r2);
   EXPECT_EQ(second.fallback_counts[0], second.te_runs);
   // Same network + scenario set: the second run re-keys onto the same
   // entries instead of growing the store.
-  EXPECT_EQ(store.size(), after_first);
+  EXPECT_EQ(stored(), after_first);
   // Warm starts must not change what the controller delivers.
   EXPECT_DOUBLE_EQ(second.offered_gbps_seconds, first.offered_gbps_seconds);
   EXPECT_NEAR(second.availability, first.availability, 1e-9);
@@ -233,7 +236,8 @@ TEST(BasisStoreDisk, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.load(path));
   expect_fixture_contents(loaded);
 
-  // Loading merges: file entries overwrite same-key entries, others survive.
+  // Loading merges: in-memory entries win on a key collision, and every
+  // other entry of the file and of the store survives.
   BasisStore merged;
   merged.store({11, 22, 3, 7}, make_basis(7, BasisStatus::kNonbasicLower));
   merged.store({99, 99, 1, 2}, make_basis(2, BasisStatus::kBasic));
@@ -241,7 +245,7 @@ TEST(BasisStoreDisk, SaveLoadRoundTrip) {
   EXPECT_EQ(merged.size(), 4u);
   Basis out;
   ASSERT_TRUE(merged.load({11, 22, 3, 7}, &out));
-  EXPECT_EQ(out.status, make_basis(7, BasisStatus::kBasic).status);
+  EXPECT_EQ(out.status, make_basis(7, BasisStatus::kNonbasicLower).status);
   ASSERT_TRUE(merged.load({99, 99, 1, 2}, &out));
 }
 
@@ -292,51 +296,40 @@ TEST(BasisStoreDisk, EmptyStoreRoundTrips) {
 
 TEST(BasisStoreDisk, SavePrunesLeastRecentlyUsedBeyondTheCap) {
   const std::string path = scratch_file("basis_lru.bin");
+  std::filesystem::remove(path);
+  constexpr std::uint64_t kCap = BasisStore::kMaxDiskEntries;
+  EXPECT_EQ(kCap, 512u);  // documented cap
   BasisStore store;
-  EXPECT_EQ(store.max_disk_entries(), 512u);  // documented default
-  store.set_max_disk_entries(3);
-  for (std::uint64_t i = 0; i < 5; ++i) {
+  for (std::uint64_t i = 0; i < kCap + 2; ++i) {
     store.store({i, 0, 2, 4}, make_basis(4, BasisStatus::kBasic));
   }
   // Freshen entries 0 and 1: the const read path must count as a use.
   Basis out;
   ASSERT_TRUE(store.load({0, 0, 2, 4}, &out));
   ASSERT_TRUE(store.load({1, 0, 2, 4}, &out));
-  // Most recent now: 1, 0, 4 (stored last). 2 and 3 fall off the file.
+  // The least recent now are 2 and 3; they fall off the file.
   ASSERT_TRUE(store.save(path));
   EXPECT_EQ(store.evictions(), 2);
-  EXPECT_EQ(store.size(), 5u);  // the in-memory store is never shrunk
+  EXPECT_EQ(store.size(), kCap + 2);  // the in-memory store is never shrunk
 
   BasisStore loaded;
   ASSERT_TRUE(loaded.load(path));
-  EXPECT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded.size(), kCap);
   EXPECT_TRUE(loaded.load({0, 0, 2, 4}, &out));
   EXPECT_TRUE(loaded.load({1, 0, 2, 4}, &out));
-  EXPECT_TRUE(loaded.load({4, 0, 2, 4}, &out));
+  EXPECT_TRUE(loaded.load({kCap + 1, 0, 2, 4}, &out));
   EXPECT_FALSE(loaded.load({2, 0, 2, 4}, &out));
   EXPECT_FALSE(loaded.load({3, 0, 2, 4}, &out));
 }
 
-TEST(BasisStoreDisk, ZeroCapDisablesPruning) {
-  const std::string path = scratch_file("basis_nocap.bin");
-  BasisStore store;
-  store.set_max_disk_entries(0);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    store.store({i, 0, 2, 4}, make_basis(4, BasisStatus::kBasic));
-  }
-  ASSERT_TRUE(store.save(path));
-  EXPECT_EQ(store.evictions(), 0);
-  BasisStore loaded;
-  ASSERT_TRUE(loaded.load(path));
-  EXPECT_EQ(loaded.size(), 8u);
-}
-
 TEST(BasisStoreDisk, RepeatedCappedSavesAccumulateEvictions) {
   const std::string path = scratch_file("basis_lru_repeat.bin");
+  std::filesystem::remove(path);
+  constexpr std::uint64_t kCap = BasisStore::kMaxDiskEntries;
   BasisStore store;
-  store.set_max_disk_entries(1);
-  store.store({1, 0, 2, 4}, make_basis(4, BasisStatus::kBasic));
-  store.store({2, 0, 2, 4}, make_basis(4, BasisStatus::kBasic));
+  for (std::uint64_t i = 0; i <= kCap; ++i) {
+    store.store({i, 0, 2, 4}, make_basis(4, BasisStatus::kBasic));
+  }
   ASSERT_TRUE(store.save(path));
   EXPECT_EQ(store.evictions(), 1);
   ASSERT_TRUE(store.save(path));
@@ -345,9 +338,10 @@ TEST(BasisStoreDisk, RepeatedCappedSavesAccumulateEvictions) {
   // The capped file still round-trips (format is unchanged by pruning).
   BasisStore loaded;
   ASSERT_TRUE(loaded.load(path));
-  EXPECT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.size(), kCap);
   Basis out;
-  EXPECT_TRUE(loaded.load({2, 0, 2, 4}, &out));  // the most recent store
+  EXPECT_TRUE(loaded.load({kCap, 0, 2, 4}, &out));  // the most recent store
+  EXPECT_FALSE(loaded.load({0, 0, 2, 4}, &out));    // the least recent
 }
 
 TEST(BasisStoreDisk, MissingFileAndMissingDirectoryAreCleanFailures) {

@@ -4,7 +4,9 @@
 // what the solver returned.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "controller/controller.h"
@@ -175,8 +177,10 @@ TEST(ObsDeterminism, RunReportCopiesControllerAccountingExactly) {
 
 TEST(ObsDeterminism, RunReportWarmStartCountsMatchStoreTraffic) {
   ControllerFixture fx;
-  solver::BasisStore store;
-  fx.config.basis_store = &store;
+  const std::string dir = ::testing::TempDir() + "obs_basis_dir";
+  std::filesystem::create_directories(dir);
+  std::filesystem::remove(solver::BasisStore::file_in(dir));
+  fx.config.basis_dir = dir;
 
   const ctrl::ControllerReport first = fx.run();
   EXPECT_EQ(first.basis_seeded, 0);  // store started empty

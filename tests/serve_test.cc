@@ -517,12 +517,14 @@ TEST(ServeEngine, PxtCutSwitchesOntoItsTrails) {
 
 // Every session warm-starts its ticks from the previous tick's bases, and
 // its cache is installed only inside the session's own calls: with a basis
-// store configured, an unrelated LP solved on the daemon's thread after a
+// directory configured, an unrelated LP solved on the daemon's thread after a
 // tick neither starts from the cache nor adds to it.
 TEST(ServeEngine, WarmStartCacheIsScopedToTheSessionsCalls) {
-  solver::BasisStore store;
+  const std::string dir = ::testing::TempDir() + "serve_scoped_basis_dir";
+  std::filesystem::create_directories(dir);
+  std::filesystem::remove(solver::BasisStore::file_in(dir));
   serve::EngineConfig config = test_config();
-  config.ctrl.basis_store = &store;
+  config.ctrl.basis_dir = dir;
   serve::TickEngine engine(config);
   const topo::Network net = test_net();
   ASSERT_TRUE(engine.set_topology(net).ok);

@@ -4,11 +4,11 @@
 //
 // Layers:
 //   * util::FileLock semantics (advisory flock, RAII release);
-//   * save_shared merge semantics against plain save/load — disk entries
-//     this process never saw survive, in-memory entries win collisions;
+//   * save's merge semantics — disk entries this process never saw
+//     survive, in-memory entries win collisions;
 //   * the acceptance drill: two child processes (self-exec, the pattern
-//     from journal_test) hammer save_shared into ONE file concurrently,
-//     and every entry from both survives. With plain save() this is a
+//     from journal_test) hammer save into ONE file concurrently, and every
+//     entry from both survives. Without the lock and the merge this is a
 //     last-writer-wins clobber and the drill fails.
 //
 // This file supplies its own main(): the drill needs argv[0] and an
@@ -71,11 +71,11 @@ TEST(FileLock, UnopenablePathReportsNotHeld) {
 
 // --- merge semantics --------------------------------------------------------
 
-TEST(SharedStore, SaveSharedMergesDiskEntriesItNeverSaw) {
+TEST(SharedStore, SaveMergesDiskEntriesItNeverSaw) {
   const std::string path = temp_path("merge.bin");
   std::filesystem::remove(path);
 
-  // Process A's view: one entry, saved plainly.
+  // Process A's view: one entry.
   solver::BasisStore a;
   a.store({1, 2, 10, 10}, make_basis(10, solver::BasisStatus::kBasic));
   ASSERT_TRUE(a.save(path));
@@ -86,7 +86,7 @@ TEST(SharedStore, SaveSharedMergesDiskEntriesItNeverSaw) {
   b.store({1, 2, 10, 10},
           make_basis(10, solver::BasisStatus::kNonbasicLower));
   b.store({1, 2, 20, 20}, make_basis(20, solver::BasisStatus::kBasic));
-  ASSERT_TRUE(b.save_shared(path));
+  ASSERT_TRUE(b.save(path));
 
   // The file now holds the union; on the collision B's (in-memory) basis
   // won — B's is the freshest, A's copy is still on disk via A if it saves
@@ -101,37 +101,21 @@ TEST(SharedStore, SaveSharedMergesDiskEntriesItNeverSaw) {
   EXPECT_EQ(out.num_basic(), 20);
 }
 
-TEST(SharedStore, SaveSharedWithoutExistingFileJustSaves) {
+TEST(SharedStore, SaveWithoutExistingFileJustSaves) {
   const std::string path = temp_path("fresh.bin");
   std::filesystem::remove(path);
   solver::BasisStore s;
   s.store({3, 4, 5, 5}, make_basis(5, solver::BasisStatus::kBasic));
-  ASSERT_TRUE(s.save_shared(path));
+  ASSERT_TRUE(s.save(path));
   solver::BasisStore back;
   ASSERT_TRUE(back.load(path));
   EXPECT_EQ(back.size(), 1u);
 }
 
-TEST(SharedStore, PlainSaveStillClobbers) {
-  // Documents the contrast save_shared exists for: plain save is
-  // last-writer-wins by design (single-process runs want exactly that).
-  const std::string path = temp_path("clobber.bin");
-  std::filesystem::remove(path);
-  solver::BasisStore a;
-  a.store({1, 1, 7, 7}, make_basis(7, solver::BasisStatus::kBasic));
-  ASSERT_TRUE(a.save(path));
-  solver::BasisStore b;
-  b.store({1, 1, 9, 9}, make_basis(9, solver::BasisStatus::kBasic));
-  ASSERT_TRUE(b.save(path));
-  solver::BasisStore back;
-  ASSERT_TRUE(back.load(path));
-  EXPECT_EQ(back.size(), 1u);  // A's entry is gone
-}
-
 // --- concurrent multi-process drill -----------------------------------------
 
 // Child role: accumulate kChildRounds entries (keys disjoint per child via
-// the base) into an in-memory store, calling save_shared after EVERY
+// the base) into an in-memory store, calling save after EVERY
 // addition — maximal read-merge-write interleaving with the sibling.
 int shared_store_child(const std::string& path, std::uint64_t base) {
   solver::BasisStore store;
@@ -140,7 +124,7 @@ int shared_store_child(const std::string& path, std::uint64_t base) {
     store.store({base, 1, static_cast<std::uint64_t>(100 + i),
                  static_cast<std::uint64_t>(cols)},
                 make_basis(cols, solver::BasisStatus::kBasic));
-    if (!store.save_shared(path)) return 3;
+    if (!store.save(path)) return 3;
   }
   return 0;
 }
