@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "controller/controller.h"
 #include "file_bytes.h"
@@ -284,6 +286,67 @@ TEST(BasisStoreDisk, FileBytesArePinned) {
   ASSERT_TRUE(
       loaded.load({0x0123456789abcdefULL, 0xfedcba9876543210ULL, 3, 5}, &out));
   EXPECT_EQ(out.status, mixed.status);
+}
+
+// The three entries FileBytesArePinned pins, saved to `path`: the seed file
+// of the fuzz test.
+void save_fuzz_seed(const std::string& path) {
+  std::filesystem::remove(path);
+  BasisStore store;
+  Basis mixed;
+  mixed.status = {BasisStatus::kBasic, BasisStatus::kNonbasicLower,
+                  BasisStatus::kNonbasicUpper, BasisStatus::kNonbasicFree,
+                  BasisStatus::kBasic};
+  store.store({0x0123456789abcdefULL, 0xfedcba9876543210ULL, 3, 5}, mixed);
+  store.store({0x0123456789abcdefULL, 0xfedcba9876543210ULL, 3, 5, 0x4d},
+              make_basis(5, BasisStatus::kNonbasicUpper));
+  store.store({7, 8, 1, 2}, make_basis(2, BasisStatus::kBasic));
+  ASSERT_TRUE(store.save(path));
+}
+
+// Seeded mutants of the pinned file (tests/file_bytes.h: bit flips,
+// truncations, spliced spans and lying counts, every other one re-signed so
+// that the bounds checks, not the checksum, must refuse it). A refused file
+// leaves the store untouched; an accepted one adds at most the file's three
+// entries, and the store saves and loads back whole. Never crashes (the
+// chaos label runs under ASan/UBSan).
+TEST(BasisStoreDisk, LoadSurvivesMutatedFiles) {
+  const std::string seed_path = scratch_file("basis_fuzz_seed.bin");
+  save_fuzz_seed(seed_path);
+  const std::string seed = read_all(seed_path);
+  // Offsets of the entry count and the three status counts.
+  const std::vector<std::size_t> counts = {8, 48, 90, 135};
+  const std::string path = scratch_file("basis_fuzz_mutant.bin");
+  const std::string again = scratch_file("basis_fuzz_again.bin");
+  const BasisStore::Key sentinel{1, 2, 3, 4};
+  std::mt19937_64 rng(0x5eedULL);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string bytes =
+        arrow::testing::mutant(seed, counts, rng, i % 2 == 0);
+    write_all(path, bytes);
+    BasisStore store;
+    store.store(sentinel, make_basis(4, BasisStatus::kBasic));
+    Basis out;
+    if (!store.load(path)) {
+      ++refused;
+      EXPECT_EQ(store.size(), 1u) << arrow::testing::to_hex(bytes);
+      ASSERT_TRUE(store.load(sentinel, &out));
+      EXPECT_EQ(out.status, make_basis(4, BasisStatus::kBasic).status);
+      continue;
+    }
+    ++accepted;
+    EXPECT_LE(store.size(), 4u) << arrow::testing::to_hex(bytes);
+    std::filesystem::remove(again);
+    ASSERT_TRUE(store.save(again));
+    BasisStore back;
+    ASSERT_TRUE(back.load(again)) << arrow::testing::to_hex(bytes);
+    EXPECT_EQ(back.size(), store.size()) << arrow::testing::to_hex(bytes);
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(refused, 1000);
 }
 
 TEST(BasisStoreDisk, EmptyStoreRoundTrips) {

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,59 @@ TEST(Journal, FileBytesArePinned) {
   EXPECT_EQ(got.run_id, "pin-run");
   EXPECT_EQ(got.plan.alloc, plan.alloc);
   EXPECT_TRUE(std::signbit(got.plan.admitted[1]));
+}
+
+// The journal FileBytesArePinned pins, written to `path`: the seed file of
+// the fuzz test.
+void write_fuzz_seed(const std::string& path) {
+  std::filesystem::remove(path);
+  ctrl::StateJournal j(path);
+  ASSERT_TRUE(j.begin_run("pin-run", 0x0123456789abcdefULL,
+                          0xfedcba9876543210ULL));
+  ctrl::JournalPlan plan;
+  plan.scheme = "ARROW";
+  plan.admitted = {12.5, -0.0};
+  plan.alloc = {{10.0, 2.5}, {}};
+  ASSERT_TRUE(j.record_plan(plan));
+}
+
+// Seeded mutants of the pinned file (tests/file_bytes.h: bit flips,
+// truncations, spliced spans and lying counts, every other one re-signed so
+// that the bounds checks, not the checksum, must refuse it). Each loads as
+// the empty state (a cold start) or as a well-formed one — one admitted rate
+// per flow, no plan fields without has_plan — and never crashes (the chaos
+// label runs under ASan/UBSan).
+TEST(Journal, LoadSurvivesMutatedFiles) {
+  const std::string seed_path = temp_path("fuzz_seed.bin");
+  write_fuzz_seed(seed_path);
+  const std::string seed = read_raw(seed_path);
+  // Offsets of the run id, scheme, flow and both tunnel counts.
+  const std::vector<std::size_t> counts = {9, 40, 53, 69, 101};
+  const std::string path = temp_path("fuzz_mutant.bin");
+  std::mt19937_64 rng(0x5eedULL);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string bytes = testing::mutant(seed, counts, rng, i % 2 == 0);
+    write_raw(path, bytes);
+    const ctrl::JournalState got = ctrl::StateJournal(path).load();
+    if (is_empty_state(got)) {
+      ++refused;
+      EXPECT_TRUE(got.plan.scheme.empty() && got.plan.alloc.empty() &&
+                  got.plan.admitted.empty());
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(got.plan.admitted.size(), got.plan.alloc.size())
+        << testing::to_hex(bytes);
+    if (!got.has_plan) {
+      EXPECT_TRUE(got.plan.scheme.empty() && got.plan.alloc.empty())
+          << testing::to_hex(bytes);
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(refused, 1000);
 }
 
 // --- corruption degrades to the empty state ---------------------------------
