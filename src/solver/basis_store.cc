@@ -184,10 +184,10 @@ bool BasisStore::load(const std::string& path) {
 
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, basis] : staged) {
-    if (entries_.find(key) != entries_.end()) continue;  // memory wins
-    Entry& entry = entries_[key];
-    entry.basis = std::move(basis);
-    touch(entry);
+    const auto [it, added] = entries_.try_emplace(key);
+    if (!added) continue;  // memory wins
+    it->second.basis = std::move(basis);
+    touch(it->second);
   }
   static obs::Counter& loads =
       obs::Registry::global().counter("arrow_basis_store_file_loads_total");
